@@ -6,137 +6,29 @@ into multilayer systems, and embeds everything with Laplacian spectral
 coordinates. See the README for the pipeline walkthrough and the CLI.
 """
 
-from .config import BorderModel, RunConfig, load_config
-from .errors import (
-    ConfigError,
-    DisconnectedGraphError,
-    IsolatedNodeError,
-    SolverError,
-)
 from .geo import (
-    EARTH_RADIUS_KM,
     CountryBorderGraph,
     border_permeability_matrix,
     crossings_matrix,
     distance_matrix,
-    haversine,
     invert_distances,
     linear_border_distances,
-    load_reference_borders,
-    min_border_crossings,
 )
-from .graphs import (
-    LaplacianMatrix,
-    WalkMatrix,
-    WeightMatrix,
-    dump_coordinate_list,
-    laplacian,
-    lazy_random_walk,
-    load_coordinate_list,
-    mean_nonzero_normalize,
-    random_walk,
-    symmetrize,
-)
-from .ingest import (
-    DEFAULT_CATEGORIES,
-    ColumnMap,
-    EventRecord,
-    Location,
-    ParseReport,
-    SummaryStats,
-    build_locations,
-    filter_violent,
-    parse_events,
-    summarize,
-)
-from .layers import (
-    DisplacementReport,
-    MultiLayerSystem,
-    build_three_layer,
-    build_two_layer,
-    country_separation_ratio,
-    displacement,
-    embed_three_layer,
-    embed_two_layer,
-    normalize_sequence_layer,
-    replicate_directed,
-    three_layer_budget_assembly,
-    two_layer_walk_matrix,
-)
-from .sequence import GroupSplitRule, order_events, sequence_adjacency, split_groups
-from .spectral import (
-    Embedding,
-    PointRef,
-    connected_components,
-    eigensolve_symmetric,
-    embed,
-    fix_signs,
-    write_embedding_csv,
-    write_eigenvalues_csv,
-)
+from .layers import build_three_layer, embed_two_layer
+from .sequence import sequence_adjacency
+from .spectral import embed
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BorderModel",
-    "ColumnMap",
-    "ConfigError",
     "CountryBorderGraph",
-    "DEFAULT_CATEGORIES",
-    "DisconnectedGraphError",
-    "DisplacementReport",
-    "EARTH_RADIUS_KM",
-    "Embedding",
-    "EventRecord",
-    "GroupSplitRule",
-    "IsolatedNodeError",
-    "LaplacianMatrix",
-    "Location",
-    "MultiLayerSystem",
-    "ParseReport",
-    "PointRef",
-    "RunConfig",
-    "SolverError",
-    "SummaryStats",
-    "WalkMatrix",
-    "WeightMatrix",
     "border_permeability_matrix",
-    "build_locations",
     "build_three_layer",
-    "build_two_layer",
-    "connected_components",
-    "country_separation_ratio",
     "crossings_matrix",
-    "displacement",
     "distance_matrix",
-    "dump_coordinate_list",
-    "eigensolve_symmetric",
     "embed",
-    "embed_three_layer",
     "embed_two_layer",
-    "filter_violent",
-    "fix_signs",
-    "haversine",
     "invert_distances",
-    "laplacian",
-    "lazy_random_walk",
     "linear_border_distances",
-    "load_config",
-    "load_coordinate_list",
-    "load_reference_borders",
-    "mean_nonzero_normalize",
-    "min_border_crossings",
-    "normalize_sequence_layer",
-    "order_events",
-    "parse_events",
-    "random_walk",
-    "replicate_directed",
     "sequence_adjacency",
-    "split_groups",
-    "summarize",
-    "symmetrize",
-    "three_layer_budget_assembly",
-    "two_layer_walk_matrix",
-    "write_embedding_csv",
-    "write_eigenvalues_csv",
 ]

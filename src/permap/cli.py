@@ -9,32 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 from . import config as config_mod
 from . import geo, ingest, layers, sequence, spectral
 from .config import RunConfig
-from .errors import ConfigError
+from .errors import ConfigError, stage, stage_of
 from .fileio import atomic_write
-
-
-class StageFailure(Exception):
-    """Wraps any pipeline error with the name of the stage it came from."""
-
-    def __init__(self, stage: str, cause: BaseException):
-        super().__init__(f"{stage}: {cause}")
-        self.stage = stage
-
-
-@contextmanager
-def _stage(name: str):
-    try:
-        yield
-    except StageFailure:
-        raise
-    except Exception as exc:
-        raise StageFailure(name, exc) from exc
 
 
 def _load_events(cfg: RunConfig):
@@ -54,14 +35,14 @@ def _border_graph(cfg: RunConfig) -> geo.CountryBorderGraph:
 
 def cmd_summarize(cfg: RunConfig, out_dir: Path) -> int:
     """Write the summary tables and print the headline totals."""
-    with _stage("ingest"):
+    with stage("ingest"):
         violent, report = _load_events(cfg)
         if violent:
             locations, mapping = ingest.build_locations(violent, cfg.rounding)
             stats = ingest.summarize(violent, locations, mapping)
         else:
             stats = ingest.SummaryStats((), (), {}, ingest.Totals(0, 0, 0))
-    with _stage("export"):
+    with stage("export"):
         out_dir.mkdir(parents=True, exist_ok=True)
         ingest.write_summary_csvs(stats, out_dir)
         ingest.write_rejections_csv(report, out_dir / "rejections.csv")
@@ -76,57 +57,17 @@ def cmd_summarize(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _embed_pipeline(cfg: RunConfig):
-    """Shared ingest-to-embedding path; returns (emb, disp, locations, report)."""
-    with _stage("ingest"):
+def _prepare(cfg: RunConfig):
+    """Ingest and load borders once; returns (Prepared, ParseReport)."""
+    with stage("ingest"):
         violent, report = _load_events(cfg)
         if not violent:
             raise ValueError("no events left after filtering; nothing to embed")
-        locations, mapping = ingest.build_locations(violent, cfg.rounding)
-
-    model = cfg.border_model
-    crossings = None
-    with _stage("borders"):
-        if not (cfg.pipeline == "geo" and model.kind == "none"):
+    cg = None
+    with stage("borders"):
+        if not (cfg.pipeline == "geo" and cfg.border_model.kind == "none"):
             cg = _border_graph(cfg)
-            crossings = geo.crossings_matrix(locations, cg)
-
-    with _stage("assembly"):
-        n = len(locations)
-        pair = None
-        if cfg.pipeline == "geo":
-            if model.kind == "permeability":
-                weights = geo.border_permeability_matrix(crossings, model.p)
-                tag = "border"
-            else:
-                distances = geo.distance_matrix(locations)
-                if model.kind == "linear":
-                    distances = geo.linear_border_distances(
-                        distances, crossings, model.cost_km
-                    )
-                weights = geo.invert_distances(distances)
-                tag = "distance"
-            system_matrix = weights
-            provenance = [spectral.PointRef(i, tag, layers.NO_COPY) for i in range(n)]
-        elif cfg.pipeline == "two_layer":
-            w_dist = geo.invert_distances(geo.distance_matrix(locations))
-            w_border = geo.border_permeability_matrix(crossings, model.p)
-            system = layers.build_two_layer(w_dist, w_border, layers.TWO_LAYER_TAGS)
-            system_matrix, provenance = system.assembled, system.provenance
-            pair = layers.TWO_LAYER_TAGS
-        else:
-            location_of = {e.source_row: lid for e, lid in zip(violent, mapping)}
-            seq = sequence.sequence_adjacency(violent, location_of, cfg.groups, n)
-            w_border = geo.border_permeability_matrix(crossings, model.p)
-            w_dist = geo.invert_distances(geo.distance_matrix(locations))
-            system = layers.build_three_layer(w_border, w_dist, seq)
-            system_matrix, provenance = system.assembled, system.provenance
-            pair = ("distance", "border")
-
-    with _stage("solver"):
-        emb = spectral.embed(system_matrix, cfg.k, provenance=provenance)
-        disp = layers.displacement(emb, pair) if pair else None
-    return emb, disp, locations, report
+    return layers.prepare(cfg, violent, cg), report
 
 
 def _export_run(cfg, emb, disp, locations, report, out_dir: Path) -> None:
@@ -142,9 +83,10 @@ def _export_run(cfg, emb, disp, locations, report, out_dir: Path) -> None:
 
 def cmd_embed(cfg: RunConfig, out_dir: Path) -> int:
     """One embedding run: coordinates, eigenvalues, manifest, diagnostics."""
-    emb, disp, locations, report = _embed_pipeline(cfg)
-    with _stage("export"):
-        _export_run(cfg, emb, disp, locations, report, out_dir)
+    prepared, report = _prepare(cfg)
+    emb, disp = layers.solve(prepared, cfg.border_model.value, cfg.k)
+    with stage("export"):
+        _export_run(cfg, emb, disp, prepared.locations, report, out_dir)
     return 0
 
 
@@ -154,26 +96,34 @@ def _sweep_label(cfg: RunConfig, value: float) -> str:
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
-    """Re-run the embedding at each swept border value and tabulate ratios."""
-    with _stage("config"):
+    """Embed at each swept border value and tabulate ratios.
+
+    Events are ingested and the pipeline prepared once; a failure there
+    aborts the sweep, while a failing value is reported and skipped.
+    """
+    with stage("config"):
         values = cfg.sweep_values()
         if not values:
             raise ConfigError("sweep list is empty")
+    prepared, report = _prepare(cfg)
+    countries = {loc.id: loc.country for loc in prepared.locations}
     ratios = []
     failed = 0
     for value in values:
         try:
-            with _stage("config"):
+            with stage("config"):
                 sub = cfg.with_border_value(value)
-            emb, disp, locations, report = _embed_pipeline(sub)
-            with _stage("export"):
-                _export_run(sub, emb, disp, locations, report, out_dir / _sweep_label(cfg, value))
-            countries = {loc.id: loc.country for loc in locations}
+            emb, disp = layers.solve(prepared, value, cfg.k)
+            with stage("export"):
+                sub_dir = out_dir / _sweep_label(cfg, value)
+                _export_run(sub, emb, disp, prepared.locations, report, sub_dir)
             ratios.append((value, layers.country_separation_ratio(emb, countries)))
-        except StageFailure as exc:
+        except Exception as exc:
+            if stage_of(exc) is None:
+                raise
             failed += 1
-            print(f"sweep value {value!r} failed; {exc}", file=sys.stderr)
-    with _stage("export"):
+            print(f"sweep value {value!r} failed; {stage_of(exc)}: {exc}", file=sys.stderr)
+    with stage("export"):
         out_dir.mkdir(parents=True, exist_ok=True)
         with atomic_write(out_dir / "separation_ratios.csv") as fh:
             fh.write("value,separation_ratio\n")
@@ -217,14 +167,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        with _stage("config"):
+        with stage("config"):
             cfg = config_mod.load_config(args.config, args.override)
             out_dir = args.out or cfg.output_dir
             if not out_dir:
                 raise ConfigError("no output directory: pass --out or set output_dir")
         return _COMMANDS[args.command](cfg, Path(out_dir))
-    except StageFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        if stage_of(exc) is None:
+            raise
+        print(f"error: {stage_of(exc)}: {exc}", file=sys.stderr)
         return 1
 
 

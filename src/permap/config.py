@@ -49,6 +49,11 @@ class BorderModel:
         elif self.cost_km is not None or self.p is not None:
             raise ConfigError("border model 'none' takes no parameters")
 
+    @property
+    def value(self) -> float | None:
+        """The swept parameter: cost_km, p, or None for the 'none' model."""
+        return self.cost_km if self.kind == "linear" else self.p
+
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
         if self.cost_km is not None:
@@ -117,17 +122,8 @@ class RunConfig:
         return replace(self, border_model=model)
 
     def to_dict(self) -> dict:
-        cmap = {
-            "event_date": self.column_map.event_date,
-            "actor": self.column_map.actor,
-            "latitude": self.column_map.latitude,
-            "longitude": self.column_map.longitude,
-            "country": self.column_map.country,
-            "admin1": self.column_map.admin1,
-            "event_type": self.column_map.event_type,
-            "fatalities": self.column_map.fatalities,
-            "date_formats": list(self.column_map.date_formats),
-        }
+        cmap = {f.name: getattr(self.column_map, f.name) for f in fields(ColumnMap)}
+        cmap["date_formats"] = list(cmap["date_formats"])
         return {
             "events_csv": self.events_csv,
             "borders_csv": self.borders_csv,
@@ -202,22 +198,7 @@ def _build_split_rules(raw) -> tuple:
     return tuple(rules)
 
 
-_KNOWN_KEYS = {
-    "events_csv",
-    "borders_csv",
-    "pipeline",
-    "border_model",
-    "column_map",
-    "categories",
-    "rounding",
-    "k",
-    "groups",
-    "split_rules",
-    "sweep_costs_km",
-    "sweep_probabilities",
-    "output_dir",
-    _META_KEY,
-}
+_KNOWN_KEYS = {f.name for f in fields(RunConfig)} | {_META_KEY}
 
 
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> RunConfig:

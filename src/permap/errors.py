@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and pipeline stage tagging."""
+
+from contextlib import contextmanager
 
 
 class ConfigError(ValueError):
@@ -15,3 +17,23 @@ class DisconnectedGraphError(ValueError):
 
 class SolverError(RuntimeError):
     """The eigensolver failed to converge or returned pairs above tolerance."""
+
+
+@contextmanager
+def stage(name: str):
+    """Tag any exception leaving the block with the pipeline stage it came from.
+
+    The innermost stage wins. The exception keeps its type, so library
+    callers still catch typed errors while the CLI reports the stage.
+    """
+    try:
+        yield
+    except Exception as exc:
+        if stage_of(exc) is None:
+            exc.stage = name
+        raise
+
+
+def stage_of(exc: BaseException) -> str | None:
+    """The pipeline stage an exception was tagged with, if any."""
+    return getattr(exc, "stage", None)

@@ -1,8 +1,9 @@
-"""Weighted-graph matrix algebra: Laplacians, random walks, normalizations.
+"""Weighted-graph matrix algebra: Laplacians, symmetrization, normalization.
 
-All matrices are kept as plain float64 numpy arrays wrapped in thin typed
-containers. The large assembled multilayer systems may instead carry a
-scipy.sparse matrix; the operations here accept both.
+Edge weights are plain float64 numpy arrays wrapped in a thin typed
+container; Laplacians are returned bare. The large assembled multilayer
+systems may instead carry a scipy.sparse matrix; the operations here
+accept both.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import numpy as np
 from scipy import sparse
 
 from .errors import IsolatedNodeError
-from .fileio import atomic_write
 
 SYMMETRY_RTOL = 1e-10
 
@@ -74,71 +74,35 @@ class WeightMatrix:
         return self.kind == SYMMETRIC
 
 
-@dataclass(frozen=True)
-class LaplacianMatrix:
-    """Combinatorial Laplacian: total incident weight on the diagonal, minus weights off it."""
-
-    values: object
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
-class WalkMatrix:
-    """Row-normalized transition probabilities; lazy walks keep 0.5 on the diagonal."""
-
-    values: np.ndarray
-    lazy: bool
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
 def _row_sums(values) -> np.ndarray:
     if _is_sparse(values):
         return np.asarray(values.sum(axis=1)).ravel()
     return values.sum(axis=1)
 
 
-def laplacian(w: WeightMatrix) -> LaplacianMatrix:
-    """Build the combinatorial Laplacian of a symmetric weight matrix.
+def laplacian(w: WeightMatrix):
+    """Combinatorial Laplacian of a symmetric weight matrix, in its storage format.
 
+    Total incident weight sits on the diagonal, minus the weights off it.
     The input must be flagged symmetric; directed matrices have to be
-    symmetrized (or replicated into out/in copies) first.
+    symmetrized first.
     """
     if not w.is_symmetric:
         raise ValueError("laplacian requires a symmetric weight matrix; symmetrize first")
     degrees = _row_sums(w.values)
     if _is_sparse(w.values):
         lap = sparse.diags(degrees) - w.values
-        return LaplacianMatrix(lap.tocsr())
-    return LaplacianMatrix(np.diag(degrees) - w.values)
+        return lap.tocsr()
+    return np.diag(degrees) - w.values
 
 
-def _check_positive_rows(values, layer: str | None = None):
+def _check_positive_rows(values, layer: str) -> np.ndarray:
+    """Row sums of one layer's weights; raises if any node has none."""
     sums = _row_sums(values)
     bad = np.flatnonzero(sums <= 0)
     if bad.size:
-        where = f" in layer {layer!r}" if layer else ""
-        raise IsolatedNodeError(f"node {bad[0]}{where} has zero total edge weight")
+        raise IsolatedNodeError(f"node {bad[0]} in layer {layer!r} has zero total edge weight")
     return sums
-
-
-def random_walk(w: WeightMatrix) -> WalkMatrix:
-    """Divide each row by its sum, giving transition probabilities."""
-    sums = _check_positive_rows(w.values)
-    return WalkMatrix(w.values / sums[:, None], lazy=False)
-
-
-def lazy_random_walk(w: WeightMatrix) -> WalkMatrix:
-    """Halve each row's probabilities and put the spare 0.5 on the diagonal."""
-    sums = _check_positive_rows(w.values)
-    p = w.values / (2.0 * sums[:, None])
-    np.fill_diagonal(p, 0.5)
-    return WalkMatrix(p, lazy=True)
 
 
 def symmetrize(m) -> WeightMatrix:
@@ -165,31 +129,3 @@ def mean_nonzero_normalize(w: WeightMatrix) -> WeightMatrix:
     if nz.size == 0:
         raise ValueError("cannot normalize an all-zero matrix")
     return WeightMatrix(values / nz.mean(), w.kind)
-
-
-def dump_coordinate_list(values, path) -> None:
-    """Write nonzero entries as `i j value` triples (0-based, row-major)."""
-    if _is_sparse(values):
-        coo = values.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        with atomic_write(path) as fh:
-            for t in order:
-                v = coo.data[t]
-                if v != 0:
-                    fh.write(f"{coo.row[t]} {coo.col[t]} {float(v)!r}\n")
-        return
-    with atomic_write(path) as fh:
-        for i, j in zip(*np.nonzero(values)):
-            fh.write(f"{i} {j} {float(values[i, j])!r}\n")
-
-
-def load_coordinate_list(path, n: int) -> np.ndarray:
-    """Read an `i j value` triple file back into a dense n x n array."""
-    out = np.zeros((n, n))
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            i, j, v = line.split()
-            out[int(i), int(j)] = float(v)
-    return out

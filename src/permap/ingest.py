@@ -9,7 +9,7 @@ composite key of country, admin district, and rounded coordinates.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date, datetime
 from typing import NamedTuple
 
@@ -73,16 +73,7 @@ class ColumnMap:
     date_formats: tuple = DEFAULT_DATE_FORMATS
 
     def required(self) -> dict:
-        return {
-            "event_date": self.event_date,
-            "actor": self.actor,
-            "latitude": self.latitude,
-            "longitude": self.longitude,
-            "country": self.country,
-            "admin1": self.admin1,
-            "event_type": self.event_type,
-            "fatalities": self.fatalities,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "date_formats"}
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Multilayer network assembly and displacement diagnostics.
+"""Multilayer network assembly, the embedding pipeline, and displacement diagnostics.
 
 Two-layer systems couple a geodesic-closeness layer with a border
 permeability layer through fixed-weight inter-layer edges, following a
@@ -6,6 +6,11 @@ lazy-walk budget: half of each node's transition mass stays in its layer
 and half crosses to its twin. Three-layer systems add a directed attack
 sequence layer and replicate every node into outgoing/incoming copies so
 the direction survives symmetric eigensolving.
+
+Every pipeline runs in two steps. `prepare` does the work that does not
+depend on the border value (locations, crossings, distance and sequence
+layers); `solve` weights the borders at one value, assembles the system
+and embeds it. A sweep prepares once and solves once per value.
 """
 
 from __future__ import annotations
@@ -16,22 +21,24 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .errors import IsolatedNodeError
+from .errors import stage
 from .fileio import atomic_write
 from .geo import (
     border_permeability_matrix,
     crossings_matrix,
     distance_matrix,
     invert_distances,
+    linear_border_distances,
 )
 from .graphs import (
     DIRECTED,
-    SYMMETRIC,
     WeightMatrix,
-    _is_sparse,
+    _check_positive_rows,
     mean_nonzero_normalize,
     symmetrize,
 )
+from .ingest import build_locations
+from .sequence import sequence_adjacency
 from .spectral import COORD_NAMES, DENSE_CUTOFF, Embedding, PointRef, embed
 
 TWO_LAYER_TAGS = ("distance", "border")
@@ -41,7 +48,6 @@ IN = "in"
 NO_COPY = "-"
 
 DEFAULT_BORDER_P = 0.95
-DEFAULT_LINEAR_COST_KM = 100.0
 
 
 @dataclass(frozen=True)
@@ -70,16 +76,6 @@ class MultiLayerSystem:
         return self.assembled.n
 
 
-def _layer_values(w: WeightMatrix, tag: str):
-    values = np.array(w.values, dtype=float)
-    np.fill_diagonal(values, 0.0)
-    sums = values.sum(axis=1)
-    bad = np.flatnonzero(sums <= 0)
-    if bad.size:
-        raise IsolatedNodeError(f"node {bad[0]} in layer {tag!r} has zero total edge weight")
-    return values, sums
-
-
 def two_layer_walk_matrix(w_a: WeightMatrix, w_b: WeightMatrix, layer_tags=TWO_LAYER_TAGS):
     """Pre-symmetrization 2n x 2n lazy-walk matrix of the two-layer system.
 
@@ -96,11 +92,11 @@ def two_layer_walk_matrix(w_a: WeightMatrix, w_b: WeightMatrix, layer_tags=TWO_L
         raise ValueError(f"layer sizes differ: {n} vs {w_b.n}")
     if n < 2:
         raise ValueError("a layer needs at least 2 locations to carry edges")
-    va, sa = _layer_values(w_a, layer_tags[0])
-    vb, sb = _layer_values(w_b, layer_tags[1])
     walk = np.zeros((2 * n, 2 * n))
-    walk[:n, :n] = va / (2.0 * sa[:, None])
-    walk[n:, n:] = vb / (2.0 * sb[:, None])
+    for block, w, tag in zip((slice(0, n), slice(n, None)), (w_a, w_b), layer_tags):
+        values = np.array(w.values, dtype=float)
+        np.fill_diagonal(values, 0.0)
+        walk[block, block] = values / (2.0 * _check_positive_rows(values, tag)[:, None])
     cross = np.arange(n)
     walk[cross, n + cross] = 0.5
     walk[n + cross, cross] = 0.5
@@ -125,43 +121,6 @@ def build_two_layer(
     )
 
 
-def embed_two_layer(locations, cg, p: float = DEFAULT_BORDER_P, k: int = 2):
-    """Distance layer + border permeability layer, embedded together.
-
-    Returns (Embedding, DisplacementReport); the report measures how far
-    each location's two copies land apart.
-    """
-    locations = list(locations)
-    w_dist = invert_distances(distance_matrix(locations))
-    crossings = crossings_matrix(locations, cg)
-    w_border = border_permeability_matrix(crossings, p)
-    system = build_two_layer(w_dist, w_border, TWO_LAYER_TAGS)
-    emb = embed(system.assembled, k, provenance=system.provenance)
-    return emb, displacement(emb, TWO_LAYER_TAGS)
-
-
-def replicate_directed(a) -> WeightMatrix:
-    """Split nodes into out/in copies, turning directed edges undirected.
-
-    A directed edge i -> j of weight w becomes the undirected edge between
-    out-copy i (rows 0..n-1) and in-copy j (rows n..2n-1) of weight w.
-    """
-    values = a.values if isinstance(a, WeightMatrix) else a
-    if _is_sparse(values):
-        doubled = sparse.bmat(
-            [[None, values], [values.T, None]], format="csr", dtype=float
-        )
-        return WeightMatrix(doubled, SYMMETRIC)
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ValueError("replicate_directed requires a square matrix")
-    n = values.shape[0]
-    doubled = np.zeros((2 * n, 2 * n))
-    doubled[:n, n:] = values
-    doubled[n:, :n] = values.T
-    return WeightMatrix(doubled, SYMMETRIC)
-
-
 def normalize_sequence_layer(a) -> WeightMatrix:
     """Normalize the sequence layer and pad rows to a constant sum.
 
@@ -179,28 +138,6 @@ def normalize_sequence_layer(a) -> WeightMatrix:
     top = float(sums.max())
     np.fill_diagonal(values, values.diagonal() + (top - sums))
     return WeightMatrix(values, DIRECTED)
-
-
-def three_layer_budget_assembly(normalized) -> np.ndarray:
-    """Directed 3n x 3n node-layer assembly under the 0.5/0.25/0.25 split.
-
-    Within-layer blocks carry half of each node's normalized edge weight;
-    the node's copy in each other layer receives a quarter of its budget
-    on the corresponding cross-block diagonal.
-    """
-    normalized = [np.asarray(m, dtype=float) for m in normalized]
-    n = normalized[0].shape[0]
-    m = len(normalized)
-    budgets = [layer.sum(axis=1) for layer in normalized]
-    out = np.zeros((m * n, m * n))
-    for li, layer in enumerate(normalized):
-        rows = slice(li * n, (li + 1) * n)
-        out[rows, rows] = layer / 2.0
-        for lj in range(m):
-            if lj != li:
-                cols = slice(lj * n, (lj + 1) * n)
-                out[rows, cols] = np.diag(budgets[li] / 4.0)
-    return out
 
 
 def build_three_layer(
@@ -237,19 +174,12 @@ def build_three_layer(
         np.array(normalize_sequence_layer(a_seq).values, dtype=float),
     ]
     tags = tuple(layer_tags)
-    for tag, layer in zip(tags, normalized):
-        sums = layer.sum(axis=1)
-        bad = np.flatnonzero(sums <= 0)
-        if bad.size:
-            raise IsolatedNodeError(
-                f"node {bad[0]} in layer {tag!r} has zero total edge weight"
-            )
+    budgets = [_check_positive_rows(layer, tag) for tag, layer in zip(tags, normalized)]
+    links = [(budget + layer.sum(axis=0)) / 4.0 for budget, layer in zip(budgets, normalized)]
 
     size = 6 * n
     if sparse_output is None:
         sparse_output = size > DENSE_CUTOFF
-    budgets = [layer.sum(axis=1) for layer in normalized]
-    links = [(layer.sum(axis=1) + layer.sum(axis=0)) / 4.0 for layer in normalized]
 
     # Row block 2*l holds layer l's out-copies, row block 2*l+1 its
     # in-copies; pre-symmetrization weight flows out-rows -> in-columns.
@@ -292,6 +222,99 @@ def build_three_layer(
     )
 
 
+@dataclass(frozen=True)
+class Prepared:
+    """The border-value-independent state of one pipeline, per location only.
+
+    `distances` is the raw km matrix for `geo` (priced per border before
+    inversion) and the inverted distance layer for the multilayer
+    pipelines; it is None where the pipeline never reads it.
+    """
+
+    pipeline: str
+    border_kind: str
+    locations: tuple
+    crossings: np.ndarray | None
+    distances: WeightMatrix | None
+    sequence: WeightMatrix | None
+
+
+def prepare(cfg, events, cg) -> Prepared:
+    """Locations, crossings, distance and sequence layers for a run config.
+
+    `events` are the filtered events of the run and `cg` its border graph,
+    or None when the config prices no borders. Nothing here depends on the
+    swept border value, and the events are not kept.
+    """
+    kind = cfg.border_model.kind
+    with stage("ingest"):
+        locations, mapping = build_locations(events, cfg.rounding)
+    with stage("borders"):
+        crossings = None if cg is None else crossings_matrix(locations, cg)
+    with stage("assembly"):
+        seq = None
+        if cfg.pipeline == "three_layer":
+            location_of = {e.source_row: lid for e, lid in zip(events, mapping)}
+            seq = sequence_adjacency(events, location_of, cfg.groups, len(locations))
+        distances = None
+        if cfg.pipeline != "geo":
+            distances = invert_distances(distance_matrix(locations))
+        elif kind != "permeability":
+            distances = distance_matrix(locations)
+    return Prepared(cfg.pipeline, kind, tuple(locations), crossings, distances, seq)
+
+
+def solve(prepared: Prepared, value: float | None, k: int):
+    """Weight the borders at `value`, assemble, and embed in k dimensions.
+
+    `value` is the border cost in km for the linear model, the
+    permeability p for the permeability model, and ignored for none.
+    Returns (Embedding, DisplacementReport); the report is None for `geo`.
+    """
+    with stage("assembly"):
+        if prepared.pipeline == "geo":
+            if prepared.border_kind == "permeability":
+                weights, tag = border_permeability_matrix(prepared.crossings, value), "border"
+            elif prepared.border_kind == "linear":
+                # Unnamed, so the priced n x n distances are freed before the solve.
+                weights = invert_distances(
+                    linear_border_distances(prepared.distances, prepared.crossings, value)
+                )
+                tag = "distance"
+            else:
+                weights, tag = invert_distances(prepared.distances), "distance"
+            provenance = [PointRef(i, tag, NO_COPY) for i in range(len(prepared.locations))]
+        else:
+            w_border = border_permeability_matrix(prepared.crossings, value)
+            if prepared.pipeline == "two_layer":
+                system = build_two_layer(prepared.distances, w_border, TWO_LAYER_TAGS)
+            else:
+                system = build_three_layer(w_border, prepared.distances, prepared.sequence)
+            weights, provenance = system.assembled, system.provenance
+    with stage("solver"):
+        emb = embed(weights, k, provenance=provenance)
+        if prepared.pipeline == "geo":
+            return emb, None
+        return emb, displacement(emb, TWO_LAYER_TAGS)
+
+
+def _located(pipeline: str, locations, cg, seq=None) -> Prepared:
+    """The multilayer preparation for locations that are already built."""
+    locations = tuple(locations)
+    crossings = crossings_matrix(locations, cg)
+    distances = invert_distances(distance_matrix(locations))
+    return Prepared(pipeline, "permeability", locations, crossings, distances, seq)
+
+
+def embed_two_layer(locations, cg, p: float = DEFAULT_BORDER_P, k: int = 2):
+    """Distance layer + border permeability layer, embedded together.
+
+    Returns (Embedding, DisplacementReport); the report measures how far
+    each location's two copies land apart.
+    """
+    return solve(_located("two_layer", locations, cg), p, k)
+
+
 def embed_three_layer(
     locations,
     cg,
@@ -304,13 +327,7 @@ def embed_three_layer(
     Returns (Embedding, DisplacementReport); the report compares each
     location's distance-layer and border-layer centroids.
     """
-    locations = list(locations)
-    crossings = crossings_matrix(locations, cg)
-    w_border = border_permeability_matrix(crossings, p)
-    w_dist = invert_distances(distance_matrix(locations))
-    system = build_three_layer(w_border, w_dist, seq)
-    emb = embed(system.assembled, k, provenance=system.provenance)
-    return emb, displacement(emb, ("distance", "border"))
+    return solve(_located("three_layer", locations, cg, seq), p, k)
 
 
 class DisplacementRow(NamedTuple):

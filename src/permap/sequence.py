@@ -17,8 +17,6 @@ import numpy as np
 from .errors import ConfigError
 from .graphs import DIRECTED, WeightMatrix
 
-SequenceAdjacency = WeightMatrix
-
 _BOUNDS = {"latitude": (-90.0, 90.0), "longitude": (-180.0, 180.0)}
 _COMPARATORS = ("<", ">=")
 

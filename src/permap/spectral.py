@@ -20,7 +20,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from .errors import DisconnectedGraphError, SolverError
 from .fileio import atomic_write
-from .graphs import LaplacianMatrix, WeightMatrix, _is_sparse, asymmetry, laplacian
+from .graphs import WeightMatrix, _is_sparse, asymmetry, laplacian
 
 DENSE_CUTOFF = 2000
 RESIDUAL_RTOL = 1e-8
@@ -51,7 +51,7 @@ def _inf_norm(m) -> float:
 
 
 def _matrix_of(m):
-    if isinstance(m, (WeightMatrix, LaplacianMatrix)):
+    if isinstance(m, WeightMatrix):
         return m.values
     if _is_sparse(m):
         return m
@@ -195,8 +195,8 @@ def embed(w: WeightMatrix, k: int, provenance=None, dense_cutoff: int = DENSE_CU
         )
 
     lap = laplacian(w)
-    pairs = eigensolve_symmetric(lap.values, k + 1, dense_cutoff=dense_cutoff)
-    zero_tol = ZERO_EIGENVALUE_RTOL * max(_inf_norm(lap.values), 1.0)
+    pairs = eigensolve_symmetric(lap, k + 1, dense_cutoff=dense_cutoff)
+    zero_tol = ZERO_EIGENVALUE_RTOL * max(_inf_norm(lap), 1.0)
     if pairs.values[0] > zero_tol:
         raise SolverError(
             f"smallest Laplacian eigenvalue {pairs.values[0]:.3e} is not zero "

@@ -139,3 +139,28 @@ def haversine_reference(lat1, lon1, lat2, lon2, radius=6371.0):
     dl = math.radians(lon2 - lon1)
     h = math.sin(dp / 2.0) ** 2 + math.cos(p1) * math.cos(p2) * math.sin(dl / 2.0) ** 2
     return 2.0 * radius * math.asin(min(1.0, math.sqrt(h)))
+
+
+def three_layer_budget_assembly(normalized):
+    """Directed 3n x 3n node-layer assembly under the 0.5/0.25/0.25 split.
+
+    Within-layer blocks carry half of each node's normalized edge weight;
+    the node's copy in each other layer receives a quarter of its budget
+    on the corresponding cross-block diagonal.
+    """
+    import numpy as np
+
+    normalized = [np.asarray(m, dtype=float) for m in normalized]
+    n = normalized[0].shape[0]
+    m = len(normalized)
+    out = np.zeros((m * n, m * n))
+    for li, layer in enumerate(normalized):
+        budget = layer.sum(axis=1)
+        for i in range(n):
+            for lj in range(m):
+                for j in range(n):
+                    if li == lj:
+                        out[li * n + i, lj * n + j] = layer[i, j] / 2.0
+                    elif i == j:
+                        out[li * n + i, lj * n + j] = budget[i] / 4.0
+    return out

@@ -59,7 +59,7 @@ def test_c01_laplacian_rows_symmetry_and_nullity():
         m = m + m.T
         if not m.any():
             m[0, 1] = m[1, 0] = 1.0
-        lap = laplacian(WeightMatrix(m, SYMMETRIC)).values
+        lap = laplacian(WeightMatrix(m, SYMMETRIC))
 
         scale = max(np.abs(lap).max(), 1.0)
         assert np.abs(lap.sum(axis=1)).max() <= 1e-9 * scale

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from conftest import events_csv_text
+from permap import ingest
 from permap.cli import main
 
 
@@ -314,6 +315,52 @@ class TestSweep:
         assert len(table) == 2 and table[1].startswith("0.95,")
         assert (out_dir / "p_0.95").is_dir()
         assert not (out_dir / "p_1.5").exists()
+
+    def test_events_parsed_once_per_sweep(self, capsys, fixture_run, tmp_path, monkeypatch):
+        calls = []
+        parse = ingest.parse_events
+
+        def counting_parse(*args, **kwargs):
+            calls.append(1)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(ingest, "parse_events", counting_parse)
+        rc, _, err = run_cli(
+            capsys,
+            "sweep",
+            "--config",
+            str(fixture_run["config"]),
+            "--out",
+            str(tmp_path / "o"),
+            "--override",
+            'border_model={"kind": "linear", "cost_km": 0.0}',
+            "--override",
+            "sweep_costs_km=[0, 50, 100]",
+        )
+        assert rc == 0 and err == ""
+        assert len(calls) == 1
+        assert len((tmp_path / "o" / "separation_ratios.csv").read_text().splitlines()) == 4
+
+    def test_ingest_failure_aborts_whole_sweep(self, capsys, fixture_run, tmp_path):
+        out_dir = tmp_path / "o"
+        rc, _, err = run_cli(
+            capsys,
+            "sweep",
+            "--config",
+            str(fixture_run["config"]),
+            "--out",
+            str(out_dir),
+            "--override",
+            'border_model={"kind": "linear", "cost_km": 0.0}',
+            "--override",
+            "sweep_costs_km=[0, 50, 100]",
+            "--override",
+            "events_csv=absent.csv",
+        )
+        assert rc == 1
+        assert err.startswith("error: ingest:")
+        assert err.count("error:") == 1 and "sweep value" not in err
+        assert not out_dir.exists()
 
     def test_unsweepable_border_model(self, capsys, fixture_run, tmp_path):
         rc, _, err = run_cli(

@@ -3,18 +3,12 @@ import pytest
 from scipy import sparse
 
 from oracles import traversal_components
-from permap.errors import IsolatedNodeError
 from permap.graphs import (
     DIRECTED,
     SYMMETRIC,
-    LaplacianMatrix,
     WeightMatrix,
-    dump_coordinate_list,
     laplacian,
-    lazy_random_walk,
-    load_coordinate_list,
     mean_nonzero_normalize,
-    random_walk,
     symmetrize,
 )
 
@@ -53,14 +47,14 @@ class TestLaplacian:
     def test_single_edge_two_nodes(self):
         for w in (1.0, 2.5, 7.0):
             lap = laplacian(wm([[0.0, w], [w, 0.0]]))
-            assert np.array_equal(lap.values, [[w, -w], [-w, w]])
+            assert np.array_equal(lap, [[w, -w], [-w, w]])
 
     def test_path_graph_rows_sum_zero_and_spectrum(self):
         # 3-node path, unit weights: characteristic polynomial
         # det(L - x I) = -x (x^2 - 4x + 3) has roots {0, 1, 3}.
         lap = laplacian(wm([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
-        assert np.allclose(lap.values.sum(axis=1), 0.0, atol=1e-15)
-        values = np.sort(np.linalg.eigvalsh(lap.values))
+        assert np.allclose(lap.sum(axis=1), 0.0, atol=1e-15)
+        values = np.sort(np.linalg.eigvalsh(lap))
         assert np.allclose(values, [0.0, 1.0, 3.0], atol=1e-12)
 
     def test_random_rows_sum_zero(self):
@@ -70,7 +64,7 @@ class TestLaplacian:
             m = rng.uniform(0, 3, (n, n))
             m = (m + m.T) / 2
             np.fill_diagonal(m, 0.0)
-            lap = laplacian(wm(m)).values
+            lap = laplacian(wm(m))
             scale = max(np.abs(lap).max(), 1.0)
             assert np.abs(lap.sum(axis=1)).max() <= 1e-9 * scale
             assert np.array_equal(lap, lap.T)
@@ -81,8 +75,8 @@ class TestLaplacian:
 
     def test_sparse_input_matches_dense(self):
         m = np.array([[0, 2, 0], [2, 0, 1], [0, 1, 0.0]])
-        dense = laplacian(wm(m)).values
-        sp = laplacian(WeightMatrix(sparse.csr_matrix(m), SYMMETRIC)).values
+        dense = laplacian(wm(m))
+        sp = laplacian(WeightMatrix(sparse.csr_matrix(m), SYMMETRIC))
         assert np.array_equal(sp.toarray(), dense)
 
     def test_zero_eigenvalues_count_components(self):
@@ -100,76 +94,12 @@ class TestLaplacian:
             for b in blocks:
                 m[at : at + len(b), at : at + len(b)] = b
                 at += len(b)
-            lap = laplacian(wm(m)).values
+            lap = laplacian(wm(m))
             values = np.linalg.eigvalsh(lap)
             top = max(values.max(), 1.0)
             near_zero = int((np.abs(values) <= 1e-8 * top).sum())
             want, _ = traversal_components(m.tolist())
             assert near_zero == want
-
-
-class TestWalks:
-    def test_row_halves(self):
-        p = random_walk(wm([[0, 2], [2, 0]]))
-        assert np.array_equal(p.values, [[0.0, 1.0], [1.0, 0.0]])
-        p = random_walk(wm([[0, 1, 3], [1, 0, 3], [3, 3, 0.0]]))
-        assert np.allclose(p.values[0], [0.0, 0.25, 0.75], atol=0)
-
-    def test_random_walk_rows_sum_one(self):
-        rng = np.random.default_rng(3)
-        m = rng.uniform(0.1, 2, (6, 6))
-        np.fill_diagonal(m, 0.0)
-        p = random_walk(WeightMatrix((m + m.T) / 2, SYMMETRIC))
-        assert not p.lazy
-        assert np.allclose(p.values.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_four_by_four_fixture(self):
-        w = wm(
-            [
-                [0.0, 1.0, 2.0, 1.0],
-                [1.0, 0.0, 0.0, 3.0],
-                [2.0, 0.0, 0.0, 2.0],
-                [1.0, 3.0, 2.0, 0.0],
-            ]
-        )
-        plain = random_walk(w).values
-        # hand division: rows sums are 4, 4, 4, 6
-        assert np.allclose(
-            plain,
-            [
-                [0.0, 0.25, 0.5, 0.25],
-                [0.25, 0.0, 0.0, 0.75],
-                [0.5, 0.0, 0.0, 0.5],
-                [1 / 6, 0.5, 1 / 3, 0.0],
-            ],
-            atol=1e-15,
-        )
-        lazy = lazy_random_walk(w).values
-        assert np.allclose(
-            lazy,
-            [
-                [0.5, 0.125, 0.25, 0.125],
-                [0.125, 0.5, 0.0, 0.375],
-                [0.25, 0.0, 0.5, 0.25],
-                [1 / 12, 0.25, 1 / 6, 0.5],
-            ],
-            atol=1e-15,
-        )
-
-    def test_lazy_diagonal_and_row_sums(self):
-        p = lazy_random_walk(wm([[0, 2], [2, 0]]))
-        assert p.lazy
-        assert np.array_equal(np.diag(p.values), [0.5, 0.5])
-        assert np.allclose(p.values.sum(axis=1), 1.0, atol=1e-12)
-        # single-edge pair: each row is 0.5 self, 0.5 other
-        assert np.array_equal(p.values, [[0.5, 0.5], [0.5, 0.5]])
-
-    def test_isolated_node_named(self):
-        w = wm([[0, 0, 0], [0, 0, 1], [0, 1, 0.0]])
-        with pytest.raises(IsolatedNodeError, match="node 0"):
-            random_walk(w)
-        with pytest.raises(IsolatedNodeError, match="node 0"):
-            lazy_random_walk(w)
 
 
 class TestSymmetrize:
@@ -224,27 +154,7 @@ class TestMeanNonzeroNormalize:
             mean_nonzero_normalize(wm(np.zeros((3, 3))))
 
 
-class TestCoordinateList:
-    def test_round_trip_dense(self, tmp_path):
-        m = np.array([[0.0, 1.5, 0.0], [0.0, 0.0, 2.25], [0.125, 0.0, 0.0]])
-        path = tmp_path / "m.txt"
-        dump_coordinate_list(m, path)
-        text = path.read_text()
-        assert text.splitlines() == ["0 1 1.5", "1 2 2.25", "2 0 0.125"]
-        assert np.array_equal(load_coordinate_list(path, 3), m)
-
-    def test_round_trip_sparse_matches_dense_dump(self, tmp_path):
-        rng = np.random.default_rng(2)
-        m = rng.uniform(0, 1, (6, 6)) * (rng.uniform(size=(6, 6)) < 0.3)
-        dense_path = tmp_path / "dense.txt"
-        sparse_path = tmp_path / "sparse.txt"
-        dump_coordinate_list(m, dense_path)
-        dump_coordinate_list(sparse.csr_matrix(m), sparse_path)
-        assert dense_path.read_bytes() == sparse_path.read_bytes()
-        assert np.array_equal(load_coordinate_list(sparse_path, 6), m)
-
-
 def test_laplacian_type_exposes_n():
     lap = laplacian(wm([[0, 1], [1, 0.0]]))
-    assert isinstance(lap, LaplacianMatrix)
-    assert lap.n == 2
+    assert isinstance(lap, np.ndarray)
+    assert lap.shape == (2, 2)

@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 
 from conftest import make_location
+from oracles import three_layer_budget_assembly
 from permap.errors import IsolatedNodeError
 from permap.geo import CountryBorderGraph
 from permap.graphs import DIRECTED, SYMMETRIC, WeightMatrix
@@ -21,8 +22,6 @@ from permap.layers import (
     embed_three_layer,
     embed_two_layer,
     normalize_sequence_layer,
-    replicate_directed,
-    three_layer_budget_assembly,
     two_layer_walk_matrix,
     write_displacement_csv,
 )
@@ -159,36 +158,6 @@ class TestEmbedTwoLayer:
         assert report.rows[0].length > 0
 
 
-class TestReplicateDirected:
-    def test_single_directed_edge(self):
-        out = replicate_directed(directed([[0, 3], [0, 0]])).values
-        want = np.zeros((4, 4))
-        want[0, 3] = want[3, 0] = 3.0
-        assert np.array_equal(out, want)
-
-    def test_self_loop_becomes_out_in_edge(self):
-        out = replicate_directed(directed([[2.0]])).values
-        assert np.array_equal(out, [[0.0, 2.0], [2.0, 0.0]])
-
-    def test_total_weight_preserved(self):
-        rng = np.random.default_rng(63)
-        a = rng.uniform(0, 2, (6, 6))
-        out = replicate_directed(a).values
-        assert out.sum() == pytest.approx(2.0 * a.sum(), rel=1e-15)
-        assert np.array_equal(out, out.T)
-
-    def test_sparse_matches_dense(self):
-        rng = np.random.default_rng(64)
-        a = rng.uniform(0, 1, (5, 5)) * (rng.uniform(size=(5, 5)) < 0.4)
-        dense = replicate_directed(a).values
-        sp = replicate_directed(WeightMatrix(sparse.csr_matrix(a), DIRECTED)).values
-        assert np.array_equal(sp.toarray(), dense)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            replicate_directed(np.zeros((2, 3)))
-
-
 class TestNormalizeSequenceLayer:
     def test_five_node_fixture(self):
         a = np.zeros((5, 5))
@@ -285,6 +254,31 @@ class TestBuildThreeLayer:
         assert v[12, 15] == pytest.approx(0.25 / 2, abs=1e-15)
         assert v[13, 16] == pytest.approx(1.25 / 2, abs=1e-15)
         assert v[14, 17] == pytest.approx(1.0 / 2, abs=1e-15)
+
+    def test_matches_budget_oracle(self):
+        # Pre-symmetrization weight flows only from out-rows to in-columns,
+        # so twice that block, minus the out/in links on its diagonal, is
+        # the budget assembly of the normalized layers.
+        rng = np.random.default_rng(67)
+        n = 5
+        out_rows = np.concatenate([np.arange(2 * li * n, (2 * li + 1) * n) for li in range(3)])
+        in_cols = out_rows + n
+        for sparse_output in (False, True):
+            b, d = (rng.uniform(0.1, 1.0, (n, n)) for _ in range(2))
+            b, d = (b + b.T) / 2.0, (d + d.T) / 2.0
+            a = rng.integers(0, 3, (n, n)).astype(float)
+            for m in (b, d, a):
+                np.fill_diagonal(m, 0.0)
+            system = build_three_layer(sym(b), sym(d), directed(a), sparse_output=sparse_output)
+            v = system.assembled.values
+            v = v.toarray() if sparse.issparse(v) else v
+
+            normalized = [m / m[m != 0].mean() for m in (b, d, a)]
+            seq_sums = normalized[2].sum(axis=1)
+            normalized[2][np.diag_indices(n)] += seq_sums.max() - seq_sums
+            links = np.concatenate([(m.sum(axis=1) + m.sum(axis=0)) / 4.0 for m in normalized])
+            got = 2.0 * v[np.ix_(out_rows, in_cols)] - np.diag(links)
+            assert np.abs(got - three_layer_budget_assembly(normalized)).max() <= 1e-12
 
     def test_sparse_output_matches_dense(self):
         w_border, w_dist, a_seq = three_layer_fixture()

@@ -73,7 +73,7 @@ class TestEigensolve:
     def test_iterative_route_matches_dense(self):
         rng = np.random.default_rng(77)
         w = ring_weights(30, rng)
-        lap = laplacian(w).values
+        lap = laplacian(w)
         dense = eigensolve_symmetric(lap, 4, dense_cutoff=2000)
         # cutoff below n forces the shift-invert path
         iterative = eigensolve_symmetric(lap, 4, dense_cutoff=10)
@@ -83,7 +83,7 @@ class TestEigensolve:
 
     def test_iterative_route_is_deterministic(self):
         rng = np.random.default_rng(78)
-        lap = laplacian(ring_weights(25, rng)).values
+        lap = laplacian(ring_weights(25, rng))
         first = eigensolve_symmetric(lap, 3, dense_cutoff=5)
         second = eigensolve_symmetric(lap, 3, dense_cutoff=5)
         assert np.array_equal(first.values, second.values)
@@ -91,14 +91,14 @@ class TestEigensolve:
 
     def test_near_full_count_falls_back_to_dense(self):
         rng = np.random.default_rng(79)
-        lap = laplacian(ring_weights(12, rng)).values
+        lap = laplacian(ring_weights(12, rng))
         got = eigensolve_symmetric(lap, 11, dense_cutoff=4)
         want = np.linalg.eigvalsh(lap)[:11]
         assert np.allclose(got.values, want, atol=1e-9 * max(want.max(), 1.0))
 
     def test_sparse_input_matches_dense(self):
         rng = np.random.default_rng(80)
-        lap = laplacian(ring_weights(16, rng)).values
+        lap = laplacian(ring_weights(16, rng))
         a = eigensolve_symmetric(lap, 4)
         b = eigensolve_symmetric(sparse.csr_matrix(lap), 4)
         assert np.allclose(a.values, b.values, atol=1e-10)
@@ -226,7 +226,7 @@ class TestEmbed:
     def test_geodesic_fixture_matches_rotation_oracle(self, twelve_locations):
         w = invert_distances(distance_matrix(twelve_locations))
         emb = embed(w, 2)
-        lap = laplacian(w).values
+        lap = laplacian(w)
         want_vals, want_vecs = jacobi_eigh(lap.tolist(), sweeps=200)
         scale = max(abs(v) for v in want_vals)
         assert abs(want_vals[0]) <= 1e-9 * scale
