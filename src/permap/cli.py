@@ -117,7 +117,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
             with stage("export"):
                 sub_dir = out_dir / _sweep_label(cfg, value)
                 _export_run(sub, emb, disp, prepared.locations, report, sub_dir)
-            ratios.append((value, layers.country_separation_ratio(emb, countries)))
+                ratios.append((value, layers.country_separation_ratio(emb, countries)))
         except Exception as exc:
             if stage_of(exc) is None:
                 raise

@@ -1,9 +1,10 @@
 """Weighted-graph matrix algebra: Laplacians, symmetrization, normalization.
 
-Edge weights are plain float64 numpy arrays wrapped in a thin typed
-container; Laplacians are returned bare. The large assembled multilayer
-systems may instead carry a scipy.sparse matrix; the operations here
-accept both.
+Edge weights are float64 matrices wrapped in a thin typed container;
+Laplacians are returned bare, in the storage format of their weights.
+Single layers and the two-layer system are dense numpy arrays; the
+assembled three-layer system is always a scipy.sparse matrix. The
+operations here accept both.
 """
 
 from __future__ import annotations

@@ -39,7 +39,7 @@ from .graphs import (
 )
 from .ingest import build_locations
 from .sequence import sequence_adjacency
-from .spectral import COORD_NAMES, DENSE_CUTOFF, Embedding, PointRef, embed
+from .spectral import COORD_NAMES, Embedding, PointRef, embed
 
 TWO_LAYER_TAGS = ("distance", "border")
 THREE_LAYER_TAGS = ("border", "distance", "sequence")
@@ -145,7 +145,6 @@ def build_three_layer(
     w_dist: WeightMatrix,
     a_seq: WeightMatrix,
     layer_tags=THREE_LAYER_TAGS,
-    sparse_output: bool | None = None,
 ) -> MultiLayerSystem:
     """Assemble border, distance, and sequence layers into a 6n x 6n system.
 
@@ -154,7 +153,7 @@ def build_three_layer(
     within-layer and a quarter toward each other layer, and replicated
     into out/in copies. Out/in copies of one node in one layer are joined
     by an edge worth half the node's incident weight there. The result is
-    symmetrized.
+    symmetrized and held as a sparse CSR matrix.
     """
     if not (isinstance(w_border, WeightMatrix) and isinstance(w_dist, WeightMatrix)):
         raise ValueError("three-layer assembly expects WeightMatrix layers")
@@ -177,35 +176,20 @@ def build_three_layer(
     budgets = [_check_positive_rows(layer, tag) for tag, layer in zip(tags, normalized)]
     links = [(budget + layer.sum(axis=0)) / 4.0 for budget, layer in zip(budgets, normalized)]
 
-    size = 6 * n
-    if sparse_output is None:
-        sparse_output = size > DENSE_CUTOFF
-
     # Row block 2*l holds layer l's out-copies, row block 2*l+1 its
     # in-copies; pre-symmetrization weight flows out-rows -> in-columns.
-    if sparse_output:
-        grid = [[None] * 6 for _ in range(6)]
-        for li in range(3):
-            for lj in range(3):
-                if li == lj:
-                    block = sparse.csr_matrix(normalized[li] / 2.0 + np.diag(links[li]))
-                else:
-                    block = sparse.diags(budgets[li] / 4.0, format="csr")
-                grid[2 * li][2 * lj + 1] = block
-            # bmat cannot size fully-empty block rows/columns; the in-copy
-            # rows and out-copy columns carry no pre-symmetrization weight.
-            grid[2 * li + 1][2 * li] = sparse.csr_matrix((n, n))
-        raw = sparse.bmat(grid, format="csr")
-    else:
-        raw = np.zeros((size, size))
-        for li in range(3):
-            rows = slice(2 * li * n, (2 * li + 1) * n)
-            for lj in range(3):
-                cols = slice((2 * lj + 1) * n, (2 * lj + 2) * n)
-                if li == lj:
-                    raw[rows, cols] = normalized[li] / 2.0 + np.diag(links[li])
-                else:
-                    raw[rows, cols] = np.diag(budgets[li] / 4.0)
+    grid = [[None] * 6 for _ in range(6)]
+    for li in range(3):
+        for lj in range(3):
+            if li == lj:
+                block = sparse.csr_matrix(normalized[li] / 2.0 + np.diag(links[li]))
+            else:
+                block = sparse.diags(budgets[li] / 4.0, format="csr")
+            grid[2 * li][2 * lj + 1] = block
+        # bmat cannot size fully-empty block rows/columns; the in-copy
+        # rows and out-copy columns carry no pre-symmetrization weight.
+        grid[2 * li + 1][2 * li] = sparse.csr_matrix((n, n))
+    raw = sparse.bmat(grid, format="csr")
 
     provenance = [
         PointRef(i, tag, copy)

@@ -2,10 +2,11 @@
 
 The embedding of a connected weighted graph is read off the eigenvectors
 of its Laplacian: the k eigenvectors with the smallest nonzero eigenvalues
-become the k coordinate columns. Small systems are solved densely; large
-ones fall back to a shift-invert iterative solver. Both paths are
-deterministic, and a fixed sign convention makes repeated runs
-bit-identical.
+become the k coordinate columns. They are found by implicitly restarted
+Lanczos (ARPACK) on the flipped operator sigma*I - L, whose largest
+eigenpairs are the smallest of L, using matrix-vector products only. The
+start vector is fixed, and a sign convention settles each column, so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -16,13 +17,12 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import DisconnectedGraphError, SolverError
 from .fileio import atomic_write
 from .graphs import WeightMatrix, _is_sparse, asymmetry, laplacian
 
-DENSE_CUTOFF = 2000
 RESIDUAL_RTOL = 1e-8
 ZERO_EIGENVALUE_RTOL = 1e-8
 MAX_ITERATIONS = 10_000
@@ -45,9 +45,7 @@ class EigenPairs(NamedTuple):
 
 
 def _inf_norm(m) -> float:
-    if _is_sparse(m):
-        return float(np.abs(m).sum(axis=1).max()) if m.nnz else 0.0
-    return float(np.abs(m).sum(axis=1).max()) if m.size else 0.0
+    return float(abs(m).sum(axis=1).max())
 
 
 def _matrix_of(m):
@@ -58,12 +56,14 @@ def _matrix_of(m):
     return np.asarray(m, dtype=float)
 
 
-def eigensolve_symmetric(m, count: int, dense_cutoff: int = DENSE_CUTOFF) -> EigenPairs:
+def eigensolve_symmetric(m, count: int) -> EigenPairs:
     """Compute the `count` smallest eigenpairs of a symmetric matrix.
 
-    Matrices up to dense_cutoff rows get a full dense decomposition;
-    larger ones use shift-invert iteration targeting the bottom of the
-    spectrum. Every returned pair is residual-checked.
+    With sigma = 2 * max(||m||_inf, 1) above the whole spectrum, the
+    smallest eigenpairs of m are the largest of sigma*I - m, which
+    implicitly restarted Lanczos finds from products with m alone. ARPACK
+    cannot return n - 1 or more pairs, so those counts take a full dense
+    decomposition. Every returned pair is residual-checked.
     """
     values = _matrix_of(m)
     n = values.shape[0]
@@ -75,20 +75,18 @@ def eigensolve_symmetric(m, count: int, dense_cutoff: int = DENSE_CUTOFF) -> Eig
     if asymmetry(values) > 1e-10 * max(scale, 1.0):
         raise ValueError("eigensolve_symmetric requires a symmetric matrix")
 
-    if n <= dense_cutoff or count >= n - 1:
+    if count >= n - 1:
         dense = values.toarray() if _is_sparse(values) else values
         all_vals, all_vecs = np.linalg.eigh(dense)
         vals, vecs = all_vals[:count], all_vecs[:, :count]
     else:
-        # Shift slightly below the spectrum so the factorized operator is
-        # definite even when 0 is an eigenvalue.
-        sigma = -1e-3 * max(scale, 1.0)
-        mat = values if _is_sparse(values) else sparse.csc_matrix(values)
-        v0 = np.full(n, 1.0 / np.sqrt(n))
+        sigma = 2.0 * max(scale, 1.0)
+        flipped = LinearOperator((n, n), matvec=lambda x: sigma * x - values @ x, dtype=float)
+        # Fixed and not constant: the constant vector spans a Laplacian's
+        # null space, so it is an exact eigenvector of the flipped operator.
+        v0 = np.cos(np.arange(n, dtype=float))
         try:
-            vals, vecs = eigsh(
-                mat, k=count, sigma=sigma, which="LM", v0=v0, maxiter=MAX_ITERATIONS
-            )
+            theta, vecs = eigsh(flipped, k=count, which="LA", v0=v0, maxiter=MAX_ITERATIONS)
         except ArpackNoConvergence as exc:
             raise SolverError(
                 f"eigensolver did not converge within {MAX_ITERATIONS} iterations: "
@@ -96,6 +94,7 @@ def eigensolve_symmetric(m, count: int, dense_cutoff: int = DENSE_CUTOFF) -> Eig
             ) from exc
         except ArpackError as exc:
             raise SolverError(f"eigensolver failed: {exc}") from exc
+        vals = sigma - theta
         order = np.argsort(vals, kind="stable")
         vals, vecs = vals[order], vecs[:, order]
 
@@ -173,7 +172,7 @@ class Embedding:
         return self.coordinates.shape[1]
 
 
-def embed(w: WeightMatrix, k: int, provenance=None, dense_cutoff: int = DENSE_CUTOFF) -> Embedding:
+def embed(w: WeightMatrix, k: int, provenance=None) -> Embedding:
     """Spectral embedding of a connected symmetric weighted graph.
 
     Solves for the k+1 smallest Laplacian eigenpairs, discards the zero
@@ -195,7 +194,7 @@ def embed(w: WeightMatrix, k: int, provenance=None, dense_cutoff: int = DENSE_CU
         )
 
     lap = laplacian(w)
-    pairs = eigensolve_symmetric(lap, k + 1, dense_cutoff=dense_cutoff)
+    pairs = eigensolve_symmetric(lap, k + 1)
     zero_tol = ZERO_EIGENVALUE_RTOL * max(_inf_norm(lap), 1.0)
     if pairs.values[0] > zero_tol:
         raise SolverError(

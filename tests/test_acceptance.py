@@ -257,7 +257,7 @@ def test_c08_three_layer_assembly_matches_scripted_reference():
         WeightMatrix(np.array(w_dist), SYMMETRIC),
         WeightMatrix(np.array(a_seq), DIRECTED),
     )
-    got = system.assembled.values
+    got = system.assembled.values.toarray()
     assert got.shape == (18, 18)
     assert np.abs(got - want).max() <= 1e-12
     assert np.array_equal(got, got.T)

@@ -362,6 +362,43 @@ class TestSweep:
         assert err.count("error:") == 1 and "sweep value" not in err
         assert not out_dir.exists()
 
+    def test_single_country_ratio_fails_in_export(
+        self, capsys, fixture_run, tmp_path, twelve_locations
+    ):
+        # Every event in country A: no inter-country pairs, so no ratio.
+        rows = []
+        for i, loc in enumerate(twelve_locations):
+            rows.append(
+                (
+                    f"2024-01-{i + 1:02d}",
+                    "G",
+                    loc.latitude,
+                    loc.longitude,
+                    "A",
+                    loc.admin_key,
+                    "Violence against civilians",
+                    0,
+                )
+            )
+        fixture_run["events"].write_text(events_csv_text(rows), encoding="utf-8")
+        out_dir = tmp_path / "o"
+        rc, _, err = run_cli(
+            capsys,
+            "sweep",
+            "--config",
+            str(fixture_run["config"]),
+            "--out",
+            str(out_dir),
+            "--override",
+            'border_model={"kind": "linear", "cost_km": 0.0}',
+            "--override",
+            "sweep_costs_km=[0.0]",
+        )
+        assert rc == 1
+        assert err == "sweep value 0.0 failed; export: no inter-country point pairs; ratio undefined\n"
+        table = (out_dir / "separation_ratios.csv").read_text().splitlines()
+        assert table == ["value,separation_ratio"]
+
     def test_unsweepable_border_model(self, capsys, fixture_run, tmp_path):
         rc, _, err = run_cli(
             capsys, "sweep", "--config", str(fixture_run["config"]), "--out", str(tmp_path / "o")

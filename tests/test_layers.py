@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import sparse
 
 from conftest import make_location
 from oracles import three_layer_budget_assembly
@@ -232,7 +231,7 @@ class TestBuildThreeLayer:
         assert system.size == 18
         assert system.layer_tags == THREE_LAYER_TAGS
         assert system.copies_per_layer == 2
-        v = system.assembled.values
+        v = system.assembled.values.toarray()
         assert np.array_equal(v, v.T)
         assert (v >= 0).all()
 
@@ -263,30 +262,20 @@ class TestBuildThreeLayer:
         n = 5
         out_rows = np.concatenate([np.arange(2 * li * n, (2 * li + 1) * n) for li in range(3)])
         in_cols = out_rows + n
-        for sparse_output in (False, True):
-            b, d = (rng.uniform(0.1, 1.0, (n, n)) for _ in range(2))
-            b, d = (b + b.T) / 2.0, (d + d.T) / 2.0
-            a = rng.integers(0, 3, (n, n)).astype(float)
-            for m in (b, d, a):
-                np.fill_diagonal(m, 0.0)
-            system = build_three_layer(sym(b), sym(d), directed(a), sparse_output=sparse_output)
-            v = system.assembled.values
-            v = v.toarray() if sparse.issparse(v) else v
+        b, d = (rng.uniform(0.1, 1.0, (n, n)) for _ in range(2))
+        b, d = (b + b.T) / 2.0, (d + d.T) / 2.0
+        a = rng.integers(0, 3, (n, n)).astype(float)
+        for m in (b, d, a):
+            np.fill_diagonal(m, 0.0)
+        system = build_three_layer(sym(b), sym(d), directed(a))
+        v = system.assembled.values.toarray()
 
-            normalized = [m / m[m != 0].mean() for m in (b, d, a)]
-            seq_sums = normalized[2].sum(axis=1)
-            normalized[2][np.diag_indices(n)] += seq_sums.max() - seq_sums
-            links = np.concatenate([(m.sum(axis=1) + m.sum(axis=0)) / 4.0 for m in normalized])
-            got = 2.0 * v[np.ix_(out_rows, in_cols)] - np.diag(links)
-            assert np.abs(got - three_layer_budget_assembly(normalized)).max() <= 1e-12
-
-    def test_sparse_output_matches_dense(self):
-        w_border, w_dist, a_seq = three_layer_fixture()
-        dense = build_three_layer(w_border, w_dist, a_seq, sparse_output=False)
-        sp = build_three_layer(w_border, w_dist, a_seq, sparse_output=True)
-        assert sparse.issparse(sp.assembled.values)
-        assert np.array_equal(sp.assembled.values.toarray(), dense.assembled.values)
-        assert sp.provenance == dense.provenance
+        normalized = [m / m[m != 0].mean() for m in (b, d, a)]
+        seq_sums = normalized[2].sum(axis=1)
+        normalized[2][np.diag_indices(n)] += seq_sums.max() - seq_sums
+        links = np.concatenate([(m.sum(axis=1) + m.sum(axis=0)) / 4.0 for m in normalized])
+        got = 2.0 * v[np.ix_(out_rows, in_cols)] - np.diag(links)
+        assert np.abs(got - three_layer_budget_assembly(normalized)).max() <= 1e-12
 
     def test_kind_violations(self):
         w_border, w_dist, a_seq = three_layer_fixture()

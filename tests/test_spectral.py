@@ -74,27 +74,47 @@ class TestEigensolve:
         rng = np.random.default_rng(77)
         w = ring_weights(30, rng)
         lap = laplacian(w)
-        dense = eigensolve_symmetric(lap, 4, dense_cutoff=2000)
-        # cutoff below n forces the shift-invert path
-        iterative = eigensolve_symmetric(lap, 4, dense_cutoff=10)
-        scale = max(abs(dense.values).max(), 1.0)
-        assert np.allclose(iterative.values, dense.values, atol=1e-9 * scale)
-        assert principal_angle_cos(iterative.vectors[:, 1:], dense.vectors[:, 1:]) >= 1 - 1e-6
+        iterative = eigensolve_symmetric(lap, 4)
+        all_vals, all_vecs = jacobi_eigh(lap.tolist())
+        want_vals = np.array(all_vals[:4])
+        want_vecs = np.array([row[:4] for row in all_vecs])
+        scale = max(abs(want_vals).max(), 1.0)
+        assert np.allclose(iterative.values, want_vals, atol=1e-9 * scale)
+        assert principal_angle_cos(iterative.vectors[:, 1:], want_vecs[:, 1:]) >= 1 - 1e-6
 
     def test_iterative_route_is_deterministic(self):
         rng = np.random.default_rng(78)
         lap = laplacian(ring_weights(25, rng))
-        first = eigensolve_symmetric(lap, 3, dense_cutoff=5)
-        second = eigensolve_symmetric(lap, 3, dense_cutoff=5)
+        first = eigensolve_symmetric(lap, 3)
+        second = eigensolve_symmetric(lap, 3)
         assert np.array_equal(first.values, second.values)
         assert np.array_equal(first.vectors, second.vectors)
 
     def test_near_full_count_falls_back_to_dense(self):
         rng = np.random.default_rng(79)
         lap = laplacian(ring_weights(12, rng))
-        got = eigensolve_symmetric(lap, 11, dense_cutoff=4)
+        got = eigensolve_symmetric(lap, 11)
         want = np.linalg.eigvalsh(lap)[:11]
         assert np.allclose(got.values, want, atol=1e-9 * max(want.max(), 1.0))
+
+    def test_near_degenerate_pairs_match_rotation_oracle(self):
+        # A ring's Laplacian eigenvalues come in equal pairs; weights of
+        # 1 + 1e-3 * noise split each pair by a relative 1e-3 or less.
+        rng = np.random.default_rng(81)
+        n = 40
+        w = np.zeros((n, n))
+        for i in range(n):
+            w[i, (i + 1) % n] = w[(i + 1) % n, i] = 1.0 + 1e-3 * rng.uniform(-1.0, 1.0)
+        lap = laplacian(WeightMatrix(w, SYMMETRIC))
+        got = eigensolve_symmetric(lap, 5)
+        all_vals, all_vecs = jacobi_eigh(lap.tolist())
+        want_vals = np.array(all_vals[:5])
+        want_vecs = np.array([row[:5] for row in all_vecs])
+        assert (want_vals[2] - want_vals[1]) / want_vals[2] < 1e-2
+        scale = max(abs(want_vals).max(), 1.0)
+        assert np.abs(got.values - want_vals).max() <= 1e-9 * scale
+        for pair in (slice(1, 3), slice(3, 5)):
+            assert principal_angle_cos(got.vectors[:, pair], want_vecs[:, pair]) >= 1 - 1e-8
 
     def test_sparse_input_matches_dense(self):
         rng = np.random.default_rng(80)
