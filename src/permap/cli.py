@@ -105,6 +105,10 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
         values = cfg.sweep_values()
         if not values:
             raise ConfigError("sweep list is empty")
+        # Compared as floats, so 0.0 and -0.0 are one value.
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ConfigError(f"sweep value {repeated[0]!r} is listed more than once")
     prepared, report = _prepare(cfg)
     countries = {loc.id: loc.country for loc in prepared.locations}
     ratios = []

@@ -5,6 +5,13 @@ Laplacians are returned bare, in the storage format of their weights.
 Single layers and the two-layer system are dense numpy arrays; the
 assembled three-layer system is always a scipy.sparse matrix. The
 operations here accept both.
+
+Dense transpose-pairing operations (`asymmetry`, `symmetrize`) run
+tile-wise over square tiles of the matrix, so each pass reads memory in
+cache-sized pieces and allocates no n x n temporaries beyond its result.
+Every entry still goes through the same floating-point operations as the
+plain formulas `abs(v - v.T).max()` and `(v + v.T) / 2.0`, so results are
+bit-equal to them.
 """
 
 from __future__ import annotations
@@ -21,6 +28,10 @@ SYMMETRY_RTOL = 1e-10
 SYMMETRIC = "symmetric"
 DIRECTED = "directed"
 
+# Side of the square tiles, and height of the row blocks, that dense
+# whole-matrix passes work on.
+_TILE = 256
+
 
 def _is_sparse(values):
     return sparse.issparse(values)
@@ -29,7 +40,7 @@ def _is_sparse(values):
 def _max_abs(values) -> float:
     if _is_sparse(values):
         return float(abs(values).max()) if values.nnz else 0.0
-    return float(np.abs(values).max()) if values.size else 0.0
+    return float(max(values.max(), -values.min())) if values.size else 0.0
 
 
 def _min_entry(values) -> float:
@@ -38,10 +49,29 @@ def _min_entry(values) -> float:
     return float(values.min()) if values.size else 0.0
 
 
+def _tile_pairs(n: int, upper: bool):
+    """Slices (rows, cols) of the square tiles covering an n x n matrix.
+
+    With `upper`, only tiles on or above the diagonal are listed.
+    """
+    starts = range(0, n, _TILE)
+    for i in starts:
+        for j in starts:
+            if not upper or j >= i:
+                yield slice(i, i + _TILE), slice(j, j + _TILE)
+
+
 def asymmetry(values) -> float:
     """Largest absolute difference between a matrix and its transpose."""
-    diff = values - values.T
-    return _max_abs(diff)
+    if _is_sparse(values):
+        return _max_abs(values - values.T)
+    # |a - b| == |b - a| exactly, so the tiles on and above the diagonal
+    # see every difference; np.max keeps a NaN, as abs(diff).max() does.
+    worst = [
+        _max_abs(values[rows, cols] - values[cols, rows].T)
+        for rows, cols in _tile_pairs(values.shape[0], upper=True)
+    ]
+    return float(np.max(worst)) if worst else 0.0
 
 
 @dataclass(frozen=True)
@@ -94,7 +124,13 @@ def laplacian(w: WeightMatrix):
     if _is_sparse(w.values):
         lap = sparse.diags(degrees) - w.values
         return lap.tocsr()
-    return np.diag(degrees) - w.values
+    # 0.0 - w, not -w, so zero weights give +0.0 as in diag(degrees) - w;
+    # then degree + (0.0 - w_ii) equals degree - w_ii exactly. C order
+    # whatever the input's, as diag(degrees) - w gives.
+    lap = np.subtract(0.0, w.values, order="C")
+    diagonal = np.arange(w.n)
+    lap[diagonal, diagonal] += degrees
+    return lap
 
 
 def _check_positive_rows(values, layer: str) -> np.ndarray:
@@ -113,10 +149,18 @@ def symmetrize(m) -> WeightMatrix:
         values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError("symmetrize requires a square matrix")
-    sym = (values + values.T) / 2.0
-    if _is_sparse(sym):
-        sym = sym.tocsr()
+    if _is_sparse(values):
+        return WeightMatrix(((values + values.T) / 2.0).tocsr(), SYMMETRIC)
+    sym = np.empty(values.shape)
+    _symmetrize_into(values, sym)
     return WeightMatrix(sym, SYMMETRIC)
+
+
+def _symmetrize_into(values: np.ndarray, out: np.ndarray) -> None:
+    """Write (values + values.T) / 2.0 into `out`, a same-shape array or view."""
+    for rows, cols in _tile_pairs(values.shape[0], upper=False):
+        np.add(values[rows, cols], values[cols, rows].T, out=out[rows, cols])
+    out /= 2.0
 
 
 def mean_nonzero_normalize(w: WeightMatrix) -> WeightMatrix:

@@ -108,9 +108,10 @@ def _parse_date(text: str, formats) -> date | None:
 def parse_events(source, column_map: ColumnMap | None = None):
     """Parse a header-first CSV stream into events plus a rejection report.
 
-    Returns (events, report). Rows that fail to parse are skipped and
-    logged with their physical line number; a missing mapped column in the
-    header is a configuration error instead.
+    Returns (events, report). Rows that fail to parse, including rows the
+    csv module itself cannot read, are skipped and logged with their
+    physical line number; a missing mapped column in the header is a
+    configuration error instead.
     """
     cmap = column_map or ColumnMap()
     reader = csv.reader(source)
@@ -134,7 +135,17 @@ def parse_events(source, column_map: ColumnMap | None = None):
 
     events = []
     report = ParseReport()
-    for row in reader:
+    while True:
+        # A row the csv module cannot read (an oversized field, or a NUL
+        # byte before Python 3.11) is rejected; reading resumes on the
+        # next physical line.
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error:
+            report.reject(reader.line_num, "malformed csv row")
+            continue
         line = reader.line_num
         if not row or not any(cell.strip() for cell in row):
             continue

@@ -32,8 +32,10 @@ from .geo import (
 )
 from .graphs import (
     DIRECTED,
+    SYMMETRIC,
     WeightMatrix,
     _check_positive_rows,
+    _symmetrize_into,
     mean_nonzero_normalize,
     symmetrize,
 )
@@ -76,13 +78,8 @@ class MultiLayerSystem:
         return self.assembled.n
 
 
-def two_layer_walk_matrix(w_a: WeightMatrix, w_b: WeightMatrix, layer_tags=TWO_LAYER_TAGS):
-    """Pre-symmetrization 2n x 2n lazy-walk matrix of the two-layer system.
-
-    Within-layer rows are scaled to sum 0.5; the remaining probability
-    rides the diagonal inter-layer blocks, so every row sums to 1. The
-    main diagonal stays zero.
-    """
+def _walk_blocks(w_a: WeightMatrix, w_b: WeightMatrix, layer_tags):
+    """The two within-layer blocks of the two-layer walk, rows summing to 0.5."""
     if not (isinstance(w_a, WeightMatrix) and isinstance(w_b, WeightMatrix)):
         raise ValueError("two-layer assembly expects WeightMatrix layers")
     if not (w_a.is_symmetric and w_b.is_symmetric):
@@ -92,23 +89,54 @@ def two_layer_walk_matrix(w_a: WeightMatrix, w_b: WeightMatrix, layer_tags=TWO_L
         raise ValueError(f"layer sizes differ: {n} vs {w_b.n}")
     if n < 2:
         raise ValueError("a layer needs at least 2 locations to carry edges")
-    walk = np.zeros((2 * n, 2 * n))
-    for block, w, tag in zip((slice(0, n), slice(n, None)), (w_a, w_b), layer_tags):
+    blocks = []
+    for w, tag in zip((w_a, w_b), layer_tags):
         values = np.array(w.values, dtype=float)
         np.fill_diagonal(values, 0.0)
-        walk[block, block] = values / (2.0 * _check_positive_rows(values, tag)[:, None])
+        values /= 2.0 * _check_positive_rows(values, tag)[:, None]
+        blocks.append(values)
+    return blocks
+
+
+def _cross_links(m: np.ndarray, n: int) -> None:
+    """Put 0.5 on the diagonals of both inter-layer blocks of a 2n x 2n matrix."""
     cross = np.arange(n)
-    walk[cross, n + cross] = 0.5
-    walk[n + cross, cross] = 0.5
+    m[cross, n + cross] = 0.5
+    m[n + cross, cross] = 0.5
+
+
+def two_layer_walk_matrix(w_a: WeightMatrix, w_b: WeightMatrix, layer_tags=TWO_LAYER_TAGS):
+    """Pre-symmetrization 2n x 2n lazy-walk matrix of the two-layer system.
+
+    Within-layer rows are scaled to sum 0.5; the remaining probability
+    rides the diagonal inter-layer blocks, so every row sums to 1. The
+    main diagonal stays zero.
+    """
+    blocks = _walk_blocks(w_a, w_b, layer_tags)
+    n = w_a.n
+    walk = np.zeros((2 * n, 2 * n))
+    for block, values in zip((slice(0, n), slice(n, None)), blocks):
+        walk[block, block] = values
+    _cross_links(walk, n)
     return walk
 
 
 def build_two_layer(
     w_a: WeightMatrix, w_b: WeightMatrix, layer_tags=TWO_LAYER_TAGS
 ) -> MultiLayerSystem:
-    """Couple two undirected layers over the same nodes into one system."""
-    walk = two_layer_walk_matrix(w_a, w_b, layer_tags)
+    """Couple two undirected layers over the same nodes into one system.
+
+    The assembled matrix is the symmetrized walk matrix. Its inter-layer
+    blocks are already symmetric, so only the within-layer blocks are
+    averaged with their transposes; the result is bit-equal to
+    symmetrize(two_layer_walk_matrix(...)).
+    """
+    blocks = _walk_blocks(w_a, w_b, layer_tags)
     n = w_a.n
+    assembled = np.zeros((2 * n, 2 * n))
+    for block, values in zip((slice(0, n), slice(n, None)), blocks):
+        _symmetrize_into(values, assembled[block, block])
+    _cross_links(assembled, n)
     provenance = [
         PointRef(i, tag, NO_COPY) for tag in tuple(layer_tags) for i in range(n)
     ]
@@ -116,7 +144,7 @@ def build_two_layer(
         n=n,
         layer_tags=tuple(layer_tags),
         copies_per_layer=1,
-        assembled=symmetrize(walk),
+        assembled=WeightMatrix(assembled, SYMMETRIC),
         provenance=tuple(provenance),
     )
 
@@ -389,20 +417,22 @@ def country_separation_ratio(emb: Embedding, countries) -> float:
     coords = emb.coordinates
     n = coords.shape[0]
     loc_ids = np.array([ref.location_id for ref in emb.provenance])
-    tags = np.array([str(countries[ref.location_id]) for ref in emb.provenance])
+    _, tags = np.unique(
+        [str(countries[ref.location_id]) for ref in emb.provenance], return_inverse=True
+    )
 
+    # Each row block pairs its rows with columns from the block start on;
+    # the masked distances come out in the same order as over all columns.
     inter_sum = intra_sum = 0.0
     inter_count = intra_count = 0
     block = 512
     for start in range(0, n, block):
         stop = min(start + block, n)
-        diff = coords[start:stop, None, :] - coords[None, :, :]
+        diff = coords[start:stop, None, :] - coords[None, start:, :]
         dist = np.sqrt((diff * diff).sum(axis=2))
-        rows = np.arange(start, stop)[:, None]
-        cols = np.arange(n)[None, :]
-        upper = cols > rows
-        distinct = loc_ids[start:stop][:, None] != loc_ids[None, :]
-        same_country = tags[start:stop][:, None] == tags[None, :]
+        upper = np.arange(stop - start)[:, None] < np.arange(n - start)[None, :]
+        distinct = loc_ids[start:stop][:, None] != loc_ids[None, start:]
+        same_country = tags[start:stop][:, None] == tags[None, start:]
         intra = upper & distinct & same_country
         inter = upper & distinct & ~same_country
         intra_sum += float(dist[intra].sum())

@@ -15,13 +15,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import DisconnectedGraphError, SolverError
 from .fileio import atomic_write
-from .graphs import WeightMatrix, _is_sparse, asymmetry, laplacian
+from .graphs import _TILE, WeightMatrix, _is_sparse, asymmetry, laplacian
 
 RESIDUAL_RTOL = 1e-8
 ZERO_EIGENVALUE_RTOL = 1e-8
@@ -45,7 +43,11 @@ class EigenPairs(NamedTuple):
 
 
 def _inf_norm(m) -> float:
-    return float(abs(m).sum(axis=1).max())
+    if _is_sparse(m):
+        return float(abs(m).sum(axis=1).max())
+    # Row blocks avoid an n x n |m| temporary; each row sums as before.
+    rows = range(0, m.shape[0], _TILE)
+    return float(np.max([np.abs(m[i : i + _TILE]).sum(axis=1).max() for i in rows]))
 
 
 def _matrix_of(m):
@@ -116,18 +118,38 @@ def _residuals(values, vals, vecs) -> np.ndarray:
 def connected_components(w):
     """Count components of the positive-entry support, with canonical labels.
 
-    Labels are renumbered in order of each component's smallest node
-    index, so the component containing node 0 is always component 0.
+    An edge joins i and j where either w[i, j] or w[j, i] is positive, so
+    one-way entries connect too. Each component is found by a frontier
+    traversal from its smallest unlabelled node: every round reads the
+    support rows of the current frontier, dense or CSR alike, and the
+    newly reached nodes become the next frontier. Components are thus
+    numbered in order of their smallest node index, so the component
+    containing node 0 is always component 0.
     """
     values = _matrix_of(w)
-    support = values > 0 if _is_sparse(values) else sparse.csr_matrix(values > 0)
-    count, raw = csgraph.connected_components(support, directed=False)
-    remap: dict[int, int] = {}
-    labels = np.empty_like(raw)
-    for i, lab in enumerate(raw):
-        if lab not in remap:
-            remap[lab] = len(remap)
-        labels[i] = remap[lab]
+    n = values.shape[0]
+    support = values > 0
+    if _is_sparse(support):
+        support = (support + support.T).tocsr()
+    else:
+        support |= support.T
+    labels = np.full(n, -1, dtype=np.int32)
+    count = 0
+    for start in range(n):
+        if labels[start] >= 0:
+            continue
+        labels[start] = count
+        frontier = np.array([start])
+        while frontier.size:
+            rows = support[frontier]
+            if _is_sparse(rows):
+                reached = np.zeros(n, dtype=bool)
+                reached[rows.indices] = True
+            else:
+                reached = rows.any(axis=0)
+            frontier = np.flatnonzero(reached & (labels < 0))
+            labels[frontier] = count
+        count += 1
     return count, labels
 
 

@@ -74,6 +74,23 @@ def traversal_components(adjacency):
     return current, labels
 
 
+def pairwise_separation_ratio(coords, location_ids, countries):
+    """Mean inter-country over mean intra-country distance, pair by pair.
+
+    `countries[i]` names the country of point i; pairs of points that share
+    a location id are skipped. Sums are exactly rounded (math.fsum).
+    """
+    intra, inter = [], []
+    n = len(coords)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if location_ids[i] == location_ids[j]:
+                continue
+            gap = math.dist(coords[i], coords[j])
+            (intra if countries[i] == countries[j] else inter).append(gap)
+    return (math.fsum(inter) / len(inter)) / (math.fsum(intra) / len(intra))
+
+
 def bfs_crossings(pairs, start, goal):
     """Fewest hops between two countries over an explicit pair list."""
     if start == goal:

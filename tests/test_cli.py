@@ -399,6 +399,29 @@ class TestSweep:
         table = (out_dir / "separation_ratios.csv").read_text().splitlines()
         assert table == ["value,separation_ratio"]
 
+    def test_repeated_values_rejected(self, capsys, fixture_run, tmp_path):
+        cases = (
+            ('{"kind": "permeability", "p": 0.5}', "sweep_probabilities=[0.5, 0.8, 0.5]", "0.5"),
+            ('{"kind": "linear", "cost_km": 0.0}', "sweep_costs_km=[0.0, 50.0, -0.0]", "-0.0"),
+        )
+        for model, sweep, repeated in cases:
+            out_dir = tmp_path / f"o{repeated}"
+            rc, _, err = run_cli(
+                capsys,
+                "sweep",
+                "--config",
+                str(fixture_run["config"]),
+                "--out",
+                str(out_dir),
+                "--override",
+                f"border_model={model}",
+                "--override",
+                sweep,
+            )
+            assert rc == 1
+            assert err == f"error: config: sweep value {repeated} is listed more than once\n"
+            assert not out_dir.exists()
+
     def test_unsweepable_border_model(self, capsys, fixture_run, tmp_path):
         rc, _, err = run_cli(
             capsys, "sweep", "--config", str(fixture_run["config"]), "--out", str(tmp_path / "o")

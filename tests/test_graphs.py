@@ -7,6 +7,7 @@ from permap.graphs import (
     DIRECTED,
     SYMMETRIC,
     WeightMatrix,
+    asymmetry,
     laplacian,
     mean_nonzero_normalize,
     symmetrize,
@@ -121,6 +122,45 @@ class TestSymmetrize:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             symmetrize(np.zeros((2, 3)))
+
+
+# Sizes around the 256-wide tiles of the dense kernels.
+TILE_EDGE_SIZES = (1, 2, 255, 256, 257, 600)
+
+
+def weights_with_zeros(rng, n):
+    """Nonnegative n x n weights, about half zeros, over a wide range of scales."""
+    m = rng.uniform(0, 1, (n, n)) * 10.0 ** rng.uniform(-6, 6, (n, n))
+    m[rng.uniform(size=(n, n)) < 0.5] = 0.0
+    return m
+
+
+class TestTiledKernelsMatchPlainFormulas:
+    def test_symmetrize(self):
+        rng = np.random.default_rng(71)
+        for n in TILE_EDGE_SIZES:
+            v = weights_with_zeros(rng, n)
+            assert np.array_equal(symmetrize(v).values, (v + v.T) / 2.0)
+
+    def test_asymmetry_dense_and_sparse(self):
+        rng = np.random.default_rng(72)
+        for n in TILE_EDGE_SIZES:
+            v = weights_with_zeros(rng, n) - weights_with_zeros(rng, n)
+            want = np.abs(v - v.T).max()
+            assert asymmetry(v) == asymmetry(-v) == want
+            assert asymmetry(sparse.csr_matrix(v)) == want
+            sym = (v + v.T) / 2.0
+            assert asymmetry(sym) == np.abs(sym - sym.T).max() == 0.0
+
+    def test_laplacian_values_and_zero_signs(self):
+        rng = np.random.default_rng(73)
+        for n in TILE_EDGE_SIZES:
+            w = symmetrize(weights_with_zeros(rng, n))
+            got = laplacian(w)
+            want = np.diag(w.values.sum(axis=1)) - w.values
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert got.flags.c_contiguous and got.dtype == np.float64
 
 
 class TestMeanNonzeroNormalize:

@@ -84,6 +84,14 @@ class TestParseEvents:
         assert len(events) == 2
         assert report.rejections == [(4, "missing fields")]
 
+    def test_unreadable_csv_row_rejected_and_parsing_continues(self):
+        # A field over the csv module's 131072-character limit makes the
+        # reader raise for that line; the rows around it still parse.
+        huge = ROW[:7] + ("9" * 200_000,)
+        events, report = parse([ROW, huge, ROW])
+        assert [e.source_row for e in events] == [2, 4]
+        assert report.rejections == [(3, "malformed csv row")]
+
     def test_good_rows_survive_bad_neighbors(self):
         rows = []
         for i in range(10):

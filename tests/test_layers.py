@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_location
-from oracles import three_layer_budget_assembly
+from oracles import pairwise_separation_ratio, three_layer_budget_assembly
 from permap.errors import IsolatedNodeError
 from permap.geo import CountryBorderGraph
 from permap.graphs import DIRECTED, SYMMETRIC, WeightMatrix
@@ -120,6 +120,20 @@ class TestBuildTwoLayer:
         assert system.assembled.is_symmetric
         assert np.array_equal(v, v.T)
         assert system.size == 8
+
+    def test_assembled_is_bit_equal_to_symmetrized_walk(self):
+        # build_two_layer averages only the within-layer blocks; the result
+        # must match symmetrizing the whole walk matrix to the last bit.
+        rng = np.random.default_rng(63)
+        for n in (2, 128, 129, 300):
+            a, b = (rng.uniform(0, 2, (n, n)) * (rng.uniform(size=(n, n)) < 0.7) for _ in "ab")
+            a, b = sym(a + a.T + 1e-3), sym(b + b.T)
+            got = build_two_layer(a, b).assembled.values
+            want = two_layer_walk_matrix(a, b)
+            want = (want + want.T) / 2.0
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert got.flags.c_contiguous
 
     def test_wrong_size_assembly_rejected(self):
         good = build_two_layer(sym([[0, 1], [1, 0]]), sym([[0, 1], [1, 0]]))
@@ -449,3 +463,19 @@ class TestCountrySeparationRatio:
             inter_c += int((~same).sum())
         want = (inter_s / inter_c) / (intra_s / intra_c)
         assert got == pytest.approx(want, rel=1e-10)
+
+    def test_matches_pair_loop_oracle_over_several_blocks(self):
+        # 1300 points over 650 locations, two copies each as in a two-layer
+        # embedding: three 512-row blocks, and same-location pairs that
+        # straddle blocks.
+        rng = np.random.default_rng(68)
+        for k in (1, 2, 3):
+            location_ids = np.concatenate([rng.permutation(650), rng.permutation(650)])
+            coords = rng.normal(size=(1300, k))
+            country_of = {lid: f"C{lid % 7}" for lid in range(650)}
+            refs = [PointRef(int(lid), "a", NO_COPY) for lid in location_ids]
+            got = country_separation_ratio(fake_embedding(coords, refs), country_of)
+            want = pairwise_separation_ratio(
+                coords.tolist(), location_ids.tolist(), [country_of[lid] for lid in location_ids]
+            )
+            assert got == pytest.approx(want, rel=1e-12)

@@ -1,5 +1,6 @@
 """Randomized properties, driven by hypothesis where shrinking helps."""
 
+import io
 from datetime import date
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import make_event
 from oracles import brute_force_sequence, haversine_reference
 from permap.geo import EARTH_RADIUS_KM, haversine
+from permap.ingest import parse_events
 from permap.graphs import DIRECTED, WeightMatrix, mean_nonzero_normalize, symmetrize
 from permap.sequence import sequence_adjacency
 from permap.spectral import fix_signs
@@ -111,3 +113,50 @@ def test_fix_signs_is_idempotent_and_leads_positive(vectors):
         if np.abs(col).max() > 0:
             assert col[int(np.argmax(np.abs(col)))] > 0
     assert np.array_equal(fix_signs(out), out)
+
+
+HEADER = "event_date,actor1,latitude,longitude,country,admin1,event_type,fatalities"
+
+# Without quotes or CR/LF every line is one csv record whose cells are
+# line.split(","), so the non-blank lines are known without the csv module.
+# NUL stays in: the csv module refuses it before Python 3.11.
+line_char = st.characters(blacklist_characters='"\r\n', blacklist_categories=("Cs",))
+cell = st.one_of(
+    st.sampled_from(
+        ["2024-01-05", "05/03/1997", "Group A", "12.5", "-3.25", "91", "-180.5", "nan",
+         "1e400", "Mali", "Battle", "4", "-1", "", " ", "\x00"]
+    ),
+    st.text(alphabet=line_char, max_size=12),
+)
+data_line = st.one_of(
+    st.lists(cell, max_size=10).map(",".join),
+    st.text(alphabet=line_char, max_size=60),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(data_line, max_size=20), st.integers(-1, 20))
+def test_every_nonblank_row_is_an_event_or_a_rejection(lines, huge_at):
+    if 0 <= huge_at <= len(lines):
+        # one field past the csv module's 131072-character limit
+        lines.insert(huge_at, "2024-01-05," + "9" * 140_000)
+    text = HEADER + "\n" + "\n".join(lines) + "\n"
+    events, report = parse_events(io.StringIO(text))
+    nonblank = [
+        number
+        for number, line in enumerate(lines, start=2)
+        if any(c.strip() for c in line.split(","))
+    ]
+    seen = [e.source_row for e in events] + [line for line, _ in report.rejections]
+    assert sorted(seen) == nonblank
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(max_size=300))
+def test_no_text_after_a_valid_header_makes_parse_events_raise(body):
+    text = HEADER + "\n" + body
+    events, report = parse_events(io.StringIO(text))
+    physical = len(io.StringIO(text).readlines())
+    seen = [e.source_row for e in events] + [line for line, _ in report.rejections]
+    assert len(seen) == len(set(seen)) <= physical - 1
+    assert all(2 <= number <= physical for number in seen)

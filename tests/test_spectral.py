@@ -163,6 +163,30 @@ class TestConnectedComponents:
             assert labels.tolist() == want_labels
 
 
+    def test_matches_traversal_oracle_at_scale_dense_and_csr(self):
+        rng = np.random.default_rng(43)
+        n = 600
+        for _ in range(3):
+            # Nodes dealt at random into four clusters plus isolated nodes,
+            # wired mostly one way only, with a few negative entries.
+            group = rng.integers(0, 5, n)
+            m = rng.uniform(0.1, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.03)
+            m[group[:, None] != group[None, :]] = 0.0
+            m[group == 4, :] = 0.0
+            m[:, group == 4] = 0.0
+            m[np.tril_indices(n)] = 0.0
+            m[rng.uniform(size=(n, n)) < 0.001] = -1.0
+            csr = sparse.csr_matrix(m)
+            csr.data[::5] = 0.0  # stored zeros are not edges
+            for values in (m, csr, csr.toarray()):
+                dense = values.toarray() if sparse.issparse(values) else values
+                want_count, want_labels = traversal_components(dense.tolist())
+                assert want_count >= 3 and np.bincount(want_labels).min() == 1
+                count, labels = connected_components(values)
+                assert count == want_count
+                assert labels.tolist() == want_labels
+
+
 class TestFixSigns:
     def test_flips_negative_leader(self):
         out = fix_signs(np.array([[-0.8], [0.6]]))
