@@ -10,6 +10,8 @@ values, so a finished run can be replayed from its manifest alone.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -21,6 +23,19 @@ PIPELINES = ("geo", "two_layer", "three_layer")
 BORDER_MODEL_KINDS = ("none", "linear", "permeability")
 
 _META_KEY = "_meta"
+
+
+def _finite(value, name: str) -> float:
+    """`value` as a float, if it is a finite real number (bool and text are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -39,12 +54,14 @@ class BorderModel:
         if self.kind == "linear":
             if self.cost_km is None or self.p is not None:
                 raise ConfigError("linear border model takes cost_km and nothing else")
-            if float(self.cost_km) < 0:
+            object.__setattr__(self, "cost_km", _finite(self.cost_km, "cost_km"))
+            if self.cost_km < 0:
                 raise ConfigError(f"cost_km must be nonnegative, got {self.cost_km}")
         elif self.kind == "permeability":
             if self.p is None or self.cost_km is not None:
                 raise ConfigError("permeability border model takes p and nothing else")
-            if not 0.0 < float(self.p) <= 1.0:
+            object.__setattr__(self, "p", _finite(self.p, "p"))
+            if not 0.0 < self.p <= 1.0:
                 raise ConfigError(f"p must be in (0, 1], got {self.p}")
         elif self.cost_km is not None or self.p is not None:
             raise ConfigError("border model 'none' takes no parameters")
@@ -57,9 +74,9 @@ class BorderModel:
     def to_dict(self) -> dict:
         out = {"kind": self.kind}
         if self.cost_km is not None:
-            out["cost_km"] = float(self.cost_km)
+            out["cost_km"] = self.cost_km
         if self.p is not None:
-            out["p"] = float(self.p)
+            out["p"] = self.p
         return out
 
 
@@ -85,10 +102,11 @@ class RunConfig:
         object.__setattr__(self, "categories", tuple(self.categories))
         object.__setattr__(self, "groups", tuple(self.groups))
         object.__setattr__(self, "split_rules", tuple(self.split_rules))
-        object.__setattr__(self, "sweep_costs_km", tuple(float(v) for v in self.sweep_costs_km))
-        object.__setattr__(
-            self, "sweep_probabilities", tuple(float(v) for v in self.sweep_probabilities)
-        )
+        # Entries must be numbers here, so a bad list fails before ingest;
+        # their range is checked per value, as the sweep reaches each one.
+        for name in ("sweep_costs_km", "sweep_probabilities"):
+            values = tuple(_finite(v, f"{name} entry") for v in getattr(self, name))
+            object.__setattr__(self, name, values)
         if self.pipeline not in PIPELINES:
             raise ConfigError(f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}")
         if self.k not in (1, 2, 3):

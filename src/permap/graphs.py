@@ -43,10 +43,11 @@ def _max_abs(values) -> float:
     return float(max(values.max(), -values.min())) if values.size else 0.0
 
 
-def _min_entry(values) -> float:
-    if _is_sparse(values):
-        return float(values.min()) if values.nnz else 0.0
-    return float(values.min()) if values.size else 0.0
+def _extremes(values) -> tuple:
+    """Smallest and largest entry, or (0.0, 0.0) when nothing is stored."""
+    if not (values.nnz if _is_sparse(values) else values.size):
+        return 0.0, 0.0
+    return float(values.min()), float(values.max())
 
 
 def _tile_pairs(n: int, upper: bool):
@@ -89,11 +90,15 @@ class WeightMatrix:
         v = self.values
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"weight matrix must be square, got shape {v.shape}")
-        if _min_entry(v) < 0:
+        # A NaN shows in both extremes and an infinity in one of them.
+        low, high = _extremes(v)
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise ValueError("weight matrix entries must be finite")
+        if low < 0:
             raise ValueError("weight matrix entries must be nonnegative")
         if self.kind == SYMMETRIC:
-            scale = _max_abs(v)
-            if asymmetry(v) > SYMMETRY_RTOL * max(scale, 1.0):
+            # Entries are nonnegative, so the largest is the largest magnitude.
+            if asymmetry(v) > SYMMETRY_RTOL * max(high, 1.0):
                 raise ValueError("matrix flagged symmetric is not symmetric")
 
     @property

@@ -111,7 +111,8 @@ def parse_events(source, column_map: ColumnMap | None = None):
     Returns (events, report). Rows that fail to parse, including rows the
     csv module itself cannot read, are skipped and logged with their
     physical line number; a missing mapped column in the header is a
-    configuration error instead.
+    configuration error instead. Each distinct date text is parsed once
+    per call, since real exports repeat the same dates across many rows.
     """
     cmap = column_map or ColumnMap()
     reader = csv.reader(source)
@@ -135,6 +136,7 @@ def parse_events(source, column_map: ColumnMap | None = None):
 
     events = []
     report = ParseReport()
+    dates = {}  # raw date text -> parsed date, or None when no format fits
     while True:
         # A row the csv module cannot read (an oversized field, or a NUL
         # byte before Python 3.11) is rejected; reading resumes on the
@@ -154,7 +156,10 @@ def parse_events(source, column_map: ColumnMap | None = None):
             continue
         cell = {name: row[pos] for name, pos in columns.items()}
 
-        when = _parse_date(cell["event_date"], cmap.date_formats)
+        raw_date = cell["event_date"]
+        if raw_date not in dates:
+            dates[raw_date] = _parse_date(raw_date, cmap.date_formats)
+        when = dates[raw_date]
         if when is None:
             report.reject(line, "unparseable date")
             continue

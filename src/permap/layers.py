@@ -358,15 +358,26 @@ class DisplacementReport:
     rows: tuple
 
 
-def _selector(emb: Embedding, spec: str):
+def _centroids(emb: Embedding, refs: np.ndarray, spec: str):
+    """Sorted location ids under one selector, and the centroid of each one's points."""
     layer, _, copy = spec.partition(":")
-    positions: dict[int, list] = {}
-    for idx, ref in enumerate(emb.provenance):
-        if ref.layer == layer and (not copy or ref.copy == copy):
-            positions.setdefault(ref.location_id, []).append(idx)
-    if not positions:
+    match = refs[:, 1] == layer
+    if copy:
+        match &= refs[:, 2] == copy
+    rows = np.flatnonzero(match)
+    if not rows.size:
         raise RuntimeError(f"no embedded points match layer selector {spec!r}")
-    return positions
+    lids = refs[rows, 0].astype(np.int64)
+    # Stable, so each location's points stay in embedding order.
+    order = np.argsort(lids, kind="stable")
+    rows = rows[order]
+    ids, starts, counts = np.unique(lids[order], return_index=True, return_counts=True)
+    centroids = np.empty((ids.size, emb.k))
+    for count in np.unique(counts):
+        group = counts == count
+        points = rows[starts[group][:, None] + np.arange(count)]
+        centroids[group] = emb.coordinates[points].mean(axis=1)
+    return ids, centroids
 
 
 def displacement(emb: Embedding, layer_pair) -> DisplacementReport:
@@ -377,18 +388,19 @@ def displacement(emb: Embedding, layer_pair) -> DisplacementReport:
     centroid. Every location must appear under both selectors.
     """
     sel_a, sel_b = layer_pair
-    pos_a = _selector(emb, sel_a)
-    pos_b = _selector(emb, sel_b)
-    rows = []
-    for lid in sorted(set(pos_a) | set(pos_b)):
-        if lid not in pos_a or lid not in pos_b:
-            raise RuntimeError(
-                f"location {lid} is missing a copy for pair ({sel_a!r}, {sel_b!r})"
-            )
-        a = emb.coordinates[pos_a[lid]].mean(axis=0)
-        b = emb.coordinates[pos_b[lid]].mean(axis=0)
-        vec = b - a
-        rows.append(DisplacementRow(lid, tuple(float(v) for v in vec), float(np.linalg.norm(vec))))
+    refs = np.array(emb.provenance, dtype=object).reshape(-1, 3)
+    ids_a, centroids_a = _centroids(emb, refs, sel_a)
+    ids_b, centroids_b = _centroids(emb, refs, sel_b)
+    missing = np.setxor1d(ids_a, ids_b)
+    if missing.size:
+        raise RuntimeError(
+            f"location {int(missing[0])} is missing a copy for pair ({sel_a!r}, {sel_b!r})"
+        )
+    # One norm per vector, not one over axis 1, whose sums can round differently.
+    rows = [
+        DisplacementRow(lid, tuple(vec.tolist()), float(np.linalg.norm(vec)))
+        for lid, vec in zip(ids_a.tolist(), centroids_b - centroids_a)
+    ]
     rows.sort(key=lambda r: (-r.length, r.location_id))
     return DisplacementReport(layer_a=sel_a, layer_b=sel_b, k=emb.k, rows=tuple(rows))
 

@@ -181,3 +181,45 @@ def three_layer_budget_assembly(normalized):
                     elif i == j:
                         out[li * n + i, lj * n + j] = budget[i] / 4.0
     return out
+
+
+def displacement_rows(points, sel_a, sel_b):
+    """Displacement rows by a plain loop over every point for every location.
+
+    `points` lists (location_id, layer, copy, coordinates). A selector is
+    a layer tag, optionally narrowed as "layer:copy"; a location's points
+    under one selector are averaged coordinate by coordinate. Returns
+    (location_id, vector, length) tuples, longest first, ties by id.
+    """
+
+    def matches(spec, layer, copy):
+        want_layer, _, want_copy = spec.partition(":")
+        return layer == want_layer and (not want_copy or copy == want_copy)
+
+    rows = []
+    for lid in sorted({point[0] for point in points}):
+        ends = []
+        for spec in (sel_a, sel_b):
+            mine = [xy for pid, layer, copy, xy in points if pid == lid and matches(spec, layer, copy)]
+            ends.append([math.fsum(axis) / len(mine) for axis in zip(*mine)])
+        vector = tuple(b - a for a, b in zip(*ends))
+        rows.append((lid, vector, math.sqrt(math.fsum(v * v for v in vector))))
+    rows.sort(key=lambda row: (-row[2], row[0]))
+    return rows
+
+
+def path_graph_eigenpairs(n):
+    """Laplacian spectrum of the unit-weight path on n nodes, in closed form.
+
+    Eigenvalue j is 2(1 - cos(pi j / n)), ascending in j, and its
+    eigenvector has entries cos(pi j (i + 1/2) / n), i = 0..n-1, returned
+    here normalized to unit length as columns.
+    """
+    values = [2.0 * (1.0 - math.cos(math.pi * j / n)) for j in range(n)]
+    columns = []
+    for j in range(n):
+        col = [math.cos(math.pi * j * (i + 0.5) / n) for i in range(n)]
+        norm = math.sqrt(math.fsum(c * c for c in col))
+        columns.append([c / norm for c in col])
+    vectors = [[columns[j][i] for j in range(n)] for i in range(n)]
+    return values, vectors

@@ -422,6 +422,33 @@ class TestSweep:
             assert err == f"error: config: sweep value {repeated} is listed more than once\n"
             assert not out_dir.exists()
 
+    def test_non_finite_sweep_entry_fails_before_ingest(self, capsys, fixture_run, tmp_path):
+        cases = (
+            ('{"kind": "linear", "cost_km": 0.0}', "sweep_costs_km=[0.0, NaN]", "nan"),
+            ('{"kind": "permeability", "p": 0.5}', "sweep_probabilities=[0.5, Infinity]", "inf"),
+            ('{"kind": "permeability", "p": 0.5}', 'sweep_probabilities=[0.5, "0.8"]', "'0.8'"),
+        )
+        for model, sweep, shown in cases:
+            out_dir = tmp_path / "o"
+            rc, _, err = run_cli(
+                capsys,
+                "sweep",
+                "--config",
+                str(fixture_run["config"]),
+                "--out",
+                str(out_dir),
+                "--override",
+                f"border_model={model}",
+                "--override",
+                sweep,
+                "--override",
+                "events_csv=absent.csv",
+            )
+            assert rc == 1
+            assert err.startswith("error: config:") and err.count("error:") == 1
+            assert f"entry must be a finite number, got {shown}" in err
+            assert not out_dir.exists()
+
     def test_unsweepable_border_model(self, capsys, fixture_run, tmp_path):
         rc, _, err = run_cli(
             capsys, "sweep", "--config", str(fixture_run["config"]), "--out", str(tmp_path / "o")
@@ -520,6 +547,36 @@ class TestFailureStages:
         assert rc == 1
         assert err.startswith("error: borders:")
         assert "no border path" in err
+
+    def test_non_finite_border_value_fails_in_config(self, capsys, fixture_run, tmp_path):
+        raw = json.loads(fixture_run["config"].read_text(encoding="utf-8"))
+        raw["border_model"] = {"kind": "linear", "cost_km": float("nan")}
+        nan_config = fixture_run["dir"] / "nan.json"
+        nan_config.write_text(json.dumps(raw), encoding="utf-8")  # writes a bare NaN
+        linear = 'border_model={"kind": "linear", "cost_km": 1.0}'
+        cases = (
+            (nan_config, [], "cost_km", "nan"),
+            (fixture_run["config"], [linear, "border_model.cost_km=Infinity"], "cost_km", "inf"),
+            (fixture_run["config"], [linear, "border_model.cost_km=1e400"], "cost_km", "inf"),
+            (fixture_run["config"], [linear, "border_model.cost_km=nan"], "cost_km", "'nan'"),
+            (
+                fixture_run["config"],
+                ['border_model={"kind": "permeability", "p": NaN}'],
+                "p",
+                "nan",
+            ),
+        )
+        for config, overrides, name, shown in cases:
+            argv = ["embed", "--config", str(config), "--out", str(tmp_path / "o")]
+            for item in overrides:
+                argv += ["--override", item]
+            rc, _, err = run_cli(capsys, *argv)
+            assert rc == 1
+            assert err == (
+                f"error: config: invalid config value: {name} must be a finite number, "
+                f"got {shown}\n"
+            )
+            assert not (tmp_path / "o").exists()
 
     def test_invalid_override_value(self, capsys, fixture_run, tmp_path):
         rc, _, err = run_cli(

@@ -51,6 +51,20 @@ class TestBorderModel:
         assert BorderModel("permeability", p=1.0).p == 1.0
         assert BorderModel("linear", cost_km=0.0).cost_km == 0.0
 
+    def test_parameters_must_be_finite_numbers(self):
+        for bad in (float("nan"), float("inf"), -float("inf"), 10**400, True, "0.5", "nan"):
+            with pytest.raises(ConfigError, match="cost_km must be a finite number"):
+                BorderModel("linear", cost_km=bad)
+            with pytest.raises(ConfigError, match="p must be a finite number"):
+                BorderModel("permeability", p=bad)
+
+    def test_parameters_stored_as_floats(self):
+        linear = BorderModel("linear", cost_km=100)
+        perm = BorderModel("permeability", p=1)
+        assert type(linear.cost_km) is float and linear.cost_km == 100.0
+        assert type(perm.p) is float and perm.p == 1.0
+        assert linear == BorderModel("linear", cost_km=100.0)
+
 
 class TestRunConfig:
     def test_defaults(self):
@@ -99,6 +113,14 @@ class TestRunConfig:
         plain = replace(linear, border_model=BorderModel("none"))
         with pytest.raises(ConfigError, match="sweep"):
             plain.sweep_values()
+
+    def test_sweep_entries_must_be_finite_numbers(self):
+        for name in ("sweep_costs_km", "sweep_probabilities"):
+            for bad in (float("nan"), float("inf"), "0.5", False):
+                with pytest.raises(ConfigError, match=f"{name} entry must be a finite number"):
+                    RunConfig(events_csv="e.csv", **{name: (0.5, bad)})
+        with pytest.raises(ConfigError, match="sweep_costs_km entry"):
+            config_from_dict({"events_csv": "e.csv", "sweep_costs_km": [0, 1e400]})
 
     def test_with_border_value(self):
         linear = RunConfig(events_csv="e.csv", border_model=BorderModel("linear", cost_km=0.0))

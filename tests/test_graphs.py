@@ -31,6 +31,15 @@ class TestWeightMatrix:
         with pytest.raises(ValueError, match="nonnegative"):
             wm([[0.0, -1.0], [-1.0, 0.0]])
 
+    def test_rejects_non_finite_entries_dense_and_sparse(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            values = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+            values[0, 2] = values[2, 0] = bad
+            for stored in (values, sparse.csr_matrix(values)):
+                for kind in (SYMMETRIC, DIRECTED):
+                    with pytest.raises(ValueError, match="entries must be finite"):
+                        WeightMatrix(stored, kind)
+
     def test_rejects_asymmetric_flagged_symmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):
             wm([[0.0, 1.0], [2.0, 0.0]])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import events_csv_text, make_event
+from permap import ingest
 from permap.errors import ConfigError
 from permap.ingest import (
     ColumnMap,
@@ -103,6 +104,32 @@ class TestParseEvents:
         assert len(events) == 8
         assert len(report) == 2
         assert [line for line, _ in report.rejections] == [5, 9]
+
+    def test_repeated_unparseable_date_rejected_on_every_row(self):
+        rows = [("bad date",) + ROW[1:], ROW, ("bad date",) + ROW[1:], ("bad date",) + ROW[1:]]
+        events, report = parse(rows)
+        assert [e.source_row for e in events] == [3]
+        assert report.rejections == [(line, "unparseable date") for line in (2, 4, 5)]
+
+    def test_each_distinct_date_text_parsed_once(self, monkeypatch):
+        seen = []
+        real = ingest._parse_date
+
+        def counting(text, formats):
+            seen.append(text)
+            return real(text, formats)
+
+        monkeypatch.setattr(ingest, "_parse_date", counting)
+        texts = ["2024-01-05", "01 January 1997", "2024-01-05", "bad", "01 January 1997", "bad"]
+        events, report = parse([(text,) + ROW[1:] for text in texts])
+        assert sorted(seen) == sorted(set(texts))
+        assert [e.event_date for e in events] == [
+            date(2024, 1, 5),
+            date(1997, 1, 1),
+            date(2024, 1, 5),
+            date(1997, 1, 1),
+        ]
+        assert report.rejections == [(5, "unparseable date"), (7, "unparseable date")]
 
     def test_blank_fatalities_default_to_zero(self):
         events, report = parse([ROW[:7] + ("",)])

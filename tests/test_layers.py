@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import make_location
-from oracles import pairwise_separation_ratio, three_layer_budget_assembly
+from oracles import (
+    displacement_rows,
+    pairwise_separation_ratio,
+    three_layer_budget_assembly,
+)
 from permap.errors import IsolatedNodeError
 from permap.geo import CountryBorderGraph
 from permap.graphs import DIRECTED, SYMMETRIC, WeightMatrix
@@ -370,6 +374,29 @@ class TestDisplacement:
         assert both.rows[0].vector == (13.0,)  # centroids 2 and 15
         narrowed = displacement(emb, ("s:out", "t:in"))
         assert narrowed.rows[0].vector == (20.0,)
+
+    def test_matches_loop_oracle_with_both_and_single_copies(self):
+        rng = np.random.default_rng(41)
+        n = 60
+        refs = [PointRef(i, tag, copy) for tag in THREE_LAYER_TAGS for copy in (OUT, IN) for i in range(n)]
+        # A shuffled provenance order, and coordinates over several magnitudes.
+        refs = [refs[i] for i in rng.permutation(len(refs))]
+        coords = rng.standard_normal((len(refs), 3)) * 10.0 ** rng.integers(-6, 3, (len(refs), 1))
+        emb = fake_embedding(coords, refs)
+        points = [(ref.location_id, ref.layer, ref.copy, coords[i].tolist()) for i, ref in enumerate(refs)]
+        for pair in (
+            ("distance", "border"),
+            ("distance:out", "border:in"),
+            ("sequence:in", "distance"),
+            ("border:out", "border:in"),
+        ):
+            report = displacement(emb, pair)
+            want = displacement_rows(points, *pair)
+            assert [(row.location_id, row.vector) for row in report.rows] == [
+                (lid, vector) for lid, vector, _ in want
+            ]
+            lengths = np.array([row.length for row in report.rows])
+            assert np.allclose(lengths, [length for _, _, length in want], rtol=1e-12, atol=0)
 
     def test_missing_copy_rejected(self):
         coords = [[0.0], [1.0], [2.0]]

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from oracles import jacobi_eigh, principal_angle_cos, traversal_components
+from oracles import (
+    jacobi_eigh,
+    path_graph_eigenpairs,
+    principal_angle_cos,
+    traversal_components,
+)
 from permap.errors import DisconnectedGraphError
 from permap.geo import distance_matrix, invert_distances
 from permap.graphs import DIRECTED, SYMMETRIC, WeightMatrix, laplacian
@@ -115,6 +120,23 @@ class TestEigensolve:
         assert np.abs(got.values - want_vals).max() <= 1e-9 * scale
         for pair in (slice(1, 3), slice(3, 5)):
             assert principal_angle_cos(got.vectors[:, pair], want_vecs[:, pair]) >= 1 - 1e-8
+
+    def test_restarted_lanczos_matches_path_graph_closed_form(self):
+        # Larger than the 40-vector Lanczos basis, so ARPACK restarts; the
+        # smallest eigenvalues are 1e-4 apart at n = 400.
+        for n in (120, 400):
+            w = np.zeros((n, n))
+            i = np.arange(n - 1)
+            w[i, i + 1] = w[i + 1, i] = 1.0
+            lap = laplacian(WeightMatrix(w, SYMMETRIC))
+            all_vals, all_vecs = path_graph_eigenpairs(n)
+            want_vals = np.array(all_vals[:4])
+            want_vecs = np.array(all_vecs)[:, :4]
+            for stored in (lap, sparse.csr_matrix(lap)):
+                got = eigensolve_symmetric(stored, 4)
+                assert np.abs(got.values - want_vals).max() <= 1e-12 * 4.0
+                for j in range(4):
+                    assert abs(float(got.vectors[:, j] @ want_vecs[:, j])) >= 1 - 1e-10
 
     def test_sparse_input_matches_dense(self):
         rng = np.random.default_rng(80)
