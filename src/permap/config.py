@@ -38,6 +38,13 @@ def _finite(value, name: str) -> float:
     return number
 
 
+def _integer(value, name: str) -> int:
+    """`value` itself, if it is a true integer (bool, float and text are not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BorderModel:
     """Exactly one way of pricing borders: nothing, linear km, or p^b."""
@@ -109,9 +116,11 @@ class RunConfig:
             object.__setattr__(self, name, values)
         if self.pipeline not in PIPELINES:
             raise ConfigError(f"pipeline must be one of {PIPELINES}, got {self.pipeline!r}")
+        object.__setattr__(self, "k", _integer(self.k, "k"))
+        object.__setattr__(self, "rounding", _integer(self.rounding, "rounding"))
         if self.k not in (1, 2, 3):
             raise ConfigError(f"k must be 1, 2, or 3, got {self.k}")
-        if not 0 <= int(self.rounding) <= 6:
+        if not 0 <= self.rounding <= 6:
             raise ConfigError(f"rounding must be in [0, 6], got {self.rounding}")
         if not self.categories:
             raise ConfigError("categories must be non-empty")
@@ -149,8 +158,8 @@ class RunConfig:
             "border_model": self.border_model.to_dict(),
             "column_map": cmap,
             "categories": list(self.categories),
-            "rounding": int(self.rounding),
-            "k": int(self.k),
+            "rounding": self.rounding,
+            "k": self.k,
             "groups": list(self.groups),
             "split_rules": [
                 {
@@ -249,7 +258,7 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> RunConfig:
             border_model=_build_border_model(raw.get("border_model")),
             column_map=_build_column_map(raw.get("column_map")),
             categories=tuple(raw.get("categories") or DEFAULT_CATEGORIES),
-            rounding=int(raw.get("rounding", DEFAULT_ROUNDING)),
+            rounding=raw.get("rounding", DEFAULT_ROUNDING),
             k=raw.get("k", 2),
             groups=tuple(raw.get("groups") or ()),
             split_rules=_build_split_rules(raw.get("split_rules")),

@@ -5,6 +5,14 @@ EARTH_RADIUS_KM. Border effects come in a linear flavor (a fixed extra
 distance per crossing, added before distance inversion) and a non-linear
 flavor (a per-border success probability raised to the number of
 crossings, used directly as an edge weight).
+
+Crossings depend only on the two locations' countries, so the pipelines
+keep them as a country code per location and a country-by-country hop
+table (`country_crossings`). The permeability weights then stay per pair
+of countries (`border_blocks`), and the linear model prices and inverts
+one n x n buffer (`linear_border_weights`). The n x n builders
+(`crossings_matrix`, `border_permeability_matrix`,
+`linear_border_distances`) give the same values as full matrices.
 """
 
 from __future__ import annotations
@@ -16,11 +24,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DisconnectedGraphError
-from .graphs import SYMMETRIC, WeightMatrix
+from .graphs import SYMMETRIC, GroupBlocks, WeightMatrix
 
 EARTH_RADIUS_KM = 6371.0
 
 _REFERENCE_BORDERS = "country_borders_west_africa.csv"
+
+# Rows priced per step by linear_border_weights.
+_ROW_BLOCK = 256
+# invert_distances' default: the farthest pair keeps a tenth of the top weight.
+_MULTIPLIER = 1.1
 
 
 def _latlon(point):
@@ -38,21 +51,8 @@ def _check_bounds(lat: float, lon: float):
         raise ValueError(f"longitude {lon} out of range [-180, 180]")
 
 
-def haversine(a, b) -> float:
-    """Great-circle distance in km between two (lat, lon) points in degrees."""
-    lat1, lon1 = _latlon(a)
-    lat2, lon2 = _latlon(b)
-    _check_bounds(lat1, lon1)
-    _check_bounds(lat2, lon2)
-    p1, p2 = np.radians(lat1), np.radians(lat2)
-    dp = np.radians(lat2 - lat1)
-    dl = np.radians(lon2 - lon1)
-    h = np.sin(dp / 2.0) ** 2 + np.cos(p1) * np.cos(p2) * np.sin(dl / 2.0) ** 2
-    return float(2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(min(h, 1.0))))
-
-
 def distance_matrix(locations) -> WeightMatrix:
-    """All-pairs haversine distances for >= 2 locations (zero diagonal)."""
+    """All-pairs great-circle (haversine) distances for >= 2 locations (zero diagonal)."""
     pts = [_latlon(p) for p in locations]
     if len(pts) < 2:
         raise ValueError("distance_matrix needs at least 2 locations")
@@ -68,7 +68,7 @@ def distance_matrix(locations) -> WeightMatrix:
     return WeightMatrix(d, SYMMETRIC)
 
 
-def invert_distances(d: WeightMatrix, multiplier: float = 1.1) -> WeightMatrix:
+def invert_distances(d: WeightMatrix, multiplier: float = _MULTIPLIER) -> WeightMatrix:
     """Turn distances into similarities: multiplier * max(d) minus each entry.
 
     With multiplier > 1 every off-diagonal weight stays strictly positive,
@@ -77,14 +77,19 @@ def invert_distances(d: WeightMatrix, multiplier: float = 1.1) -> WeightMatrix:
     """
     if not d.is_symmetric:
         raise ValueError("invert_distances expects a symmetric distance matrix")
+    return WeightMatrix(_invert(d.values, multiplier, np.empty(d.values.shape)), SYMMETRIC)
+
+
+def _invert(values: np.ndarray, multiplier: float, out: np.ndarray) -> np.ndarray:
+    """Write multiplier * max(values) - values, zero diagonal, into `out` (may be `values`)."""
     if multiplier <= 1.0:
         raise ValueError(f"multiplier must be > 1 to keep weights positive, got {multiplier}")
-    top = float(d.values.max())
+    top = float(values.max())
     if top <= 0.0:
         raise ValueError("all distances are zero; nothing to invert")
-    w = multiplier * top - d.values
-    np.fill_diagonal(w, 0.0)
-    return WeightMatrix(w, SYMMETRIC)
+    np.subtract(multiplier * top, values, out=out)
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -172,35 +177,49 @@ def _bfs_hops(cg: CountryBorderGraph, start: int) -> np.ndarray:
     return dist
 
 
-def min_border_crossings(cg: CountryBorderGraph, c1: str, c2: str) -> int:
-    """Fewest national borders on any country-level path between c1 and c2."""
-    i, j = cg.index(c1), cg.index(c2)
-    if i == j:
-        return 0
-    hops = _bfs_hops(cg, i)
-    if hops[j] < 0:
-        raise DisconnectedGraphError(f"no border path between {c1!r} and {c2!r}")
-    return int(hops[j])
+def country_crossings(locations, cg: CountryBorderGraph) -> tuple:
+    """Each location's country code and the fewest crossings between those countries.
+
+    Codes number the countries that occur, in border-graph order; `hops`
+    is the C x C table of minimal crossings between them, so the n x n
+    crossings are hops[codes[i], codes[j]] and are never formed here.
+    """
+    countries = [loc if isinstance(loc, str) else loc.country for loc in locations]
+    present, codes = np.unique(
+        np.array([cg.index(c) for c in countries], dtype=int), return_inverse=True
+    )
+    hops = np.array([_bfs_hops(cg, i)[present] for i in present], dtype=int)
+    hops = hops.reshape(present.size, present.size)
+    if (hops < 0).any():
+        # The first unreachable pair of locations in row-major order.
+        cut = hops[codes] < 0
+        i = int(np.flatnonzero(cut.any(axis=1))[0])
+        j = int(np.flatnonzero(cut[i][codes])[0])
+        raise DisconnectedGraphError(
+            f"no border path between {countries[i]!r} and {countries[j]!r}"
+        )
+    return codes.ravel(), hops
 
 
 def crossings_matrix(locations, cg: CountryBorderGraph) -> np.ndarray:
     """Minimal border-crossing counts between every pair of locations."""
-    countries = [loc if isinstance(loc, str) else loc.country for loc in locations]
-    cidx = np.array([cg.index(c) for c in countries], dtype=int)
-    hops = np.stack([_bfs_hops(cg, i) for i in range(len(cg.countries))])
-    b = hops[cidx[:, None], cidx[None, :]]
-    if (b < 0).any():
-        i, j = np.argwhere(b < 0)[0]
-        raise DisconnectedGraphError(
-            f"no border path between {countries[i]!r} and {countries[j]!r}"
-        )
-    return b
+    codes, hops = country_crossings(locations, cg)
+    return hops[codes[:, None], codes[None, :]]
+
+
+def _check_cost(cost_km: float) -> None:
+    if cost_km < 0:
+        raise ValueError(f"border cost must be nonnegative, got {cost_km}")
+
+
+def _check_probability(p: float) -> None:
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"border success probability must be in (0, 1], got {p}")
 
 
 def linear_border_distances(d: WeightMatrix, b: np.ndarray, cost_km: float) -> WeightMatrix:
     """Add a fixed cost per border crossing to every pairwise distance."""
-    if cost_km < 0:
-        raise ValueError(f"border cost must be nonnegative, got {cost_km}")
+    _check_cost(cost_km)
     if d.values.shape != np.asarray(b).shape:
         raise ValueError("distance and crossing matrices must have the same shape")
     return WeightMatrix(d.values + cost_km * np.asarray(b, dtype=float), SYMMETRIC)
@@ -212,8 +231,35 @@ def border_permeability_matrix(b: np.ndarray, p: float) -> WeightMatrix:
     p is the modeled per-border success probability in (0, 1]; the diagonal
     is zeroed so the matrix can be used directly as a graph.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"border success probability must be in (0, 1], got {p}")
+    _check_probability(p)
     w = np.power(float(p), np.asarray(b, dtype=float))
     np.fill_diagonal(w, 0.0)
     return WeightMatrix(w, SYMMETRIC)
+
+
+def border_blocks(codes: np.ndarray, hops: np.ndarray, p: float) -> GroupBlocks:
+    """The weights of border_permeability_matrix held per pair of countries.
+
+    Entry (i, j) is p ** hops[codes[i], codes[j]] off the diagonal, as in
+    the n x n matrix, which is never formed.
+    """
+    _check_probability(p)
+    return GroupBlocks(codes, np.power(float(p), hops.astype(float)))
+
+
+def linear_border_weights(d: WeightMatrix, codes, hops, cost_km: float) -> WeightMatrix:
+    """invert_distances(linear_border_distances(d, crossings, cost_km)) in one n x n buffer.
+
+    Row blocks of d + cost_km * hops[codes[i], codes[j]] are priced into
+    the buffer, which is then inverted in place. Every entry goes through
+    the same operations as in the two-step form, so the result is
+    bit-equal to it.
+    """
+    _check_cost(cost_km)
+    extra = cost_km * hops.astype(float)
+    n = d.n
+    out = np.empty((n, n))
+    for start in range(0, n, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        np.add(d.values[rows], extra[codes[rows, None], codes[None, :]], out=out[rows])
+    return WeightMatrix(_invert(out, _MULTIPLIER, out), SYMMETRIC)

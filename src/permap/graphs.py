@@ -1,10 +1,17 @@
 """Weighted-graph matrix algebra: Laplacians, symmetrization, normalization.
 
-Edge weights are float64 matrices wrapped in a thin typed container;
-Laplacians are returned bare, in the storage format of their weights.
-Single layers and the two-layer system are dense numpy arrays; the
-assembled three-layer system is always a scipy.sparse matrix. The
-operations here accept both.
+Edge weights are float64 matrices wrapped in a thin typed container,
+dense numpy arrays or scipy.sparse matrices alike; `laplacian` returns
+the Laplacian bare, in the storage format of its weights. Two pieces
+exist so that a pipeline never forms an n x n or larger array it only
+multiplies by:
+
+- `GroupBlocks` holds weights that are constant on the blocks of a
+  grouping of the nodes (the border layer: one value per pair of
+  countries) as the group of each node plus a small table.
+- `LaplacianOperator` is the Laplacian diag(degrees) - A of a symmetric
+  weight operator A, applied as degrees * x - A x. `laplacian_operator`
+  wraps one layer; the multilayer systems build theirs in `layers`.
 
 Dense transpose-pairing operations (`asymmetry`, `symmetrize`) run
 tile-wise over square tiles of the matrix, so each pass reads memory in
@@ -16,7 +23,8 @@ bit-equal to them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -110,10 +118,120 @@ class WeightMatrix:
         return self.kind == SYMMETRIC
 
 
+@dataclass(frozen=True)
+class GroupBlocks:
+    """Symmetric n x n weights that are constant on the blocks of a grouping.
+
+    Entry (i, j) is table[groups[i], groups[j]] off the diagonal and zero
+    on it: with locations grouped by country and a table of p ** hops,
+    this is the border layer E P E^T - I, where E is the n x C
+    location-to-country indicator. Only the n groups and the C x C table
+    are stored, and a product costs O(n + C^2).
+    """
+
+    groups: np.ndarray
+    table: np.ndarray
+    _counts: np.ndarray = field(init=False, repr=False, compare=False)
+    _loops: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        groups = np.asarray(self.groups, dtype=np.intp)
+        table = np.asarray(self.table, dtype=float)
+        if table.ndim != 2 or table.shape[0] != table.shape[1]:
+            raise ValueError(f"group table must be square, got shape {table.shape}")
+        if groups.ndim != 1 or (groups.size and not 0 <= groups.min() <= groups.max() < len(table)):
+            raise ValueError("groups must index rows of the group table")
+        low, high = _extremes(table)
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise ValueError("weight matrix entries must be finite")
+        if low < 0:
+            raise ValueError("weight matrix entries must be nonnegative")
+        if asymmetry(table) > SYMMETRY_RTOL * max(high, 1.0):
+            raise ValueError("group table is not symmetric")
+        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "table", table)
+        counts = np.bincount(groups, minlength=len(table)).astype(float)
+        object.__setattr__(self, "_counts", counts)
+        # The block value each node's zero diagonal entry leaves out.
+        object.__setattr__(self, "_loops", table.diagonal()[groups])
+
+    @property
+    def n(self) -> int:
+        return self.groups.size
+
+    @property
+    def shape(self) -> tuple:
+        return (self.n, self.n)
+
+    @property
+    def is_symmetric(self) -> bool:
+        return True
+
+    def __matmul__(self, x):
+        totals = np.bincount(self.groups, weights=x, minlength=len(self.table))
+        return (self.table @ totals)[self.groups] - self._loops * x
+
+    def row_sums(self) -> np.ndarray:
+        return (self.table @ self._counts)[self.groups] - self._loops
+
+    def nonzero_mean(self) -> float:
+        """Mean of the nonzero entries, counted block by block; a zero block counts none."""
+        counts, loops = self._counts, self._loops
+        total = counts @ self.table @ counts - loops.sum()
+        nonzero = counts @ (self.table != 0) @ counts - np.count_nonzero(loops)
+        if nonzero == 0:
+            raise ValueError("cannot normalize an all-zero matrix")
+        return float(total / nonzero)
+
+    def reach(self, rows) -> np.ndarray:
+        """Nodes that share a nonzero entry with any of `rows`, as a mask.
+
+        A row may reach itself; the caller has labelled it already.
+        """
+        return (self.table[self.groups[rows]] > 0).any(axis=0)[self.groups]
+
+
 def _row_sums(values) -> np.ndarray:
+    if isinstance(values, GroupBlocks):
+        return values.row_sums()
     if _is_sparse(values):
         return np.asarray(values.sum(axis=1)).ravel()
     return values.sum(axis=1)
+
+
+def _col_sums(values) -> np.ndarray:
+    if isinstance(values, GroupBlocks):
+        return values.row_sums()
+    if _is_sparse(values):
+        return np.asarray(values.sum(axis=0)).ravel()
+    return values.sum(axis=0)
+
+
+def _diagonal(values):
+    """The main diagonal of a layer; a GroupBlocks has none."""
+    return 0.0 if isinstance(values, GroupBlocks) else values.diagonal()
+
+
+def _stored(values) -> int:
+    """Numbers a layer keeps in memory."""
+    if isinstance(values, GroupBlocks):
+        return values.groups.size + values.table.size
+    return values.nnz if _is_sparse(values) else values.size
+
+
+def _nonzero_mean(values) -> float:
+    """Mean of the nonzero entries of a layer, with no copy of them.
+
+    Zeros add nothing to a sum, so the sum of every entry over the count
+    of nonzero ones is that mean, up to the order of the additions.
+    """
+    if isinstance(values, GroupBlocks):
+        return values.nonzero_mean()
+    data = values.data if _is_sparse(values) else values
+    nonzero = np.count_nonzero(data)
+    if nonzero == 0:
+        raise ValueError("cannot normalize an all-zero matrix")
+    return float(data.sum() / nonzero)
 
 
 def laplacian(w: WeightMatrix):
@@ -138,9 +256,78 @@ def laplacian(w: WeightMatrix):
     return lap
 
 
+@dataclass(frozen=True)
+class LaplacianOperator:
+    """The Laplacian diag(degrees) - A of a symmetric weight operator A, never formed.
+
+    `adjacency` maps one vector x to A x. `layers` are n x n location
+    layers whose union of supports is connected exactly when A's graph
+    is, with `copies` points of A per location, so components can be
+    counted without A. `loops` is A's diagonal, zero in every pipeline.
+    `nnz` counts the numbers the layers store.
+    """
+
+    degrees: np.ndarray
+    adjacency: Callable
+    layers: tuple
+    copies: int = 1
+    nnz: int = 0
+    loops: object = 0.0
+
+    @property
+    def shape(self) -> tuple:
+        return (self.degrees.size, self.degrees.size)
+
+    @property
+    def inf_norm(self) -> float:
+        """Largest absolute row sum of L: twice the largest degree without self-loops."""
+        return 2.0 * float(np.max(self.degrees - self.loops))
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            # One product per column: on OpenBLAS two matrix-vector
+            # products are faster than one n x 2 product.
+            out = np.empty(x.shape)
+            for j in range(x.shape[1]):
+                out[:, j] = self @ x[:, j]
+            return out
+        return self.degrees * x - self.adjacency(x)
+
+    def toarray(self) -> np.ndarray:
+        """L as a dense array, one product per column; for small systems only."""
+        return self @ np.eye(self.shape[0])
+
+
+def laplacian_operator(w) -> LaplacianOperator:
+    """The Laplacian of one symmetric layer as an operator.
+
+    `w` is a WeightMatrix flagged symmetric or a GroupBlocks. Products
+    equal `laplacian(w) @ x` up to rounding; no n x n array is made.
+    """
+    if isinstance(w, WeightMatrix):
+        if not w.is_symmetric:
+            raise ValueError("laplacian requires a symmetric weight matrix; symmetrize first")
+        values = w.values
+    elif isinstance(w, GroupBlocks):
+        values = w
+    else:
+        raise ValueError("laplacian_operator expects a WeightMatrix or GroupBlocks")
+    return LaplacianOperator(
+        degrees=_row_sums(values),
+        adjacency=values.__matmul__,
+        layers=(values,),
+        nnz=_stored(values),
+        loops=_diagonal(values),
+    )
+
+
 def _check_positive_rows(values, layer: str) -> np.ndarray:
     """Row sums of one layer's weights; raises if any node has none."""
-    sums = _row_sums(values)
+    return _check_positive(_row_sums(values), layer)
+
+
+def _check_positive(sums: np.ndarray, layer: str) -> np.ndarray:
     bad = np.flatnonzero(sums <= 0)
     if bad.size:
         raise IsolatedNodeError(f"node {bad[0]} in layer {layer!r} has zero total edge weight")

@@ -8,9 +8,18 @@ sequence layer and replicate every node into outgoing/incoming copies so
 the direction survives symmetric eigensolving.
 
 Every pipeline runs in two steps. `prepare` does the work that does not
-depend on the border value (locations, crossings, distance and sequence
-layers); `solve` weights the borders at one value, assembles the system
-and embeds it. A sweep prepares once and solves once per value.
+depend on the border value (locations, country codes and crossings
+between countries, distance and sequence layers); `solve` weights the
+borders at one value and embeds the system. A sweep prepares once and
+solves once per value.
+
+`solve` never assembles a system. `two_layer_operator` and
+`three_layer_operator` build its Laplacian as an operator from the
+per-layer pieces: the border layer as country blocks, the distance layer
+as one dense n x n array, the sequence layer as CSR, and every coupling
+as a diagonal. `build_two_layer` and `build_three_layer` still assemble
+the 2n x 2n and 6n x 6n systems; they are the references the operators
+are tested against.
 """
 
 from __future__ import annotations
@@ -24,18 +33,28 @@ from scipy import sparse
 from .errors import stage
 from .fileio import atomic_write
 from .geo import (
-    border_permeability_matrix,
-    crossings_matrix,
+    border_blocks,
+    country_crossings,
     distance_matrix,
     invert_distances,
-    linear_border_distances,
+    linear_border_weights,
 )
 from .graphs import (
     DIRECTED,
     SYMMETRIC,
+    GroupBlocks,
+    LaplacianOperator,
     WeightMatrix,
+    _check_positive,
     _check_positive_rows,
+    _col_sums,
+    _diagonal,
+    _is_sparse,
+    _nonzero_mean,
+    _row_sums,
+    _stored,
     _symmetrize_into,
+    laplacian_operator,
     mean_nonzero_normalize,
     symmetrize,
 )
@@ -78,9 +97,18 @@ class MultiLayerSystem:
         return self.assembled.n
 
 
-def _walk_blocks(w_a: WeightMatrix, w_b: WeightMatrix, layer_tags):
-    """The two within-layer blocks of the two-layer walk, rows summing to 0.5."""
-    if not (isinstance(w_a, WeightMatrix) and isinstance(w_b, WeightMatrix)):
+def _provenance(n: int, layer_tags, copies) -> tuple:
+    """Layer-major point order: every location's point of one layer copy, then the next."""
+    return tuple(PointRef(i, tag, copy) for tag in layer_tags for copy in copies for i in range(n))
+
+
+def _values(w):
+    return w.values if isinstance(w, WeightMatrix) else w
+
+
+def _check_two_layers(w_a, w_b, kinds) -> int:
+    """Types, symmetry and sizes of a two-layer pair; returns n."""
+    if not (isinstance(w_a, kinds) and isinstance(w_b, kinds)):
         raise ValueError("two-layer assembly expects WeightMatrix layers")
     if not (w_a.is_symmetric and w_b.is_symmetric):
         raise ValueError("both layers must be symmetric")
@@ -89,63 +117,75 @@ def _walk_blocks(w_a: WeightMatrix, w_b: WeightMatrix, layer_tags):
         raise ValueError(f"layer sizes differ: {n} vs {w_b.n}")
     if n < 2:
         raise ValueError("a layer needs at least 2 locations to carry edges")
-    blocks = []
-    for w, tag in zip((w_a, w_b), layer_tags):
-        values = np.array(w.values, dtype=float)
-        np.fill_diagonal(values, 0.0)
-        values /= 2.0 * _check_positive_rows(values, tag)[:, None]
-        blocks.append(values)
-    return blocks
-
-
-def _cross_links(m: np.ndarray, n: int) -> None:
-    """Put 0.5 on the diagonals of both inter-layer blocks of a 2n x 2n matrix."""
-    cross = np.arange(n)
-    m[cross, n + cross] = 0.5
-    m[n + cross, cross] = 0.5
-
-
-def two_layer_walk_matrix(w_a: WeightMatrix, w_b: WeightMatrix, layer_tags=TWO_LAYER_TAGS):
-    """Pre-symmetrization 2n x 2n lazy-walk matrix of the two-layer system.
-
-    Within-layer rows are scaled to sum 0.5; the remaining probability
-    rides the diagonal inter-layer blocks, so every row sums to 1. The
-    main diagonal stays zero.
-    """
-    blocks = _walk_blocks(w_a, w_b, layer_tags)
-    n = w_a.n
-    walk = np.zeros((2 * n, 2 * n))
-    for block, values in zip((slice(0, n), slice(n, None)), blocks):
-        walk[block, block] = values
-    _cross_links(walk, n)
-    return walk
+    return n
 
 
 def build_two_layer(
     w_a: WeightMatrix, w_b: WeightMatrix, layer_tags=TWO_LAYER_TAGS
 ) -> MultiLayerSystem:
-    """Couple two undirected layers over the same nodes into one system.
+    """Couple two undirected layers over the same nodes into one assembled system.
 
-    The assembled matrix is the symmetrized walk matrix. Its inter-layer
-    blocks are already symmetric, so only the within-layer blocks are
-    averaged with their transposes; the result is bit-equal to
-    symmetrize(two_layer_walk_matrix(...)).
+    Each layer, with its diagonal dropped and its rows scaled to sum 0.5,
+    is one within-layer block of a lazy walk; the other half of every
+    row's mass crosses to the location's twin through inter-layer blocks
+    of 0.5 * I. The assembled matrix is that walk averaged with its
+    transpose; the inter-layer blocks are already symmetric, so only the
+    within-layer blocks are averaged. The pipelines solve through
+    `two_layer_operator` instead; this dense 2n x 2n form is the
+    reference it is tested against.
     """
-    blocks = _walk_blocks(w_a, w_b, layer_tags)
-    n = w_a.n
+    n = _check_two_layers(w_a, w_b, WeightMatrix)
     assembled = np.zeros((2 * n, 2 * n))
-    for block, values in zip((slice(0, n), slice(n, None)), blocks):
+    for block, w, tag in zip((slice(0, n), slice(n, None)), (w_a, w_b), layer_tags):
+        values = np.array(w.values, dtype=float)
+        np.fill_diagonal(values, 0.0)
+        values /= 2.0 * _check_positive_rows(values, tag)[:, None]
         _symmetrize_into(values, assembled[block, block])
-    _cross_links(assembled, n)
-    provenance = [
-        PointRef(i, tag, NO_COPY) for tag in tuple(layer_tags) for i in range(n)
-    ]
+    cross = np.arange(n)
+    assembled[cross, n + cross] = 0.5
+    assembled[n + cross, cross] = 0.5
     return MultiLayerSystem(
         n=n,
         layer_tags=tuple(layer_tags),
         copies_per_layer=1,
         assembled=WeightMatrix(assembled, SYMMETRIC),
-        provenance=tuple(provenance),
+        provenance=_provenance(n, layer_tags, (NO_COPY,)),
+    )
+
+
+def two_layer_operator(w_a, w_b, layer_tags=TWO_LAYER_TAGS) -> LaplacianOperator:
+    """The Laplacian of build_two_layer(w_a, w_b).assembled, from the two layers alone.
+
+    Layers are symmetric WeightMatrix or GroupBlocks, checked as in
+    build_two_layer. A layer W without its diagonal, with row sums D,
+    gives the within-layer block (D^-1 W + W D^-1) / 4: two products
+    with W per product of the system. The inter-layer blocks are I / 2.
+    """
+    n = _check_two_layers(w_a, w_b, (WeightMatrix, GroupBlocks))
+    blocks, degrees = [], []
+    for w, tag in zip((w_a, w_b), layer_tags):
+        values = _values(w)
+        loops = _diagonal(values)
+        sums = _check_positive(_row_sums(values) - loops, tag)
+
+        def block(x, values=values, loops=loops, sums=sums):
+            y = x / sums
+            return (values @ y - loops * y + (values @ x - loops * x) / sums) / 4.0
+
+        blocks.append(block)
+        # Row sums of the block: (1 + W D^-1 1) / 4, plus 1/2 across.
+        degrees.append((1.0 + (values @ (1.0 / sums) - loops / sums)) / 4.0 + 0.5)
+
+    def adjacency(x):
+        x_a, x_b = x[:n], x[n:]
+        return np.concatenate([blocks[0](x_a) + x_b / 2.0, blocks[1](x_b) + x_a / 2.0])
+
+    return LaplacianOperator(
+        degrees=np.concatenate(degrees),
+        adjacency=adjacency,
+        layers=(_values(w_a), _values(w_b)),
+        copies=2,
+        nnz=_stored(_values(w_a)) + _stored(_values(w_b)),
     )
 
 
@@ -181,19 +221,11 @@ def build_three_layer(
     within-layer and a quarter toward each other layer, and replicated
     into out/in copies. Out/in copies of one node in one layer are joined
     by an edge worth half the node's incident weight there. The result is
-    symmetrized and held as a sparse CSR matrix.
+    symmetrized and held as a sparse CSR matrix. The pipelines solve
+    through `three_layer_operator` instead; this assembled form is the
+    reference it is tested against.
     """
-    if not (isinstance(w_border, WeightMatrix) and isinstance(w_dist, WeightMatrix)):
-        raise ValueError("three-layer assembly expects WeightMatrix layers")
-    if not (w_border.is_symmetric and w_dist.is_symmetric):
-        raise ValueError("border and distance layers must be symmetric")
-    if not isinstance(a_seq, WeightMatrix) or a_seq.is_symmetric:
-        raise ValueError("sequence layer must be a directed WeightMatrix")
-    n = w_border.n
-    if w_dist.n != n or a_seq.n != n:
-        raise ValueError(
-            f"layer sizes differ: {n}, {w_dist.n}, {a_seq.n}"
-        )
+    n = _check_three_layers(w_border, w_dist, a_seq, WeightMatrix)
 
     normalized = [
         np.array(mean_nonzero_normalize(w_border).values, dtype=float),
@@ -219,18 +251,96 @@ def build_three_layer(
         grid[2 * li + 1][2 * li] = sparse.csr_matrix((n, n))
     raw = sparse.bmat(grid, format="csr")
 
-    provenance = [
-        PointRef(i, tag, copy)
-        for tag in tags
-        for copy in (OUT, IN)
-        for i in range(n)
-    ]
     return MultiLayerSystem(
         n=n,
         layer_tags=tags,
         copies_per_layer=2,
         assembled=symmetrize(raw),
-        provenance=tuple(provenance),
+        provenance=_provenance(n, tags, (OUT, IN)),
+    )
+
+
+def _check_three_layers(w_border, w_dist, a_seq, kinds) -> int:
+    """Types, symmetry and sizes of the three layers; returns n."""
+    if not (isinstance(w_border, kinds) and isinstance(w_dist, kinds)):
+        raise ValueError("three-layer assembly expects WeightMatrix layers")
+    if not (w_border.is_symmetric and w_dist.is_symmetric):
+        raise ValueError("border and distance layers must be symmetric")
+    if not isinstance(a_seq, WeightMatrix) or a_seq.is_symmetric:
+        raise ValueError("sequence layer must be a directed WeightMatrix")
+    n = w_border.n
+    if w_dist.n != n or a_seq.n != n:
+        raise ValueError(f"layer sizes differ: {n}, {w_dist.n}, {a_seq.n}")
+    return n
+
+
+def three_layer_operator(
+    w_border, w_dist, a_seq: WeightMatrix, layer_tags=THREE_LAYER_TAGS
+) -> LaplacianOperator:
+    """The Laplacian of build_three_layer(...).assembled, from the three layers alone.
+
+    The border and distance layers are symmetric WeightMatrix or
+    GroupBlocks and the sequence layer a directed WeightMatrix, dense or
+    CSR; the checks are those of build_three_layer. Layer l, normalized
+    to N_l with budgets b_l (its row sums), sends N_l / 2 from out- to
+    in-copies, b_l / 4 to the in-copy of the location in each other
+    layer, and links each location's out- and in-copy by
+    (b_l + column sums of N_l) / 4. With that raw matrix R, the system is
+    (R + R^T) / 2, so a product takes one product with N_l and one with
+    its transpose per layer; the couplings are diagonals.
+    """
+    n = _check_three_layers(w_border, w_dist, a_seq, (WeightMatrix, GroupBlocks))
+    layers = [_values(w) for w in (w_border, w_dist, a_seq)]
+    forwards, backwards, budgets, cols = [], [], [], []
+    for li, (values, tag) in enumerate(zip(layers, layer_tags)):
+        try:
+            mean = _nonzero_mean(values)
+        except ValueError:
+            if li < 2:
+                raise
+            raise ValueError("sequence layer has no edges; nothing to normalize") from None
+        rows, col = _row_sums(values) / mean, _col_sums(values) / mean
+        pad, transposed = 0.0, values
+        if li == 2:
+            # Self-loops lift every sequence row to the largest row sum.
+            pad = rows.max() - rows
+            rows, col = rows + pad, col + pad
+            transposed = values.T.tocsr() if _is_sparse(values) else values.T
+        forwards.append(lambda x, v=values, m=mean, d=pad: (v @ x) / m + d * x)
+        backwards.append(lambda x, v=transposed, m=mean, d=pad: (v @ x) / m + d * x)
+        budgets.append(_check_positive(rows, tag))
+        cols.append(col)
+    links = [(budget + col) / 4.0 for budget, col in zip(budgets, cols)]
+    quarters = [budget / 4.0 for budget in budgets]
+    others = [[m for m in range(3) if m != li] for li in range(3)]
+
+    # Axis 1 of a (3, 2, n) view is the copy: 0 out, 1 in.
+    degrees = np.empty((3, 2, n))
+    for li, (a, b) in enumerate(others):
+        degrees[li, 0] = (budgets[li] + links[li]) / 2.0
+        degrees[li, 1] = (cols[li] / 2.0 + links[li] + quarters[a] + quarters[b]) / 2.0
+
+    def adjacency(x):
+        outs, ins = x.reshape(3, 2, n).transpose(1, 0, 2)
+        y = np.empty((3, 2, n))
+        for li, (a, b) in enumerate(others):
+            y[li, 0] = (
+                forwards[li](ins[li]) / 2.0 + links[li] * ins[li] + quarters[li] * (ins[a] + ins[b])
+            ) / 2.0
+            y[li, 1] = (
+                backwards[li](outs[li]) / 2.0
+                + links[li] * outs[li]
+                + quarters[a] * outs[a]
+                + quarters[b] * outs[b]
+            ) / 2.0
+        return y.ravel()
+
+    return LaplacianOperator(
+        degrees=degrees.ravel(),
+        adjacency=adjacency,
+        layers=tuple(layers),
+        copies=6,
+        nnz=sum(_stored(values) for values in layers),
     )
 
 
@@ -238,15 +348,19 @@ def build_three_layer(
 class Prepared:
     """The border-value-independent state of one pipeline, per location only.
 
-    `distances` is the raw km matrix for `geo` (priced per border before
-    inversion) and the inverted distance layer for the multilayer
-    pipelines; it is None where the pipeline never reads it.
+    `codes` and `hops` are each location's country code and the
+    country-by-country crossings, or None when the config prices no
+    borders. `distances` is the raw km matrix for `geo` (priced per
+    border before inversion) and the inverted distance layer for the
+    multilayer pipelines; it is None where the pipeline never reads it.
+    `sequence` is the three-layer sequence layer, held as CSR.
     """
 
     pipeline: str
     border_kind: str
     locations: tuple
-    crossings: np.ndarray | None
+    codes: np.ndarray | None
+    hops: np.ndarray | None
     distances: WeightMatrix | None
     sequence: WeightMatrix | None
 
@@ -262,49 +376,58 @@ def prepare(cfg, events, cg) -> Prepared:
     with stage("ingest"):
         locations, mapping = build_locations(events, cfg.rounding)
     with stage("borders"):
-        crossings = None if cg is None else crossings_matrix(locations, cg)
+        codes, hops = (None, None) if cg is None else country_crossings(locations, cg)
     with stage("assembly"):
         seq = None
         if cfg.pipeline == "three_layer":
             location_of = {e.source_row: lid for e, lid in zip(events, mapping)}
-            seq = sequence_adjacency(events, location_of, cfg.groups, len(locations))
+            seq = _sparse(sequence_adjacency(events, location_of, cfg.groups, len(locations)))
         distances = None
         if cfg.pipeline != "geo":
             distances = invert_distances(distance_matrix(locations))
         elif kind != "permeability":
             distances = distance_matrix(locations)
-    return Prepared(cfg.pipeline, kind, tuple(locations), crossings, distances, seq)
+    return Prepared(cfg.pipeline, kind, tuple(locations), codes, hops, distances, seq)
 
 
-def solve(prepared: Prepared, value: float | None, k: int):
-    """Weight the borders at `value`, assemble, and embed in k dimensions.
+def _sparse(w: WeightMatrix) -> WeightMatrix:
+    return WeightMatrix(sparse.csr_matrix(w.values), w.kind)
+
+
+def system_operator(prepared: Prepared, value: float | None):
+    """The Laplacian operator of one border value and the provenance of its points.
 
     `value` is the border cost in km for the linear model, the
     permeability p for the permeability model, and ignored for none.
+    """
+    n = len(prepared.locations)
+    if prepared.pipeline == "geo":
+        if prepared.border_kind == "permeability":
+            w, tag = border_blocks(prepared.codes, prepared.hops, value), "border"
+        elif prepared.border_kind == "linear":
+            w = linear_border_weights(prepared.distances, prepared.codes, prepared.hops, value)
+            tag = "distance"
+        else:
+            w, tag = invert_distances(prepared.distances), "distance"
+        return laplacian_operator(w), _provenance(n, (tag,), (NO_COPY,))
+    w_border = border_blocks(prepared.codes, prepared.hops, value)
+    if prepared.pipeline == "two_layer":
+        lap = two_layer_operator(prepared.distances, w_border, TWO_LAYER_TAGS)
+        return lap, _provenance(n, TWO_LAYER_TAGS, (NO_COPY,))
+    lap = three_layer_operator(w_border, prepared.distances, prepared.sequence)
+    return lap, _provenance(n, THREE_LAYER_TAGS, (OUT, IN))
+
+
+def solve(prepared: Prepared, value: float | None, k: int):
+    """Weight the borders at `value`, build the system operator, and embed in k dimensions.
+
+    No system matrix, Laplacian or n x n crossings array is formed.
     Returns (Embedding, DisplacementReport); the report is None for `geo`.
     """
     with stage("assembly"):
-        if prepared.pipeline == "geo":
-            if prepared.border_kind == "permeability":
-                weights, tag = border_permeability_matrix(prepared.crossings, value), "border"
-            elif prepared.border_kind == "linear":
-                # Unnamed, so the priced n x n distances are freed before the solve.
-                weights = invert_distances(
-                    linear_border_distances(prepared.distances, prepared.crossings, value)
-                )
-                tag = "distance"
-            else:
-                weights, tag = invert_distances(prepared.distances), "distance"
-            provenance = [PointRef(i, tag, NO_COPY) for i in range(len(prepared.locations))]
-        else:
-            w_border = border_permeability_matrix(prepared.crossings, value)
-            if prepared.pipeline == "two_layer":
-                system = build_two_layer(prepared.distances, w_border, TWO_LAYER_TAGS)
-            else:
-                system = build_three_layer(w_border, prepared.distances, prepared.sequence)
-            weights, provenance = system.assembled, system.provenance
+        lap, provenance = system_operator(prepared, value)
     with stage("solver"):
-        emb = embed(weights, k, provenance=provenance)
+        emb = embed(lap, k, provenance=provenance)
         if prepared.pipeline == "geo":
             return emb, None
         return emb, displacement(emb, TWO_LAYER_TAGS)
@@ -313,9 +436,10 @@ def solve(prepared: Prepared, value: float | None, k: int):
 def _located(pipeline: str, locations, cg, seq=None) -> Prepared:
     """The multilayer preparation for locations that are already built."""
     locations = tuple(locations)
-    crossings = crossings_matrix(locations, cg)
+    codes, hops = country_crossings(locations, cg)
     distances = invert_distances(distance_matrix(locations))
-    return Prepared(pipeline, "permeability", locations, crossings, distances, seq)
+    seq = None if seq is None else _sparse(seq)
+    return Prepared(pipeline, "permeability", locations, codes, hops, distances, seq)
 
 
 def embed_two_layer(locations, cg, p: float = DEFAULT_BORDER_P, k: int = 2):

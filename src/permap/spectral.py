@@ -8,6 +8,13 @@ eigenpairs are the smallest of L, using matrix-vector products only. The
 start vector is fixed, and a sign convention settles each column, so
 repeated runs are bit-identical.
 
+`embed` works on a `LaplacianOperator`: L x = degrees * x - A x, with A
+applied from its layers, so neither A nor L is ever formed. A
+WeightMatrix is wrapped into one. The operator also supplies the scale
+||L||_inf = 2 max(degrees) (A has a zero diagonal) and the layers whose
+union of supports decides connectivity. `eigensolve_symmetric` takes
+such an operator or any symmetric matrix.
+
 The Lanczos basis holds at least 40 vectors, twice scipy's default. The
 kept eigenvalues of a multilayer system sit in a tight cluster far below
 the top of the spectrum (about 57 against an inf-norm near 1400 on a
@@ -29,7 +36,15 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 
 from .errors import DisconnectedGraphError, SolverError
 from .fileio import atomic_write
-from .graphs import _TILE, WeightMatrix, _is_sparse, asymmetry, laplacian
+from .graphs import (
+    _TILE,
+    GroupBlocks,
+    LaplacianOperator,
+    WeightMatrix,
+    _is_sparse,
+    asymmetry,
+    laplacian_operator,
+)
 
 RESIDUAL_RTOL = 1e-8
 ZERO_EIGENVALUE_RTOL = 1e-8
@@ -65,20 +80,22 @@ def _inf_norm(m) -> float:
 def _matrix_of(m):
     if isinstance(m, WeightMatrix):
         return m.values
-    if _is_sparse(m):
+    if _is_sparse(m) or isinstance(m, (GroupBlocks, LaplacianOperator)):
         return m
     return np.asarray(m, dtype=float)
 
 
 def eigensolve_symmetric(m, count: int) -> EigenPairs:
-    """Compute the `count` smallest eigenpairs of a symmetric matrix.
+    """Compute the `count` smallest eigenpairs of a symmetric matrix or operator.
 
-    With sigma = 2 * max(||m||_inf, 1) above the whole spectrum, the
-    smallest eigenpairs of m are the largest of sigma*I - m, which
-    implicitly restarted Lanczos finds from products with m alone, in a
-    basis of min(n, max(2 * count + 1, 40)) vectors. ARPACK cannot return
-    n - 1 or more pairs, so those counts take a full dense decomposition.
-    Every returned pair is residual-checked.
+    `m` is a LaplacianOperator, symmetric by construction and carrying
+    its own inf-norm, or a dense or sparse matrix, which is measured and
+    checked for symmetry here. With sigma = 2 * max(||m||_inf, 1) above
+    the whole spectrum, the smallest eigenpairs of m are the largest of
+    sigma*I - m, which implicitly restarted Lanczos finds from products
+    with m alone, in a basis of min(n, max(2 * count + 1, 40)) vectors.
+    ARPACK cannot return n - 1 or more pairs, so those counts take a full
+    dense decomposition. Every returned pair is residual-checked.
     """
     values = _matrix_of(m)
     n = values.shape[0]
@@ -86,12 +103,15 @@ def eigensolve_symmetric(m, count: int) -> EigenPairs:
         raise ValueError(f"expected a square matrix, got shape {values.shape}")
     if not 1 <= count <= n:
         raise ValueError(f"eigenpair count must be in [1, {n}], got {count}")
-    scale = _inf_norm(values)
-    if asymmetry(values) > 1e-10 * max(scale, 1.0):
-        raise ValueError("eigensolve_symmetric requires a symmetric matrix")
+    if isinstance(values, LaplacianOperator):
+        scale = values.inf_norm
+    else:
+        scale = _inf_norm(values)
+        if asymmetry(values) > 1e-10 * max(scale, 1.0):
+            raise ValueError("eigensolve_symmetric requires a symmetric matrix")
 
     if count >= n - 1:
-        dense = values.toarray() if _is_sparse(values) else values
+        dense = values if isinstance(values, np.ndarray) else values.toarray()
         all_vals, all_vecs = np.linalg.eigh(dense)
         vals, vecs = all_vals[:count], all_vecs[:, :count]
     else:
@@ -131,24 +151,39 @@ def _residuals(values, vals, vecs) -> np.ndarray:
     return np.linalg.norm(prod - vecs * vals[None, :], axis=0)
 
 
-def connected_components(w):
-    """Count components of the positive-entry support, with canonical labels.
-
-    An edge joins i and j where either w[i, j] or w[j, i] is positive, so
-    one-way entries connect too. Each component is found by a frontier
-    traversal from its smallest unlabelled node: every round reads the
-    support rows of the current frontier, dense or CSR alike, and the
-    newly reached nodes become the next frontier. Components are thus
-    numbered in order of their smallest node index, so the component
-    containing node 0 is always component 0.
-    """
-    values = _matrix_of(w)
+def _reach(values):
+    """A function from frontier rows to the mask of nodes they touch, either way."""
+    if isinstance(values, GroupBlocks):
+        return values.reach
     n = values.shape[0]
     support = values > 0
     if _is_sparse(support):
         support = (support + support.T).tocsr()
-    else:
-        support |= support.T
+
+        def reach(rows):
+            reached = np.zeros(n, dtype=bool)
+            reached[support[rows].indices] = True
+            return reached
+
+        return reach
+    support |= support.T
+    return lambda rows: support[rows].any(axis=0)
+
+
+def connected_components(*layers):
+    """Count components of the union of positive-entry supports, with canonical labels.
+
+    Each layer is a WeightMatrix, a dense or CSR matrix, or a
+    GroupBlocks, all over the same n nodes. An edge joins i and j where
+    any layer has w[i, j] or w[j, i] positive, so one-way entries connect
+    too. Each component is found by a frontier traversal from its
+    smallest unlabelled node: every round reads the support rows of the
+    current frontier in each layer, and the newly reached nodes become the
+    next frontier. Components are thus numbered in order of their smallest
+    node index, so the component containing node 0 is always component 0.
+    """
+    reaches = [_reach(_matrix_of(w)) for w in layers]
+    n = _matrix_of(layers[0]).shape[0]
     labels = np.full(n, -1, dtype=np.int32)
     count = 0
     for start in range(n):
@@ -157,12 +192,9 @@ def connected_components(w):
         labels[start] = count
         frontier = np.array([start])
         while frontier.size:
-            rows = support[frontier]
-            if _is_sparse(rows):
-                reached = np.zeros(n, dtype=bool)
-                reached[rows.indices] = True
-            else:
-                reached = rows.any(axis=0)
+            reached = reaches[0](frontier)
+            for reach in reaches[1:]:
+                reached |= reach(frontier)
             frontier = np.flatnonzero(reached & (labels < 0))
             labels[frontier] = count
         count += 1
@@ -210,30 +242,36 @@ class Embedding:
         return self.coordinates.shape[1]
 
 
-def embed(w: WeightMatrix, k: int, provenance=None) -> Embedding:
+def embed(w, k: int, provenance=None) -> Embedding:
     """Spectral embedding of a connected symmetric weighted graph.
 
-    Solves for the k+1 smallest Laplacian eigenpairs, discards the zero
-    pair belonging to the constant eigenvector, and returns the next k
-    eigenvectors as coordinate columns under the deterministic sign
-    convention.
+    `w` is a LaplacianOperator or a symmetric WeightMatrix, which is
+    wrapped into one. Connectivity is checked on the union of the
+    operator's layer supports. Solves for the k+1 smallest Laplacian
+    eigenpairs, discards the zero pair belonging to the constant
+    eigenvector, and returns the next k eigenvectors as coordinate
+    columns under the deterministic sign convention.
     """
-    if not isinstance(w, WeightMatrix) or not w.is_symmetric:
-        raise ValueError("embed requires a symmetric WeightMatrix")
-    n = w.n
+    if isinstance(w, LaplacianOperator):
+        lap = w
+    elif isinstance(w, WeightMatrix) and w.is_symmetric:
+        lap = laplacian_operator(w)
+    else:
+        raise ValueError("embed requires a symmetric WeightMatrix or a LaplacianOperator")
+    n = lap.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"embedding dimension must be in [1, {n - 1}], got {k}")
-    count, labels = connected_components(w)
+    count, labels = connected_components(*lap.layers)
     if count > 1:
-        sizes = np.bincount(labels)
+        # Every point of a location lies in that location's component.
+        sizes = np.bincount(labels) * lap.copies
         raise DisconnectedGraphError(
             f"graph has {count} components (sizes {sizes.tolist()}); embedding "
             "requires a connected graph"
         )
 
-    lap = laplacian(w)
     pairs = eigensolve_symmetric(lap, k + 1)
-    zero_tol = ZERO_EIGENVALUE_RTOL * max(_inf_norm(lap), 1.0)
+    zero_tol = ZERO_EIGENVALUE_RTOL * max(lap.inf_norm, 1.0)
     if pairs.values[0] > zero_tol:
         raise SolverError(
             f"smallest Laplacian eigenvalue {pairs.values[0]:.3e} is not zero "

@@ -1,12 +1,23 @@
-"""Shared fixtures: synthetic locations, border files, and event CSVs."""
+"""Shared fixtures: synthetic locations, border files, and event CSVs.
+
+Setting CI loads the Hypothesis `ci` profile: examples are derandomized
+and no example database is kept, so `CI=1 python -m pytest` replays a CI
+failure locally.
+"""
 
 import json
+import os
 from datetime import date
 
 import pytest
+from hypothesis import settings
 
 from permap.geo import CountryBorderGraph
 from permap.ingest import EventRecord, Location
+
+settings.register_profile("ci", derandomize=True, database=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -223,3 +223,26 @@ def path_graph_eigenpairs(n):
         columns.append([c / norm for c in col])
     vectors = [[columns[j][i] for j in range(n)] for i in range(n)]
     return values, vectors
+
+
+def two_layer_walk_matrix(w_a, w_b):
+    """Pre-symmetrization 2n x 2n lazy-walk matrix of two symmetric layers.
+
+    Each layer's diagonal is dropped and its rows scaled to sum 0.5; the
+    remaining probability rides the diagonal inter-layer blocks, so every
+    row sums to 1. Layers are WeightMatrix objects or plain arrays.
+    """
+    import numpy as np
+
+    blocks = []
+    for w in (w_a, w_b):
+        values = np.array(getattr(w, "values", w), dtype=float)
+        np.fill_diagonal(values, 0.0)
+        values /= 2.0 * values.sum(axis=1)[:, None]
+        blocks.append(values)
+    n = blocks[0].shape[0]
+    walk = np.zeros((2 * n, 2 * n))
+    walk[:n, :n], walk[n:, n:] = blocks
+    walk[np.arange(n), n + np.arange(n)] = 0.5
+    walk[n + np.arange(n), np.arange(n)] = 0.5
+    return walk

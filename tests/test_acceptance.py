@@ -16,7 +16,13 @@ import numpy as np
 import pytest
 
 from conftest import make_event, make_location
-from oracles import brute_force_sequence, jacobi_eigh, principal_angle_cos, traversal_components
+from oracles import (
+    brute_force_sequence,
+    jacobi_eigh,
+    principal_angle_cos,
+    traversal_components,
+    two_layer_walk_matrix,
+)
 from permap.cli import main
 from permap.geo import (
     CountryBorderGraph,
@@ -40,7 +46,6 @@ from permap.layers import (
     country_separation_ratio,
     embed_two_layer,
     normalize_sequence_layer,
-    two_layer_walk_matrix,
 )
 from permap.sequence import order_events, sequence_adjacency
 from permap.spectral import eigensolve_symmetric, embed

@@ -578,6 +578,31 @@ class TestFailureStages:
             )
             assert not (tmp_path / "o").exists()
 
+    def test_integer_fields_refuse_floats_and_booleans(self, capsys, fixture_run, tmp_path):
+        # Before, k=2.0 died in the solver, k=true ran as k = 1 and
+        # rounding=2.7 ran as 2 with the coerced value in the manifest.
+        raw = json.loads(fixture_run["config"].read_text(encoding="utf-8"))
+        raw["k"] = 2.0
+        float_config = fixture_run["dir"] / "float_k.json"
+        float_config.write_text(json.dumps(raw), encoding="utf-8")
+        cases = (
+            (fixture_run["config"], ["k=2.0"], "k", "2.0"),
+            (fixture_run["config"], ["k=true"], "k", "True"),
+            (fixture_run["config"], ["rounding=2.7"], "rounding", "2.7"),
+            (fixture_run["config"], ["rounding=true"], "rounding", "True"),
+            (float_config, [], "k", "2.0"),
+        )
+        for config, overrides, name, shown in cases:
+            argv = ["embed", "--config", str(config), "--out", str(tmp_path / "o")]
+            for item in overrides:
+                argv += ["--override", item]
+            rc, _, err = run_cli(capsys, *argv)
+            assert rc == 1
+            assert err == (
+                f"error: config: invalid config value: {name} must be an integer, got {shown}\n"
+            )
+            assert not (tmp_path / "o").exists()
+
     def test_invalid_override_value(self, capsys, fixture_run, tmp_path):
         rc, _, err = run_cli(
             capsys,

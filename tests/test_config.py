@@ -2,6 +2,7 @@ import json
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from permap.config import (
@@ -74,6 +75,15 @@ class TestRunConfig:
         assert cfg.categories == DEFAULT_CATEGORIES
         assert cfg.k == 2 and cfg.rounding == 4
         assert cfg.groups == () and cfg.split_rules == ()
+
+    def test_k_and_rounding_must_be_true_integers(self):
+        for name in ("k", "rounding"):
+            for bad in (2.0, 2.7, True, False, "2", None):
+                with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+                    RunConfig(events_csv="e.csv", **{name: bad})
+        cfg = RunConfig(events_csv="e.csv", k=np.int64(3), rounding=np.int32(2))
+        assert type(cfg.k) is int and type(cfg.rounding) is int
+        assert (cfg.k, cfg.rounding) == (3, 2)
 
     def test_field_validation(self):
         with pytest.raises(ConfigError, match="pipeline"):

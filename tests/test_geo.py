@@ -8,13 +8,12 @@ from permap.geo import (
     EARTH_RADIUS_KM,
     CountryBorderGraph,
     border_permeability_matrix,
+    country_crossings,
     crossings_matrix,
     distance_matrix,
-    haversine,
     invert_distances,
     linear_border_distances,
     load_reference_borders,
-    min_border_crossings,
 )
 
 # High-precision references computed once with 50-digit arithmetic and frozen.
@@ -27,46 +26,56 @@ TWO_DEGREE_EQUATOR_KM = 222.38985328911747
 ANTIPODAL_KM = 20015.086796020572
 
 
+def km(a, b):
+    """Great-circle distance between two points, read off distance_matrix."""
+    return distance_matrix([a, b]).values[0, 1]
+
+
+def fewest_crossings(cg, a, b):
+    return int(crossings_matrix([a, b], cg)[0, 1])
+
+
 class TestHaversine:
     def test_frozen_reference_values(self):
-        assert haversine(ALGIERS, NIAMEY) == pytest.approx(ALGIERS_NIAMEY_KM, rel=1e-12)
-        assert haversine((0, 0), (0, 90)) == pytest.approx(QUARTER_EQUATOR_KM, rel=1e-12)
-        assert haversine((0, 0), (0, 1)) == pytest.approx(ONE_DEGREE_EQUATOR_KM, rel=1e-12)
-        assert haversine((0, 0), (0, 2)) == pytest.approx(TWO_DEGREE_EQUATOR_KM, rel=1e-12)
-        assert haversine((0, 0), (0, 180)) == pytest.approx(ANTIPODAL_KM, rel=1e-12)
-        assert haversine((0, 0), (0, 180)) == pytest.approx(np.pi * EARTH_RADIUS_KM, rel=1e-12)
+        assert km(ALGIERS, NIAMEY) == pytest.approx(ALGIERS_NIAMEY_KM, rel=1e-12)
+        assert km((0, 0), (0, 90)) == pytest.approx(QUARTER_EQUATOR_KM, rel=1e-12)
+        assert km((0, 0), (0, 1)) == pytest.approx(ONE_DEGREE_EQUATOR_KM, rel=1e-12)
+        assert km((0, 0), (0, 2)) == pytest.approx(TWO_DEGREE_EQUATOR_KM, rel=1e-12)
+        assert km((0, 0), (0, 180)) == pytest.approx(ANTIPODAL_KM, rel=1e-12)
+        assert km((0, 0), (0, 180)) == pytest.approx(np.pi * EARTH_RADIUS_KM, rel=1e-12)
 
     def test_matches_independent_formula_on_random_points(self):
         rng = np.random.default_rng(17)
-        for _ in range(200):
-            lat1, lat2 = rng.uniform(-89, 89, 2)
-            lon1, lon2 = rng.uniform(-179, 179, 2)
-            want = haversine_reference(lat1, lon1, lat2, lon2)
-            assert haversine((lat1, lon1), (lat2, lon2)) == pytest.approx(want, rel=1e-12, abs=1e-9)
+        points = list(zip(rng.uniform(-89, 89, 120), rng.uniform(-179, 179, 120)))
+        d = distance_matrix(points).values
+        for i, (lat1, lon1) in enumerate(points):
+            for j, (lat2, lon2) in enumerate(points):
+                want = haversine_reference(lat1, lon1, lat2, lon2)
+                assert d[i, j] == pytest.approx(want, rel=1e-12, abs=1e-9)
 
     def test_zero_for_identical_points_and_symmetric(self):
-        assert haversine((12.5, -3.25), (12.5, -3.25)) == 0.0
-        assert haversine(ALGIERS, NIAMEY) == haversine(NIAMEY, ALGIERS)
+        assert km((12.5, -3.25), (12.5, -3.25)) == 0.0
+        assert km(ALGIERS, NIAMEY) == km(NIAMEY, ALGIERS)
 
     def test_accepts_objects_with_latitude_attribute(self):
         a = make_location(0, 0.0, 0.0)
         b = make_location(1, 0.0, 1.0)
-        assert haversine(a, b) == pytest.approx(ONE_DEGREE_EQUATOR_KM, rel=1e-12)
+        assert km(a, b) == pytest.approx(ONE_DEGREE_EQUATOR_KM, rel=1e-12)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="latitude"):
-            haversine((91.0, 0.0), (0.0, 0.0))
+            km((91.0, 0.0), (0.0, 0.0))
         with pytest.raises(ValueError, match="longitude"):
-            haversine((0.0, 0.0), (0.0, -180.5))
+            km((0.0, 0.0), (0.0, -180.5))
 
 
 class TestDistanceMatrix:
     def test_matches_pairwise_scalar_calls(self, twelve_locations):
         d = distance_matrix(twelve_locations).values
         n = len(twelve_locations)
-        for i in range(n):
-            for j in range(n):
-                want = haversine(twelve_locations[i], twelve_locations[j])
+        for i, a in enumerate(twelve_locations):
+            for j, b in enumerate(twelve_locations):
+                want = haversine_reference(a.latitude, a.longitude, b.latitude, b.longitude)
                 assert d[i, j] == pytest.approx(want, rel=1e-12, abs=1e-9)
         assert np.array_equal(d, d.T)
         assert np.array_equal(np.diag(d), np.zeros(n))
@@ -164,19 +173,19 @@ class TestReferenceBorders:
             ("Senegal", "Gambia"),
             ("Benin", "Togo"),
         ]:
-            assert min_border_crossings(cg, a, b) == 1
+            assert fewest_crossings(cg, a, b) == 1
         # no shared land border
-        assert min_border_crossings(cg, "Morocco", "Tunisia") == 2
+        assert fewest_crossings(cg, "Morocco", "Tunisia") == 2
         # Ghana - Togo - Benin - Nigeria
-        assert min_border_crossings(cg, "Ghana", "Nigeria") == 3
+        assert fewest_crossings(cg, "Ghana", "Nigeria") == 3
 
     def test_same_country_is_zero(self):
         cg = load_reference_borders()
-        assert min_border_crossings(cg, "Mali", "Mali") == 0
+        assert fewest_crossings(cg, "Mali", "Mali") == 0
 
     def test_sierra_leone_to_niger_needs_three(self):
         cg = load_reference_borders()
-        assert min_border_crossings(cg, "Sierra Leone", "Niger") == 3
+        assert fewest_crossings(cg, "Sierra Leone", "Niger") == 3
 
     def test_connected_and_matches_bfs_oracle(self):
         cg = load_reference_borders()
@@ -186,11 +195,12 @@ class TestReferenceBorders:
             for j in range(i + 1, len(cg.countries))
             if cg.adjacency[i, j]
         ]
-        for a in cg.countries:
-            for b in cg.countries:
+        codes, hops = country_crossings(cg.countries, cg)
+        for i, a in enumerate(cg.countries):
+            for j, b in enumerate(cg.countries):
                 want = bfs_crossings(pairs, a, b)
                 assert want is not None
-                assert min_border_crossings(cg, a, b) == want
+                assert hops[codes[i], codes[j]] == want
 
 
 class TestCrossingsMatrix:
@@ -222,8 +232,8 @@ class TestCrossingsMatrix:
         cg = CountryBorderGraph.from_pairs([("A", "B"), ("C", "D")])
         with pytest.raises(DisconnectedGraphError, match="no border path"):
             crossings_matrix(["A", "C"], cg)
-        with pytest.raises(DisconnectedGraphError):
-            min_border_crossings(cg, "A", "D")
+        with pytest.raises(DisconnectedGraphError, match="between 'A' and 'D'"):
+            country_crossings(["A", "B", "D"], cg)
 
 
 class TestLinearBorderDistances:

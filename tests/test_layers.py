@@ -6,6 +6,7 @@ from oracles import (
     displacement_rows,
     pairwise_separation_ratio,
     three_layer_budget_assembly,
+    two_layer_walk_matrix,
 )
 from permap.errors import IsolatedNodeError
 from permap.geo import CountryBorderGraph
@@ -25,7 +26,7 @@ from permap.layers import (
     embed_three_layer,
     embed_two_layer,
     normalize_sequence_layer,
-    two_layer_walk_matrix,
+    two_layer_operator,
     write_displacement_csv,
 )
 from permap.spectral import Embedding, PointRef
@@ -84,23 +85,26 @@ class TestTwoLayerWalk:
         assert walk[0, 1] == 0.5
 
     def test_size_and_kind_violations(self):
+        # The assembled builder and the operator share their checks.
         a = sym([[0, 1], [1, 0]])
-        with pytest.raises(ValueError, match="at least 2"):
-            two_layer_walk_matrix(sym([[0.0]]), sym([[0.0]]))
-        with pytest.raises(ValueError, match="sizes differ"):
-            two_layer_walk_matrix(a, sym(np.zeros((3, 3))))
-        with pytest.raises(ValueError, match="symmetric"):
-            two_layer_walk_matrix(a, directed([[0, 1], [2, 0]]))
-        with pytest.raises(ValueError, match="WeightMatrix"):
-            two_layer_walk_matrix(np.zeros((2, 2)), a)
+        for build in (build_two_layer, two_layer_operator):
+            with pytest.raises(ValueError, match="at least 2"):
+                build(sym([[0.0]]), sym([[0.0]]))
+            with pytest.raises(ValueError, match="sizes differ"):
+                build(a, sym(np.zeros((3, 3))))
+            with pytest.raises(ValueError, match="symmetric"):
+                build(a, directed([[0, 1], [2, 0]]))
+            with pytest.raises(ValueError, match="WeightMatrix"):
+                build(np.zeros((2, 2)), a)
 
     def test_isolated_node_names_layer(self):
         a = sym([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
         b = sym([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        with pytest.raises(IsolatedNodeError, match="node 2 in layer 'distance'"):
-            two_layer_walk_matrix(a, b)
-        with pytest.raises(IsolatedNodeError, match="layer 'border'"):
-            two_layer_walk_matrix(b, a)
+        for build in (build_two_layer, two_layer_operator):
+            with pytest.raises(IsolatedNodeError, match="node 2 in layer 'distance'"):
+                build(a, b)
+            with pytest.raises(IsolatedNodeError, match="layer 'border'"):
+                build(b, a)
 
 
 class TestBuildTwoLayer:

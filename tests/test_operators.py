@@ -1,0 +1,333 @@
+"""The structured Laplacian operators against the assembled reference builders.
+
+`layers.solve` never forms a system matrix or a Laplacian array. Every
+product of its operators must match the Laplacian of the assembled
+builders (`build_two_layer`, `build_three_layer`, and the n x n geo
+weights) applied to the same vectors.
+"""
+
+import re
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+from conftest import make_location
+from permap import graphs, layers
+from permap.cli import _prepare
+from permap.config import load_config
+from permap.errors import DisconnectedGraphError, IsolatedNodeError
+from permap.geo import (
+    CountryBorderGraph,
+    border_blocks,
+    border_permeability_matrix,
+    country_crossings,
+    crossings_matrix,
+    distance_matrix,
+    invert_distances,
+    linear_border_distances,
+    linear_border_weights,
+    load_reference_borders,
+)
+from permap.graphs import (
+    DIRECTED,
+    SYMMETRIC,
+    GroupBlocks,
+    WeightMatrix,
+    laplacian,
+    laplacian_operator,
+)
+from permap.layers import (
+    build_three_layer,
+    build_two_layer,
+    system_operator,
+    three_layer_operator,
+    two_layer_operator,
+)
+from permap.spectral import embed
+
+RTOL = 1e-13
+# Small enough that p ** 2 underflows to 0 while p ** 1 does not.
+UNDERFLOW_P = 1e-200
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def dense(blocks):
+    """A GroupBlocks column by column; each product of a unit vector is exact."""
+    return np.column_stack([blocks @ unit for unit in np.eye(blocks.n)])
+
+
+def relative_error(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def check_products(lap, reference, rng, columns=3):
+    """lap @ X against the reference Laplacian, and the inf-norm against its rows."""
+    x = rng.standard_normal((reference.shape[0], columns))
+    assert relative_error(lap @ x, reference @ x) <= RTOL
+    row_norms = np.asarray(abs(reference).sum(axis=1)).ravel()
+    assert lap.inf_norm == pytest.approx(row_norms.max(), rel=RTOL)
+
+
+def random_layer(rng, n, density=0.6, diagonal=False):
+    m = rng.uniform(0.1, 3.0, (n, n)) * (rng.uniform(size=(n, n)) < density)
+    m = np.triu(m, 1)
+    m = m + m.T
+    # A connected ring keeps every row positive.
+    ring = np.arange(n)
+    m[ring, (ring + 1) % n] = m[(ring + 1) % n, ring] = 1.0
+    if diagonal:
+        m[ring, ring] = rng.uniform(0.0, 2.0, n)
+    return WeightMatrix(m, SYMMETRIC)
+
+
+def random_borders(rng, n, countries=4):
+    """Chain-bordered countries, codes for n locations and the n x n crossings.
+
+    Each country gets at least two locations, so every border row keeps
+    its within-country weight of 1 even where p ** hops underflows.
+    """
+    countries = max(1, min(countries, n // 2))
+    names = [f"C{i}" for i in range(countries)] + ["end"]
+    cg = CountryBorderGraph.from_pairs(list(zip(names, names[1:])))
+    located = [names[i] for i in rng.permutation(np.arange(n) % countries)]
+    codes, hops = country_crossings(located, cg)
+    return codes, hops, crossings_matrix(located, cg)
+
+
+def random_sequence(rng, n):
+    a = rng.integers(0, 3, (n, n)).astype(float) * (rng.uniform(size=(n, n)) < 0.3)
+    np.fill_diagonal(a, 0.0)
+    a[0, 1] = 1.0
+    return WeightMatrix(a, DIRECTED)
+
+
+class TestGroupBlocks:
+    def test_matches_dense_form(self):
+        rng = np.random.default_rng(200)
+        for p in (1.0, 0.5, UNDERFLOW_P):
+            codes, hops, crossings = random_borders(rng, 30)
+            blocks = border_blocks(codes, hops, p)
+            full = border_permeability_matrix(crossings, p).values
+            assert np.array_equal(dense(blocks), full)
+            x = rng.standard_normal(30)
+            assert relative_error(blocks @ x, full @ x) <= RTOL
+            assert np.allclose(blocks.row_sums(), full.sum(axis=1), rtol=RTOL, atol=0)
+            assert blocks.nonzero_mean() == pytest.approx(full[full != 0].mean(), rel=RTOL)
+
+    def test_nonzero_mean_skips_underflowed_blocks(self):
+        # Three countries in a chain; the two ends are 2 crossings apart, so
+        # their block underflows to 0 and must not count as an entry.
+        table = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]])
+        blocks = GroupBlocks([0, 0, 1, 2], table)
+        full = dense(blocks)
+        assert np.count_nonzero(full) == 8
+        assert blocks.nonzero_mean() == pytest.approx(full.sum() / 8, rel=RTOL)
+
+    def test_table_checks(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            GroupBlocks([0, 1], [[1.0, 0.5], [0.2, 1.0]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            GroupBlocks([0, 1], [[1.0, -0.5], [-0.5, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            GroupBlocks([0, 1], [[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="index rows"):
+            GroupBlocks([0, 2], np.eye(2))
+
+
+class TestOperatorsMatchAssembledBuilders:
+    def test_single_layer_wraps_dense_and_sparse(self):
+        rng = np.random.default_rng(201)
+        w = random_layer(rng, 25, diagonal=True)
+        for stored in (w, WeightMatrix(sparse.csr_matrix(w.values), SYMMETRIC)):
+            check_products(laplacian_operator(stored), laplacian(w), rng)
+        lap = laplacian_operator(w)
+        assert np.array_equal(lap.toarray(), laplacian(w))
+
+    def test_two_layer_on_random_layers(self):
+        rng = np.random.default_rng(202)
+        for n in (2, 9, 60):
+            for p in (1.0, 0.5, UNDERFLOW_P):
+                w_dist = random_layer(rng, n, diagonal=True)
+                codes, hops, crossings = random_borders(rng, n)
+                reference = laplacian(
+                    build_two_layer(w_dist, border_permeability_matrix(crossings, p)).assembled
+                )
+                lap = two_layer_operator(w_dist, border_blocks(codes, hops, p))
+                check_products(lap, reference, rng)
+                # Two dense layers, the second with a diagonal to drop.
+                w_b = random_layer(rng, n, diagonal=True)
+                reference = laplacian(build_two_layer(w_dist, w_b).assembled)
+                check_products(two_layer_operator(w_dist, w_b), reference, rng)
+
+    def test_three_layer_on_random_layers(self):
+        rng = np.random.default_rng(203)
+        for n in (3, 11, 50):
+            for p in (1.0, 0.5, UNDERFLOW_P):
+                codes, hops, crossings = random_borders(rng, n, countries=2)
+                w_dist = random_layer(rng, n, density=0.3, diagonal=True)
+                seq = random_sequence(rng, n)
+                reference = laplacian(
+                    build_three_layer(border_permeability_matrix(crossings, p), w_dist, seq).assembled
+                )
+                for stored in (seq, WeightMatrix(sparse.csr_matrix(seq.values), DIRECTED)):
+                    lap = three_layer_operator(border_blocks(codes, hops, p), w_dist, stored)
+                    check_products(lap, reference, rng)
+
+    def test_seed_101_benchmark_inputs(self, tmp_path):
+        # The generated benchmark inputs: 1500 locations for two layers, 800
+        # for three layers, 21 countries up to 7 crossings apart. The geo
+        # pipeline runs on the 1500 two-layer locations, like the geo input.
+        sys.path.insert(0, str(PERFBENCH))
+        try:
+            import workloads
+        finally:
+            sys.path.remove(str(PERFBENCH))
+        rng = np.random.default_rng(204)
+        for name in ("two_layer_sweep", "three_layer_embed"):
+            gen = workloads.generate(workloads.WORKLOADS[name], 101, 0, tmp_path / name)
+            prepared, _ = _prepare(load_config(gen.config_json))
+            crossings = crossings_matrix(prepared.locations, load_reference_borders())
+            assert np.array_equal(prepared.hops[prepared.codes[:, None], prepared.codes], crossings)
+            for p in (1.0, 0.5, UNDERFLOW_P):
+                border = border_permeability_matrix(crossings, p)
+                lap, provenance = system_operator(prepared, p)
+                if name == "two_layer_sweep":
+                    system = build_two_layer(prepared.distances, border)
+                else:
+                    seq = WeightMatrix(prepared.sequence.values.toarray(), DIRECTED)
+                    system = build_three_layer(border, prepared.distances, seq)
+                assert provenance == system.provenance
+                check_products(lap, laplacian(system.assembled), rng, 2)
+        d = distance_matrix(prepared.locations)
+        geo = replace(prepared, pipeline="geo", border_kind="linear", distances=d, sequence=None)
+        priced = invert_distances(linear_border_distances(d, crossings, 100.0))
+        check_products(system_operator(geo, 100.0)[0], laplacian(priced), rng, 2)
+        geo = replace(geo, border_kind="permeability", distances=None)
+        for p in (1.0, 0.5, UNDERFLOW_P):
+            reference = laplacian(border_permeability_matrix(crossings, p))
+            check_products(system_operator(geo, p)[0], reference, rng, 2)
+
+
+class TestLinearBorderWeights:
+    def test_bit_equal_to_two_step_form(self):
+        rng = np.random.default_rng(205)
+        for n in (2, 255, 256, 600):
+            points = list(zip(rng.uniform(5, 20, n), rng.uniform(-10, 10, n)))
+            d = distance_matrix(points)
+            codes, hops, crossings = random_borders(rng, n)
+            for cost in (0.0, 37.5, 500.0):
+                got = linear_border_weights(d, codes, hops, cost).values
+                want = invert_distances(linear_border_distances(d, crossings, cost)).values
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+        with pytest.raises(ValueError, match="nonnegative"):
+            linear_border_weights(d, codes, hops, -1.0)
+
+
+def two_clusters():
+    """Six locations in two countries three crossings apart."""
+    cg = CountryBorderGraph.from_pairs([("A", "X"), ("X", "Y"), ("Y", "B")])
+    locations = [make_location(i, 1.0 + i, 1.0, "A" if i < 4 else "B") for i in range(6)]
+    codes, hops = country_crossings(locations, cg)
+    dist = np.zeros((6, 6))
+    dist[:4, :4] = dist[4:, 4:] = 1.0
+    np.fill_diagonal(dist, 0.0)
+    seq = np.zeros((6, 6))
+    seq[0, 1] = seq[4, 5] = 1.0
+    return codes, hops, WeightMatrix(dist, SYMMETRIC), WeightMatrix(seq, DIRECTED)
+
+
+class TestFailures:
+    def test_disconnected_union_of_layer_supports(self):
+        # p ** 3 underflows, so no layer has an edge between the countries.
+        codes, hops, w_dist, seq = two_clusters()
+        crossings = hops[codes[:, None], codes]
+        blocks = border_blocks(codes, hops, UNDERFLOW_P)
+        dense = border_permeability_matrix(crossings, UNDERFLOW_P)
+        cases = (
+            (two_layer_operator(w_dist, blocks), build_two_layer(w_dist, dense), "[8, 4]"),
+            (
+                three_layer_operator(blocks, w_dist, seq),
+                build_three_layer(dense, w_dist, seq),
+                "[24, 12]",
+            ),
+        )
+        for lap, system, sizes in cases:
+            message = re.escape(f"graph has 2 components (sizes {sizes})")
+            with pytest.raises(DisconnectedGraphError, match=message):
+                embed(lap, 2)
+            # The assembled system fails the same way.
+            with pytest.raises(DisconnectedGraphError, match=message):
+                embed(system.assembled, 2)
+
+    def test_one_bridge_in_any_layer_connects(self):
+        codes, hops, w_dist, seq = two_clusters()
+        blocks = border_blocks(codes, hops, UNDERFLOW_P)
+        bridged = seq.values.copy()
+        bridged[3, 4] = 1.0
+        emb = embed(three_layer_operator(blocks, w_dist, WeightMatrix(bridged, DIRECTED)), 2)
+        assert emb.n_points == 36
+
+    def test_zero_row_names_its_layer(self):
+        # A location alone in its country, with every border block to it
+        # underflowed, has no border weight at all.
+        cg = CountryBorderGraph.from_pairs([("A", "X"), ("X", "Y"), ("Y", "B")])
+        codes, hops = country_crossings(["A", "A", "A", "B"], cg)
+        blocks = border_blocks(codes, hops, UNDERFLOW_P)
+        full = WeightMatrix(np.ones((4, 4)) - np.eye(4), SYMMETRIC)
+        seq = WeightMatrix(np.eye(4, k=1), DIRECTED)
+        with pytest.raises(IsolatedNodeError, match="node 3 in layer 'border'"):
+            two_layer_operator(full, blocks)
+        with pytest.raises(IsolatedNodeError, match="node 3 in layer 'border'"):
+            three_layer_operator(blocks, full, seq)
+        hollow = full.values.copy()
+        hollow[1, :] = hollow[:, 1] = 0.0
+        with pytest.raises(IsolatedNodeError, match="node 1 in layer 'distance'"):
+            two_layer_operator(WeightMatrix(hollow, SYMMETRIC), full)
+        with pytest.raises(IsolatedNodeError, match="node 1 in layer 'distance'"):
+            three_layer_operator(full, WeightMatrix(hollow, SYMMETRIC), seq)
+
+
+def test_solve_forms_no_system_laplacian_or_crossings(monkeypatch, twelve_locations, chain_borders):
+    """Every pipeline solves with the assembled builders and n x n forms disabled."""
+    import permap
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve path must not call this")
+
+    disabled = [
+        graphs.laplacian,
+        layers.build_two_layer,
+        layers.build_three_layer,
+        permap.geo.crossings_matrix,
+        permap.geo.border_permeability_matrix,
+        permap.geo.linear_border_distances,
+    ]
+    for module in (graphs, layers, permap.geo, permap.spectral, permap):
+        for attr, value in list(vars(module).items()):
+            if any(value is fn for fn in disabled):
+                monkeypatch.setattr(module, attr, refuse)
+
+    codes, hops = country_crossings(twelve_locations, chain_borders)
+    locations = tuple(twelve_locations)
+    d = distance_matrix(locations)
+    closeness = invert_distances(d)
+    seq = np.zeros((12, 12))
+    seq[0, 1] = seq[4, 5] = seq[8, 9] = 1.0
+    seq_layer = layers._sparse(WeightMatrix(seq, DIRECTED))
+    runs = [
+        ("geo", "none", None, None, d, None, None),
+        ("geo", "linear", codes, hops, d, None, 100.0),
+        ("geo", "permeability", codes, hops, None, None, 0.5),
+        ("two_layer", "permeability", codes, hops, closeness, None, 0.5),
+        ("three_layer", "permeability", codes, hops, closeness, seq_layer, 0.5),
+    ]
+    for pipeline, kind, codes, hops, distances, sequence, value in runs:
+        prepared = layers.Prepared(pipeline, kind, locations, codes, hops, distances, sequence)
+        emb, report = layers.solve(prepared, value, 2)
+        assert emb.n_points == 12 * {"geo": 1, "two_layer": 2, "three_layer": 6}[prepared.pipeline]
+        assert (report is None) == (prepared.pipeline == "geo")

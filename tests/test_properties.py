@@ -1,18 +1,31 @@
 """Randomized properties, driven by hypothesis where shrinking helps."""
 
 import io
+import json
+import tempfile
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import make_event
+from conftest import events_csv_text, make_event, make_location
 from oracles import brute_force_sequence, haversine_reference
-from permap.geo import EARTH_RADIUS_KM, haversine
+from permap.cli import main
+from permap.geo import EARTH_RADIUS_KM, CountryBorderGraph, distance_matrix
 from permap.ingest import parse_events
-from permap.graphs import DIRECTED, WeightMatrix, mean_nonzero_normalize, symmetrize
+from permap.graphs import (
+    DIRECTED,
+    SYMMETRIC,
+    GroupBlocks,
+    WeightMatrix,
+    laplacian,
+    mean_nonzero_normalize,
+    symmetrize,
+)
+from permap.layers import _located, build_two_layer, system_operator
 from permap.sequence import sequence_adjacency
 from permap.spectral import fix_signs
 
@@ -86,18 +99,19 @@ coordinate = st.tuples(
 @settings(max_examples=80, deadline=None)
 @given(coordinate, coordinate)
 def test_haversine_is_a_bounded_symmetric_distance(a, b):
-    d = haversine(a, b)
-    assert 0.0 <= d <= np.pi * EARTH_RADIUS_KM + 1e-9
-    assert d == haversine(b, a)
+    d = distance_matrix([a, b]).values
+    assert 0.0 <= d[0, 1] <= np.pi * EARTH_RADIUS_KM + 1e-9
+    assert d[0, 1] == d[1, 0] == distance_matrix([b, a]).values[0, 1]
     reference = haversine_reference(a[0], a[1], b[0], b[1])
-    assert abs(d - reference) <= 1e-9 * max(1.0, reference)
+    assert abs(d[0, 1] - reference) <= 1e-9 * max(1.0, reference)
 
 
 @settings(max_examples=80, deadline=None)
 @given(coordinate, coordinate, coordinate)
 def test_haversine_triangle_inequality(a, b, c):
     slack = 1e-6
-    assert haversine(a, c) <= haversine(a, b) + haversine(b, c) + slack
+    d = distance_matrix([a, b, c]).values
+    assert d[0, 2] <= d[0, 1] + d[1, 2] + slack
 
 
 @settings(max_examples=60, deadline=None)
@@ -160,3 +174,64 @@ def test_no_text_after_a_valid_header_makes_parse_events_raise(body):
     seen = [e.source_row for e in events] + [line for line, _ in report.rejections]
     assert len(seen) == len(set(seen)) <= physical - 1
     assert all(2 <= number <= physical for number in seen)
+
+
+CHAIN = CountryBorderGraph.from_pairs([("A", "B"), ("B", "C")])
+# Distinct sites on a 0.1-degree grid, each in one of three chained countries.
+sites = st.lists(
+    st.tuples(st.integers(0, 80), st.integers(0, 80), st.sampled_from("ABC")),
+    min_size=3,
+    max_size=12,
+    unique_by=lambda site: site[:2],
+)
+
+
+def site_locations(drawn):
+    return [
+        make_location(i, 5.0 + 0.1 * lat, -4.0 + 0.1 * lon, country, f"d{i}")
+        for i, (lat, lon, country) in enumerate(drawn)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sites)
+def test_two_layer_border_layer_at_p_one_is_all_ones(drawn):
+    # Every p ** hops is 1, so the border layer is 11^T - I.
+    locations = site_locations(drawn)
+    n = len(locations)
+    prepared = _located("two_layer", locations, CHAIN)
+    lap, _ = system_operator(prepared, 1.0)
+    distance, border = lap.layers
+    assert isinstance(border, GroupBlocks)
+    ones = np.ones((n, n)) - np.eye(n)
+    # Each product with a unit vector is exact, so this is the layer itself.
+    assert np.array_equal(np.column_stack([border @ unit for unit in np.eye(n)]), ones)
+    reference = laplacian(build_two_layer(prepared.distances, WeightMatrix(ones, SYMMETRIC)).assembled)
+    x = np.cos(np.arange(2 * n) * 0.7)
+    assert np.abs(lap @ x - reference @ x).max() <= 1e-13 * np.abs(reference @ x).max()
+
+
+@settings(max_examples=15, deadline=None)
+@given(sites)
+def test_zero_linear_cost_writes_the_same_bytes_as_no_borders(drawn):
+    # d + 0 * hops is d, so pricing borders at 0 km changes nothing.
+    rows = [
+        ("2024-01-01", "G", loc.latitude, loc.longitude, loc.country, loc.admin_key,
+         "Violence against civilians", 0)
+        for loc in site_locations(drawn)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "events.csv").write_text(events_csv_text(rows), encoding="utf-8")
+        (root / "borders.csv").write_text("A,B\nB,C\n", encoding="utf-8")
+        config = root / "config.json"
+        config.write_text(
+            json.dumps({"events_csv": "events.csv", "borders_csv": "borders.csv", "k": 2}),
+            encoding="utf-8",
+        )
+        linear = 'border_model={"kind": "linear", "cost_km": 0.0}'
+        assert main(["embed", "--config", str(config), "--out", str(root / "none")]) == 0
+        argv = ["embed", "--config", str(config), "--out", str(root / "linear")]
+        assert main(argv + ["--override", linear]) == 0
+        for name in ("embedding.csv", "eigenvalues.csv", "rejections.csv"):
+            assert (root / "none" / name).read_bytes() == (root / "linear" / name).read_bytes()
