@@ -45,6 +45,21 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _listed(value, name: str, default=None, entry=str) -> tuple:
+    """`value` as a tuple, if it is a list of `entry` items (a bare string is not).
+
+    With a `default`, null and an empty list give it. Sweep lists pass
+    entry=object: RunConfig checks each entry as a number, with its own
+    message.
+    """
+    if default is not None and (value is None or isinstance(value, (list, tuple)) and not value):
+        return default
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, entry) for v in value):
+        what = "strings" if entry is str else "numbers"
+        raise ConfigError(f"{name} must be a list of {what}, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class BorderModel:
     """Exactly one way of pricing borders: nothing, linear km, or p^b."""
@@ -188,7 +203,7 @@ def _build_column_map(raw) -> ColumnMap:
         raise ConfigError(f"unknown column_map keys: {sorted(unknown)}")
     kwargs = dict(raw)
     if "date_formats" in kwargs:
-        kwargs["date_formats"] = tuple(kwargs["date_formats"])
+        kwargs["date_formats"] = _listed(kwargs["date_formats"], "column_map.date_formats")
     return ColumnMap(**kwargs)
 
 
@@ -257,13 +272,15 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> RunConfig:
             pipeline=raw.get("pipeline", "geo"),
             border_model=_build_border_model(raw.get("border_model")),
             column_map=_build_column_map(raw.get("column_map")),
-            categories=tuple(raw.get("categories") or DEFAULT_CATEGORIES),
+            categories=_listed(raw.get("categories"), "categories", DEFAULT_CATEGORIES),
             rounding=raw.get("rounding", DEFAULT_ROUNDING),
             k=raw.get("k", 2),
-            groups=tuple(raw.get("groups") or ()),
+            groups=_listed(raw.get("groups"), "groups", ()),
             split_rules=_build_split_rules(raw.get("split_rules")),
-            sweep_costs_km=tuple(raw.get("sweep_costs_km") or ()),
-            sweep_probabilities=tuple(raw.get("sweep_probabilities") or ()),
+            sweep_costs_km=_listed(raw.get("sweep_costs_km"), "sweep_costs_km", (), object),
+            sweep_probabilities=_listed(
+                raw.get("sweep_probabilities"), "sweep_probabilities", (), object
+            ),
             output_dir=resolve(raw.get("output_dir")),
         )
     except (TypeError, ValueError) as exc:

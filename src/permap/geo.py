@@ -9,8 +9,9 @@ crossings, used directly as an edge weight).
 Crossings depend only on the two locations' countries, so the pipelines
 keep them as a country code per location and a country-by-country hop
 table (`country_crossings`). The permeability weights then stay per pair
-of countries (`border_blocks`), and the linear model prices and inverts
-one n x n buffer (`linear_border_weights`). The n x n builders
+of countries (`border_blocks`, a WeightMatrix over a GroupBlocks), and
+the linear model prices and inverts one n x n buffer
+(`linear_border_weights`). The n x n builders
 (`crossings_matrix`, `border_permeability_matrix`,
 `linear_border_distances`) give the same values as full matrices.
 """
@@ -30,7 +31,7 @@ EARTH_RADIUS_KM = 6371.0
 
 _REFERENCE_BORDERS = "country_borders_west_africa.csv"
 
-# Rows priced per step by linear_border_weights.
+# Rows computed per step by distance_matrix and linear_border_weights.
 _ROW_BLOCK = 256
 # invert_distances' default: the farthest pair keeps a tenth of the top weight.
 _MULTIPLIER = 1.1
@@ -52,7 +53,12 @@ def _check_bounds(lat: float, lon: float):
 
 
 def distance_matrix(locations) -> WeightMatrix:
-    """All-pairs great-circle (haversine) distances for >= 2 locations (zero diagonal)."""
+    """All-pairs great-circle (haversine) distances for >= 2 locations (zero diagonal).
+
+    Rows are computed in blocks into one n x n result, so the temporaries
+    hold _ROW_BLOCK rows, not n; each entry goes through the same
+    operations as in the whole-matrix formula.
+    """
     pts = [_latlon(p) for p in locations]
     if len(pts) < 2:
         raise ValueError("distance_matrix needs at least 2 locations")
@@ -60,10 +66,14 @@ def distance_matrix(locations) -> WeightMatrix:
         _check_bounds(lat, lon)
     lat = np.radians([p[0] for p in pts])
     lon = np.radians([p[1] for p in pts])
-    dp = lat[:, None] - lat[None, :]
-    dl = lon[:, None] - lon[None, :]
-    h = np.sin(dp / 2.0) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dl / 2.0) ** 2
-    d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+    cos_lat = np.cos(lat)
+    d = np.empty((lat.size, lat.size))
+    for start in range(0, lat.size, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        dp = lat[rows, None] - lat[None, :]
+        dl = lon[rows, None] - lon[None, :]
+        h = np.sin(dp / 2.0) ** 2 + cos_lat[rows, None] * cos_lat[None, :] * np.sin(dl / 2.0) ** 2
+        d[rows] = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
     np.fill_diagonal(d, 0.0)
     return WeightMatrix(d, SYMMETRIC)
 
@@ -237,14 +247,14 @@ def border_permeability_matrix(b: np.ndarray, p: float) -> WeightMatrix:
     return WeightMatrix(w, SYMMETRIC)
 
 
-def border_blocks(codes: np.ndarray, hops: np.ndarray, p: float) -> GroupBlocks:
+def border_blocks(codes: np.ndarray, hops: np.ndarray, p: float) -> WeightMatrix:
     """The weights of border_permeability_matrix held per pair of countries.
 
     Entry (i, j) is p ** hops[codes[i], codes[j]] off the diagonal, as in
     the n x n matrix, which is never formed.
     """
     _check_probability(p)
-    return GroupBlocks(codes, np.power(float(p), hops.astype(float)))
+    return WeightMatrix(GroupBlocks(codes, np.power(float(p), hops.astype(float))), SYMMETRIC)
 
 
 def linear_border_weights(d: WeightMatrix, codes, hops, cost_km: float) -> WeightMatrix:

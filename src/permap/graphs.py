@@ -1,24 +1,28 @@
-"""Weighted-graph matrix algebra: Laplacians, symmetrization, normalization.
+"""Weighted-graph layers and the Laplacian operator built from them.
 
-Edge weights are float64 matrices wrapped in a thin typed container,
-dense numpy arrays or scipy.sparse matrices alike; `laplacian` returns
-the Laplacian bare, in the storage format of its weights. Two pieces
-exist so that a pipeline never forms an n x n or larger array it only
-multiplies by:
+A layer is a `WeightMatrix`: n x n nonnegative edge weights, flagged
+symmetric or directed, held in one of three storages:
 
-- `GroupBlocks` holds weights that are constant on the blocks of a
+- a dense numpy array (the distance layer);
+- a scipy.sparse CSR matrix (the sequence layer);
+- a `GroupBlocks`, for weights that are constant on the blocks of a
   grouping of the nodes (the border layer: one value per pair of
-  countries) as the group of each node plus a small table.
-- `LaplacianOperator` is the Laplacian diag(degrees) - A of a symmetric
-  weight operator A, applied as degrees * x - A x. `laplacian_operator`
-  wraps one layer; the multilayer systems build theirs in `layers`.
+  countries), stored as the group of each node plus a small table.
 
-Dense transpose-pairing operations (`asymmetry`, `symmetrize`) run
-tile-wise over square tiles of the matrix, so each pass reads memory in
-cache-sized pieces and allocates no n x n temporaries beyond its result.
-Every entry still goes through the same floating-point operations as the
-plain formulas `abs(v - v.T).max()` and `(v + v.T) / 2.0`, so results are
-bit-equal to them.
+`WeightMatrix` validates its entries once and answers every question the
+operators and the component check ask of a layer: products with it and
+its transpose, row and column sums, the diagonal, the mean nonzero
+entry, the numbers it stores, and which nodes a set of rows reaches.
+Only this module looks at the storage.
+
+`LaplacianOperator` is the Laplacian diag(degrees) - A of a symmetric
+weight operator A, applied as degrees * x - A x, so no pipeline forms an
+n x n or larger array it only multiplies by. `laplacian_operator` wraps
+one layer; the multilayer systems build theirs in `layers`.
+
+`asymmetry` runs over square tiles of a dense matrix, on and above the
+diagonal, so it reads memory in cache-sized pieces and allocates no
+n x n temporary; its result is bit-equal to `abs(v - v.T).max()`.
 """
 
 from __future__ import annotations
@@ -29,15 +33,12 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-from .errors import IsolatedNodeError
-
 SYMMETRY_RTOL = 1e-10
 
 SYMMETRIC = "symmetric"
 DIRECTED = "directed"
 
-# Side of the square tiles, and height of the row blocks, that dense
-# whole-matrix passes work on.
+# Side of the square tiles `asymmetry` works on.
 _TILE = 256
 
 
@@ -58,15 +59,12 @@ def _extremes(values) -> tuple:
     return float(values.min()), float(values.max())
 
 
-def _tile_pairs(n: int, upper: bool):
-    """Slices (rows, cols) of the square tiles covering an n x n matrix.
-
-    With `upper`, only tiles on or above the diagonal are listed.
-    """
+def _upper_tiles(n: int):
+    """Slices (rows, cols) of the square tiles on and above the diagonal of an n x n matrix."""
     starts = range(0, n, _TILE)
     for i in starts:
         for j in starts:
-            if not upper or j >= i:
+            if j >= i:
                 yield slice(i, i + _TILE), slice(j, j + _TILE)
 
 
@@ -78,55 +76,21 @@ def asymmetry(values) -> float:
     # see every difference; np.max keeps a NaN, as abs(diff).max() does.
     worst = [
         _max_abs(values[rows, cols] - values[cols, rows].T)
-        for rows, cols in _tile_pairs(values.shape[0], upper=True)
+        for rows, cols in _upper_tiles(values.shape[0])
     ]
     return float(np.max(worst)) if worst else 0.0
 
 
 @dataclass(frozen=True)
-class WeightMatrix:
-    """n x n nonnegative edge weights, flagged symmetric or directed."""
-
-    values: object  # numpy ndarray or scipy sparse matrix
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in (SYMMETRIC, DIRECTED):
-            raise ValueError(f"unknown weight-matrix kind {self.kind!r}")
-        if not _is_sparse(self.values):
-            object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        v = self.values
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"weight matrix must be square, got shape {v.shape}")
-        # A NaN shows in both extremes and an infinity in one of them.
-        low, high = _extremes(v)
-        if not (np.isfinite(low) and np.isfinite(high)):
-            raise ValueError("weight matrix entries must be finite")
-        if low < 0:
-            raise ValueError("weight matrix entries must be nonnegative")
-        if self.kind == SYMMETRIC:
-            # Entries are nonnegative, so the largest is the largest magnitude.
-            if asymmetry(v) > SYMMETRY_RTOL * max(high, 1.0):
-                raise ValueError("matrix flagged symmetric is not symmetric")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self.kind == SYMMETRIC
-
-
-@dataclass(frozen=True)
 class GroupBlocks:
-    """Symmetric n x n weights that are constant on the blocks of a grouping.
+    """n x n weights that are constant on the blocks of a grouping.
 
     Entry (i, j) is table[groups[i], groups[j]] off the diagonal and zero
     on it: with locations grouped by country and a table of p ** hops,
     this is the border layer E P E^T - I, where E is the n x C
     location-to-country indicator. Only the n groups and the C x C table
-    are stored, and a product costs O(n + C^2).
+    are stored, and a product costs O(n + C^2). The table's entries are
+    checked by the WeightMatrix that holds it, which must be symmetric.
     """
 
     groups: np.ndarray
@@ -141,13 +105,6 @@ class GroupBlocks:
             raise ValueError(f"group table must be square, got shape {table.shape}")
         if groups.ndim != 1 or (groups.size and not 0 <= groups.min() <= groups.max() < len(table)):
             raise ValueError("groups must index rows of the group table")
-        low, high = _extremes(table)
-        if not (np.isfinite(low) and np.isfinite(high)):
-            raise ValueError("weight matrix entries must be finite")
-        if low < 0:
-            raise ValueError("weight matrix entries must be nonnegative")
-        if asymmetry(table) > SYMMETRY_RTOL * max(high, 1.0):
-            raise ValueError("group table is not symmetric")
         object.__setattr__(self, "groups", groups)
         object.__setattr__(self, "table", table)
         counts = np.bincount(groups, minlength=len(table)).astype(float)
@@ -156,16 +113,8 @@ class GroupBlocks:
         object.__setattr__(self, "_loops", table.diagonal()[groups])
 
     @property
-    def n(self) -> int:
-        return self.groups.size
-
-    @property
     def shape(self) -> tuple:
-        return (self.n, self.n)
-
-    @property
-    def is_symmetric(self) -> bool:
-        return True
+        return (self.groups.size, self.groups.size)
 
     def __matmul__(self, x):
         totals = np.bincount(self.groups, weights=x, minlength=len(self.table))
@@ -191,92 +140,163 @@ class GroupBlocks:
         return (self.table[self.groups[rows]] > 0).any(axis=0)[self.groups]
 
 
-def _row_sums(values) -> np.ndarray:
-    if isinstance(values, GroupBlocks):
-        return values.row_sums()
-    if _is_sparse(values):
-        return np.asarray(values.sum(axis=1)).ravel()
-    return values.sum(axis=1)
+def support_reach(values) -> Callable:
+    """A function from frontier rows to the mask of nodes they touch, either way.
 
-
-def _col_sums(values) -> np.ndarray:
-    if isinstance(values, GroupBlocks):
-        return values.row_sums()
-    if _is_sparse(values):
-        return np.asarray(values.sum(axis=0)).ravel()
-    return values.sum(axis=0)
-
-
-def _diagonal(values):
-    """The main diagonal of a layer; a GroupBlocks has none."""
-    return 0.0 if isinstance(values, GroupBlocks) else values.diagonal()
-
-
-def _stored(values) -> int:
-    """Numbers a layer keeps in memory."""
-    if isinstance(values, GroupBlocks):
-        return values.groups.size + values.table.size
-    return values.nnz if _is_sparse(values) else values.size
-
-
-def _nonzero_mean(values) -> float:
-    """Mean of the nonzero entries of a layer, with no copy of them.
-
-    Zeros add nothing to a sum, so the sum of every entry over the count
-    of nonzero ones is that mean, up to the order of the additions.
+    `values` is a dense or CSR array, which may hold negative entries or
+    stored zeros (neither is an edge), or a GroupBlocks.
     """
     if isinstance(values, GroupBlocks):
-        return values.nonzero_mean()
-    data = values.data if _is_sparse(values) else values
-    nonzero = np.count_nonzero(data)
-    if nonzero == 0:
-        raise ValueError("cannot normalize an all-zero matrix")
-    return float(data.sum() / nonzero)
+        return values.reach
+    if not _is_sparse(values):
+        values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    support = values > 0
+    if _is_sparse(support):
+        support = (support + support.T).tocsr()
+
+        def reach(rows):
+            reached = np.zeros(n, dtype=bool)
+            reached[support[rows].indices] = True
+            return reached
+
+        return reach
+    support |= support.T
+    return lambda rows: support[rows].any(axis=0)
 
 
-def laplacian(w: WeightMatrix):
-    """Combinatorial Laplacian of a symmetric weight matrix, in its storage format.
+@dataclass(frozen=True)
+class WeightMatrix:
+    """n x n nonnegative edge weights, flagged symmetric or directed.
 
-    Total incident weight sits on the diagonal, minus the weights off it.
-    The input must be flagged symmetric; directed matrices have to be
-    symmetrized first.
+    `values` is a dense array, a scipy.sparse matrix or a GroupBlocks
+    (whose table is what gets checked here; it must be flagged
+    symmetric). Entries must be finite and nonnegative, and a matrix
+    flagged symmetric must equal its transpose to SYMMETRY_RTOL.
     """
-    if not w.is_symmetric:
-        raise ValueError("laplacian requires a symmetric weight matrix; symmetrize first")
-    degrees = _row_sums(w.values)
-    if _is_sparse(w.values):
-        lap = sparse.diags(degrees) - w.values
-        return lap.tocsr()
-    # 0.0 - w, not -w, so zero weights give +0.0 as in diag(degrees) - w;
-    # then degree + (0.0 - w_ii) equals degree - w_ii exactly. C order
-    # whatever the input's, as diag(degrees) - w gives.
-    lap = np.subtract(0.0, w.values, order="C")
-    diagonal = np.arange(w.n)
-    lap[diagonal, diagonal] += degrees
-    return lap
+
+    values: object
+    kind: str
+
+    def __post_init__(self):
+        if self.kind not in (SYMMETRIC, DIRECTED):
+            raise ValueError(f"unknown weight-matrix kind {self.kind!r}")
+        v = self.values
+        blocks = isinstance(v, GroupBlocks)
+        if not (blocks or _is_sparse(v)):
+            v = np.asarray(v, dtype=float)
+            object.__setattr__(self, "values", v)
+        if len(v.shape) != 2 or v.shape[0] != v.shape[1]:
+            raise ValueError(f"weight matrix must be square, got shape {v.shape}")
+        if blocks and self.kind != SYMMETRIC:
+            raise ValueError("group blocks must be flagged symmetric")
+        entries = v.table if blocks else v
+        # A NaN shows in both extremes and an infinity in one of them.
+        low, high = _extremes(entries)
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise ValueError("weight matrix entries must be finite")
+        if low < 0:
+            raise ValueError("weight matrix entries must be nonnegative")
+        if self.kind == SYMMETRIC:
+            # Entries are nonnegative, so the largest is the largest magnitude.
+            if asymmetry(entries) > SYMMETRY_RTOL * max(high, 1.0):
+                raise ValueError("matrix flagged symmetric is not symmetric")
+
+    @property
+    def n(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def shape(self) -> tuple:
+        return self.values.shape
+
+    @property
+    def is_symmetric(self) -> bool:
+        return self.kind == SYMMETRIC
+
+    def __matmul__(self, x):
+        return self.values @ x
+
+    def transposed_product(self) -> Callable:
+        """x -> W^T x. The transpose of a directed layer is made here, once.
+
+        A symmetric layer multiplies as itself; a CSR transpose is turned
+        back into CSR, whose products are several times faster.
+        """
+        v = self.values
+        if self.is_symmetric:
+            return v.__matmul__
+        return (v.T.tocsr() if _is_sparse(v) else v.T).__matmul__
+
+    def row_sums(self) -> np.ndarray:
+        v = self.values
+        if isinstance(v, GroupBlocks):
+            return v.row_sums()
+        return np.asarray(v.sum(axis=1)).ravel()
+
+    def col_sums(self) -> np.ndarray:
+        v = self.values
+        if isinstance(v, GroupBlocks):
+            return v.row_sums()
+        return np.asarray(v.sum(axis=0)).ravel()
+
+    def diagonal(self):
+        """The main diagonal; a GroupBlocks has a zero one, given as 0.0."""
+        return 0.0 if isinstance(self.values, GroupBlocks) else self.values.diagonal()
+
+    @property
+    def stored(self) -> int:
+        """Numbers the layer keeps in memory."""
+        v = self.values
+        if isinstance(v, GroupBlocks):
+            return v.groups.size + v.table.size
+        return v.nnz if _is_sparse(v) else v.size
+
+    def nonzero_mean(self) -> float:
+        """Mean of the nonzero entries, with no copy of them.
+
+        Zeros add nothing to a sum, so the sum of every entry over the
+        count of nonzero ones is that mean, up to the order of the additions.
+        """
+        v = self.values
+        if isinstance(v, GroupBlocks):
+            return v.nonzero_mean()
+        data = v.data if _is_sparse(v) else v
+        nonzero = np.count_nonzero(data)
+        if nonzero == 0:
+            raise ValueError("cannot normalize an all-zero matrix")
+        return float(data.sum() / nonzero)
+
+    def reach(self) -> Callable:
+        """See `support_reach`."""
+        return support_reach(self.values)
 
 
 @dataclass(frozen=True)
 class LaplacianOperator:
     """The Laplacian diag(degrees) - A of a symmetric weight operator A, never formed.
 
-    `adjacency` maps one vector x to A x. `layers` are n x n location
-    layers whose union of supports is connected exactly when A's graph
-    is, with `copies` points of A per location, so components can be
-    counted without A. `loops` is A's diagonal, zero in every pipeline.
-    `nnz` counts the numbers the layers store.
+    `adjacency` maps one vector x to A x. `layers` are the n x n location
+    WeightMatrix layers whose union of supports is connected exactly when
+    A's graph is, with `copies` points of A per location, so components
+    can be counted without A. `loops` is A's diagonal, zero in every
+    pipeline.
     """
 
     degrees: np.ndarray
     adjacency: Callable
     layers: tuple
     copies: int = 1
-    nnz: int = 0
     loops: object = 0.0
 
     @property
     def shape(self) -> tuple:
         return (self.degrees.size, self.degrees.size)
+
+    @property
+    def nnz(self) -> int:
+        """Numbers the layers store."""
+        return sum(w.stored for w in self.layers)
 
     @property
     def inf_norm(self) -> float:
@@ -299,60 +319,27 @@ class LaplacianOperator:
         return self @ np.eye(self.shape[0])
 
 
-def laplacian_operator(w) -> LaplacianOperator:
-    """The Laplacian of one symmetric layer as an operator.
+def laplacian_operator(w: WeightMatrix) -> LaplacianOperator:
+    """The Laplacian diag(row sums) - W of one symmetric layer, as an operator.
 
-    `w` is a WeightMatrix flagged symmetric or a GroupBlocks. Products
-    equal `laplacian(w) @ x` up to rounding; no n x n array is made.
+    No n x n array is made, whatever the layer's storage.
     """
-    if isinstance(w, WeightMatrix):
-        if not w.is_symmetric:
-            raise ValueError("laplacian requires a symmetric weight matrix; symmetrize first")
-        values = w.values
-    elif isinstance(w, GroupBlocks):
-        values = w
-    else:
-        raise ValueError("laplacian_operator expects a WeightMatrix or GroupBlocks")
+    if not (isinstance(w, WeightMatrix) and w.is_symmetric):
+        raise ValueError("laplacian requires a symmetric weight matrix; symmetrize first")
     return LaplacianOperator(
-        degrees=_row_sums(values),
-        adjacency=values.__matmul__,
-        layers=(values,),
-        nnz=_stored(values),
-        loops=_diagonal(values),
+        degrees=w.row_sums(), adjacency=w.__matmul__, layers=(w,), loops=w.diagonal()
     )
 
 
-def _check_positive_rows(values, layer: str) -> np.ndarray:
-    """Row sums of one layer's weights; raises if any node has none."""
-    return _check_positive(_row_sums(values), layer)
-
-
-def _check_positive(sums: np.ndarray, layer: str) -> np.ndarray:
-    bad = np.flatnonzero(sums <= 0)
-    if bad.size:
-        raise IsolatedNodeError(f"node {bad[0]} in layer {layer!r} has zero total edge weight")
-    return sums
-
-
 def symmetrize(m) -> WeightMatrix:
-    """Average a square matrix with its transpose."""
+    """Average a square dense or sparse matrix with its transpose."""
     values = m.values if isinstance(m, WeightMatrix) else m
     if not _is_sparse(values):
         values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise ValueError("symmetrize requires a square matrix")
-    if _is_sparse(values):
-        return WeightMatrix(((values + values.T) / 2.0).tocsr(), SYMMETRIC)
-    sym = np.empty(values.shape)
-    _symmetrize_into(values, sym)
-    return WeightMatrix(sym, SYMMETRIC)
-
-
-def _symmetrize_into(values: np.ndarray, out: np.ndarray) -> None:
-    """Write (values + values.T) / 2.0 into `out`, a same-shape array or view."""
-    for rows, cols in _tile_pairs(values.shape[0], upper=False):
-        np.add(values[rows, cols], values[cols, rows].T, out=out[rows, cols])
-    out /= 2.0
+    sym = (values + values.T) / 2.0
+    return WeightMatrix(sym.tocsr() if _is_sparse(sym) else sym, SYMMETRIC)
 
 
 def mean_nonzero_normalize(w: WeightMatrix) -> WeightMatrix:

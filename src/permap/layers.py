@@ -15,11 +15,13 @@ solves once per value.
 
 `solve` never assembles a system. `two_layer_operator` and
 `three_layer_operator` build its Laplacian as an operator from the
-per-layer pieces: the border layer as country blocks, the distance layer
-as one dense n x n array, the sequence layer as CSR, and every coupling
-as a diagonal. `build_two_layer` and `build_three_layer` still assemble
-the 2n x 2n and 6n x 6n systems; they are the references the operators
-are tested against.
+per-layer WeightMatrix pieces, every coupling a diagonal. Each layer is
+held in the storage that suits it (the border layer as country blocks,
+the distance layer as one dense n x n array, the sequence layer as CSR),
+and the operators reach it only through WeightMatrix's products, sums
+and means, never through its storage. `build_two_layer` and
+`build_three_layer` still assemble the 2n x 2n and 6n x 6n systems; they
+are the references the operators are tested against.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .errors import stage
+from .errors import IsolatedNodeError, stage
 from .fileio import atomic_write
 from .geo import (
     border_blocks,
@@ -42,18 +44,8 @@ from .geo import (
 from .graphs import (
     DIRECTED,
     SYMMETRIC,
-    GroupBlocks,
     LaplacianOperator,
     WeightMatrix,
-    _check_positive,
-    _check_positive_rows,
-    _col_sums,
-    _diagonal,
-    _is_sparse,
-    _nonzero_mean,
-    _row_sums,
-    _stored,
-    _symmetrize_into,
     laplacian_operator,
     mean_nonzero_normalize,
     symmetrize,
@@ -102,13 +94,22 @@ def _provenance(n: int, layer_tags, copies) -> tuple:
     return tuple(PointRef(i, tag, copy) for tag in layer_tags for copy in copies for i in range(n))
 
 
-def _values(w):
-    return w.values if isinstance(w, WeightMatrix) else w
+def _check_positive(sums: np.ndarray, layer: str) -> np.ndarray:
+    """`sums`, the total edge weight of each node in one layer; raises if any node has none."""
+    bad = np.flatnonzero(sums <= 0)
+    if bad.size:
+        raise IsolatedNodeError(f"node {bad[0]} in layer {layer!r} has zero total edge weight")
+    return sums
 
 
-def _check_two_layers(w_a, w_b, kinds) -> int:
+def _check_positive_rows(values: np.ndarray, layer: str) -> np.ndarray:
+    """Row sums of one dense layer's weights; raises if any node has none."""
+    return _check_positive(values.sum(axis=1), layer)
+
+
+def _check_two_layers(w_a, w_b) -> int:
     """Types, symmetry and sizes of a two-layer pair; returns n."""
-    if not (isinstance(w_a, kinds) and isinstance(w_b, kinds)):
+    if not (isinstance(w_a, WeightMatrix) and isinstance(w_b, WeightMatrix)):
         raise ValueError("two-layer assembly expects WeightMatrix layers")
     if not (w_a.is_symmetric and w_b.is_symmetric):
         raise ValueError("both layers must be symmetric")
@@ -134,13 +135,13 @@ def build_two_layer(
     `two_layer_operator` instead; this dense 2n x 2n form is the
     reference it is tested against.
     """
-    n = _check_two_layers(w_a, w_b, WeightMatrix)
+    n = _check_two_layers(w_a, w_b)
     assembled = np.zeros((2 * n, 2 * n))
     for block, w, tag in zip((slice(0, n), slice(n, None)), (w_a, w_b), layer_tags):
         values = np.array(w.values, dtype=float)
         np.fill_diagonal(values, 0.0)
         values /= 2.0 * _check_positive_rows(values, tag)[:, None]
-        _symmetrize_into(values, assembled[block, block])
+        assembled[block, block] = (values + values.T) / 2.0
     cross = np.arange(n)
     assembled[cross, n + cross] = 0.5
     assembled[n + cross, cross] = 0.5
@@ -156,25 +157,24 @@ def build_two_layer(
 def two_layer_operator(w_a, w_b, layer_tags=TWO_LAYER_TAGS) -> LaplacianOperator:
     """The Laplacian of build_two_layer(w_a, w_b).assembled, from the two layers alone.
 
-    Layers are symmetric WeightMatrix or GroupBlocks, checked as in
-    build_two_layer. A layer W without its diagonal, with row sums D,
+    Layers are symmetric WeightMatrix objects in any storage, checked as
+    in build_two_layer. A layer W without its diagonal, with row sums D,
     gives the within-layer block (D^-1 W + W D^-1) / 4: two products
     with W per product of the system. The inter-layer blocks are I / 2.
     """
-    n = _check_two_layers(w_a, w_b, (WeightMatrix, GroupBlocks))
+    n = _check_two_layers(w_a, w_b)
     blocks, degrees = [], []
     for w, tag in zip((w_a, w_b), layer_tags):
-        values = _values(w)
-        loops = _diagonal(values)
-        sums = _check_positive(_row_sums(values) - loops, tag)
+        loops = w.diagonal()
+        sums = _check_positive(w.row_sums() - loops, tag)
 
-        def block(x, values=values, loops=loops, sums=sums):
+        def block(x, w=w, loops=loops, sums=sums):
             y = x / sums
-            return (values @ y - loops * y + (values @ x - loops * x) / sums) / 4.0
+            return (w @ y - loops * y + (w @ x - loops * x) / sums) / 4.0
 
         blocks.append(block)
         # Row sums of the block: (1 + W D^-1 1) / 4, plus 1/2 across.
-        degrees.append((1.0 + (values @ (1.0 / sums) - loops / sums)) / 4.0 + 0.5)
+        degrees.append((1.0 + (w @ (1.0 / sums) - loops / sums)) / 4.0 + 0.5)
 
     def adjacency(x):
         x_a, x_b = x[:n], x[n:]
@@ -183,9 +183,8 @@ def two_layer_operator(w_a, w_b, layer_tags=TWO_LAYER_TAGS) -> LaplacianOperator
     return LaplacianOperator(
         degrees=np.concatenate(degrees),
         adjacency=adjacency,
-        layers=(_values(w_a), _values(w_b)),
+        layers=(w_a, w_b),
         copies=2,
-        nnz=_stored(_values(w_a)) + _stored(_values(w_b)),
     )
 
 
@@ -225,7 +224,7 @@ def build_three_layer(
     through `three_layer_operator` instead; this assembled form is the
     reference it is tested against.
     """
-    n = _check_three_layers(w_border, w_dist, a_seq, WeightMatrix)
+    n = _check_three_layers(w_border, w_dist, a_seq)
 
     normalized = [
         np.array(mean_nonzero_normalize(w_border).values, dtype=float),
@@ -260,9 +259,9 @@ def build_three_layer(
     )
 
 
-def _check_three_layers(w_border, w_dist, a_seq, kinds) -> int:
+def _check_three_layers(w_border, w_dist, a_seq) -> int:
     """Types, symmetry and sizes of the three layers; returns n."""
-    if not (isinstance(w_border, kinds) and isinstance(w_dist, kinds)):
+    if not (isinstance(w_border, WeightMatrix) and isinstance(w_dist, WeightMatrix)):
         raise ValueError("three-layer assembly expects WeightMatrix layers")
     if not (w_border.is_symmetric and w_dist.is_symmetric):
         raise ValueError("border and distance layers must be symmetric")
@@ -279,35 +278,34 @@ def three_layer_operator(
 ) -> LaplacianOperator:
     """The Laplacian of build_three_layer(...).assembled, from the three layers alone.
 
-    The border and distance layers are symmetric WeightMatrix or
-    GroupBlocks and the sequence layer a directed WeightMatrix, dense or
-    CSR; the checks are those of build_three_layer. Layer l, normalized
-    to N_l with budgets b_l (its row sums), sends N_l / 2 from out- to
-    in-copies, b_l / 4 to the in-copy of the location in each other
-    layer, and links each location's out- and in-copy by
-    (b_l + column sums of N_l) / 4. With that raw matrix R, the system is
-    (R + R^T) / 2, so a product takes one product with N_l and one with
-    its transpose per layer; the couplings are diagonals.
+    The border and distance layers are symmetric and the sequence layer a
+    directed WeightMatrix, each in any storage; the checks are those of
+    build_three_layer. Layer l, normalized to N_l with budgets b_l (its
+    row sums), sends N_l / 2 from out- to in-copies, b_l / 4 to the
+    in-copy of the location in each other layer, and links each
+    location's out- and in-copy by (b_l + column sums of N_l) / 4. With
+    that raw matrix R, the system is (R + R^T) / 2, so a product takes one
+    product with N_l and one with its transpose per layer; the couplings
+    are diagonals.
     """
-    n = _check_three_layers(w_border, w_dist, a_seq, (WeightMatrix, GroupBlocks))
-    layers = [_values(w) for w in (w_border, w_dist, a_seq)]
+    n = _check_three_layers(w_border, w_dist, a_seq)
+    layers = (w_border, w_dist, a_seq)
     forwards, backwards, budgets, cols = [], [], [], []
-    for li, (values, tag) in enumerate(zip(layers, layer_tags)):
+    for li, (w, tag) in enumerate(zip(layers, layer_tags)):
         try:
-            mean = _nonzero_mean(values)
+            mean = w.nonzero_mean()
         except ValueError:
             if li < 2:
                 raise
             raise ValueError("sequence layer has no edges; nothing to normalize") from None
-        rows, col = _row_sums(values) / mean, _col_sums(values) / mean
-        pad, transposed = 0.0, values
+        rows, col = w.row_sums() / mean, w.col_sums() / mean
+        pad = 0.0
         if li == 2:
             # Self-loops lift every sequence row to the largest row sum.
             pad = rows.max() - rows
             rows, col = rows + pad, col + pad
-            transposed = values.T.tocsr() if _is_sparse(values) else values.T
-        forwards.append(lambda x, v=values, m=mean, d=pad: (v @ x) / m + d * x)
-        backwards.append(lambda x, v=transposed, m=mean, d=pad: (v @ x) / m + d * x)
+        forwards.append(lambda x, v=w, m=mean, d=pad: (v @ x) / m + d * x)
+        backwards.append(lambda x, t=w.transposed_product(), m=mean, d=pad: t(x) / m + d * x)
         budgets.append(_check_positive(rows, tag))
         cols.append(col)
     links = [(budget + col) / 4.0 for budget, col in zip(budgets, cols)]
@@ -338,9 +336,8 @@ def three_layer_operator(
     return LaplacianOperator(
         degrees=degrees.ravel(),
         adjacency=adjacency,
-        layers=tuple(layers),
+        layers=layers,
         copies=6,
-        nnz=sum(_stored(values) for values in layers),
     )
 
 

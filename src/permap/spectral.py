@@ -11,9 +11,10 @@ repeated runs are bit-identical.
 `embed` works on a `LaplacianOperator`: L x = degrees * x - A x, with A
 applied from its layers, so neither A nor L is ever formed. A
 WeightMatrix is wrapped into one. The operator also supplies the scale
-||L||_inf = 2 max(degrees) (A has a zero diagonal) and the layers whose
-union of supports decides connectivity. `eigensolve_symmetric` takes
-such an operator or any symmetric matrix.
+||L||_inf = 2 max(degrees) (A has a zero diagonal) and the WeightMatrix
+layers whose union of supports decides connectivity; each layer answers
+which nodes a set of rows reaches, whatever its storage.
+`eigensolve_symmetric` takes such an operator or any symmetric matrix.
 
 The Lanczos basis holds at least 40 vectors, twice scipy's default. The
 kept eigenvalues of a multilayer system sit in a tight cluster far below
@@ -32,19 +33,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import DisconnectedGraphError, SolverError
 from .fileio import atomic_write
-from .graphs import (
-    _TILE,
-    GroupBlocks,
-    LaplacianOperator,
-    WeightMatrix,
-    _is_sparse,
-    asymmetry,
-    laplacian_operator,
-)
+from .graphs import LaplacianOperator, WeightMatrix, asymmetry, laplacian_operator, support_reach
 
 RESIDUAL_RTOL = 1e-8
 ZERO_EIGENVALUE_RTOL = 1e-8
@@ -69,18 +63,10 @@ class EigenPairs(NamedTuple):
     residuals: np.ndarray
 
 
-def _inf_norm(m) -> float:
-    if _is_sparse(m):
-        return float(abs(m).sum(axis=1).max())
-    # Row blocks avoid an n x n |m| temporary; each row sums as before.
-    rows = range(0, m.shape[0], _TILE)
-    return float(np.max([np.abs(m[i : i + _TILE]).sum(axis=1).max() for i in rows]))
-
-
 def _matrix_of(m):
     if isinstance(m, WeightMatrix):
         return m.values
-    if _is_sparse(m) or isinstance(m, (GroupBlocks, LaplacianOperator)):
+    if sparse.issparse(m) or isinstance(m, LaplacianOperator):
         return m
     return np.asarray(m, dtype=float)
 
@@ -106,7 +92,7 @@ def eigensolve_symmetric(m, count: int) -> EigenPairs:
     if isinstance(values, LaplacianOperator):
         scale = values.inf_norm
     else:
-        scale = _inf_norm(values)
+        scale = float(abs(values).sum(axis=1).max())
         if asymmetry(values) > 1e-10 * max(scale, 1.0):
             raise ValueError("eigensolve_symmetric requires a symmetric matrix")
 
@@ -151,30 +137,11 @@ def _residuals(values, vals, vecs) -> np.ndarray:
     return np.linalg.norm(prod - vecs * vals[None, :], axis=0)
 
 
-def _reach(values):
-    """A function from frontier rows to the mask of nodes they touch, either way."""
-    if isinstance(values, GroupBlocks):
-        return values.reach
-    n = values.shape[0]
-    support = values > 0
-    if _is_sparse(support):
-        support = (support + support.T).tocsr()
-
-        def reach(rows):
-            reached = np.zeros(n, dtype=bool)
-            reached[support[rows].indices] = True
-            return reached
-
-        return reach
-    support |= support.T
-    return lambda rows: support[rows].any(axis=0)
-
-
 def connected_components(*layers):
     """Count components of the union of positive-entry supports, with canonical labels.
 
-    Each layer is a WeightMatrix, a dense or CSR matrix, or a
-    GroupBlocks, all over the same n nodes. An edge joins i and j where
+    Each layer is a WeightMatrix in any storage or a bare dense or CSR
+    matrix, all over the same n nodes. An edge joins i and j where
     any layer has w[i, j] or w[j, i] positive, so one-way entries connect
     too. Each component is found by a frontier traversal from its
     smallest unlabelled node: every round reads the support rows of the
@@ -182,8 +149,8 @@ def connected_components(*layers):
     next frontier. Components are thus numbered in order of their smallest
     node index, so the component containing node 0 is always component 0.
     """
-    reaches = [_reach(_matrix_of(w)) for w in layers]
-    n = _matrix_of(layers[0]).shape[0]
+    reaches = [w.reach() if isinstance(w, WeightMatrix) else support_reach(w) for w in layers]
+    n = np.shape(layers[0])[0]
     labels = np.full(n, -1, dtype=np.int32)
     count = 0
     for start in range(n):

@@ -246,3 +246,45 @@ def two_layer_walk_matrix(w_a, w_b):
     walk[np.arange(n), n + np.arange(n)] = 0.5
     walk[n + np.arange(n), np.arange(n)] = 0.5
     return walk
+
+
+def laplacian(w):
+    """Combinatorial Laplacian diag(row sums) - W, in the storage of the weights.
+
+    `w` is a symmetric WeightMatrix held dense or sparse, or a bare
+    array. A dense result is C-ordered, and zero weights give +0.0 off
+    the diagonal, exactly as np.diag(w.sum(axis=1)) - w does.
+    """
+    import numpy as np
+    from scipy import sparse
+
+    if not getattr(w, "is_symmetric", True):
+        raise ValueError("laplacian requires a symmetric weight matrix; symmetrize first")
+    values = getattr(w, "values", w)
+    if sparse.issparse(values):
+        return (sparse.diags(np.asarray(values.sum(axis=1)).ravel()) - values).tocsr()
+    values = np.asarray(values, dtype=float)
+    # 0.0 - w, not -w, so zero weights give +0.0; then degree + (0.0 - w_ii)
+    # equals degree - w_ii exactly.
+    lap = np.subtract(0.0, values, order="C")
+    diagonal = np.arange(values.shape[0])
+    lap[diagonal, diagonal] += values.sum(axis=1)
+    return lap
+
+
+def haversine_matrix(points, radius=6371.0):
+    """All-pairs haversine as one whole-matrix numpy formula, diagonal zeroed.
+
+    The same operations per entry as a row-blocked computation, so the two
+    must agree bit for bit; haversine_reference checks the values.
+    """
+    import numpy as np
+
+    lat = np.radians([p[0] for p in points])
+    lon = np.radians([p[1] for p in points])
+    dp = lat[:, None] - lat[None, :]
+    dl = lon[:, None] - lon[None, :]
+    h = np.sin(dp / 2.0) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dl / 2.0) ** 2
+    d = 2.0 * radius * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+    np.fill_diagonal(d, 0.0)
+    return d

@@ -19,6 +19,7 @@ from conftest import make_event, make_location
 from oracles import (
     brute_force_sequence,
     jacobi_eigh,
+    laplacian,
     principal_angle_cos,
     traversal_components,
     two_layer_walk_matrix,
@@ -32,7 +33,7 @@ from permap.geo import (
     invert_distances,
     linear_border_distances,
 )
-from permap.graphs import DIRECTED, SYMMETRIC, WeightMatrix, laplacian
+from permap.graphs import DIRECTED, SYMMETRIC, WeightMatrix
 from permap.ingest import (
     DEFAULT_CATEGORIES,
     build_locations,

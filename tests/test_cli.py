@@ -471,6 +471,48 @@ class TestSweep:
         assert "error: config:" in err and "sweep list is empty" in err
 
 
+class TestListConfigFields:
+    CASES = (
+        ("groups=AQIM", "groups must be a list of strings, got 'AQIM'"),
+        ('groups="AQIM"', "groups must be a list of strings, got 'AQIM'"),
+        ("categories=Battle", "categories must be a list of strings, got 'Battle'"),
+        ("categories=[1]", "categories must be a list of strings, got [1]"),
+        (
+            "column_map.date_formats=%Y-%m-%d",
+            "column_map.date_formats must be a list of strings, got '%Y-%m-%d'",
+        ),
+        ('sweep_costs_km="100"', "sweep_costs_km must be a list of numbers, got '100'"),
+        ("sweep_probabilities=0.5", "sweep_probabilities must be a list of numbers, got 0.5"),
+    )
+
+    def test_override_with_a_bare_value_fails_in_config(self, capsys, fixture_run, tmp_path):
+        for override, message in self.CASES:
+            out_dir = tmp_path / "o"
+            rc, _, err = run_cli(
+                capsys,
+                "embed",
+                "--config",
+                str(fixture_run["config"]),
+                "--out",
+                str(out_dir),
+                "--override",
+                override,
+            )
+            assert rc == 1
+            assert err.strip() == f"error: config: invalid config value: {message}"
+            assert not out_dir.exists()
+
+    def test_json_config_with_a_bare_string_fails_in_config(self, capsys, fixture_run, tmp_path):
+        raw = json.loads(fixture_run["config"].read_text())
+        config = fixture_run["config"].with_name("bare.json")
+        config.write_text(json.dumps({**raw, "groups": "AQIM"}), encoding="utf-8")
+        rc, _, err = run_cli(capsys, "embed", "--config", str(config), "--out", str(tmp_path / "o"))
+        assert rc == 1
+        assert err.strip() == (
+            "error: config: invalid config value: groups must be a list of strings, got 'AQIM'"
+        )
+
+
 class TestFailureStages:
     def test_missing_config_file(self, capsys, tmp_path):
         rc, _, err = run_cli(

@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -147,6 +148,21 @@ class TestRunConfig:
         assert cfg.to_dict()["output_dir"] is None
 
 
+# A config entry that is not a list of the right items, and the message it fails with.
+LIST_FIELD_CASES = (
+    ({"groups": "AQIM"}, "invalid config value: groups must be a list of strings, got 'AQIM'"),
+    ({"categories": "Battle"}, "categories must be a list of strings, got 'Battle'"),
+    ({"categories": [1]}, "categories must be a list of strings, got [1]"),
+    (
+        {"column_map": {"date_formats": "%Y-%m-%d"}},
+        "column_map.date_formats must be a list of strings, got '%Y-%m-%d'",
+    ),
+    ({"column_map": {"date_formats": None}}, "column_map.date_formats must be a list of strings"),
+    ({"sweep_costs_km": "100"}, "sweep_costs_km must be a list of numbers, got '100'"),
+    ({"sweep_probabilities": 0.5}, "sweep_probabilities must be a list of numbers, got 0.5"),
+)
+
+
 class TestConfigFromDict:
     def test_minimal(self):
         cfg = config_from_dict({"events_csv": "e.csv"})
@@ -217,6 +233,18 @@ class TestConfigFromDict:
         assert cfg.column_map.actor == "who"
         assert cfg.column_map.date_formats == ("%Y-%m-%d",)
         assert cfg.categories == ("Battle",)
+
+    def test_list_fields_refuse_bare_strings_and_wrong_entries(self):
+        for raw, message in LIST_FIELD_CASES:
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                config_from_dict({"events_csv": "e.csv", **raw})
+
+    def test_list_fields_null_or_empty_take_defaults(self):
+        for value in (None, []):
+            lists = dict.fromkeys(("categories", "groups", "sweep_costs_km"), value)
+            cfg = config_from_dict({"events_csv": "e.csv", **lists})
+            assert cfg.categories == DEFAULT_CATEGORIES
+            assert cfg.groups == () and cfg.sweep_costs_km == ()
 
 
 class TestApplyOverrides:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_location
-from oracles import bfs_crossings, haversine_reference
+from oracles import bfs_crossings, haversine_matrix, haversine_reference
 from permap.errors import ConfigError, DisconnectedGraphError
 from permap.geo import (
     EARTH_RADIUS_KM,
@@ -78,6 +78,19 @@ class TestDistanceMatrix:
                 want = haversine_reference(a.latitude, a.longitude, b.latitude, b.longitude)
                 assert d[i, j] == pytest.approx(want, rel=1e-12, abs=1e-9)
         assert np.array_equal(d, d.T)
+
+    def test_row_blocks_bit_equal_to_whole_matrix_formula(self, twelve_locations):
+        # 600 is not a multiple of the 256-row blocks; 257 leaves a one-row block.
+        rng = np.random.default_rng(18)
+        cases = [[(loc.latitude, loc.longitude) for loc in twelve_locations]]
+        for n in (120, 257, 600):
+            cases.append(list(zip(rng.uniform(-89, 89, n), rng.uniform(-179, 179, n))))
+        for points in cases:
+            d = distance_matrix(points).values
+            assert np.array_equal(d, haversine_matrix(points))
+            for i, j in zip(rng.integers(0, len(points), 50), rng.integers(0, len(points), 50)):
+                want = haversine_reference(*points[i], *points[j])
+                assert d[i, j] == pytest.approx(want, rel=1e-12, abs=1e-9)
         assert np.array_equal(np.diag(d), np.zeros(n))
 
     def test_needs_two_locations(self):

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from oracles import traversal_components
+from oracles import laplacian, traversal_components
 from permap.graphs import (
     DIRECTED,
     SYMMETRIC,
     WeightMatrix,
     asymmetry,
-    laplacian,
     mean_nonzero_normalize,
     symmetrize,
 )

@@ -16,6 +16,7 @@ import pytest
 from scipy import sparse
 
 from conftest import make_location
+from oracles import laplacian
 from permap import graphs, layers
 from permap.cli import _prepare
 from permap.config import load_config
@@ -37,7 +38,6 @@ from permap.graphs import (
     SYMMETRIC,
     GroupBlocks,
     WeightMatrix,
-    laplacian,
     laplacian_operator,
 )
 from permap.layers import (
@@ -56,7 +56,7 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def dense(blocks):
-    """A GroupBlocks column by column; each product of a unit vector is exact."""
+    """Block weights column by column; each product of a unit vector is exact."""
     return np.column_stack([blocks @ unit for unit in np.eye(blocks.n)])
 
 
@@ -122,18 +122,24 @@ class TestGroupBlocks:
         # Three countries in a chain; the two ends are 2 crossings apart, so
         # their block underflows to 0 and must not count as an entry.
         table = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]])
-        blocks = GroupBlocks([0, 0, 1, 2], table)
+        blocks = WeightMatrix(GroupBlocks([0, 0, 1, 2], table), SYMMETRIC)
         full = dense(blocks)
         assert np.count_nonzero(full) == 8
         assert blocks.nonzero_mean() == pytest.approx(full.sum() / 8, rel=RTOL)
 
     def test_table_checks(self):
+        # The WeightMatrix holding the blocks checks the table's entries.
+        def blocks(table, kind=SYMMETRIC):
+            return WeightMatrix(GroupBlocks([0, 1], table), kind)
+
         with pytest.raises(ValueError, match="not symmetric"):
-            GroupBlocks([0, 1], [[1.0, 0.5], [0.2, 1.0]])
+            blocks([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ValueError, match="nonnegative"):
-            GroupBlocks([0, 1], [[1.0, -0.5], [-0.5, 1.0]])
+            blocks([[1.0, -0.5], [-0.5, 1.0]])
         with pytest.raises(ValueError, match="finite"):
-            GroupBlocks([0, 1], [[1.0, np.nan], [np.nan, 1.0]])
+            blocks([[1.0, np.nan], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="flagged symmetric"):
+            blocks(np.eye(2), DIRECTED)
         with pytest.raises(ValueError, match="index rows"):
             GroupBlocks([0, 2], np.eye(2))
 
@@ -300,7 +306,6 @@ def test_solve_forms_no_system_laplacian_or_crossings(monkeypatch, twelve_locati
         raise AssertionError("the solve path must not call this")
 
     disabled = [
-        graphs.laplacian,
         layers.build_two_layer,
         layers.build_three_layer,
         permap.geo.crossings_matrix,

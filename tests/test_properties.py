@@ -7,27 +7,27 @@ from datetime import date
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import events_csv_text, make_event, make_location
-from oracles import brute_force_sequence, haversine_reference
+from oracles import brute_force_sequence, haversine_reference, laplacian, principal_angle_cos
 from permap.cli import main
-from permap.geo import EARTH_RADIUS_KM, CountryBorderGraph, distance_matrix
+from permap.geo import EARTH_RADIUS_KM, CountryBorderGraph, distance_matrix, invert_distances
 from permap.ingest import parse_events
 from permap.graphs import (
     DIRECTED,
     SYMMETRIC,
     GroupBlocks,
     WeightMatrix,
-    laplacian,
+    laplacian_operator,
     mean_nonzero_normalize,
     symmetrize,
 )
-from permap.layers import _located, build_two_layer, system_operator
+from permap.layers import _located, build_two_layer, embed_two_layer, system_operator
 from permap.sequence import sequence_adjacency
-from permap.spectral import fix_signs
+from permap.spectral import embed, fix_signs
 
 finite = {"allow_nan": False, "allow_infinity": False}
 
@@ -202,7 +202,7 @@ def test_two_layer_border_layer_at_p_one_is_all_ones(drawn):
     prepared = _located("two_layer", locations, CHAIN)
     lap, _ = system_operator(prepared, 1.0)
     distance, border = lap.layers
-    assert isinstance(border, GroupBlocks)
+    assert isinstance(border.values, GroupBlocks)
     ones = np.ones((n, n)) - np.eye(n)
     # Each product with a unit vector is exact, so this is the layer itself.
     assert np.array_equal(np.column_stack([border @ unit for unit in np.eye(n)]), ones)
@@ -235,3 +235,59 @@ def test_zero_linear_cost_writes_the_same_bytes_as_no_borders(drawn):
         assert main(argv + ["--override", linear]) == 0
         for name in ("embedding.csv", "eigenvalues.csv", "rejections.csv"):
             assert (root / "none" / name).read_bytes() == (root / "linear" / name).read_bytes()
+
+
+def permuted_runs_agree(run, locations, order, copies):
+    """Embed the locations and their reordering; the second must be the first, reordered.
+
+    `run` maps a location list to (Embedding, LaplacianOperator). Points are
+    layer-major, so point c * n + i belongs to copy c of location i. The
+    start vector does not permute, so each embedding is compared by its
+    subspace, not entry by entry, and only where the gap at the cut
+    determines that subspace.
+    """
+    n = len(locations)
+    emb, lap = run(locations)
+    spectrum = np.linalg.eigvalsh(lap.toarray())
+    k = emb.k
+    assume(spectrum[k + 1] - spectrum[k] >= 1e-3 * spectrum[k + 1])
+    moved, _ = run([locations[i] for i in order])
+    points = np.concatenate([c * n + np.asarray(order) for c in range(copies)])
+    assert principal_angle_cos(emb.coordinates[points], moved.coordinates) >= 1 - 1e-6
+    assert np.abs(moved.eigenvalues - emb.eigenvalues).max() <= 1e-9 * lap.inf_norm
+
+
+# Distinct sites as above, enough of them for a 2-dimensional embedding.
+site_sets = st.lists(
+    st.tuples(st.integers(0, 80), st.integers(0, 80), st.sampled_from("ABC")),
+    min_size=6,
+    max_size=40,
+    unique_by=lambda site: site[:2],
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(site_sets.flatmap(lambda drawn: st.tuples(st.just(drawn), st.permutations(range(len(drawn))))))
+def test_permuting_locations_permutes_the_geo_embedding(case):
+    drawn, order = case
+
+    def run(locations):
+        w = invert_distances(distance_matrix(locations))
+        return embed(w, 2), laplacian_operator(w)
+
+    permuted_runs_agree(run, site_locations(drawn), order, copies=1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    site_sets.flatmap(lambda drawn: st.tuples(st.just(drawn), st.permutations(range(len(drawn))))),
+    st.sampled_from([1.0, 0.9, 0.5]),
+)
+def test_permuting_locations_permutes_the_two_layer_embedding(case, p):
+    drawn, order = case
+
+    def run(locations):
+        emb, _ = embed_two_layer(locations, CHAIN, p=p, k=2)
+        return emb, system_operator(_located("two_layer", locations, CHAIN), p)[0]
+
+    permuted_runs_agree(run, site_locations(drawn), order, copies=2)

@@ -4,13 +4,14 @@ from scipy import sparse
 
 from oracles import (
     jacobi_eigh,
+    laplacian,
     path_graph_eigenpairs,
     principal_angle_cos,
     traversal_components,
 )
 from permap.errors import DisconnectedGraphError
 from permap.geo import distance_matrix, invert_distances
-from permap.graphs import DIRECTED, SYMMETRIC, WeightMatrix, laplacian
+from permap.graphs import DIRECTED, SYMMETRIC, WeightMatrix
 from permap.spectral import (
     Embedding,
     PointRef,
