@@ -45,6 +45,13 @@ def _integer(value, name: str) -> int:
     return int(value)
 
 
+def _string(value, name: str) -> str:
+    """`value` itself, if it is a string."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _listed(value, name: str, default=None, entry=str) -> tuple:
     """`value` as a tuple, if it is a list of `entry` items (a bare string is not).
 
@@ -201,9 +208,10 @@ def _build_column_map(raw) -> ColumnMap:
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown column_map keys: {sorted(unknown)}")
-    kwargs = dict(raw)
-    if "date_formats" in kwargs:
-        kwargs["date_formats"] = _listed(kwargs["date_formats"], "column_map.date_formats")
+    kwargs = {}
+    for key, value in raw.items():
+        check = _listed if key == "date_formats" else _string
+        kwargs[key] = check(value, f"column_map.{key}")
     return ColumnMap(**kwargs)
 
 
@@ -228,11 +236,11 @@ def _build_split_rules(raw) -> tuple:
         try:
             rules.append(
                 GroupSplitRule(
-                    group_id=item["group_id"],
-                    attribute=item["attribute"],
-                    comparator=item["comparator"],
-                    threshold=float(item["threshold"]),
-                    virtual_suffix=item["virtual_suffix"],
+                    group_id=_string(item["group_id"], "split rule group_id"),
+                    attribute=_string(item["attribute"], "split rule attribute"),
+                    comparator=_string(item["comparator"], "split rule comparator"),
+                    threshold=_finite(item["threshold"], "split rule threshold"),
+                    virtual_suffix=_string(item["virtual_suffix"], "split rule virtual_suffix"),
                 )
             )
         except KeyError as exc:

@@ -18,7 +18,10 @@ Only this module looks at the storage.
 `LaplacianOperator` is the Laplacian diag(degrees) - A of a symmetric
 weight operator A, applied as degrees * x - A x, so no pipeline forms an
 n x n or larger array it only multiplies by. `laplacian_operator` wraps
-one layer; the multilayer systems build theirs in `layers`.
+one layer. `symmetrized_operator` builds every multilayer system: each
+location is copied once per layer (and per direction), a raw walk R over
+the copies is listed block by block, and A = (R + R^T) / 2 is applied
+from those blocks. Its degrees are A @ 1, so L @ 1 is exactly zero.
 
 `asymmetry` runs over square tiles of a dense matrix, on and above the
 diagonal, so it reads memory in cache-sized pieces and allocates no
@@ -278,20 +281,24 @@ class LaplacianOperator:
 
     `adjacency` maps one vector x to A x. `layers` are the n x n location
     WeightMatrix layers whose union of supports is connected exactly when
-    A's graph is, with `copies` points of A per location, so components
-    can be counted without A. `loops` is A's diagonal, zero in every
-    pipeline.
+    A's graph is, so components can be counted without A. `loops` is A's
+    diagonal, zero in every multilayer system. Where degrees are A @ 1,
+    as `symmetrized_operator` sets them, L @ 1 is exactly zero.
     """
 
     degrees: np.ndarray
     adjacency: Callable
     layers: tuple
-    copies: int = 1
     loops: object = 0.0
 
     @property
     def shape(self) -> tuple:
         return (self.degrees.size, self.degrees.size)
+
+    @property
+    def copies(self) -> int:
+        """Points of A per location: the system size over the layers' n."""
+        return self.degrees.size // self.layers[0].n
 
     @property
     def nnz(self) -> int:
@@ -317,6 +324,31 @@ class LaplacianOperator:
     def toarray(self) -> np.ndarray:
         """L as a dense array, one product per column; for small systems only."""
         return self @ np.eye(self.shape[0])
+
+
+def symmetrized_operator(n: int, blocks: dict, layers: tuple) -> LaplacianOperator:
+    """The Laplacian of A = (R + R^T) / 2 for a raw walk R given by its blocks.
+
+    R is a grid of n x n blocks, a row and a column of blocks per copy of
+    the n locations, up to the largest copy listed. `blocks` maps (row
+    copy, column copy) to the pair x -> B x, x -> B^T x of one block B;
+    unlisted blocks are zero, and blocks on R's diagonal have a zero
+    diagonal, so A has none. The degrees are A @ 1, so L @ 1 is exactly
+    zero. `layers` are as for LaplacianOperator.
+    """
+    copies = 1 + max(max(key) for key in blocks)
+
+    def adjacency(x):
+        xs = x.reshape(copies, n)
+        y = np.zeros((copies, n))
+        for (row, col), (forward, backward) in blocks.items():
+            y[row] += forward(xs[col])
+            y[col] += backward(xs[row])
+        y /= 2.0
+        return y.ravel()
+
+    degrees = adjacency(np.ones(copies * n))
+    return LaplacianOperator(degrees=degrees, adjacency=adjacency, layers=tuple(layers))
 
 
 def laplacian_operator(w: WeightMatrix) -> LaplacianOperator:

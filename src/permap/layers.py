@@ -1,31 +1,26 @@
 """Multilayer network assembly, the embedding pipeline, and displacement diagnostics.
 
 Two-layer systems couple a geodesic-closeness layer with a border
-permeability layer through fixed-weight inter-layer edges, following a
-lazy-walk budget: half of each node's transition mass stays in its layer
-and half crosses to its twin. Three-layer systems add a directed attack
-sequence layer and replicate every node into outgoing/incoming copies so
+permeability layer: half of each node's lazy-walk mass stays in its
+layer and half crosses to its twin. Three-layer systems add a directed
+attack sequence layer and copy every node into out- and in-copies, so
 the direction survives symmetric eigensolving.
 
 Every pipeline runs in two steps. `prepare` does the work that does not
-depend on the border value (locations, country codes and crossings
-between countries, distance and sequence layers); `solve` weights the
-borders at one value and embeds the system. A sweep prepares once and
-solves once per value.
+depend on the border value (locations, country codes and crossings,
+distance and sequence layers); `solve` weights the borders at one value
+and embeds the system, so a sweep prepares once.
 
-`solve` never assembles a system. `two_layer_operator` and
-`three_layer_operator` build its Laplacian as an operator from the
-per-layer WeightMatrix pieces, every coupling a diagonal. Each layer is
-held in the storage that suits it (the border layer as country blocks,
-the distance layer as one dense n x n array, the sequence layer as CSR),
-and the operators reach it only through WeightMatrix's products, sums
-and means, never through its storage. `build_two_layer` and
-`build_three_layer` still assemble the 2n x 2n and 6n x 6n systems; they
-are the references the operators are tested against.
+`two_layer_operator` and `three_layer_operator` only list the blocks of
+their raw walk over the copies, each a product with one layer or a
+diagonal; `graphs.symmetrized_operator` turns them into the Laplacian.
+`build_two_layer` and `build_three_layer` assemble the 2n x 2n and
+6n x 6n systems: the references the operators are tested against.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,6 +44,7 @@ from .graphs import (
     laplacian_operator,
     mean_nonzero_normalize,
     symmetrize,
+    symmetrized_operator,
 )
 from .ingest import build_locations
 from .sequence import sequence_adjacency
@@ -102,11 +98,6 @@ def _check_positive(sums: np.ndarray, layer: str) -> np.ndarray:
     return sums
 
 
-def _check_positive_rows(values: np.ndarray, layer: str) -> np.ndarray:
-    """Row sums of one dense layer's weights; raises if any node has none."""
-    return _check_positive(values.sum(axis=1), layer)
-
-
 def _check_two_layers(w_a, w_b) -> int:
     """Types, symmetry and sizes of a two-layer pair; returns n."""
     if not (isinstance(w_a, WeightMatrix) and isinstance(w_b, WeightMatrix)):
@@ -140,7 +131,7 @@ def build_two_layer(
     for block, w, tag in zip((slice(0, n), slice(n, None)), (w_a, w_b), layer_tags):
         values = np.array(w.values, dtype=float)
         np.fill_diagonal(values, 0.0)
-        values /= 2.0 * _check_positive_rows(values, tag)[:, None]
+        values /= 2.0 * _check_positive(values.sum(axis=1), tag)[:, None]
         assembled[block, block] = (values + values.T) / 2.0
     cross = np.arange(n)
     assembled[cross, n + cross] = 0.5
@@ -158,33 +149,27 @@ def two_layer_operator(w_a, w_b, layer_tags=TWO_LAYER_TAGS) -> LaplacianOperator
     """The Laplacian of build_two_layer(w_a, w_b).assembled, from the two layers alone.
 
     Layers are symmetric WeightMatrix objects in any storage, checked as
-    in build_two_layer. A layer W without its diagonal, with row sums D,
-    gives the within-layer block (D^-1 W + W D^-1) / 4: two products
-    with W per product of the system. The inter-layer blocks are I / 2.
+    in build_two_layer. The raw walk has one block per layer on that
+    layer's copy: W without its diagonal, rows scaled by D^-1 / 2, where D
+    are its row sums. One identity block leads from copy 0 to copy 1;
+    symmetrized, it is the I / 2 coupling both ways.
     """
     n = _check_two_layers(w_a, w_b)
-    blocks, degrees = [], []
-    for w, tag in zip((w_a, w_b), layer_tags):
+    blocks = {}
+    for copy, (w, tag) in enumerate(zip((w_a, w_b), layer_tags)):
         loops = w.diagonal()
-        sums = _check_positive(w.row_sums() - loops, tag)
+        rows = 0.5 / _check_positive(w.row_sums() - loops, tag)
+        blocks[copy, copy] = _layer_block(w, rows, -loops * rows)
+    blocks[0, 1] = (lambda x: x,) * 2
+    return symmetrized_operator(n, blocks, (w_a, w_b))
 
-        def block(x, w=w, loops=loops, sums=sums):
-            y = x / sums
-            return (w @ y - loops * y + (w @ x - loops * x) / sums) / 4.0
 
-        blocks.append(block)
-        # Row sums of the block: (1 + W D^-1 1) / 4, plus 1/2 across.
-        degrees.append((1.0 + (w @ (1.0 / sums) - loops / sums)) / 4.0 + 0.5)
-
-    def adjacency(x):
-        x_a, x_b = x[:n], x[n:]
-        return np.concatenate([blocks[0](x_a) + x_b / 2.0, blocks[1](x_b) + x_a / 2.0])
-
-    return LaplacianOperator(
-        degrees=np.concatenate(degrees),
-        adjacency=adjacency,
-        layers=(w_a, w_b),
-        copies=2,
+def _layer_block(w: WeightMatrix, rows, diagonal):
+    """One raw-walk block diag(rows) W + diag(diagonal), as x -> B x and x -> B^T x."""
+    transposed = w.transposed_product()
+    return (
+        lambda x: rows * (w @ x) + diagonal * x,
+        lambda x: transposed(rows * x) + diagonal * x,
     )
 
 
@@ -232,7 +217,7 @@ def build_three_layer(
         np.array(normalize_sequence_layer(a_seq).values, dtype=float),
     ]
     tags = tuple(layer_tags)
-    budgets = [_check_positive_rows(layer, tag) for tag, layer in zip(tags, normalized)]
+    budgets = [_check_positive(layer.sum(axis=1), tag) for tag, layer in zip(tags, normalized)]
     links = [(budget + layer.sum(axis=0)) / 4.0 for budget, layer in zip(budgets, normalized)]
 
     # Row block 2*l holds layer l's out-copies, row block 2*l+1 its
@@ -281,16 +266,13 @@ def three_layer_operator(
     The border and distance layers are symmetric and the sequence layer a
     directed WeightMatrix, each in any storage; the checks are those of
     build_three_layer. Layer l, normalized to N_l with budgets b_l (its
-    row sums), sends N_l / 2 from out- to in-copies, b_l / 4 to the
-    in-copy of the location in each other layer, and links each
-    location's out- and in-copy by (b_l + column sums of N_l) / 4. With
-    that raw matrix R, the system is (R + R^T) / 2, so a product takes one
-    product with N_l and one with its transpose per layer; the couplings
-    are diagonals.
+    row sums), has two kinds of raw-walk block, both from its out-copy:
+    N_l / 2 + diag((b_l + column sums of N_l) / 4) to its own in-copy,
+    and diag(b_l / 4) to the in-copy of each other layer.
     """
     n = _check_three_layers(w_border, w_dist, a_seq)
     layers = (w_border, w_dist, a_seq)
-    forwards, backwards, budgets, cols = [], [], [], []
+    blocks = {}
     for li, (w, tag) in enumerate(zip(layers, layer_tags)):
         try:
             mean = w.nonzero_mean()
@@ -298,47 +280,20 @@ def three_layer_operator(
             if li < 2:
                 raise
             raise ValueError("sequence layer has no edges; nothing to normalize") from None
-        rows, col = w.row_sums() / mean, w.col_sums() / mean
+        rows, cols = w.row_sums() / mean, w.col_sums() / mean
         pad = 0.0
         if li == 2:
             # Self-loops lift every sequence row to the largest row sum.
             pad = rows.max() - rows
-            rows, col = rows + pad, col + pad
-        forwards.append(lambda x, v=w, m=mean, d=pad: (v @ x) / m + d * x)
-        backwards.append(lambda x, t=w.transposed_product(), m=mean, d=pad: t(x) / m + d * x)
-        budgets.append(_check_positive(rows, tag))
-        cols.append(col)
-    links = [(budget + col) / 4.0 for budget, col in zip(budgets, cols)]
-    quarters = [budget / 4.0 for budget in budgets]
-    others = [[m for m in range(3) if m != li] for li in range(3)]
-
-    # Axis 1 of a (3, 2, n) view is the copy: 0 out, 1 in.
-    degrees = np.empty((3, 2, n))
-    for li, (a, b) in enumerate(others):
-        degrees[li, 0] = (budgets[li] + links[li]) / 2.0
-        degrees[li, 1] = (cols[li] / 2.0 + links[li] + quarters[a] + quarters[b]) / 2.0
-
-    def adjacency(x):
-        outs, ins = x.reshape(3, 2, n).transpose(1, 0, 2)
-        y = np.empty((3, 2, n))
-        for li, (a, b) in enumerate(others):
-            y[li, 0] = (
-                forwards[li](ins[li]) / 2.0 + links[li] * ins[li] + quarters[li] * (ins[a] + ins[b])
-            ) / 2.0
-            y[li, 1] = (
-                backwards[li](outs[li]) / 2.0
-                + links[li] * outs[li]
-                + quarters[a] * outs[a]
-                + quarters[b] * outs[b]
-            ) / 2.0
-        return y.ravel()
-
-    return LaplacianOperator(
-        degrees=degrees.ravel(),
-        adjacency=adjacency,
-        layers=layers,
-        copies=6,
-    )
+            rows, cols = rows + pad, cols + pad
+        budget = _check_positive(rows, tag)
+        diagonal = pad / 2.0 + (budget + cols) / 4.0
+        blocks[2 * li, 2 * li + 1] = _layer_block(w, 0.5 / mean, diagonal)
+        quarter = functools.partial(np.multiply, budget / 4.0)
+        for lj in range(3):
+            if lj != li:
+                blocks[2 * li, 2 * lj + 1] = (quarter, quarter)
+    return symmetrized_operator(n, blocks, layers)
 
 
 @dataclass(frozen=True)
@@ -369,22 +324,30 @@ def prepare(cfg, events, cg) -> Prepared:
     or None when the config prices no borders. Nothing here depends on the
     swept border value, and the events are not kept.
     """
-    kind = cfg.border_model.kind
     with stage("ingest"):
         locations, mapping = build_locations(events, cfg.rounding)
+    seq = None
+    if cfg.pipeline == "three_layer":
+        with stage("assembly"):
+            location_of = {e.source_row: lid for e, lid in zip(events, mapping)}
+            # CSR at once, so the dense counts are freed before the distance layer is built.
+            seq = _sparse(sequence_adjacency(events, location_of, cfg.groups, len(locations)))
+    return _located(cfg.pipeline, locations, cg, seq, cfg.border_model.kind)
+
+
+def _located(pipeline: str, locations, cg, seq=None, kind="permeability") -> Prepared:
+    """`prepare` for locations and a sequence layer already built; see Prepared."""
+    locations = tuple(locations)
     with stage("borders"):
         codes, hops = (None, None) if cg is None else country_crossings(locations, cg)
     with stage("assembly"):
-        seq = None
-        if cfg.pipeline == "three_layer":
-            location_of = {e.source_row: lid for e, lid in zip(events, mapping)}
-            seq = _sparse(sequence_adjacency(events, location_of, cfg.groups, len(locations)))
         distances = None
-        if cfg.pipeline != "geo":
+        if pipeline != "geo":
             distances = invert_distances(distance_matrix(locations))
         elif kind != "permeability":
             distances = distance_matrix(locations)
-    return Prepared(cfg.pipeline, kind, tuple(locations), codes, hops, distances, seq)
+        seq = None if seq is None else _sparse(seq)
+    return Prepared(pipeline, kind, locations, codes, hops, distances, seq)
 
 
 def _sparse(w: WeightMatrix) -> WeightMatrix:
@@ -428,15 +391,6 @@ def solve(prepared: Prepared, value: float | None, k: int):
         if prepared.pipeline == "geo":
             return emb, None
         return emb, displacement(emb, TWO_LAYER_TAGS)
-
-
-def _located(pipeline: str, locations, cg, seq=None) -> Prepared:
-    """The multilayer preparation for locations that are already built."""
-    locations = tuple(locations)
-    codes, hops = country_crossings(locations, cg)
-    distances = invert_distances(distance_matrix(locations))
-    seq = None if seq is None else _sparse(seq)
-    return Prepared(pipeline, "permeability", locations, codes, hops, distances, seq)
 
 
 def embed_two_layer(locations, cg, p: float = DEFAULT_BORDER_P, k: int = 2):

@@ -65,7 +65,10 @@ class EigenPairs(NamedTuple):
 
 def _matrix_of(m):
     if isinstance(m, WeightMatrix):
-        return m.values
+        raise ValueError(
+            "eigensolve_symmetric takes a matrix or a LaplacianOperator; "
+            "embed a WeightMatrix or wrap it with laplacian_operator"
+        )
     if sparse.issparse(m) or isinstance(m, LaplacianOperator):
         return m
     return np.asarray(m, dtype=float)

@@ -513,6 +513,83 @@ class TestListConfigFields:
         )
 
 
+SPLIT_RULE = {
+    "group_id": "Group A",
+    "attribute": "latitude",
+    "comparator": "<",
+    "threshold": 28.05,
+    "virtual_suffix": "-south",
+}
+
+
+def dotted_overrides(fragment, prefix=""):
+    """`--override` strings that set every leaf of a config fragment; lists are leaves."""
+    for key, value in fragment.items():
+        if isinstance(value, dict):
+            yield from dotted_overrides(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}={json.dumps(value)}"
+
+
+class TestNestedConfigFields:
+    # A nested config value of the wrong type, and the message it fails with.
+    CASES = (
+        ({"column_map": {"actor": 5}}, "column_map.actor must be a string, got 5"),
+        (
+            {"split_rules": [{**SPLIT_RULE, "threshold": True}]},
+            "split rule threshold must be a finite number, got True",
+        ),
+        (
+            {"split_rules": [{**SPLIT_RULE, "threshold": "13.5"}]},
+            "split rule threshold must be a finite number, got '13.5'",
+        ),
+        (
+            {"split_rules": [{**SPLIT_RULE, "virtual_suffix": 5}]},
+            "split rule virtual_suffix must be a string, got 5",
+        ),
+        ({"split_rules": [{**SPLIT_RULE, "group_id": 7}]}, "split rule group_id must be a string, got 7"),
+        (
+            {"split_rules": [{**SPLIT_RULE, "attribute": ["latitude"]}]},
+            "split rule attribute must be a string, got ['latitude']",
+        ),
+        ({"split_rules": [{**SPLIT_RULE, "comparator": 1}]}, "split rule comparator must be a string, got 1"),
+    )
+
+    def run(self, capsys, config, out_dir, *overrides):
+        argv = ["embed", "--config", str(config), "--out", str(out_dir)]
+        for override in overrides:
+            argv += ["--override", override]
+        rc, _, err = run_cli(capsys, *argv)
+        assert not out_dir.exists()
+        return rc, err.strip()
+
+    def test_json_config_fails_in_config(self, capsys, fixture_run, tmp_path):
+        raw = json.loads(fixture_run["config"].read_text())
+        config = fixture_run["config"].with_name("nested.json")
+        for fragment, message in self.CASES:
+            config.write_text(json.dumps({**raw, **fragment}), encoding="utf-8")
+            got = self.run(capsys, config, tmp_path / "o")
+            assert got == (1, f"error: config: invalid config value: {message}")
+
+    def test_override_fails_in_config(self, capsys, fixture_run, tmp_path):
+        for fragment, message in self.CASES:
+            overrides = list(dotted_overrides(fragment))
+            got = self.run(capsys, fixture_run["config"], tmp_path / "o", *overrides)
+            assert got == (1, f"error: config: invalid config value: {message}")
+
+    def test_an_integer_threshold_is_recorded_as_a_float(self, capsys, fixture_run, tmp_path):
+        rule = json.dumps([{**SPLIT_RULE, "threshold": 28}])
+        argv = ["--override", f"split_rules={rule}"]
+        rc, _, _ = run_cli(
+            capsys, "embed", "--config", str(fixture_run["config"]), "--out", str(tmp_path / "o"), *argv
+        )
+        assert rc == 0
+        text = (tmp_path / "o" / "manifest.json").read_text()
+        # 28.0 == 28 in Python, so the text is what shows the type.
+        assert '"threshold": 28.0,' in text
+        assert json.loads(text)["split_rules"] == [{**SPLIT_RULE, "threshold": 28.0}]
+
+
 class TestFailureStages:
     def test_missing_config_file(self, capsys, tmp_path):
         rc, _, err = run_cli(

@@ -144,6 +144,26 @@ class TestGroupBlocks:
             GroupBlocks([0, 2], np.eye(2))
 
 
+@pytest.fixture(scope="module")
+def seed_101_inputs(tmp_path_factory):
+    """The prepared seed-101 benchmark inputs of the two multilayer workloads.
+
+    1500 locations for two layers, 800 for three layers, 21 countries up
+    to 7 crossings apart.
+    """
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    root = tmp_path_factory.mktemp("seed_101")
+    prepared = {}
+    for name in ("two_layer_sweep", "three_layer_embed"):
+        gen = workloads.generate(workloads.WORKLOADS[name], 101, 0, root / name)
+        prepared[name], _ = _prepare(load_config(gen.config_json))
+    return prepared
+
+
 class TestOperatorsMatchAssembledBuilders:
     def test_single_layer_wraps_dense_and_sparse(self):
         rng = np.random.default_rng(201)
@@ -183,19 +203,9 @@ class TestOperatorsMatchAssembledBuilders:
                     lap = three_layer_operator(border_blocks(codes, hops, p), w_dist, stored)
                     check_products(lap, reference, rng)
 
-    def test_seed_101_benchmark_inputs(self, tmp_path):
-        # The generated benchmark inputs: 1500 locations for two layers, 800
-        # for three layers, 21 countries up to 7 crossings apart. The geo
-        # pipeline runs on the 1500 two-layer locations, like the geo input.
-        sys.path.insert(0, str(PERFBENCH))
-        try:
-            import workloads
-        finally:
-            sys.path.remove(str(PERFBENCH))
+    def test_seed_101_benchmark_inputs(self, seed_101_inputs):
         rng = np.random.default_rng(204)
-        for name in ("two_layer_sweep", "three_layer_embed"):
-            gen = workloads.generate(workloads.WORKLOADS[name], 101, 0, tmp_path / name)
-            prepared, _ = _prepare(load_config(gen.config_json))
+        for name, prepared in seed_101_inputs.items():
             crossings = crossings_matrix(prepared.locations, load_reference_borders())
             assert np.array_equal(prepared.hops[prepared.codes[:, None], prepared.codes], crossings)
             for p in (1.0, 0.5, UNDERFLOW_P):
@@ -208,6 +218,7 @@ class TestOperatorsMatchAssembledBuilders:
                     system = build_three_layer(border, prepared.distances, seq)
                 assert provenance == system.provenance
                 check_products(lap, laplacian(system.assembled), rng, 2)
+        # The geo pipeline runs on the last of them, the 800 three-layer locations.
         d = distance_matrix(prepared.locations)
         geo = replace(prepared, pipeline="geo", border_kind="linear", distances=d, sequence=None)
         priced = invert_distances(linear_border_distances(d, crossings, 100.0))
@@ -216,6 +227,64 @@ class TestOperatorsMatchAssembledBuilders:
         for p in (1.0, 0.5, UNDERFLOW_P):
             reference = laplacian(border_permeability_matrix(crossings, p))
             check_products(system_operator(geo, p)[0], reference, rng, 2)
+
+
+class TestSymmetrizedOperator:
+    def test_matches_dense_oracle_on_a_random_grid(self):
+        # Three copies of n locations; R's blocks are a directed CSR layer,
+        # country blocks, dense arrays and diagonals. Blocks on R's diagonal
+        # have a zero diagonal, as in every multilayer system.
+        rng = np.random.default_rng(206)
+        n = 13
+        codes, hops, _ = random_borders(rng, n)
+        seq = WeightMatrix(sparse.csr_matrix(random_sequence(rng, n).values), DIRECTED)
+        border = border_blocks(codes, hops, 0.5)
+        forward = rng.uniform(0.0, 2.0, (n, n))
+        hollow = rng.uniform(0.0, 2.0, (n, n))
+        np.fill_diagonal(hollow, 0.0)
+        d_a, d_b = rng.uniform(0.1, 1.0, (2, n))
+        grid = {
+            (0, 1): (seq, (seq.__matmul__, seq.transposed_product())),
+            (1, 1): (dense(border), (border.__matmul__, border.__matmul__)),
+            (2, 0): (forward, (forward.__matmul__, forward.T.__matmul__)),
+            (0, 0): (hollow, (hollow.__matmul__, hollow.T.__matmul__)),
+            (1, 2): (np.diag(d_a), (lambda x: d_a * x,) * 2),
+            (2, 1): (np.diag(d_b), (lambda x: d_b * x,) * 2),
+        }
+        raw = np.zeros((3 * n, 3 * n))
+        for (row, col), (block, _) in grid.items():
+            block = block.values.toarray() if isinstance(block, WeightMatrix) else block
+            raw[row * n : (row + 1) * n, col * n : (col + 1) * n] = block
+        blocks = {key: pair for key, (_, pair) in grid.items()}
+        lap = graphs.symmetrized_operator(n, blocks, (seq, border))
+        check_products(lap, laplacian((raw + raw.T) / 2.0), rng)
+        assert lap.shape == (3 * n, 3 * n) and lap.copies == 3
+        assert not np.any(lap @ np.ones(3 * n))
+
+    @staticmethod
+    def assert_constant_is_null(lap):
+        # degrees are A @ 1, so degrees * 1 - A @ 1 is x - x: exactly +0.0.
+        residual = lap @ np.ones(lap.shape[0])
+        assert np.count_nonzero(residual) == 0, f"{np.count_nonzero(residual)} nonzero"
+
+    def test_constant_vector_is_null_on_random_layers_in_every_storage(self):
+        rng = np.random.default_rng(207)
+        for n in (3, 9, 60):
+            for p in (1.0, 0.5, UNDERFLOW_P):
+                codes, hops, crossings = random_borders(rng, n, countries=2)
+                w_dist = random_layer(rng, n, density=0.3, diagonal=True)
+                seq = random_sequence(rng, n)
+                borders = (border_blocks(codes, hops, p), border_permeability_matrix(crossings, p))
+                for w in (w_dist, WeightMatrix(sparse.csr_matrix(w_dist.values), SYMMETRIC)):
+                    for border in borders:
+                        self.assert_constant_is_null(two_layer_operator(w, border))
+                        for stored in (seq, layers._sparse(seq)):
+                            self.assert_constant_is_null(three_layer_operator(border, w, stored))
+
+    def test_constant_vector_is_null_on_seed_101_inputs(self, seed_101_inputs):
+        for prepared in seed_101_inputs.values():
+            for p in (1.0, 0.5, UNDERFLOW_P):
+                self.assert_constant_is_null(system_operator(prepared, p)[0])
 
 
 class TestLinearBorderWeights:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -10,7 +12,13 @@ from oracles import (
     traversal_components,
 )
 from permap.errors import DisconnectedGraphError
-from permap.geo import distance_matrix, invert_distances
+from permap.geo import (
+    CountryBorderGraph,
+    border_blocks,
+    country_crossings,
+    distance_matrix,
+    invert_distances,
+)
 from permap.graphs import DIRECTED, SYMMETRIC, WeightMatrix
 from permap.spectral import (
     Embedding,
@@ -68,6 +76,23 @@ class TestEigensolve:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             eigensolve_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
+
+    def test_refuses_a_weight_matrix_in_every_storage(self):
+        # A layer is weights, not a Laplacian; solving it would answer the wrong question.
+        ring = ring_weights(6)
+        cg = CountryBorderGraph.from_pairs([("A", "B")])
+        codes, hops = country_crossings(["A", "A", "B", "B", "B", "A"], cg)
+        message = (
+            "eigensolve_symmetric takes a matrix or a LaplacianOperator; "
+            "embed a WeightMatrix or wrap it with laplacian_operator"
+        )
+        for w in (
+            ring,
+            WeightMatrix(sparse.csr_matrix(ring.values), SYMMETRIC),
+            border_blocks(codes, hops, 0.5),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                eigensolve_symmetric(w, 2)
 
     def test_count_bounds(self):
         m = np.eye(3)
