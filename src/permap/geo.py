@@ -33,7 +33,7 @@ _REFERENCE_BORDERS = "country_borders_west_africa.csv"
 
 # Rows computed per step by distance_matrix and linear_border_weights.
 _ROW_BLOCK = 256
-# invert_distances' default: the farthest pair keeps a tenth of the top weight.
+# invert_distances' scale: the farthest pair keeps a tenth of the top weight.
 _MULTIPLIER = 1.1
 
 
@@ -78,26 +78,24 @@ def distance_matrix(locations) -> WeightMatrix:
     return WeightMatrix(d, SYMMETRIC)
 
 
-def invert_distances(d: WeightMatrix, multiplier: float = _MULTIPLIER) -> WeightMatrix:
-    """Turn distances into similarities: multiplier * max(d) minus each entry.
+def invert_distances(d: WeightMatrix) -> WeightMatrix:
+    """Turn distances into similarities: 1.1 * max(d) minus each entry.
 
-    With multiplier > 1 every off-diagonal weight stays strictly positive,
-    so near locations get large weights and far ones small. The diagonal is
-    forced back to zero.
+    Every off-diagonal weight stays strictly positive, so near locations
+    get large weights and far ones small. The diagonal is forced back to
+    zero.
     """
     if not d.is_symmetric:
         raise ValueError("invert_distances expects a symmetric distance matrix")
-    return WeightMatrix(_invert(d.values, multiplier, np.empty(d.values.shape)), SYMMETRIC)
+    return WeightMatrix(_invert(d.values, np.empty(d.values.shape)), SYMMETRIC)
 
 
-def _invert(values: np.ndarray, multiplier: float, out: np.ndarray) -> np.ndarray:
-    """Write multiplier * max(values) - values, zero diagonal, into `out` (may be `values`)."""
-    if multiplier <= 1.0:
-        raise ValueError(f"multiplier must be > 1 to keep weights positive, got {multiplier}")
+def _invert(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write _MULTIPLIER * max(values) - values, zero diagonal, into `out` (may be `values`)."""
     top = float(values.max())
     if top <= 0.0:
         raise ValueError("all distances are zero; nothing to invert")
-    np.subtract(multiplier * top, values, out=out)
+    np.subtract(_MULTIPLIER * top, values, out=out)
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -272,4 +270,4 @@ def linear_border_weights(d: WeightMatrix, codes, hops, cost_km: float) -> Weigh
     for start in range(0, n, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
         np.add(d.values[rows], extra[codes[rows, None], codes[None, :]], out=out[rows])
-    return WeightMatrix(_invert(out, _MULTIPLIER, out), SYMMETRIC)
+    return WeightMatrix(_invert(out, out), SYMMETRIC)

@@ -143,31 +143,6 @@ class GroupBlocks:
         return (self.table[self.groups[rows]] > 0).any(axis=0)[self.groups]
 
 
-def support_reach(values) -> Callable:
-    """A function from frontier rows to the mask of nodes they touch, either way.
-
-    `values` is a dense or CSR array, which may hold negative entries or
-    stored zeros (neither is an edge), or a GroupBlocks.
-    """
-    if isinstance(values, GroupBlocks):
-        return values.reach
-    if not _is_sparse(values):
-        values = np.asarray(values, dtype=float)
-    n = values.shape[0]
-    support = values > 0
-    if _is_sparse(support):
-        support = (support + support.T).tocsr()
-
-        def reach(rows):
-            reached = np.zeros(n, dtype=bool)
-            reached[support[rows].indices] = True
-            return reached
-
-        return reach
-    support |= support.T
-    return lambda rows: support[rows].any(axis=0)
-
-
 @dataclass(frozen=True)
 class WeightMatrix:
     """n x n nonnegative edge weights, flagged symmetric or directed.
@@ -271,8 +246,26 @@ class WeightMatrix:
         return float(data.sum() / nonzero)
 
     def reach(self) -> Callable:
-        """See `support_reach`."""
-        return support_reach(self.values)
+        """A function from frontier rows to the mask of nodes they touch, either way.
+
+        A stored zero is no edge. A row may reach itself; the caller has
+        labelled it already.
+        """
+        v = self.values
+        if isinstance(v, GroupBlocks):
+            return v.reach
+        support = v > 0
+        if _is_sparse(support):
+            support = (support + support.T).tocsr()
+
+            def reach(rows):
+                reached = np.zeros(self.n, dtype=bool)
+                reached[support[rows].indices] = True
+                return reached
+
+            return reach
+        support |= support.T
+        return lambda rows: support[rows].any(axis=0)
 
 
 @dataclass(frozen=True)

@@ -334,7 +334,9 @@ def write_summary_csvs(stats: SummaryStats, outdir) -> list:
             fh.write(f"{lid},{count}\n")
     deaths = outdir / "fatalities_by_country_year.csv"
     with atomic_write(deaths) as fh:
-        fh.write("country,year,fatalities\n")
+        # Country names are free text and may hold a comma.
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["country", "year", "fatalities"])
         for (country, year), total in sorted(stats.fatalities_by_country_year.items()):
-            fh.write(f"{country},{year},{total}\n")
+            out.writerow([country, year, total])
     return [attacks, groups, deaths]

@@ -16,10 +16,18 @@ their raw walk over the copies, each a product with one layer or a
 diagonal; `graphs.symmetrized_operator` turns them into the Laplacian.
 `build_two_layer` and `build_three_layer` assemble the 2n x 2n and
 6n x 6n systems: the references the operators are tested against.
+
+`LAYOUTS` fixes the order of every multilayer system's points once:
+its layer tags, then the copies of each layer, then the locations.
+The provenance of the embedded points comes from it, and so does
+`displacement`, which reshapes the coordinates by it and reports each
+location's border-layer point minus its distance-layer point (in the
+three-layer system, each point is the centroid of the out and in copies).
 """
 
 from __future__ import annotations
 
+import csv
 import functools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -56,6 +64,15 @@ OUT = "out"
 IN = "in"
 NO_COPY = "-"
 
+# The point layout of each multilayer pipeline: its layer tags and the
+# copies of every layer. Points run layer-major, so copy c of layer l
+# holds the n rows from (l * len(copies) + c) * n, the block that
+# graphs.symmetrized_operator numbers l * len(copies) + c.
+LAYOUTS = {
+    "two_layer": (TWO_LAYER_TAGS, (NO_COPY,)),
+    "three_layer": (THREE_LAYER_TAGS, (OUT, IN)),
+}
+
 DEFAULT_BORDER_P = 0.95
 
 
@@ -90,6 +107,13 @@ def _provenance(n: int, layer_tags, copies) -> tuple:
     return tuple(PointRef(i, tag, copy) for tag in layer_tags for copy in copies for i in range(n))
 
 
+def _system(pipeline: str, n: int, assembled: WeightMatrix) -> MultiLayerSystem:
+    """An assembled system with the point layout of `pipeline`."""
+    layer_tags, copies = LAYOUTS[pipeline]
+    provenance = _provenance(n, layer_tags, copies)
+    return MultiLayerSystem(n, layer_tags, len(copies), assembled, provenance)
+
+
 def _check_positive(sums: np.ndarray, layer: str) -> np.ndarray:
     """`sums`, the total edge weight of each node in one layer; raises if any node has none."""
     bad = np.flatnonzero(sums <= 0)
@@ -112,9 +136,7 @@ def _check_two_layers(w_a, w_b) -> int:
     return n
 
 
-def build_two_layer(
-    w_a: WeightMatrix, w_b: WeightMatrix, layer_tags=TWO_LAYER_TAGS
-) -> MultiLayerSystem:
+def build_two_layer(w_a: WeightMatrix, w_b: WeightMatrix) -> MultiLayerSystem:
     """Couple two undirected layers over the same nodes into one assembled system.
 
     Each layer, with its diagonal dropped and its rows scaled to sum 0.5,
@@ -128,7 +150,7 @@ def build_two_layer(
     """
     n = _check_two_layers(w_a, w_b)
     assembled = np.zeros((2 * n, 2 * n))
-    for block, w, tag in zip((slice(0, n), slice(n, None)), (w_a, w_b), layer_tags):
+    for block, w, tag in zip((slice(0, n), slice(n, None)), (w_a, w_b), TWO_LAYER_TAGS):
         values = np.array(w.values, dtype=float)
         np.fill_diagonal(values, 0.0)
         values /= 2.0 * _check_positive(values.sum(axis=1), tag)[:, None]
@@ -136,16 +158,10 @@ def build_two_layer(
     cross = np.arange(n)
     assembled[cross, n + cross] = 0.5
     assembled[n + cross, cross] = 0.5
-    return MultiLayerSystem(
-        n=n,
-        layer_tags=tuple(layer_tags),
-        copies_per_layer=1,
-        assembled=WeightMatrix(assembled, SYMMETRIC),
-        provenance=_provenance(n, layer_tags, (NO_COPY,)),
-    )
+    return _system("two_layer", n, WeightMatrix(assembled, SYMMETRIC))
 
 
-def two_layer_operator(w_a, w_b, layer_tags=TWO_LAYER_TAGS) -> LaplacianOperator:
+def two_layer_operator(w_a, w_b) -> LaplacianOperator:
     """The Laplacian of build_two_layer(w_a, w_b).assembled, from the two layers alone.
 
     Layers are symmetric WeightMatrix objects in any storage, checked as
@@ -156,7 +172,7 @@ def two_layer_operator(w_a, w_b, layer_tags=TWO_LAYER_TAGS) -> LaplacianOperator
     """
     n = _check_two_layers(w_a, w_b)
     blocks = {}
-    for copy, (w, tag) in enumerate(zip((w_a, w_b), layer_tags)):
+    for copy, (w, tag) in enumerate(zip((w_a, w_b), TWO_LAYER_TAGS)):
         loops = w.diagonal()
         rows = 0.5 / _check_positive(w.row_sums() - loops, tag)
         blocks[copy, copy] = _layer_block(w, rows, -loops * rows)
@@ -178,14 +194,16 @@ def normalize_sequence_layer(a) -> WeightMatrix:
 
     After dividing by the mean nonzero weight, every row gets a self-loop
     sized to lift its sum to the maximum row sum S; nodes with no sequence
-    edges end up with a self-loop of weight S.
+    edges end up with a self-loop of weight S. The result is dense, from a
+    dense or a CSR layer alike.
     """
     w = a if isinstance(a, WeightMatrix) else WeightMatrix(a, DIRECTED)
     try:
         scaled = mean_nonzero_normalize(w)
     except ValueError:
         raise ValueError("sequence layer has no edges; nothing to normalize") from None
-    values = np.array(scaled.values, dtype=float)
+    values = scaled.values
+    values = values.toarray() if sparse.issparse(values) else np.array(values, dtype=float)
     sums = values.sum(axis=1)
     top = float(sums.max())
     np.fill_diagonal(values, values.diagonal() + (top - sums))
@@ -193,10 +211,7 @@ def normalize_sequence_layer(a) -> WeightMatrix:
 
 
 def build_three_layer(
-    w_border: WeightMatrix,
-    w_dist: WeightMatrix,
-    a_seq: WeightMatrix,
-    layer_tags=THREE_LAYER_TAGS,
+    w_border: WeightMatrix, w_dist: WeightMatrix, a_seq: WeightMatrix
 ) -> MultiLayerSystem:
     """Assemble border, distance, and sequence layers into a 6n x 6n system.
 
@@ -216,8 +231,9 @@ def build_three_layer(
         np.array(mean_nonzero_normalize(w_dist).values, dtype=float),
         np.array(normalize_sequence_layer(a_seq).values, dtype=float),
     ]
-    tags = tuple(layer_tags)
-    budgets = [_check_positive(layer.sum(axis=1), tag) for tag, layer in zip(tags, normalized)]
+    budgets = [
+        _check_positive(layer.sum(axis=1), tag) for tag, layer in zip(THREE_LAYER_TAGS, normalized)
+    ]
     links = [(budget + layer.sum(axis=0)) / 4.0 for budget, layer in zip(budgets, normalized)]
 
     # Row block 2*l holds layer l's out-copies, row block 2*l+1 its
@@ -235,13 +251,7 @@ def build_three_layer(
         grid[2 * li + 1][2 * li] = sparse.csr_matrix((n, n))
     raw = sparse.bmat(grid, format="csr")
 
-    return MultiLayerSystem(
-        n=n,
-        layer_tags=tags,
-        copies_per_layer=2,
-        assembled=symmetrize(raw),
-        provenance=_provenance(n, tags, (OUT, IN)),
-    )
+    return _system("three_layer", n, symmetrize(raw))
 
 
 def _check_three_layers(w_border, w_dist, a_seq) -> int:
@@ -258,9 +268,7 @@ def _check_three_layers(w_border, w_dist, a_seq) -> int:
     return n
 
 
-def three_layer_operator(
-    w_border, w_dist, a_seq: WeightMatrix, layer_tags=THREE_LAYER_TAGS
-) -> LaplacianOperator:
+def three_layer_operator(w_border, w_dist, a_seq: WeightMatrix) -> LaplacianOperator:
     """The Laplacian of build_three_layer(...).assembled, from the three layers alone.
 
     The border and distance layers are symmetric and the sequence layer a
@@ -273,7 +281,7 @@ def three_layer_operator(
     n = _check_three_layers(w_border, w_dist, a_seq)
     layers = (w_border, w_dist, a_seq)
     blocks = {}
-    for li, (w, tag) in enumerate(zip(layers, layer_tags)):
+    for li, (w, tag) in enumerate(zip(layers, THREE_LAYER_TAGS)):
         try:
             mean = w.nonzero_mean()
         except ValueError:
@@ -372,10 +380,10 @@ def system_operator(prepared: Prepared, value: float | None):
         return laplacian_operator(w), _provenance(n, (tag,), (NO_COPY,))
     w_border = border_blocks(prepared.codes, prepared.hops, value)
     if prepared.pipeline == "two_layer":
-        lap = two_layer_operator(prepared.distances, w_border, TWO_LAYER_TAGS)
-        return lap, _provenance(n, TWO_LAYER_TAGS, (NO_COPY,))
-    lap = three_layer_operator(w_border, prepared.distances, prepared.sequence)
-    return lap, _provenance(n, THREE_LAYER_TAGS, (OUT, IN))
+        lap = two_layer_operator(prepared.distances, w_border)
+    else:
+        lap = three_layer_operator(w_border, prepared.distances, prepared.sequence)
+    return lap, _provenance(n, *LAYOUTS[prepared.pipeline])
 
 
 def solve(prepared: Prepared, value: float | None, k: int):
@@ -390,7 +398,7 @@ def solve(prepared: Prepared, value: float | None, k: int):
         emb = embed(lap, k, provenance=provenance)
         if prepared.pipeline == "geo":
             return emb, None
-        return emb, displacement(emb, TWO_LAYER_TAGS)
+        return emb, displacement(emb, *LAYOUTS[prepared.pipeline])
 
 
 def embed_two_layer(locations, cg, p: float = DEFAULT_BORDER_P, k: int = 2):
@@ -433,51 +441,23 @@ class DisplacementReport:
     rows: tuple
 
 
-def _centroids(emb: Embedding, refs: np.ndarray, spec: str):
-    """Sorted location ids under one selector, and the centroid of each one's points."""
-    layer, _, copy = spec.partition(":")
-    match = refs[:, 1] == layer
-    if copy:
-        match &= refs[:, 2] == copy
-    rows = np.flatnonzero(match)
-    if not rows.size:
-        raise RuntimeError(f"no embedded points match layer selector {spec!r}")
-    lids = refs[rows, 0].astype(np.int64)
-    # Stable, so each location's points stay in embedding order.
-    order = np.argsort(lids, kind="stable")
-    rows = rows[order]
-    ids, starts, counts = np.unique(lids[order], return_index=True, return_counts=True)
-    centroids = np.empty((ids.size, emb.k))
-    for count in np.unique(counts):
-        group = counts == count
-        points = rows[starts[group][:, None] + np.arange(count)]
-        centroids[group] = emb.coordinates[points].mean(axis=1)
-    return ids, centroids
+def displacement(emb: Embedding, layer_tags, copies) -> DisplacementReport:
+    """Vector and length from each location's distance-layer point to its border-layer point.
 
-
-def displacement(emb: Embedding, layer_pair) -> DisplacementReport:
-    """Vector and length from each location's first-layer point to its second.
-
-    Selectors are layer tags, optionally narrowed to one copy as
-    "layer:copy"; a selector matching both copies of a location uses their
-    centroid. Every location must appear under both selectors.
+    The points are in the layout `layer_tags` x `copies` of LAYOUTS, so
+    the coordinates reshape to (layers, copies, locations, k); a layer
+    with two copies contributes the centroid of each location's pair.
     """
-    sel_a, sel_b = layer_pair
-    refs = np.array(emb.provenance, dtype=object).reshape(-1, 3)
-    ids_a, centroids_a = _centroids(emb, refs, sel_a)
-    ids_b, centroids_b = _centroids(emb, refs, sel_b)
-    missing = np.setxor1d(ids_a, ids_b)
-    if missing.size:
-        raise RuntimeError(
-            f"location {int(missing[0])} is missing a copy for pair ({sel_a!r}, {sel_b!r})"
-        )
+    points = emb.coordinates.reshape(len(layer_tags), len(copies), -1, emb.k).mean(axis=1)
+    distance, border = TWO_LAYER_TAGS
+    vectors = points[layer_tags.index(border)] - points[layer_tags.index(distance)]
     # One norm per vector, not one over axis 1, whose sums can round differently.
     rows = [
         DisplacementRow(lid, tuple(vec.tolist()), float(np.linalg.norm(vec)))
-        for lid, vec in zip(ids_a.tolist(), centroids_b - centroids_a)
+        for lid, vec in enumerate(vectors)
     ]
     rows.sort(key=lambda r: (-r.length, r.location_id))
-    return DisplacementReport(layer_a=sel_a, layer_b=sel_b, k=emb.k, rows=tuple(rows))
+    return DisplacementReport(layer_a=distance, layer_b=border, k=emb.k, rows=tuple(rows))
 
 
 def write_displacement_csv(report: DisplacementReport, path, countries=None) -> None:
@@ -485,13 +465,14 @@ def write_displacement_csv(report: DisplacementReport, path, countries=None) -> 
     delta_cols = [f"d{name}" for name in COORD_NAMES[: report.k]]
     header = ["location_id", "layer_a", "layer_b"] + delta_cols + ["length", "country"]
     with atomic_write(path) as fh:
-        fh.write(",".join(header) + "\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
         for row in report.rows:
             country = "" if countries is None else str(countries[row.location_id])
             cells = [str(row.location_id), report.layer_a, report.layer_b]
             cells += [repr(float(v)) for v in row.vector]
             cells += [repr(row.length), country]
-            fh.write(",".join(cells) + "\n")
+            out.writerow(cells)
 
 
 def country_separation_ratio(emb: Embedding, countries) -> float:

@@ -29,6 +29,7 @@ more on the other two.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,7 +39,7 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator
 
 from .errors import DisconnectedGraphError, SolverError
 from .fileio import atomic_write
-from .graphs import LaplacianOperator, WeightMatrix, asymmetry, laplacian_operator, support_reach
+from .graphs import LaplacianOperator, WeightMatrix, asymmetry, laplacian_operator
 
 RESIDUAL_RTOL = 1e-8
 ZERO_EIGENVALUE_RTOL = 1e-8
@@ -143,17 +144,16 @@ def _residuals(values, vals, vecs) -> np.ndarray:
 def connected_components(*layers):
     """Count components of the union of positive-entry supports, with canonical labels.
 
-    Each layer is a WeightMatrix in any storage or a bare dense or CSR
-    matrix, all over the same n nodes. An edge joins i and j where
-    any layer has w[i, j] or w[j, i] positive, so one-way entries connect
-    too. Each component is found by a frontier traversal from its
-    smallest unlabelled node: every round reads the support rows of the
-    current frontier in each layer, and the newly reached nodes become the
-    next frontier. Components are thus numbered in order of their smallest
+    Each layer is a WeightMatrix in any storage, all over the same n
+    nodes. An edge joins i and j where any layer has w[i, j] or w[j, i]
+    positive, so one-way entries connect too. Each component is found by
+    a frontier traversal from its smallest unlabelled node: every round
+    reads the support rows of the current frontier in each layer, and the
+    newly reached nodes become the next frontier. Components are thus numbered in order of their smallest
     node index, so the component containing node 0 is always component 0.
     """
-    reaches = [w.reach() if isinstance(w, WeightMatrix) else support_reach(w) for w in layers]
-    n = np.shape(layers[0])[0]
+    reaches = [w.reach() for w in layers]
+    n = layers[0].n
     labels = np.full(n, -1, dtype=np.int32)
     count = 0
     for start in range(n):
@@ -266,13 +266,14 @@ def write_embedding_csv(emb: Embedding, path, countries=None) -> None:
     header = ["point_id", "location_id", "layer", "copy"]
     header += list(COORD_NAMES[: emb.k]) + ["country"]
     with atomic_write(path) as fh:
-        fh.write(",".join(header) + "\n")
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
         for idx, ref in enumerate(emb.provenance):
             country = "" if countries is None else str(countries[ref.location_id])
             cells = [str(idx), str(ref.location_id), ref.layer, ref.copy]
             cells += [repr(float(v)) for v in emb.coordinates[idx]]
             cells.append(country)
-            fh.write(",".join(cells) + "\n")
+            out.writerow(cells)
 
 
 def write_eigenvalues_csv(emb: Embedding, path) -> None:

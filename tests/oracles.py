@@ -183,24 +183,19 @@ def three_layer_budget_assembly(normalized):
     return out
 
 
-def displacement_rows(points, sel_a, sel_b):
+def displacement_rows(points, layer_a, layer_b):
     """Displacement rows by a plain loop over every point for every location.
 
-    `points` lists (location_id, layer, copy, coordinates). A selector is
-    a layer tag, optionally narrowed as "layer:copy"; a location's points
-    under one selector are averaged coordinate by coordinate. Returns
+    `points` lists (location_id, layer, coordinates); a location's points
+    in one layer are averaged coordinate by coordinate, and each row runs
+    from its `layer_a` average to its `layer_b` one. Returns
     (location_id, vector, length) tuples, longest first, ties by id.
     """
-
-    def matches(spec, layer, copy):
-        want_layer, _, want_copy = spec.partition(":")
-        return layer == want_layer and (not want_copy or copy == want_copy)
-
     rows = []
     for lid in sorted({point[0] for point in points}):
         ends = []
-        for spec in (sel_a, sel_b):
-            mine = [xy for pid, layer, copy, xy in points if pid == lid and matches(spec, layer, copy)]
+        for want in (layer_a, layer_b):
+            mine = [xy for pid, layer, xy in points if pid == lid and layer == want]
             ends.append([math.fsum(axis) / len(mine) for axis in zip(*mine)])
         vector = tuple(b - a for a, b in zip(*ends))
         rows.append((lid, vector, math.sqrt(math.fsum(v * v for v in vector))))

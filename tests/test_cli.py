@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -469,6 +470,76 @@ class TestSweep:
         )
         assert rc == 1
         assert "error: config:" in err and "sweep list is empty" in err
+
+
+class TestFreeTextCells:
+    COUNTRY = "Congo, Republic of"
+
+    @pytest.fixture
+    def comma_run(self, tmp_path):
+        """Four events, two of them in a country whose name holds a comma."""
+        header = ["event_date", "actor1", "latitude", "longitude", "country", "admin1"]
+        header += ["event_type", "fatalities"]
+        sites = [(-4.3, 15.3, self.COUNTRY), (-1.6, 13.6, self.COUNTRY)]
+        sites += [(0.4, 9.5, "Gabon"), (-1.7, 11.9, "Gabon")]
+        with open(tmp_path / "events.csv", "w", encoding="utf-8", newline="") as fh:
+            rows = csv.writer(fh)
+            rows.writerow(header)
+            for day, (lat, lon, country) in enumerate(sites, start=1):
+                rows.writerow(
+                    [f"2020-03-{day:02d}", "G", lat, lon, country, f"a{day}", "Battles", 1]
+                )
+        with open(tmp_path / "borders.csv", "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerow([self.COUNTRY, "Gabon"])
+        config = tmp_path / "config.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "events_csv": "events.csv",
+                    "borders_csv": "borders.csv",
+                    "pipeline": "geo",
+                    "border_model": {"kind": "none"},
+                    "categories": ["Battles"],
+                }
+            ),
+            encoding="utf-8",
+        )
+        return config
+
+    def read_back(self, path):
+        with open(path, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert {len(row) for row in rows} == {len(rows[0])}, path.name
+        return [dict(zip(rows[0], row)) for row in rows[1:]]
+
+    def test_country_with_a_comma_reads_back(self, capsys, comma_run, tmp_path):
+        summary = tmp_path / "s"
+        rc, _, err = run_cli(capsys, "summarize", "--config", str(comma_run), "--out", str(summary))
+        assert rc == 0 and err == ""
+        deaths = self.read_back(summary / "fatalities_by_country_year.csv")
+        assert deaths == [
+            {"country": self.COUNTRY, "year": "2020", "fatalities": "2"},
+            {"country": "Gabon", "year": "2020", "fatalities": "2"},
+        ]
+        runs = {
+            "geo": (),
+            "two_layer": (
+                "--override",
+                "pipeline=two_layer",
+                "--override",
+                'border_model={"kind": "permeability", "p": 0.95}',
+            ),
+        }
+        for name, overrides in runs.items():
+            out_dir = tmp_path / name
+            rc, _, err = run_cli(
+                capsys, "embed", "--config", str(comma_run), "--out", str(out_dir), *overrides
+            )
+            assert rc == 0 and err == ""
+            files = ["embedding.csv"] + (["displacement.csv"] if name == "two_layer" else [])
+            for file in files:
+                rows = self.read_back(out_dir / file)
+                assert {row["country"] for row in rows} == {self.COUNTRY, "Gabon"}, file
 
 
 class TestListConfigFields:

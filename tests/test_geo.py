@@ -105,19 +105,13 @@ class TestDistanceMatrix:
 class TestInvertDistances:
     def test_three_point_example(self):
         d = distance_matrix([(0, 0), (0, 1), (0, 3)])
-        w = invert_distances(d, multiplier=1.1).values
+        w = invert_distances(d).values
         top = 3 * ONE_DEGREE_EQUATOR_KM
         assert w[0, 1] == pytest.approx(1.1 * top - ONE_DEGREE_EQUATOR_KM, rel=1e-12)
         assert w[0, 2] == pytest.approx(0.1 * top, rel=1e-9)
         assert np.array_equal(np.diag(w), np.zeros(3))
         # nearer pairs end up heavier
         assert w[0, 1] > w[1, 2] > w[0, 2] > 0
-
-    def test_multiplier_must_exceed_one(self):
-        d = distance_matrix([(0, 0), (0, 1)])
-        for bad in (1.0, 0.5, 0.0, -2.0):
-            with pytest.raises(ValueError, match="multiplier"):
-                invert_distances(d, multiplier=bad)
 
     def test_all_zero_rejected(self):
         from permap.graphs import SYMMETRIC, WeightMatrix

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import make_location
 from oracles import (
@@ -13,6 +14,7 @@ from permap.geo import CountryBorderGraph
 from permap.graphs import DIRECTED, SYMMETRIC, WeightMatrix
 from permap.layers import (
     IN,
+    LAYOUTS,
     NO_COPY,
     OUT,
     THREE_LAYER_TAGS,
@@ -257,6 +259,18 @@ class TestBuildThreeLayer:
         assert np.array_equal(v, v.T)
         assert (v >= 0).all()
 
+    def test_csr_sequence_layer_gives_the_dense_assembly(self):
+        # prepare holds the sequence layer as CSR; the reference builder takes it too.
+        rng = np.random.default_rng(72)
+        n = 30
+        a, b = (rng.uniform(0.1, 1.0, (n, n)) for _ in "ab")
+        w_border, w_dist = sym(a + a.T), sym(b + b.T)
+        seq = rng.integers(0, 4, (n, n)) * (rng.uniform(size=(n, n)) < 0.1).astype(float)
+        dense = build_three_layer(w_border, w_dist, directed(seq)).assembled.values
+        stored = WeightMatrix(sparse.csr_matrix(seq), DIRECTED)
+        got = build_three_layer(w_border, w_dist, stored).assembled.values
+        assert np.array_equal(got.toarray(), dense.toarray())
+
     def test_provenance_order(self):
         system = build_three_layer(*three_layer_fixture())
         refs = system.provenance
@@ -329,100 +343,91 @@ class TestEmbedThreeLayer:
         assert len(report.rows) == 12
         assert report.layer_a == "distance" and report.layer_b == "border"
 
+    def test_reports_read_the_points_the_provenance_names(self, twelve_locations, chain_borders):
+        a = np.zeros((12, 12))
+        a[0, 1] = a[4, 5] = a[8, 9] = 1.0
+        for emb, report in (
+            embed_two_layer(twelve_locations, chain_borders, k=3),
+            embed_three_layer(twelve_locations, chain_borders, directed(a), k=3),
+        ):
+            points = [
+                (ref.location_id, ref.layer, xy.tolist())
+                for ref, xy in zip(emb.provenance, emb.coordinates)
+            ]
+            want = displacement_rows(points, "distance", "border")
+            assert [(row.location_id, row.vector) for row in report.rows] == [
+                (lid, vector) for lid, vector, _ in want
+            ]
+
+
+def layout_embedding(coords, layer_tags, copies):
+    """An embedding whose points run layer by layer, copy by copy, location by location."""
+    n = len(coords) // (len(layer_tags) * len(copies))
+    refs = [PointRef(i, tag, copy) for tag in layer_tags for copy in copies for i in range(n)]
+    return fake_embedding(coords, refs)
+
+
+def layout_report(coords, pipeline):
+    """The displacement of coordinates in the point layout of `pipeline`."""
+    layout = LAYOUTS[pipeline]
+    return displacement(layout_embedding(coords, *layout), *layout)
+
 
 class TestDisplacement:
     def test_identical_copies_have_zero_length(self):
         coords = [[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [3.0, 4.0]]
-        refs = [
-            PointRef(0, "a", NO_COPY),
-            PointRef(1, "a", NO_COPY),
-            PointRef(0, "b", NO_COPY),
-            PointRef(1, "b", NO_COPY),
-        ]
-        report = displacement(fake_embedding(coords, refs), ("a", "b"))
+        report = layout_report(coords, "two_layer")
         assert all(row.length == 0.0 for row in report.rows)
 
     def test_hand_vectors_and_ordering(self):
+        # Distance-layer points first, then border-layer points.
         coords = [[0.0, 0.0], [1.0, 1.0], [3.0, 4.0], [1.0, 1.0]]
-        refs = [
-            PointRef(0, "a", NO_COPY),
-            PointRef(1, "a", NO_COPY),
-            PointRef(0, "b", NO_COPY),
-            PointRef(1, "b", NO_COPY),
-        ]
-        report = displacement(fake_embedding(coords, refs), ("a", "b"))
+        report = layout_report(coords, "two_layer")
+        assert (report.layer_a, report.layer_b) == ("distance", "border")
         assert report.rows[0] == DisplacementRow(0, (3.0, 4.0), 5.0)
         assert report.rows[1] == DisplacementRow(1, (0.0, 0.0), 0.0)
 
     def test_equal_lengths_sort_by_location(self):
-        coords = [[0.0], [0.0], [1.0], [1.0]]
-        refs = [
-            PointRef(1, "a", NO_COPY),
-            PointRef(0, "a", NO_COPY),
-            PointRef(1, "b", NO_COPY),
-            PointRef(0, "b", NO_COPY),
-        ]
-        report = displacement(fake_embedding(coords, refs), ("a", "b"))
-        assert [row.location_id for row in report.rows] == [0, 1]
+        coords = [[0.0], [0.0], [0.0], [-1.0], [2.0], [1.0]]
+        report = layout_report(coords, "two_layer")
+        assert [row.location_id for row in report.rows] == [1, 0, 2]
+        assert [row.length for row in report.rows] == [2.0, 1.0, 1.0]
 
-    def test_copy_selectors_and_centroid(self):
-        coords = [[0.0], [4.0], [10.0], [20.0]]
-        refs = [
-            PointRef(0, "s", OUT),
-            PointRef(0, "s", IN),
-            PointRef(0, "t", OUT),
-            PointRef(0, "t", IN),
-        ]
-        emb = fake_embedding(coords, refs)
-        both = displacement(emb, ("s", "t"))
-        assert both.rows[0].vector == (13.0,)  # centroids 2 and 15
-        narrowed = displacement(emb, ("s:out", "t:in"))
-        assert narrowed.rows[0].vector == (20.0,)
+    def test_two_copies_give_their_centroid(self):
+        # One location: border out/in, distance out/in, sequence out/in.
+        coords = [[10.0], [20.0], [0.0], [4.0], [100.0], [-7.0]]
+        report = layout_report(coords, "three_layer")
+        assert report.rows[0].vector == (13.0,)  # centroids 2 and 15
 
     def test_matches_loop_oracle_with_both_and_single_copies(self):
         rng = np.random.default_rng(41)
-        n = 60
-        refs = [PointRef(i, tag, copy) for tag in THREE_LAYER_TAGS for copy in (OUT, IN) for i in range(n)]
-        # A shuffled provenance order, and coordinates over several magnitudes.
-        refs = [refs[i] for i in rng.permutation(len(refs))]
-        coords = rng.standard_normal((len(refs), 3)) * 10.0 ** rng.integers(-6, 3, (len(refs), 1))
-        emb = fake_embedding(coords, refs)
-        points = [(ref.location_id, ref.layer, ref.copy, coords[i].tolist()) for i, ref in enumerate(refs)]
-        for pair in (
-            ("distance", "border"),
-            ("distance:out", "border:in"),
-            ("sequence:in", "distance"),
-            ("border:out", "border:in"),
-        ):
-            report = displacement(emb, pair)
-            want = displacement_rows(points, *pair)
-            assert [(row.location_id, row.vector) for row in report.rows] == [
-                (lid, vector) for lid, vector, _ in want
-            ]
-            lengths = np.array([row.length for row in report.rows])
-            assert np.allclose(lengths, [length for _, _, length in want], rtol=1e-12, atol=0)
-
-    def test_missing_copy_rejected(self):
-        coords = [[0.0], [1.0], [2.0]]
-        refs = [PointRef(0, "a", NO_COPY), PointRef(1, "a", NO_COPY), PointRef(0, "b", NO_COPY)]
-        with pytest.raises(RuntimeError, match="location 1 is missing"):
-            displacement(fake_embedding(coords, refs), ("a", "b"))
-
-    def test_unknown_selector_rejected(self):
-        coords = [[0.0], [1.0]]
-        refs = [PointRef(0, "a", NO_COPY), PointRef(0, "b", NO_COPY)]
-        with pytest.raises(RuntimeError, match="selector 'z'"):
-            displacement(fake_embedding(coords, refs), ("a", "z"))
+        for layer_tags, copies in LAYOUTS.values():
+            for n in (1, 2, 9, 60, 301):
+                k = int(rng.integers(1, 4))
+                size = len(layer_tags) * len(copies) * n
+                # Coordinates over several magnitudes.
+                coords = rng.standard_normal((size, k)) * 10.0 ** rng.integers(-8, 3, (size, 1))
+                emb = layout_embedding(coords, layer_tags, copies)
+                report = displacement(emb, layer_tags, copies)
+                points = [
+                    (ref.location_id, ref.layer, coords[i].tolist())
+                    for i, ref in enumerate(emb.provenance)
+                ]
+                want = displacement_rows(points, "distance", "border")
+                assert [(row.location_id, row.vector) for row in report.rows] == [
+                    (lid, vector) for lid, vector, _ in want
+                ]
+                lengths = np.array([row.length for row in report.rows])
+                assert np.allclose(lengths, [length for _, _, length in want], rtol=1e-12, atol=0)
 
     def test_csv_export(self, tmp_path):
         coords = [[0.0, 0.0], [3.0, 4.0]]
-        refs = [PointRef(0, "a", NO_COPY), PointRef(0, "b", NO_COPY)]
-        report = displacement(fake_embedding(coords, refs), ("a", "b"))
+        report = layout_report(coords, "two_layer")
         path = tmp_path / "displacement.csv"
         write_displacement_csv(report, path, countries={0: "Mali"})
         lines = path.read_text().splitlines()
         assert lines[0] == "location_id,layer_a,layer_b,dx,dy,length,country"
-        assert lines[1] == "0,a,b,3.0,4.0,5.0,Mali"
+        assert lines[1] == "0,distance,border,3.0,4.0,5.0,Mali"
 
 
 class TestCountrySeparationRatio:

@@ -214,8 +214,7 @@ class TestOperatorsMatchAssembledBuilders:
                 if name == "two_layer_sweep":
                     system = build_two_layer(prepared.distances, border)
                 else:
-                    seq = WeightMatrix(prepared.sequence.values.toarray(), DIRECTED)
-                    system = build_three_layer(border, prepared.distances, seq)
+                    system = build_three_layer(border, prepared.distances, prepared.sequence)
                 assert provenance == system.provenance
                 check_products(lap, laplacian(system.assembled), rng, 2)
         # The geo pipeline runs on the last of them, the 800 three-layer locations.

@@ -177,16 +177,20 @@ class TestEigensolve:
         assert got.residuals.max() <= 1e-10
 
 
+def directed(values):
+    return WeightMatrix(values, DIRECTED)
+
+
 class TestConnectedComponents:
     def test_single_edge(self):
-        count, labels = connected_components(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        count, labels = connected_components(directed(np.array([[0.0, 1.0], [1.0, 0.0]])))
         assert count == 1 and labels.tolist() == [0, 0]
 
     def test_two_blocks(self):
         m = np.zeros((5, 5))
         m[0, 1] = m[1, 0] = 1.0
         m[2, 3] = m[3, 2] = m[3, 4] = m[4, 3] = 1.0
-        count, labels = connected_components(m)
+        count, labels = connected_components(directed(m))
         assert count == 2
         assert labels.tolist() == [0, 0, 1, 1, 1]
 
@@ -194,7 +198,7 @@ class TestConnectedComponents:
         # node 0 is isolated, nodes 1-2 form the second component
         m = np.zeros((3, 3))
         m[1, 2] = m[2, 1] = 1.0
-        count, labels = connected_components(m)
+        count, labels = connected_components(directed(m))
         assert count == 2
         assert labels.tolist() == [0, 1, 1]
 
@@ -205,32 +209,30 @@ class TestConnectedComponents:
             m = rng.uniform(0, 1, (n, n)) * (rng.uniform(size=(n, n)) < 0.15)
             m = (m + m.T) / 2.0
             np.fill_diagonal(m, 0.0)
-            count, labels = connected_components(m)
+            count, labels = connected_components(directed(m))
             want_count, want_labels = traversal_components(m.tolist())
             assert count == want_count
             assert labels.tolist() == want_labels
-
 
     def test_matches_traversal_oracle_at_scale_dense_and_csr(self):
         rng = np.random.default_rng(43)
         n = 600
         for _ in range(3):
             # Nodes dealt at random into four clusters plus isolated nodes,
-            # wired mostly one way only, with a few negative entries.
+            # wired one way only.
             group = rng.integers(0, 5, n)
             m = rng.uniform(0.1, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.03)
             m[group[:, None] != group[None, :]] = 0.0
             m[group == 4, :] = 0.0
             m[:, group == 4] = 0.0
             m[np.tril_indices(n)] = 0.0
-            m[rng.uniform(size=(n, n)) < 0.001] = -1.0
             csr = sparse.csr_matrix(m)
             csr.data[::5] = 0.0  # stored zeros are not edges
             for values in (m, csr, csr.toarray()):
                 dense = values.toarray() if sparse.issparse(values) else values
                 want_count, want_labels = traversal_components(dense.tolist())
                 assert want_count >= 3 and np.bincount(want_labels).min() == 1
-                count, labels = connected_components(values)
+                count, labels = connected_components(directed(values))
                 assert count == want_count
                 assert labels.tolist() == want_labels
 
