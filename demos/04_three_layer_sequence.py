@@ -13,16 +13,7 @@ from datetime import date
 
 import numpy as np
 
-from permap import (
-    CountryBorderGraph,
-    border_permeability_matrix,
-    build_three_layer,
-    distance_matrix,
-    embed,
-    invert_distances,
-    sequence_adjacency,
-)
-from permap.geo import crossings_matrix
+from permap import CountryBorderGraph, layers, sequence_adjacency
 from permap.ingest import EventRecord, Location
 
 SITES = [
@@ -59,18 +50,11 @@ for row in range(1, 34):
 
 moves = sequence_adjacency(events, location_of, ["Raiders"], len(locations))
 print("Directed move counts between locations:")
-print(moves.values.astype(int))
+print(moves.values.toarray().astype(int))
 
-# Assemble border, distance, and sequence layers into one walk matrix.
-distances = distance_matrix([(s[1], s[2]) for s in SITES])
-system = build_three_layer(
-    border_permeability_matrix(
-        crossings_matrix([s[3] for s in SITES], borders), p=0.95
-    ),
-    invert_distances(distances),
-    moves,
-)
-embedding = embed(system.assembled, k=2, provenance=system.provenance)
+# Weight border, distance, and sequence layers into one system and embed it.
+prepared = layers.prepare("three_layer", locations, borders, moves)
+embedding, _ = layers.solve(prepared, 0.95, k=2)
 
 
 def pair_gap(a, b):

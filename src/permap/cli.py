@@ -58,7 +58,7 @@ def cmd_summarize(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _prepare(cfg: RunConfig):
-    """Ingest and load borders once; returns (Prepared, ParseReport)."""
+    """Ingest, load borders and build the sequence layer once; returns (Prepared, ParseReport)."""
     with stage("ingest"):
         violent, report = _load_events(cfg)
         if not violent:
@@ -67,7 +67,15 @@ def _prepare(cfg: RunConfig):
     with stage("borders"):
         if not (cfg.pipeline == "geo" and cfg.border_model.kind == "none"):
             cg = _border_graph(cfg)
-    return layers.prepare(cfg, violent, cg), report
+    with stage("ingest"):
+        locations, mapping = ingest.build_locations(violent, cfg.rounding)
+    seq = None
+    if cfg.pipeline == "three_layer":
+        with stage("assembly"):
+            location_of = {e.source_row: lid for e, lid in zip(violent, mapping)}
+            seq = sequence.sequence_adjacency(violent, location_of, cfg.groups, len(locations))
+    prepared = layers.prepare(cfg.pipeline, locations, cg, seq, cfg.border_model.kind)
+    return prepared, report
 
 
 def _export_run(cfg, emb, disp, locations, report, out_dir: Path) -> None:

@@ -13,7 +13,8 @@ symmetric or directed, held in one of three storages:
 operators and the component check ask of a layer: products with it and
 its transpose, row and column sums, the diagonal, the mean nonzero
 entry, the numbers it stores, and which nodes a set of rows reaches.
-Only this module looks at the storage.
+`toarray` gives a dense copy in every storage, for the assembled
+reference builders. Only this module looks at the storage.
 
 `LaplacianOperator` is the Laplacian diag(degrees) - A of a symmetric
 weight operator A, applied as degrees * x - A x, so no pipeline forms an
@@ -135,6 +136,12 @@ class GroupBlocks:
             raise ValueError("cannot normalize an all-zero matrix")
         return float(total / nonzero)
 
+    def toarray(self) -> np.ndarray:
+        """The n x n weights as a new dense array."""
+        dense = self.table[np.ix_(self.groups, self.groups)]
+        np.fill_diagonal(dense, 0.0)
+        return dense
+
     def reach(self, rows) -> np.ndarray:
         """Nodes that share a nonzero entry with any of `rows`, as a mask.
 
@@ -194,6 +201,11 @@ class WeightMatrix:
 
     def __matmul__(self, x):
         return self.values @ x
+
+    def toarray(self) -> np.ndarray:
+        """The weights as a new dense n x n array, whatever the storage."""
+        v = self.values
+        return v.copy() if isinstance(v, np.ndarray) else v.toarray()
 
     def transposed_product(self) -> Callable:
         """x -> W^T x. The transpose of a directed layer is made here, once.
@@ -371,10 +383,12 @@ def mean_nonzero_normalize(w: WeightMatrix) -> WeightMatrix:
     """Divide every entry by the mean of the strictly nonzero entries.
 
     Brings edge-weight magnitudes of differently scaled layers onto a
-    common footing: the nonzero entries of the result average to 1.
+    common footing: the nonzero entries of the result average to 1. The
+    result is dense, whatever the storage of `w`.
     """
-    values = w.values
-    nz = values.data[values.data != 0] if _is_sparse(values) else values[values != 0]
+    values = w.toarray()
+    nz = values[values != 0]
     if nz.size == 0:
         raise ValueError("cannot normalize an all-zero matrix")
-    return WeightMatrix(values / nz.mean(), w.kind)
+    values /= nz.mean()
+    return WeightMatrix(values, w.kind)

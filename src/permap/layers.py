@@ -6,16 +6,19 @@ layer and half crosses to its twin. Three-layer systems add a directed
 attack sequence layer and copy every node into out- and in-copies, so
 the direction survives symmetric eigensolving.
 
-Every pipeline runs in two steps. `prepare` does the work that does not
-depend on the border value (locations, country codes and crossings,
-distance and sequence layers); `solve` weights the borders at one value
-and embeds the system, so a sweep prepares once.
+Every pipeline runs in two steps. `prepare` takes the locations, the
+border graph and (for three layers) the sequence layer the caller has
+read, and does the work that does not depend on the border value
+(country codes and crossings, the distance layer); `solve` weights the
+borders at one value and embeds the system, so a sweep prepares once.
+This module weights layers; it reads no events.
 
 `two_layer_operator` and `three_layer_operator` only list the blocks of
 their raw walk over the copies, each a product with one layer or a
 diagonal; `graphs.symmetrized_operator` turns them into the Laplacian.
 `build_two_layer` and `build_three_layer` assemble the 2n x 2n and
-6n x 6n systems: the references the operators are tested against.
+6n x 6n systems from a dense copy of each layer, in any storage: the
+references the operators are tested against.
 
 `LAYOUTS` fixes the order of every multilayer system's points once:
 its layer tags, then the copies of each layer, then the locations.
@@ -54,8 +57,6 @@ from .graphs import (
     symmetrize,
     symmetrized_operator,
 )
-from .ingest import build_locations
-from .sequence import sequence_adjacency
 from .spectral import COORD_NAMES, Embedding, PointRef, embed
 
 TWO_LAYER_TAGS = ("distance", "border")
@@ -151,7 +152,7 @@ def build_two_layer(w_a: WeightMatrix, w_b: WeightMatrix) -> MultiLayerSystem:
     n = _check_two_layers(w_a, w_b)
     assembled = np.zeros((2 * n, 2 * n))
     for block, w, tag in zip((slice(0, n), slice(n, None)), (w_a, w_b), TWO_LAYER_TAGS):
-        values = np.array(w.values, dtype=float)
+        values = w.toarray()
         np.fill_diagonal(values, 0.0)
         values /= 2.0 * _check_positive(values.sum(axis=1), tag)[:, None]
         assembled[block, block] = (values + values.T) / 2.0
@@ -189,7 +190,7 @@ def _layer_block(w: WeightMatrix, rows, diagonal):
     )
 
 
-def normalize_sequence_layer(a) -> WeightMatrix:
+def normalize_sequence_layer(w: WeightMatrix) -> WeightMatrix:
     """Normalize the sequence layer and pad rows to a constant sum.
 
     After dividing by the mean nonzero weight, every row gets a self-loop
@@ -197,13 +198,11 @@ def normalize_sequence_layer(a) -> WeightMatrix:
     edges end up with a self-loop of weight S. The result is dense, from a
     dense or a CSR layer alike.
     """
-    w = a if isinstance(a, WeightMatrix) else WeightMatrix(a, DIRECTED)
     try:
-        scaled = mean_nonzero_normalize(w)
+        # A new dense array, whatever the storage of w, so it is padded in place.
+        values = mean_nonzero_normalize(w).values
     except ValueError:
         raise ValueError("sequence layer has no edges; nothing to normalize") from None
-    values = scaled.values
-    values = values.toarray() if sparse.issparse(values) else np.array(values, dtype=float)
     sums = values.sum(axis=1)
     top = float(sums.max())
     np.fill_diagonal(values, values.diagonal() + (top - sums))
@@ -227,9 +226,9 @@ def build_three_layer(
     n = _check_three_layers(w_border, w_dist, a_seq)
 
     normalized = [
-        np.array(mean_nonzero_normalize(w_border).values, dtype=float),
-        np.array(mean_nonzero_normalize(w_dist).values, dtype=float),
-        np.array(normalize_sequence_layer(a_seq).values, dtype=float),
+        mean_nonzero_normalize(w_border).values,
+        mean_nonzero_normalize(w_dist).values,
+        normalize_sequence_layer(a_seq).values,
     ]
     budgets = [
         _check_positive(layer.sum(axis=1), tag) for tag, layer in zip(THREE_LAYER_TAGS, normalized)
@@ -313,7 +312,8 @@ class Prepared:
     borders. `distances` is the raw km matrix for `geo` (priced per
     border before inversion) and the inverted distance layer for the
     multilayer pipelines; it is None where the pipeline never reads it.
-    `sequence` is the three-layer sequence layer, held as CSR.
+    `sequence` is the three-layer sequence layer, CSR as
+    `sequence.sequence_adjacency` builds it.
     """
 
     pipeline: str
@@ -325,26 +325,13 @@ class Prepared:
     sequence: WeightMatrix | None
 
 
-def prepare(cfg, events, cg) -> Prepared:
-    """Locations, crossings, distance and sequence layers for a run config.
+def prepare(pipeline: str, locations, cg, seq=None, border_kind="permeability") -> Prepared:
+    """The border-value-independent state of one pipeline; see Prepared.
 
-    `events` are the filtered events of the run and `cg` its border graph,
-    or None when the config prices no borders. Nothing here depends on the
-    swept border value, and the events are not kept.
+    `cg` is the border graph, or None when no borders are priced, and
+    `seq` the three-layer sequence layer as `sequence.sequence_adjacency`
+    builds it. Nothing here depends on the swept border value.
     """
-    with stage("ingest"):
-        locations, mapping = build_locations(events, cfg.rounding)
-    seq = None
-    if cfg.pipeline == "three_layer":
-        with stage("assembly"):
-            location_of = {e.source_row: lid for e, lid in zip(events, mapping)}
-            # CSR at once, so the dense counts are freed before the distance layer is built.
-            seq = _sparse(sequence_adjacency(events, location_of, cfg.groups, len(locations)))
-    return _located(cfg.pipeline, locations, cg, seq, cfg.border_model.kind)
-
-
-def _located(pipeline: str, locations, cg, seq=None, kind="permeability") -> Prepared:
-    """`prepare` for locations and a sequence layer already built; see Prepared."""
     locations = tuple(locations)
     with stage("borders"):
         codes, hops = (None, None) if cg is None else country_crossings(locations, cg)
@@ -352,14 +339,9 @@ def _located(pipeline: str, locations, cg, seq=None, kind="permeability") -> Pre
         distances = None
         if pipeline != "geo":
             distances = invert_distances(distance_matrix(locations))
-        elif kind != "permeability":
+        elif border_kind != "permeability":
             distances = distance_matrix(locations)
-        seq = None if seq is None else _sparse(seq)
-    return Prepared(pipeline, kind, locations, codes, hops, distances, seq)
-
-
-def _sparse(w: WeightMatrix) -> WeightMatrix:
-    return WeightMatrix(sparse.csr_matrix(w.values), w.kind)
+    return Prepared(pipeline, border_kind, locations, codes, hops, distances, seq)
 
 
 def system_operator(prepared: Prepared, value: float | None):
@@ -407,22 +389,7 @@ def embed_two_layer(locations, cg, p: float = DEFAULT_BORDER_P, k: int = 2):
     Returns (Embedding, DisplacementReport); the report measures how far
     each location's two copies land apart.
     """
-    return solve(_located("two_layer", locations, cg), p, k)
-
-
-def embed_three_layer(
-    locations,
-    cg,
-    seq: WeightMatrix,
-    p: float = DEFAULT_BORDER_P,
-    k: int = 2,
-):
-    """Embed the full border/distance/sequence system for given locations.
-
-    Returns (Embedding, DisplacementReport); the report compares each
-    location's distance-layer and border-layer centroids.
-    """
-    return solve(_located("three_layer", locations, cg, seq), p, k)
+    return solve(prepare("two_layer", locations, cg), p, k)
 
 
 class DisplacementRow(NamedTuple):

@@ -2,9 +2,10 @@
 
 Each selected group's events are ordered by date (ties fall back to input
 file order) and every consecutive pair at distinct locations adds one unit
-of directed weight from the earlier location to the later one. Optional
-split rules partition a group into virtual sub-groups by a coordinate
-half-plane before sequencing.
+of directed weight from the earlier location to the later one. The
+counts are held as CSR, since groups move between few of the n^2
+location pairs. Optional split rules partition a group into virtual
+sub-groups by a coordinate half-plane before sequencing.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigError
 from .graphs import DIRECTED, WeightMatrix
@@ -86,10 +88,11 @@ def order_events(events, group: str) -> list:
 def sequence_adjacency(events, location_of, groups, n_locations: int) -> WeightMatrix:
     """Count consecutive same-group attacks between ordered location pairs.
 
-    `location_of` maps an event to its location id, either as a callable or
-    as a dict keyed by the event's source_row. Consecutive attacks at the
-    same location contribute nothing. Counts accumulate over all selected
-    groups into one directed n x n integer-valued matrix.
+    `location_of` maps each event's source_row to its location id in
+    [0, n_locations). Consecutive attacks at the same location contribute
+    nothing. Counts accumulate over all selected groups into one directed
+    layer, held as canonical CSR (sorted indices, repeated moves summed);
+    no n x n array is made.
     """
     groups = list(groups)
     if not groups:
@@ -97,26 +100,27 @@ def sequence_adjacency(events, location_of, groups, n_locations: int) -> WeightM
     if n_locations < 1:
         raise ValueError(f"n_locations must be positive, got {n_locations}")
 
-    if callable(location_of):
-        lookup = location_of
-    else:
-        mapping = location_of
-
-        def lookup(e):
-            try:
-                return mapping[e.source_row]
-            except KeyError:
-                raise ValueError(f"event at line {e.source_row} has no location") from None
+    def lookup(e):
+        try:
+            lid = location_of[e.source_row]
+        except KeyError:
+            raise ValueError(f"event at line {e.source_row} has no location") from None
+        if not 0 <= lid < n_locations:
+            raise ValueError(
+                f"event at line {e.source_row} has location {lid}, outside [0, {n_locations})"
+            )
+        return lid
 
     present = {e.group_id for e in events}
-    counts = np.zeros((n_locations, n_locations))
+    rows, cols = [], []
     for group in groups:
         if group not in present:
             warnings.warn(f"selected group {group!r} has no events", stacklevel=2)
             continue
-        ordered = order_events(events, group)
-        locs = [lookup(e) for e in ordered]
+        locs = [lookup(e) for e in order_events(events, group)]
         for a, b in zip(locs, locs[1:]):
             if a != b:
-                counts[a, b] += 1.0
+                rows.append(a)
+                cols.append(b)
+    counts = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_locations,) * 2)
     return WeightMatrix(counts, DIRECTED)

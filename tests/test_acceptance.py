@@ -292,7 +292,7 @@ def test_c09_sequence_extraction_matches_brute_force():
             location_of[row] = int(rng.integers(0, n_locations))
         groups = sorted({e.group_id for e in events})
 
-        got = sequence_adjacency(events, location_of, groups, n_locations).values
+        got = sequence_adjacency(events, location_of, groups, n_locations).values.toarray()
         want = np.array(brute_force_sequence(events, location_of, groups, n_locations), dtype=float)
         assert np.array_equal(got, want)
 

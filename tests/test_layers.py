@@ -10,7 +10,12 @@ from oracles import (
     two_layer_walk_matrix,
 )
 from permap.errors import IsolatedNodeError
-from permap.geo import CountryBorderGraph
+from permap.geo import (
+    CountryBorderGraph,
+    border_blocks,
+    border_permeability_matrix,
+    country_crossings,
+)
 from permap.graphs import DIRECTED, SYMMETRIC, WeightMatrix
 from permap.layers import (
     IN,
@@ -25,9 +30,10 @@ from permap.layers import (
     build_two_layer,
     country_separation_ratio,
     displacement,
-    embed_three_layer,
     embed_two_layer,
     normalize_sequence_layer,
+    prepare,
+    solve,
     two_layer_operator,
     write_displacement_csv,
 )
@@ -212,10 +218,6 @@ class TestNormalizeSequenceLayer:
         with pytest.raises(ValueError, match="no edges"):
             normalize_sequence_layer(directed(np.zeros((3, 3))))
 
-    def test_plain_array_accepted(self):
-        out = normalize_sequence_layer(np.array([[0.0, 2.0], [0.0, 0.0]]))
-        assert np.array_equal(out.values, [[0.0, 1.0], [0.0, 1.0]])
-
 
 class TestBudgetAssembly:
     def test_block_structure(self):
@@ -329,6 +331,24 @@ class TestBuildThreeLayer:
             build_three_layer(w_border, w_dist, a_seq)
 
 
+class TestBuildersTakeEveryBorderStorage:
+    def test_group_blocks_give_the_dense_assembly(self, twelve_locations, chain_borders):
+        codes, hops = country_crossings(twelve_locations, chain_borders)
+        crossings = hops[codes[:, None], codes]
+        w_dist = sym(np.ones((12, 12)) - np.eye(12))
+        seq = np.zeros((12, 12))
+        seq[0, 1] = seq[4, 5] = 1.0
+        for p in (1.0, 0.95, 0.5):
+            blocks = border_blocks(codes, hops, p)
+            dense = border_permeability_matrix(crossings, p)
+            got = build_two_layer(w_dist, blocks).assembled.values
+            assert np.array_equal(got, build_two_layer(w_dist, dense).assembled.values)
+            got = build_three_layer(blocks, w_dist, directed(seq)).assembled.values
+            want = build_three_layer(dense, w_dist, directed(seq)).assembled.values
+            assert np.array_equal(got.toarray(), want.toarray())
+            assert np.array_equal(blocks.toarray(), dense.values)
+
+
 class TestEmbedThreeLayer:
     def test_end_to_end_smoke(self, twelve_locations, chain_borders):
         a = np.zeros((12, 12))
@@ -336,7 +356,8 @@ class TestEmbedThreeLayer:
         a[1, 2] = 1.0
         a[4, 5] = 3.0
         a[8, 9] = 1.0
-        emb, report = embed_three_layer(twelve_locations, chain_borders, directed(a), k=2)
+        prepared = prepare("three_layer", twelve_locations, chain_borders, directed(a))
+        emb, report = solve(prepared, 0.95, 2)
         assert emb.n_points == 72
         tags = [ref.layer for ref in emb.provenance]
         assert tags.count("border") == tags.count("distance") == tags.count("sequence") == 24
@@ -348,7 +369,7 @@ class TestEmbedThreeLayer:
         a[0, 1] = a[4, 5] = a[8, 9] = 1.0
         for emb, report in (
             embed_two_layer(twelve_locations, chain_borders, k=3),
-            embed_three_layer(twelve_locations, chain_borders, directed(a), k=3),
+            solve(prepare("three_layer", twelve_locations, chain_borders, directed(a)), 0.95, 3),
         ):
             points = [
                 (ref.location_id, ref.layer, xy.tolist())

@@ -277,7 +277,7 @@ class TestSymmetrizedOperator:
                 for w in (w_dist, WeightMatrix(sparse.csr_matrix(w_dist.values), SYMMETRIC)):
                     for border in borders:
                         self.assert_constant_is_null(two_layer_operator(w, border))
-                        for stored in (seq, layers._sparse(seq)):
+                        for stored in (seq, WeightMatrix(sparse.csr_matrix(seq.values), DIRECTED)):
                             self.assert_constant_is_null(three_layer_operator(border, w, stored))
 
     def test_constant_vector_is_null_on_seed_101_inputs(self, seed_101_inputs):
@@ -391,7 +391,7 @@ def test_solve_forms_no_system_laplacian_or_crossings(monkeypatch, twelve_locati
     closeness = invert_distances(d)
     seq = np.zeros((12, 12))
     seq[0, 1] = seq[4, 5] = seq[8, 9] = 1.0
-    seq_layer = layers._sparse(WeightMatrix(seq, DIRECTED))
+    seq_layer = WeightMatrix(sparse.csr_matrix(seq), DIRECTED)
     runs = [
         ("geo", "none", None, None, d, None, None),
         ("geo", "linear", codes, hops, d, None, 100.0),

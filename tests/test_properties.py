@@ -25,7 +25,7 @@ from permap.graphs import (
     mean_nonzero_normalize,
     symmetrize,
 )
-from permap.layers import _located, build_two_layer, embed_two_layer, system_operator
+from permap.layers import build_two_layer, embed_two_layer, prepare, system_operator
 from permap.sequence import sequence_adjacency
 from permap.spectral import embed, fix_signs
 
@@ -56,7 +56,7 @@ def test_sequence_counts_match_brute_force(case):
         events.append(make_event(row, group=f"G{group}", when=date(2024, 1, day)))
         location_of[row] = loc
     groups = sorted({e.group_id for e in events})
-    got = sequence_adjacency(events, location_of, groups, n_locations).values
+    got = sequence_adjacency(events, location_of, groups, n_locations).values.toarray()
     want = np.array(brute_force_sequence(events, location_of, groups, n_locations))
     assert np.array_equal(got, want)
     # each group with k events yields at most k - 1 moves
@@ -199,7 +199,7 @@ def test_two_layer_border_layer_at_p_one_is_all_ones(drawn):
     # Every p ** hops is 1, so the border layer is 11^T - I.
     locations = site_locations(drawn)
     n = len(locations)
-    prepared = _located("two_layer", locations, CHAIN)
+    prepared = prepare("two_layer", locations, CHAIN)
     lap, _ = system_operator(prepared, 1.0)
     distance, border = lap.layers
     assert isinstance(border.values, GroupBlocks)
@@ -288,6 +288,6 @@ def test_permuting_locations_permutes_the_two_layer_embedding(case, p):
 
     def run(locations):
         emb, _ = embed_two_layer(locations, CHAIN, p=p, k=2)
-        return emb, system_operator(_located("two_layer", locations, CHAIN), p)[0]
+        return emb, system_operator(prepare("two_layer", locations, CHAIN), p)[0]
 
     permuted_runs_agree(run, site_locations(drawn), order, copies=2)

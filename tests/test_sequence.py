@@ -1,7 +1,9 @@
+import tracemalloc
 from datetime import date
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import make_event
 from oracles import brute_force_sequence
@@ -128,7 +130,7 @@ class TestSequenceAdjacency:
         loc = {1: 0, 2: 1, 3: 0}
         a = sequence_adjacency(events, loc, ["G"], 2)
         assert a.kind == DIRECTED
-        assert np.array_equal(a.values, [[0.0, 1.0], [1.0, 0.0]])
+        assert np.array_equal(a.values.toarray(), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_repeated_pair_accumulates(self):
         base = date(2024, 1, 1).toordinal()
@@ -136,13 +138,13 @@ class TestSequenceAdjacency:
             make_event(row, when=date.fromordinal(base + row - 1)) for row in range(1, 33)
         ]
         loc = {row: (row + 1) % 2 for row in range(1, 33)}
-        a = sequence_adjacency(events, loc, ["G"], 2).values
+        a = sequence_adjacency(events, loc, ["G"], 2).values.toarray()
         assert a[0, 1] == 16.0 and a[1, 0] == 15.0
 
     def test_same_location_pairs_skipped(self):
         events = [make_event(i, when=date(2024, 1, i)) for i in range(1, 4)]
         a = sequence_adjacency(events, {1: 0, 2: 0, 3: 0}, ["G"], 1)
-        assert np.array_equal(a.values, np.zeros((1, 1)))
+        assert np.array_equal(a.values.toarray(), np.zeros((1, 1)))
 
     def test_two_group_fixture_matches_oracle(self):
         events = [
@@ -157,7 +159,7 @@ class TestSequenceAdjacency:
             make_event(9, group="G", when=date(2024, 1, 6)),
         ]
         loc = {1: 0, 2: 2, 3: 1, 4: 0, 5: 2, 6: 1, 7: 0, 8: 2, 9: 1}
-        got = sequence_adjacency(events, loc, ["G", "H"], 3).values
+        got = sequence_adjacency(events, loc, ["G", "H"], 3).values.toarray()
         want = brute_force_sequence(events, loc, ["G", "H"], 3)
         assert np.array_equal(got, want)
         # G walks 0 -> 1 -> 2 -> 0 -> 1, H walks 2 -> 0 -> 1 -> 2
@@ -182,7 +184,7 @@ class TestSequenceAdjacency:
             groups = [f"G{i}" for i in range(n_groups)]
             present = {e.group_id for e in events}
             groups = [g for g in groups if g in present]
-            got = sequence_adjacency(events, loc, groups, n_locs).values
+            got = sequence_adjacency(events, loc, groups, n_locs).values.toarray()
             want = np.array(brute_force_sequence(events, loc, groups, n_locs), dtype=float)
             assert np.array_equal(got, want)
             moves = 0
@@ -202,21 +204,49 @@ class TestSequenceAdjacency:
             for row in range(1, 21)
         ]
         loc = {row: int(rng.integers(0, 4)) for row in range(1, 21)}
-        a = sequence_adjacency(events, loc, ["G"], 4).values
+        a = sequence_adjacency(events, loc, ["G"], 4).values.toarray()
         shuffled = list(events)
         rng.shuffle(shuffled)
-        b = sequence_adjacency(shuffled, loc, ["G"], 4).values
+        b = sequence_adjacency(shuffled, loc, ["G"], 4).values.toarray()
         assert np.array_equal(a, b)
-
-    def test_callable_lookup(self):
-        events = [make_event(i, when=date(2024, 1, i)) for i in range(1, 4)]
-        a = sequence_adjacency(events, lambda e: e.source_row % 2, ["G"], 2).values
-        assert a[1, 0] == 1.0 and a[0, 1] == 1.0
 
     def test_missing_location_named_by_line(self):
         events = [make_event(1, when=date(2024, 1, 1)), make_event(7, when=date(2024, 1, 2))]
         with pytest.raises(ValueError, match="line 7"):
             sequence_adjacency(events, {1: 0}, ["G"], 2)
+
+    def test_location_outside_the_range_named_by_line(self):
+        events = [make_event(1, when=date(2024, 1, 1)), make_event(7, when=date(2024, 1, 2))]
+        # -1 would wrap to the last row of an array, 5 would index past it.
+        for loc, line in (({1: -1, 7: 0}, 1), ({1: 0, 7: 5}, 7), ({1: 0, 7: 2}, 7)):
+            message = rf"line {line} has location -?\d, outside \[0, 2\)"
+            with pytest.raises(ValueError, match=message):
+                sequence_adjacency(events, loc, ["G"], 2)
+
+    def test_large_layer_is_canonical_csr_without_a_dense_array(self):
+        n = 2000
+        base = date(2024, 1, 1).toordinal()
+        # G1 moves 0 -> 7 twice, so one stored count is 2.
+        sites = [0, 1999, 7, 1999, 0, 0, 7, 42]
+        events = [
+            make_event(row, group=f"G{row % 2}", when=date.fromordinal(base + row))
+            for row in range(1, len(sites) + 1)
+        ]
+        loc = dict(enumerate(sites, start=1))
+        tracemalloc.start()
+        try:
+            a = sequence_adjacency(events, loc, ["G0", "G1"], n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A dense n x n float64 array alone would take n * n * 8 = 32 MB.
+        assert peak < n * n * 8 / 100
+        assert a.values.format == "csr" and a.values.has_canonical_format
+        assert a.values.max() == 2.0
+        counts = brute_force_sequence(events, loc, ["G0", "G1"], n)
+        want = sparse.csr_matrix(np.array(counts, dtype=float))
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a.values, attr), getattr(want, attr))
 
     def test_empty_group_selection_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
