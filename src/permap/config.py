@@ -17,10 +17,11 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .ingest import DEFAULT_CATEGORIES, DEFAULT_ROUNDING, ColumnMap
+from .layers import BORDER_KINDS
 from .sequence import GroupSplitRule
 
-PIPELINES = ("geo", "two_layer", "three_layer")
-BORDER_MODEL_KINDS = ("none", "linear", "permeability")
+PIPELINES = tuple(BORDER_KINDS)
+BORDER_MODEL_KINDS = BORDER_KINDS["geo"]
 
 _META_KEY = "_meta"
 
@@ -146,11 +147,8 @@ class RunConfig:
             raise ConfigError(f"rounding must be in [0, 6], got {self.rounding}")
         if not self.categories:
             raise ConfigError("categories must be non-empty")
-        if self.pipeline in ("two_layer", "three_layer"):
-            if self.border_model.kind != "permeability":
-                raise ConfigError(
-                    f"pipeline {self.pipeline!r} requires the permeability border model"
-                )
+        if self.border_model.kind not in BORDER_KINDS[self.pipeline]:
+            raise ConfigError(f"pipeline {self.pipeline!r} requires the permeability border model")
         if self.pipeline == "three_layer" and not self.groups:
             raise ConfigError("three_layer pipeline needs a non-empty group selection")
 

@@ -4,6 +4,8 @@ Input files are header-first CSVs in the style of public conflict-event
 exports. Malformed rows never abort a run; they are collected into a
 rejection report with line numbers. Locations are deduplicated on a
 composite key of country, admin district, and rounded coordinates.
+Rows are read by cell position, and each distinct date text, event type
+and exact site is judged once, since real exports repeat them.
 """
 
 from __future__ import annotations
@@ -28,9 +30,8 @@ DEFAULT_DATE_FORMATS = ("%Y-%m-%d", "%d %B %Y", "%d %b %Y", "%d/%m/%Y")
 DEFAULT_ROUNDING = 4
 
 
-@dataclass(frozen=True)
-class EventRecord:
-    """One violent incident as parsed from a single CSV row."""
+class EventRecord(NamedTuple):
+    """One violent incident from a single CSV row; an immutable NamedTuple."""
 
     event_date: date
     group_id: str
@@ -123,19 +124,24 @@ def parse_events(source, column_map: ColumnMap | None = None):
     index = {}
     for pos, name in enumerate(header):
         index.setdefault(name.strip().casefold(), pos)
-    columns = {}
+    positions = []
     missing = []
-    for field_name, column in cmap.required().items():
+    for column in cmap.required().values():
         pos = index.get(column.strip().casefold())
         if pos is None:
             missing.append(column)
         else:
-            columns[field_name] = pos
+            positions.append(pos)
     if missing:
         raise ConfigError(f"mapped columns missing from header: {missing}")
+    # In ColumnMap field order, which is also EventRecord's.
+    at_date, at_actor, at_lat, at_lon, at_country, at_admin1, at_type, at_dead = positions
+    width = max(positions)
 
     events = []
     report = ParseReport()
+    reject = report.reject
+    formats = cmap.date_formats
     dates = {}  # raw date text -> parsed date, or None when no format fits
     while True:
         # A row the csv module cannot read (an oversized field, or a NUL
@@ -146,73 +152,63 @@ def parse_events(source, column_map: ColumnMap | None = None):
         except StopIteration:
             break
         except csv.Error:
-            report.reject(reader.line_num, "malformed csv row")
+            reject(reader.line_num, "malformed csv row")
             continue
         line = reader.line_num
-        if not row or not any(cell.strip() for cell in row):
+        # The cells joined are whitespace only exactly when every cell is.
+        if not "".join(row).strip():
             continue
-        if len(row) <= max(columns.values()):
-            report.reject(line, "missing fields")
+        if len(row) <= width:
+            reject(line, "missing fields")
             continue
-        cell = {name: row[pos] for name, pos in columns.items()}
 
-        raw_date = cell["event_date"]
-        if raw_date not in dates:
-            dates[raw_date] = _parse_date(raw_date, cmap.date_formats)
-        when = dates[raw_date]
+        raw_date = row[at_date]
+        try:
+            when = dates[raw_date]
+        except KeyError:
+            when = dates[raw_date] = _parse_date(raw_date, formats)
         if when is None:
-            report.reject(line, "unparseable date")
+            reject(line, "unparseable date")
             continue
-        group = cell["actor"].strip()
+        group = row[at_actor].strip()
         if not group:
-            report.reject(line, "empty group id")
+            reject(line, "empty group id")
             continue
         try:
-            lat = float(cell["latitude"])
+            lat = float(row[at_lat])
         except ValueError:
-            report.reject(line, "unparseable latitude")
+            reject(line, "unparseable latitude")
             continue
         try:
-            lon = float(cell["longitude"])
+            lon = float(row[at_lon])
         except ValueError:
-            report.reject(line, "unparseable longitude")
+            reject(line, "unparseable longitude")
             continue
         if not -90.0 <= lat <= 90.0:
-            report.reject(line, "latitude out of range")
+            reject(line, "latitude out of range")
             continue
         if not -180.0 <= lon <= 180.0:
-            report.reject(line, "longitude out of range")
+            reject(line, "longitude out of range")
             continue
-        country = cell["country"].strip()
+        country = row[at_country].strip()
         if not country:
-            report.reject(line, "empty country")
+            reject(line, "empty country")
             continue
-        raw_fatalities = cell["fatalities"].strip()
+        raw_fatalities = row[at_dead].strip()
         if raw_fatalities:
             try:
                 fatalities = int(raw_fatalities)
             except ValueError:
-                report.reject(line, "unparseable fatalities")
+                reject(line, "unparseable fatalities")
                 continue
             if fatalities < 0:
-                report.reject(line, "negative fatalities")
+                reject(line, "negative fatalities")
                 continue
         else:
             fatalities = 0
 
-        events.append(
-            EventRecord(
-                event_date=when,
-                group_id=group,
-                latitude=lat,
-                longitude=lon,
-                country=country,
-                admin1=cell["admin1"].strip(),
-                event_type=cell["event_type"].strip(),
-                fatalities=fatalities,
-                source_row=line,
-            )
-        )
+        admin1, kind = row[at_admin1].strip(), row[at_type].strip()
+        events.append(EventRecord(when, group, lat, lon, country, admin1, kind, fatalities, line))
     return events, report
 
 
@@ -225,18 +221,28 @@ def filter_violent(events, categories=DEFAULT_CATEGORIES):
 
     Matching is case-insensitive on trimmed names. A category reading
     "battle" matches every battle subtype by prefix; all other categories
-    match exactly.
+    match exactly. Each distinct event type text is judged once.
     """
     cats = {_normalize(c) for c in categories}
     if not cats:
         raise ValueError("filter_violent needs at least one category")
     battles = any(c in ("battle", "battles") for c in cats)
 
-    def keep(event) -> bool:
-        kind = _normalize(event.event_type)
+    def keep(event_type: str) -> bool:
+        kind = _normalize(event_type)
         return kind in cats or (battles and kind.startswith("battle"))
 
-    return [e for e in events if keep(e)]
+    verdicts = {}  # raw event type text -> keep or drop
+    kept = []
+    for event in events:
+        kind = event.event_type
+        try:
+            verdict = verdicts[kind]
+        except KeyError:
+            verdict = verdicts[kind] = keep(kind)
+        if verdict:
+            kept.append(event)
+    return kept
 
 
 def build_locations(events, rounding: int = DEFAULT_ROUNDING):
@@ -251,28 +257,20 @@ def build_locations(events, rounding: int = DEFAULT_ROUNDING):
     if not 0 <= rounding <= 6:
         raise ValueError(f"rounding must be in [0, 6], got {rounding}")
     locations = []
-    ids = {}
+    ids = {}  # rounded key -> location id
+    sites = {}  # exact (country, admin1, latitude, longitude) -> location id
     mapping = []
     for event in events:
-        key = (
-            event.country,
-            event.admin1,
-            round(event.latitude, rounding),
-            round(event.longitude, rounding),
-        )
-        lid = ids.get(key)
+        site = (event.country, event.admin1, event.latitude, event.longitude)
+        lid = sites.get(site)
         if lid is None:
-            lid = len(locations)
-            ids[key] = lid
-            locations.append(
-                Location(
-                    id=lid,
-                    latitude=event.latitude,
-                    longitude=event.longitude,
-                    country=event.country,
-                    admin_key=event.admin1,
-                )
-            )
+            country, admin1, lat, lon = site
+            key = (country, admin1, round(lat, rounding), round(lon, rounding))
+            lid = ids.get(key)
+            if lid is None:
+                lid = ids[key] = len(locations)
+                locations.append(Location(lid, lat, lon, country, admin1))
+            sites[site] = lid
         mapping.append(lid)
     return locations, mapping
 

@@ -74,6 +74,14 @@ LAYOUTS = {
     "three_layer": (THREE_LAYER_TAGS, (OUT, IN)),
 }
 
+# The border models each pipeline prices; the multilayer pipelines weight
+# their border layer by permeability only.
+BORDER_KINDS = {
+    "geo": ("none", "linear", "permeability"),
+    "two_layer": ("permeability",),
+    "three_layer": ("permeability",),
+}
+
 DEFAULT_BORDER_P = 0.95
 
 
@@ -330,8 +338,16 @@ def prepare(pipeline: str, locations, cg, seq=None, border_kind="permeability") 
 
     `cg` is the border graph, or None when no borders are priced, and
     `seq` the three-layer sequence layer as `sequence.sequence_adjacency`
-    builds it. Nothing here depends on the swept border value.
+    builds it. Nothing here depends on the swept border value. Raises
+    ValueError for a pipeline or border kind outside BORDER_KINDS.
     """
+    if pipeline not in BORDER_KINDS:
+        raise ValueError(f"pipeline must be one of {tuple(BORDER_KINDS)}, got {pipeline!r}")
+    if border_kind not in BORDER_KINDS[pipeline]:
+        raise ValueError(
+            f"pipeline {pipeline!r} takes border_kind in {BORDER_KINDS[pipeline]}, "
+            f"got {border_kind!r}"
+        )
     locations = tuple(locations)
     with stage("borders"):
         codes, hops = (None, None) if cg is None else country_crossings(locations, cg)
@@ -357,13 +373,13 @@ def system_operator(prepared: Prepared, value: float | None):
         elif prepared.border_kind == "linear":
             w = linear_border_weights(prepared.distances, prepared.codes, prepared.hops, value)
             tag = "distance"
-        else:
+        else:  # "none"
             w, tag = invert_distances(prepared.distances), "distance"
         return laplacian_operator(w), _provenance(n, (tag,), (NO_COPY,))
     w_border = border_blocks(prepared.codes, prepared.hops, value)
     if prepared.pipeline == "two_layer":
         lap = two_layer_operator(prepared.distances, w_border)
-    else:
+    else:  # "three_layer"
         lap = three_layer_operator(w_border, prepared.distances, prepared.sequence)
     return lap, _provenance(n, *LAYOUTS[prepared.pipeline])
 
@@ -463,17 +479,23 @@ def country_separation_ratio(emb: Embedding, countries) -> float:
     block = 512
     for start in range(0, n, block):
         stop = min(start + block, n)
-        diff = coords[start:stop, None, :] - coords[None, start:, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        upper = np.arange(stop - start)[:, None] < np.arange(n - start)[None, :]
-        distinct = loc_ids[start:stop][:, None] != loc_ids[None, start:]
+        # Squares added axis by axis, left to right, as a sum over the
+        # length-k axis adds them, so the distances are the same floats.
+        squared = np.zeros((stop - start, n - start))
+        for axis in range(coords.shape[1]):
+            d = coords[start:stop, axis, None] - coords[None, start:, axis]
+            d *= d
+            squared += d
+        dist = np.sqrt(squared, out=squared)
+        keep = np.arange(stop - start)[:, None] < np.arange(n - start)[None, :]
+        keep &= loc_ids[start:stop][:, None] != loc_ids[None, start:]
         same_country = tags[start:stop][:, None] == tags[None, start:]
-        intra = upper & distinct & same_country
-        inter = upper & distinct & ~same_country
+        intra = keep & same_country
+        inter = keep & ~same_country
         intra_sum += float(dist[intra].sum())
-        intra_count += int(intra.sum())
+        intra_count += np.count_nonzero(intra)
         inter_sum += float(dist[inter].sum())
-        inter_count += int(inter.sum())
+        inter_count += np.count_nonzero(inter)
     if not inter_count:
         raise ValueError("no inter-country point pairs; ratio undefined")
     if not intra_count:

@@ -11,7 +11,7 @@ sub-groups by a coordinate half-plane before sequencing.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -72,7 +72,7 @@ def split_groups(events, rules) -> list:
     for event in events:
         for rule in rules:
             if event.group_id == rule.group_id and rule.matches(event):
-                event = replace(event, group_id=event.group_id + rule.virtual_suffix)
+                event = event._replace(group_id=event.group_id + rule.virtual_suffix)
                 break
         out.append(event)
     return out

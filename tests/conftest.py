@@ -7,7 +7,9 @@ failure locally.
 
 import json
 import os
+import sys
 from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -18,6 +20,18 @@ from permap.ingest import EventRecord, Location
 settings.register_profile("ci", derandomize=True, database=None)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def benchmark_workloads():
+    """The benchmark's workload generator module, imported from perfbench/ without changing it."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return workloads
 
 
 @pytest.fixture

@@ -283,3 +283,121 @@ def haversine_matrix(points, radius=6371.0):
     d = 2.0 * radius * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
     np.fill_diagonal(d, 0.0)
     return d
+
+
+INGEST_COLUMNS = (
+    "event_date",
+    "actor1",
+    "latitude",
+    "longitude",
+    "country",
+    "admin1",
+    "event_type",
+    "fatalities",
+)
+
+
+def _reference_event(cell, date_formats):
+    """One row's cells as an event tuple without its line number, or why the row is rejected."""
+    from datetime import datetime
+
+    when = None
+    for fmt in date_formats:
+        try:
+            when = datetime.strptime(cell["event_date"].strip(), fmt).date()
+            break
+        except ValueError:
+            pass
+    if when is None:
+        return "unparseable date"
+    if cell["actor1"].strip() == "":
+        return "empty group id"
+    try:
+        lat = float(cell["latitude"])
+    except ValueError:
+        return "unparseable latitude"
+    try:
+        lon = float(cell["longitude"])
+    except ValueError:
+        return "unparseable longitude"
+    if not -90.0 <= lat <= 90.0:
+        return "latitude out of range"
+    if not -180.0 <= lon <= 180.0:
+        return "longitude out of range"
+    if cell["country"].strip() == "":
+        return "empty country"
+    fatalities = 0
+    if cell["fatalities"].strip() != "":
+        try:
+            fatalities = int(cell["fatalities"].strip())
+        except ValueError:
+            return "unparseable fatalities"
+        if fatalities < 0:
+            return "negative fatalities"
+    return (
+        when,
+        cell["actor1"].strip(),
+        lat,
+        lon,
+        cell["country"].strip(),
+        cell["admin1"].strip(),
+        cell["event_type"].strip(),
+        fatalities,
+    )
+
+
+def reference_ingest(text, date_formats, categories, rounding):
+    """Row-by-row restatement of parsing, violence filtering and location dedup.
+
+    Reads the default column names. Each row becomes a dict of its mapped
+    cells; every date is parsed afresh, every event type normalized on its
+    own and every event's coordinates rounded on their own. Returns
+    (events, rejections, kept, locations, mapping): events and kept as
+    tuples in EventRecord field order, rejections as (line, reason),
+    locations as (id, latitude, longitude, country, admin1), and the
+    location id of each kept event.
+    """
+    import csv
+    import io
+
+    reader = csv.reader(io.StringIO(text))
+    header = [name.strip().casefold() for name in next(reader)]
+    position = {name: header.index(name) for name in INGEST_COLUMNS}
+
+    events, rejections = [], []
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error:
+            rejections.append((reader.line_num, "malformed csv row"))
+            continue
+        line = reader.line_num
+        if all(cell.strip() == "" for cell in row):
+            continue
+        if any(pos >= len(row) for pos in position.values()):
+            rejections.append((line, "missing fields"))
+            continue
+        event = _reference_event({name: row[pos] for name, pos in position.items()}, date_formats)
+        if isinstance(event, str):
+            rejections.append((line, event))
+        else:
+            events.append(event + (line,))
+
+    wanted = [c.strip().casefold() for c in categories]
+    battles = "battle" in wanted or "battles" in wanted
+    kept = []
+    for event in events:
+        kind = event[6].strip().casefold()
+        if kind in wanted or (battles and kind.startswith("battle")):
+            kept.append(event)
+
+    keys, locations, mapping = [], [], []
+    for _, _, lat, lon, country, admin1, _, _, _ in kept:
+        key = (country, admin1, round(lat, rounding), round(lon, rounding))
+        if key not in keys:
+            keys.append(key)
+            locations.append((len(locations), lat, lon, country, admin1))
+        mapping.append(keys.index(key))
+    return events, rejections, kept, locations, mapping

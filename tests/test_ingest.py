@@ -4,7 +4,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from conftest import events_csv_text, make_event
+from conftest import benchmark_workloads, events_csv_text, make_event
 from permap import ingest
 from permap.errors import ConfigError
 from permap.ingest import (
@@ -84,6 +84,14 @@ class TestParseEvents:
         events, report = parse_events(io.StringIO(text))
         assert len(events) == 2
         assert report.rejections == [(4, "missing fields")]
+
+    def test_whitespace_and_comma_only_rows_skipped(self):
+        header = events_csv_text([])
+        row = ",".join(ROW) + "\n"
+        text = header + " , ,\t,\n" + row + ",,,,,,,,\n\t\n" + row
+        events, report = parse_events(io.StringIO(text))
+        assert [e.source_row for e in events] == [3, 6]
+        assert report.rejections == []
 
     def test_unreadable_csv_row_rejected_and_parsing_continues(self):
         # A field over the csv module's 131072-character limit makes the
@@ -290,6 +298,22 @@ class TestBuildLocations:
     def test_no_events_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             build_locations([])
+
+
+def test_counts_on_the_geo_sweep_benchmark_input(tmp_path):
+    """The seed-101 `geo_sweep` input ingests to the counts its generator wrote."""
+    workloads = benchmark_workloads()
+    gen = workloads.generate(workloads.WORKLOADS["geo_sweep"], 101, 0, tmp_path)
+    want = gen.properties
+    with open(gen.config_json.parent / "events.csv", newline="", encoding="utf-8") as fh:
+        events, report = parse_events(fh)
+    assert len(events) + len(report) == want["rows"] == 100_000
+    assert len(report) == want["rows_malformed"] == 1000
+    violent = filter_violent(events)
+    assert len(violent) == want["rows_violent"] == 89_000
+    locations, mapping = build_locations(violent)
+    assert len(locations) == want["locations"] == 1500
+    assert len(mapping) == len(violent)
 
 
 class TestSummarize:

@@ -381,6 +381,23 @@ class TestEmbedThreeLayer:
             ]
 
 
+class TestPrepare:
+    def test_unknown_border_kind_refused(self, twelve_locations, chain_borders):
+        with pytest.raises(ValueError, match=r"border_kind in \('none', 'linear', 'permeability'\)"):
+            prepare("geo", twelve_locations, chain_borders, border_kind="bogus")
+
+    def test_unknown_pipeline_refused(self, twelve_locations, chain_borders):
+        with pytest.raises(ValueError, match=r"pipeline must be one of \('geo', 'two_layer'"):
+            prepare("four_layer", twelve_locations, chain_borders)
+
+    @pytest.mark.parametrize("pipeline", ["two_layer", "three_layer"])
+    def test_multilayer_prices_borders_by_permeability_only(
+        self, pipeline, twelve_locations, chain_borders
+    ):
+        with pytest.raises(ValueError, match=r"border_kind in \('permeability',\)"):
+            prepare(pipeline, twelve_locations, chain_borders, border_kind="linear")
+
+
 def layout_embedding(coords, layer_tags, copies):
     """An embedding whose points run layer by layer, copy by copy, location by location."""
     n = len(coords) // (len(layer_tags) * len(copies))

@@ -7,15 +7,13 @@ weights) applied to the same vectors.
 """
 
 import re
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import make_location
+from conftest import benchmark_workloads, make_location
 from oracles import laplacian
 from permap import graphs, layers
 from permap.cli import _prepare
@@ -52,7 +50,6 @@ from permap.spectral import embed
 RTOL = 1e-13
 # Small enough that p ** 2 underflows to 0 while p ** 1 does not.
 UNDERFLOW_P = 1e-200
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def dense(blocks):
@@ -151,11 +148,7 @@ def seed_101_inputs(tmp_path_factory):
     1500 locations for two layers, 800 for three layers, 21 countries up
     to 7 crossings apart.
     """
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(PERFBENCH))
+    workloads = benchmark_workloads()
     root = tmp_path_factory.mktemp("seed_101")
     prepared = {}
     for name in ("two_layer_sweep", "three_layer_embed"):

@@ -7,15 +7,28 @@ from datetime import date
 from pathlib import Path
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import events_csv_text, make_event, make_location
-from oracles import brute_force_sequence, haversine_reference, laplacian, principal_angle_cos
+from oracles import (
+    INGEST_COLUMNS,
+    brute_force_sequence,
+    haversine_reference,
+    laplacian,
+    principal_angle_cos,
+    reference_ingest,
+)
 from permap.cli import main
 from permap.geo import EARTH_RADIUS_KM, CountryBorderGraph, distance_matrix, invert_distances
-from permap.ingest import parse_events
+from permap.ingest import (
+    DEFAULT_CATEGORIES,
+    DEFAULT_DATE_FORMATS,
+    build_locations,
+    filter_violent,
+    parse_events,
+)
 from permap.graphs import (
     DIRECTED,
     SYMMETRIC,
@@ -174,6 +187,110 @@ def test_no_text_after_a_valid_header_makes_parse_events_raise(body):
     seen = [e.source_row for e in events] + [line for line, _ in report.rejections]
     assert len(seen) == len(set(seen)) <= physical - 1
     assert all(2 <= number <= physical for number in seen)
+
+
+# Cell texts per column that reach every parse rule: each rejection
+# reason, padded and repeated texts, coordinates that differ only beyond
+# the fourth decimal, and event types in mixed case and padding.
+INGEST_CELLS = {
+    "event_date": ["2024-01-05", " 2024-01-05 ", "05 March 1997", "5 Mar 1997", "05/03/1997",
+                   "31/02/2011", "not a date", ""],
+    "actor1": ["Group A", " Group B ", '"Militia (Group, A)"', "", "  "],
+    "latitude": ["12.5", "12.50001", "12.50004", " 12.49996 ", "-90", "91", "nan", "north"],
+    "longitude": ["-3.25", "-3.25004", "-3.2500001", "180", "-180.5", "inf", "east"],
+    "country": ["Mali", " Niger ", "", "\t"],
+    "admin1": ["Mopti", " Gao ", ""],
+    "event_type": ["Battle", "battles", " BATTLE-No change of territory ", "Riots and protests",
+                   "  violence AGAINST civilians", "Remote violence", "Strategic development",
+                   "Protests", ""],
+    "fatalities": ["4", "", " 0 ", "-1", "many", "2.5"],
+}
+BLANK_LINES = ["", "   ", ",,,,,,,,", " , ,\t,", "\t,"]
+# One field past the csv module's 131072-character limit.
+UNREADABLE_LINE = "2024-01-05," + "9" * 140_000
+
+
+@st.composite
+def event_csv_texts(draw):
+    """Event CSV text with the mapped columns in a drawn order, maybe with a notes column."""
+    columns = list(draw(st.permutations(INGEST_COLUMNS)))
+    if draw(st.booleans()):
+        columns.insert(draw(st.integers(0, len(columns))), "notes")
+    cells = {**INGEST_CELLS, "notes": ["", "a note"]}
+    kinds = st.lists(st.sampled_from(["full", "full", "short", "blank"]), max_size=25)
+    lines = []
+    for kind in draw(kinds):
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(BLANK_LINES)))
+            continue
+        line = [draw(st.sampled_from(cells[name])) for name in columns]
+        if kind == "short":
+            line = line[: draw(st.integers(0, len(line) - 1))]
+        lines.append(",".join(line))
+    if draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), UNREADABLE_LINE)
+    return "\n".join([",".join(columns)] + lines) + "\n"
+
+
+EVERY_REASON = "\n".join(
+    [",".join(INGEST_COLUMNS)]
+    + [
+        "05/03/1997,Group A,12.5,-3.25,Mali,Mopti,Battle,4",
+        "2024-01-05,Group A,12.50004,-3.25,Mali,Mopti,battles,",
+        "31/02/2011,Group A,12.5,-3.25,Mali,Mopti,Battle,4",
+        "2024-01-05,  ,12.5,-3.25,Mali,Mopti,Battle,4",
+        "2024-01-05,Group A,north,-3.25,Mali,Mopti,Battle,4",
+        "2024-01-05,Group A,12.5,east,Mali,Mopti,Battle,4",
+        "2024-01-05,Group A,91,-3.25,Mali,Mopti,Battle,4",
+        "2024-01-05,Group A,12.5,-180.5,Mali,Mopti,Battle,4",
+        "2024-01-05,Group A,12.5,-3.25, ,Mopti,Battle,4",
+        "2024-01-05,Group A,12.5,-3.25,Mali,Mopti,Battle,many",
+        "2024-01-05,Group A,12.5,-3.25,Mali,Mopti,Battle,-1",
+        "2024-01-05,Group A,12.5",
+        UNREADABLE_LINE,
+        " , ,\t,",
+        ",,,,,,,,",
+        "",
+        "05/03/1997,Group B,12.49996,-3.2500001,Mali,Mopti,  violence AGAINST civilians,0",
+    ]
+) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    event_csv_texts(),
+    st.sampled_from([DEFAULT_CATEGORIES, ("Battle",), ("remote violence", " PROTESTS ")]),
+    st.integers(0, 6),
+)
+@example(EVERY_REASON, DEFAULT_CATEGORIES, 4)
+def test_ingest_matches_the_row_by_row_reference(text, categories, rounding):
+    events, report = parse_events(io.StringIO(text))
+    kept = filter_violent(events, categories)
+    ref_events, ref_rejections, ref_kept, ref_locations, ref_mapping = reference_ingest(
+        text, DEFAULT_DATE_FORMATS, categories, rounding
+    )
+    assert events == ref_events
+    assert report.rejections == ref_rejections
+    assert kept == ref_kept
+    if kept:
+        locations, mapping = build_locations(kept, rounding)
+        assert [
+            (loc.id, loc.latitude, loc.longitude, loc.country, loc.admin_key) for loc in locations
+        ] == ref_locations
+        assert mapping == ref_mapping
+
+
+def test_the_every_reason_text_reaches_every_rule():
+    _, rejections, kept, locations, _ = reference_ingest(
+        EVERY_REASON, DEFAULT_DATE_FORMATS, DEFAULT_CATEGORIES, 4
+    )
+    assert {reason for _, reason in rejections} == {
+        "malformed csv row", "missing fields", "unparseable date", "empty group id",
+        "unparseable latitude", "unparseable longitude", "latitude out of range",
+        "longitude out of range", "empty country", "unparseable fatalities",
+        "negative fatalities",
+    }
+    assert len(kept) == 3 and len(locations) == 1
 
 
 CHAIN = CountryBorderGraph.from_pairs([("A", "B"), ("B", "C")])
