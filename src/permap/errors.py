@@ -19,6 +19,10 @@ class SolverError(RuntimeError):
     """The eigensolver failed to converge or returned pairs above tolerance."""
 
 
+class InsufficientMemoryError(MemoryError):
+    """A run's estimated peak memory exceeds what the host or its cgroup has available."""
+
+
 @contextmanager
 def stage(name: str):
     """Tag any exception leaving the block with the pipeline stage it came from.

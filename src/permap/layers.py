@@ -33,12 +33,13 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
-from .errors import IsolatedNodeError, stage
+from .errors import InsufficientMemoryError, IsolatedNodeError, stage
 from .fileio import atomic_write
 from .geo import (
     border_blocks,
@@ -57,7 +58,7 @@ from .graphs import (
     symmetrize,
     symmetrized_operator,
 )
-from .spectral import COORD_NAMES, Embedding, PointRef, embed
+from .spectral import COORD_NAMES, MIN_BASIS, Embedding, PointRef, embed
 
 TWO_LAYER_TAGS = ("distance", "border")
 THREE_LAYER_TAGS = ("border", "distance", "sequence")
@@ -83,6 +84,12 @@ BORDER_KINDS = {
 }
 
 DEFAULT_BORDER_P = 0.95
+
+# Where the memory check reads the available memory: the host's
+# MemAvailable, and the limit and usage of the process's cgroup v2.
+_MEMINFO = Path("/proc/meminfo")
+_CGROUP = Path("/proc/self/cgroup")
+_CGROUP_ROOT = Path("/sys/fs/cgroup")
 
 
 @dataclass(frozen=True)
@@ -339,7 +346,9 @@ def prepare(pipeline: str, locations, cg, seq=None, border_kind="permeability") 
     `cg` is the border graph, or None when no borders are priced, and
     `seq` the three-layer sequence layer as `sequence.sequence_adjacency`
     builds it. Nothing here depends on the swept border value. Raises
-    ValueError for a pipeline or border kind outside BORDER_KINDS.
+    ValueError for a pipeline or border kind outside BORDER_KINDS, and
+    InsufficientMemoryError, before the distance layer is built, when the
+    run's estimated peak memory exceeds the memory available.
     """
     if pipeline not in BORDER_KINDS:
         raise ValueError(f"pipeline must be one of {tuple(BORDER_KINDS)}, got {pipeline!r}")
@@ -352,12 +361,65 @@ def prepare(pipeline: str, locations, cg, seq=None, border_kind="permeability") 
     with stage("borders"):
         codes, hops = (None, None) if cg is None else country_crossings(locations, cg)
     with stage("assembly"):
+        builds_distances = pipeline != "geo" or border_kind != "permeability"
+        _check_memory(pipeline, len(locations), builds_distances)
         distances = None
-        if pipeline != "geo":
-            distances = invert_distances(distance_matrix(locations))
-        elif border_kind != "permeability":
+        if builds_distances:
             distances = distance_matrix(locations)
+            if pipeline != "geo":
+                distances = invert_distances(distances)
     return Prepared(pipeline, border_kind, locations, codes, hops, distances, seq)
+
+
+def _check_memory(pipeline: str, n: int, builds_distances: bool) -> None:
+    """Refuse a run whose estimated peak memory exceeds the memory available.
+
+    Building the distance layer holds two n x n float arrays at once: the
+    km matrix and the inverted or priced copy beside it. The Lanczos basis
+    holds MIN_BASIS vectors of the system size. Raises
+    InsufficientMemoryError; checks nothing when the available memory
+    cannot be read.
+    """
+    available = _available_memory()
+    if available is None:
+        return
+    size = n
+    if pipeline in LAYOUTS:
+        layer_tags, copies = LAYOUTS[pipeline]
+        size *= len(layer_tags) * len(copies)
+    needed = 8 * MIN_BASIS * size + (16 * n * n if builds_distances else 0)
+    if needed > available:
+        raise InsufficientMemoryError(
+            f"needs an estimated {needed / 1e9:.1f} GB, {available / 1e9:.1f} GB available"
+        )
+
+
+def _available_memory() -> int | None:
+    """Bytes this process may still allocate, or None when nothing can be read.
+
+    MemAvailable of the host, lowered to memory.max - memory.current of
+    the process's cgroup v2 where memory.max is a number.
+    """
+    available = None
+    try:
+        with open(_MEMINFO, encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("MemAvailable:"):
+                    available = int(line.split()[1]) * 1024
+    except (OSError, ValueError, IndexError):
+        pass
+    try:
+        with open(_CGROUP, encoding="utf-8") as fh:
+            # The cgroup v2 line is "0::<path>"; v1 lines name a controller.
+            group = next(line[3:].strip() for line in fh if line.startswith("0::"))
+        group = _CGROUP_ROOT / group.lstrip("/")
+        limit = (group / "memory.max").read_text(encoding="ascii").strip()
+        if limit != "max":
+            headroom = int(limit) - int((group / "memory.current").read_text(encoding="ascii"))
+            available = headroom if available is None else min(available, headroom)
+    except (OSError, ValueError, StopIteration):
+        pass
+    return available
 
 
 def system_operator(prepared: Prepared, value: float | None):

@@ -45,7 +45,7 @@ RESIDUAL_RTOL = 1e-8
 ZERO_EIGENVALUE_RTOL = 1e-8
 MAX_ITERATIONS = 10_000
 # Smallest Lanczos basis; see the module docstring for the choice.
-_MIN_BASIS = 40
+MIN_BASIS = 40
 
 COORD_NAMES = ("x", "y", "z")
 
@@ -110,7 +110,7 @@ def eigensolve_symmetric(m, count: int) -> EigenPairs:
         # Fixed and not constant: the constant vector spans a Laplacian's
         # null space, so it is an exact eigenvector of the flipped operator.
         v0 = np.cos(np.arange(n, dtype=float))
-        ncv = min(n, max(2 * count + 1, _MIN_BASIS))
+        ncv = min(n, max(2 * count + 1, MIN_BASIS))
         try:
             theta, vecs = eigsh(
                 flipped, k=count, which="LA", v0=v0, ncv=ncv, maxiter=MAX_ITERATIONS

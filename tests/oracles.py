@@ -267,6 +267,21 @@ def laplacian(w):
     return lap
 
 
+def symmetric_product(values, x):
+    """W x for a symmetric W read from its upper triangle, one exactly rounded sum per row.
+
+    Entry (i, j) is values[min(i, j)][max(i, j)], so a matrix whose
+    triangles differ multiplies as its upper triangle mirrored. Each
+    product is rounded once and each row summed with math.fsum.
+    """
+    rows = [[float(v) for v in row] for row in values]
+    x = [float(v) for v in x]
+    n = len(rows)
+    return [
+        math.fsum(rows[min(i, j)][max(i, j)] * x[j] for j in range(n)) for i in range(n)
+    ]
+
+
 def haversine_matrix(points, radius=6371.0):
     """All-pairs haversine as one whole-matrix numpy formula, diagonal zeroed.
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from conftest import events_csv_text
-from permap import ingest
+from permap import ingest, layers
 from permap.cli import main
 
 
@@ -737,6 +737,22 @@ class TestFailureStages:
         assert rc == 1
         assert err.startswith("error: borders:")
         assert "no border path" in err
+
+    def test_too_little_memory_fails_in_assembly(self, capsys, monkeypatch, fixture_run, tmp_path):
+        # 12 locations of a geo run with no borders: two 12 x 12 float arrays
+        # and a 40-vector basis, 16 * 144 + 8 * 40 * 12 = 6144 bytes.
+        monkeypatch.setattr(layers, "_available_memory", lambda: 6143)
+        out_dir = tmp_path / "o"
+        rc, _, err = run_cli(
+            capsys, "embed", "--config", str(fixture_run["config"]), "--out", str(out_dir)
+        )
+        assert (rc, err) == (1, "error: assembly: needs an estimated 0.0 GB, 0.0 GB available\n")
+        assert not out_dir.exists()
+        monkeypatch.setattr(layers, "_available_memory", lambda: 6144)
+        rc, _, _ = run_cli(
+            capsys, "embed", "--config", str(fixture_run["config"]), "--out", str(out_dir)
+        )
+        assert rc == 0
 
     def test_non_finite_border_value_fails_in_config(self, capsys, fixture_run, tmp_path):
         raw = json.loads(fixture_run["config"].read_text(encoding="utf-8"))

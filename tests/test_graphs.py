@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from oracles import laplacian, traversal_components
+from oracles import laplacian, symmetric_product, traversal_components
 from permap.graphs import (
     DIRECTED,
     SYMMETRIC,
     WeightMatrix,
     asymmetry,
+    laplacian_operator,
     mean_nonzero_normalize,
     symmetrize,
 )
+
+PRODUCT_RTOL = 1e-13
 
 
 def wm(values, kind=SYMMETRIC):
@@ -50,6 +53,60 @@ class TestWeightMatrix:
     def test_accepts_sparse(self):
         m = WeightMatrix(sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])), SYMMETRIC)
         assert m.n == 2
+
+
+def assert_close(got, want):
+    want = np.asarray(want)
+    assert np.abs(got - want).max() <= PRODUCT_RTOL * np.abs(want).max()
+
+
+class TestDenseSymmetricProduct:
+    @pytest.mark.parametrize("n", [1, 2, 3, 255, 256, 257, 700])
+    @pytest.mark.parametrize("diagonal", [False, True])
+    def test_matches_the_oracle_from_every_memory_order(self, n, diagonal):
+        rng = np.random.default_rng(n)
+        upper = np.triu(rng.uniform(0.0, 3.0, (n, n)), 0 if diagonal else 1)
+        values = upper + np.triu(upper, 1).T
+        x = rng.standard_normal(n)
+        want = symmetric_product(values, x)
+        want_lap = symmetric_product(laplacian(values), x)
+        big = np.zeros((2 * n, 2 * n))
+        big[::2, ::2] = values
+        for stored in (values.copy(), np.asfortranarray(values), big[::2, ::2]):
+            w = WeightMatrix(stored, SYMMETRIC)
+            assert w.values.flags.c_contiguous
+            # A C-ordered array is kept, not copied.
+            assert (w.values is stored) == stored.flags.c_contiguous
+            assert_close(w @ x, want)
+            assert_close(w.transposed_product()(x), want)
+            assert_close(laplacian_operator(w) @ x, want_lap)
+
+    def test_layer_symmetric_within_tolerance_multiplies_as_its_upper_triangle(self):
+        # The lower triangle sits about 1e-12 above the upper one: inside
+        # SYMMETRY_RTOL, but the two mirrored triangles differ by far more
+        # than PRODUCT_RTOL, so reading the wrong one fails.
+        rng = np.random.default_rng(11)
+        n = 300
+        upper = np.triu(rng.uniform(0.5, 1.0, (n, n)), 1)
+        values = upper + upper.T
+        values[np.tril_indices(n, -1)] *= 1.0 + 1e-12
+        np.fill_diagonal(values, rng.uniform(0.5, 1.0, n))
+        w = WeightMatrix(values, SYMMETRIC)
+        x = rng.uniform(0.5, 1.0, n)
+        want = symmetric_product(values, x)
+        lower = np.array(symmetric_product(values.T, x))
+        assert np.abs(lower - want).max() > 5 * PRODUCT_RTOL * np.abs(want).max()
+        assert_close(w @ x, want)
+        assert_close(w.transposed_product()(x), want)
+
+    def test_refuses_anything_but_one_vector_of_length_n(self):
+        # BLAS would read the first n entries of a longer or flattened x.
+        w = wm(np.ones((3, 3)))
+        for x in (np.ones(4), np.ones((3, 2)), np.ones(2), np.ones((1, 3))):
+            with pytest.raises(ValueError, match="one vector of length 3"):
+                w @ x
+            with pytest.raises(ValueError, match="one vector of length 3"):
+                w.transposed_product()(x)
 
 
 class TestLaplacian:

@@ -9,7 +9,8 @@ from oracles import (
     three_layer_budget_assembly,
     two_layer_walk_matrix,
 )
-from permap.errors import IsolatedNodeError
+from permap import layers
+from permap.errors import InsufficientMemoryError, IsolatedNodeError, stage_of
 from permap.geo import (
     CountryBorderGraph,
     border_blocks,
@@ -396,6 +397,108 @@ class TestPrepare:
     ):
         with pytest.raises(ValueError, match=r"border_kind in \('permeability',\)"):
             prepare(pipeline, twelve_locations, chain_borders, border_kind="linear")
+
+
+def twenty_locations():
+    return [
+        make_location(i, 1.0 + 0.3 * i, 1.0 + 0.2 * i, "ABC"[i % 3], f"d{i}") for i in range(20)
+    ]
+
+
+class TestMemoryCheck:
+    # Estimated bytes at n = 20: two n x n float arrays where the distance
+    # layer is built, plus a 40-vector Lanczos basis of the system size.
+    @pytest.mark.parametrize(
+        "pipeline, border_kind, needed",
+        [
+            ("geo", "none", 16 * 20**2 + 8 * 40 * 20),
+            ("geo", "linear", 16 * 20**2 + 8 * 40 * 20),
+            ("geo", "permeability", 8 * 40 * 20),
+            ("two_layer", "permeability", 16 * 20**2 + 8 * 40 * 40),
+            ("three_layer", "permeability", 16 * 20**2 + 8 * 40 * 120),
+        ],
+    )
+    def test_refuses_exactly_above_the_estimate(
+        self, monkeypatch, chain_borders, pipeline, border_kind, needed
+    ):
+        locations = twenty_locations()
+        monkeypatch.setattr(layers, "_available_memory", lambda: needed)
+        prepare(pipeline, locations, chain_borders, border_kind=border_kind)
+        monkeypatch.setattr(layers, "_available_memory", lambda: needed - 1)
+        with pytest.raises(InsufficientMemoryError) as info:
+            prepare(pipeline, locations, chain_borders, border_kind=border_kind)
+        assert stage_of(info.value) == "assembly"
+
+    def test_geo_with_permeability_is_not_charged_for_an_n_by_n_layer(
+        self, monkeypatch, chain_borders
+    ):
+        locations = twenty_locations()
+        monkeypatch.setattr(layers, "_available_memory", lambda: 16 * 20**2)
+        with pytest.raises(InsufficientMemoryError):
+            prepare("geo", locations, chain_borders, border_kind="none")
+        prepared = prepare("geo", locations, chain_borders, border_kind="permeability")
+        assert prepared.distances is None
+
+    def test_message_gives_both_figures_in_gb(self, monkeypatch, chain_borders):
+        monkeypatch.setattr(layers, "_available_memory", lambda: 0)
+        with pytest.raises(
+            InsufficientMemoryError, match=r"^needs an estimated 0\.0 GB, 0\.0 GB available$"
+        ):
+            prepare("two_layer", twenty_locations(), chain_borders)
+        # Figures are in units of 10^9 bytes, one decimal.
+        monkeypatch.setattr(layers, "_available_memory", lambda: 2_345_000_000)
+        with pytest.raises(
+            InsufficientMemoryError, match=r"^needs an estimated 2\.5 GB, 2\.3 GB available$"
+        ):
+            layers._check_memory("geo", 12_500, True)
+
+    def test_unreadable_memory_checks_nothing(self, monkeypatch, chain_borders):
+        monkeypatch.setattr(layers, "_available_memory", lambda: None)
+        assert prepare("two_layer", twenty_locations(), chain_borders).distances.n == 20
+
+
+class TestAvailableMemory:
+    @pytest.fixture
+    def proc(self, tmp_path, monkeypatch):
+        """Point the reader at a fake meminfo, cgroup list and cgroup tree under tmp_path."""
+        monkeypatch.setattr(layers, "_MEMINFO", tmp_path / "meminfo")
+        monkeypatch.setattr(layers, "_CGROUP", tmp_path / "cgroup")
+        monkeypatch.setattr(layers, "_CGROUP_ROOT", tmp_path / "fs")
+        (tmp_path / "fs" / "job").mkdir(parents=True)
+        return tmp_path
+
+    def write_cgroup(self, root, limit, current=1000):
+        (root / "cgroup").write_text("4:memory:/old\n0::/job\n")
+        (root / "fs" / "job" / "memory.max").write_text(f"{limit}\n")
+        (root / "fs" / "job" / "memory.current").write_text(f"{current}\n")
+
+    def test_mem_available_in_bytes(self, proc):
+        (proc / "meminfo").write_text("MemTotal: 900 kB\nMemFree: 10 kB\nMemAvailable: 500 kB\n")
+        assert layers._available_memory() == 500 * 1024
+
+    def test_lowered_to_the_cgroup_headroom(self, proc):
+        (proc / "meminfo").write_text("MemAvailable: 500 kB\n")
+        self.write_cgroup(proc, 201_000)
+        assert layers._available_memory() == 200_000
+        self.write_cgroup(proc, 10**9)
+        assert layers._available_memory() == 500 * 1024
+
+    def test_unlimited_cgroup_leaves_mem_available(self, proc):
+        (proc / "meminfo").write_text("MemAvailable: 500 kB\n")
+        self.write_cgroup(proc, "max")
+        assert layers._available_memory() == 500 * 1024
+
+    def test_either_source_alone(self, proc):
+        self.write_cgroup(proc, 201_000)
+        assert layers._available_memory() == 200_000
+        (proc / "cgroup").write_text("4:memory:/old\n")
+        assert layers._available_memory() is None
+        (proc / "meminfo").write_text("MemTotal: 900 kB\n")
+        assert layers._available_memory() is None
+
+    def test_reads_this_host_or_nothing(self):
+        available = layers._available_memory()
+        assert available is None or (isinstance(available, int) and available > 0)
 
 
 def layout_embedding(coords, layer_tags, copies):

@@ -199,6 +199,8 @@ class TestOperatorsMatchAssembledBuilders:
     def test_seed_101_benchmark_inputs(self, seed_101_inputs):
         rng = np.random.default_rng(204)
         for name, prepared in seed_101_inputs.items():
+            # Dense symmetric layers multiply through one triangle.
+            assert np.array_equal(prepared.distances.values, prepared.distances.values.T)
             crossings = crossings_matrix(prepared.locations, load_reference_borders())
             assert np.array_equal(prepared.hops[prepared.codes[:, None], prepared.codes], crossings)
             for p in (1.0, 0.5, UNDERFLOW_P):

@@ -21,7 +21,13 @@ from oracles import (
     reference_ingest,
 )
 from permap.cli import main
-from permap.geo import EARTH_RADIUS_KM, CountryBorderGraph, distance_matrix, invert_distances
+from permap.geo import (
+    EARTH_RADIUS_KM,
+    CountryBorderGraph,
+    distance_matrix,
+    invert_distances,
+    linear_border_weights,
+)
 from permap.ingest import (
     DEFAULT_CATEGORIES,
     DEFAULT_DATE_FORMATS,
@@ -125,6 +131,51 @@ def test_haversine_triangle_inequality(a, b, c):
     slack = 1e-6
     d = distance_matrix([a, b, c]).values
     assert d[0, 2] <= d[0, 1] + d[1, 2] + slack
+
+
+# Coordinates with the poles and the antimeridian drawn often.
+edge_coordinate = st.tuples(
+    st.one_of(st.sampled_from([-90.0, 90.0, 0.0]), st.floats(-90.0, 90.0, **finite)),
+    st.one_of(st.sampled_from([-180.0, 180.0, 0.0]), st.floats(-180.0, 180.0, **finite)),
+)
+
+
+@st.composite
+def priced_sites(draw):
+    """Sites drawn from a pool, so some repeat, with country codes, a hop table and a cost.
+
+    Some draws pass the 256-row blocks distance_matrix computes in.
+    """
+    pool = draw(st.lists(edge_coordinate, min_size=1, max_size=30))
+    n = draw(st.one_of(st.integers(2, 40), st.integers(250, 300)))
+    points = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    countries = draw(st.integers(1, 5))
+    codes = draw(arrays(np.intp, n, elements=st.integers(0, countries - 1)))
+    hops = draw(arrays(np.intp, (countries, countries), elements=st.integers(0, 6)))
+    # Crossings are a symmetric table with a zero diagonal.
+    hops = np.minimum(hops, hops.T)
+    np.fill_diagonal(hops, 0)
+    cost = draw(st.one_of(st.just(0.0), st.floats(0.0, 5000.0, **finite)))
+    return points, codes, hops, cost
+
+
+@settings(max_examples=150, deadline=None)
+@given(priced_sites())
+@example(([(90.0, 180.0), (-90.0, -180.0)], np.array([0, 1]), np.array([[0, 2], [2, 0]]), 50.0))
+@example(([(90.0, 0.0), (90.0, 0.0)], np.array([0, 0]), np.array([[0]]), 0.0))
+def test_dense_layers_are_exactly_symmetric(case):
+    # A dense symmetric layer multiplies through its upper triangle alone,
+    # which is the layer only where w == w.T holds exactly.
+    points, codes, hops, cost = case
+    d = distance_matrix(points)
+    assert np.array_equal(d.values, d.values.T)
+    if d.values.max() > 0:
+        w = invert_distances(d).values
+        assert np.array_equal(w, w.T)
+    priced = d.values + cost * hops[codes[:, None], codes[None, :]]
+    if priced.max() > 0:
+        w = linear_border_weights(d, codes, hops, cost).values
+        assert np.array_equal(w, w.T)
 
 
 @settings(max_examples=60, deadline=None)
