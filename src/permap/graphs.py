@@ -10,9 +10,9 @@ symmetric or directed, held in one of three storages:
   countries), stored as the group of each node plus a small table.
 
 `WeightMatrix` validates its entries once and answers every question the
-operators and the component check ask of a layer: products with it and
-its transpose, row and column sums, the diagonal, the mean nonzero
-entry, the numbers it stores, and which nodes a set of rows reaches.
+operators ask of a layer: products with it and its transpose, row and
+column sums, the diagonal, the mean nonzero entry and the numbers it
+stores.
 `toarray` gives a dense copy in every storage, for the assembled
 reference builders. Only this module looks at the storage.
 
@@ -152,13 +152,6 @@ class GroupBlocks:
         np.fill_diagonal(dense, 0.0)
         return dense
 
-    def reach(self, rows) -> np.ndarray:
-        """Nodes that share a nonzero entry with any of `rows`, as a mask.
-
-        A row may reach itself; the caller has labelled it already.
-        """
-        return (self.table[self.groups[rows]] > 0).any(axis=0)[self.groups]
-
 
 @dataclass(frozen=True)
 class WeightMatrix:
@@ -281,36 +274,13 @@ class WeightMatrix:
             raise ValueError("cannot normalize an all-zero matrix")
         return float(data.sum() / nonzero)
 
-    def reach(self) -> Callable:
-        """A function from frontier rows to the mask of nodes they touch, either way.
-
-        A stored zero is no edge. A row may reach itself; the caller has
-        labelled it already.
-        """
-        v = self.values
-        if isinstance(v, GroupBlocks):
-            return v.reach
-        support = v > 0
-        if _is_sparse(support):
-            support = (support + support.T).tocsr()
-
-            def reach(rows):
-                reached = np.zeros(self.n, dtype=bool)
-                reached[support[rows].indices] = True
-                return reached
-
-            return reach
-        support |= support.T
-        return lambda rows: support[rows].any(axis=0)
-
 
 @dataclass(frozen=True)
 class LaplacianOperator:
     """The Laplacian diag(degrees) - A of a symmetric weight operator A, never formed.
 
     `adjacency` maps one vector x to A x. `layers` are the n x n location
-    WeightMatrix layers whose union of supports is connected exactly when
-    A's graph is, so components can be counted without A. `loops` is A's
+    WeightMatrix layers A is built from; they give `nnz`. `loops` is A's
     diagonal, zero in every multilayer system. Where degrees are A @ 1,
     as `symmetrized_operator` sets them, L @ 1 is exactly zero.
     """
@@ -323,11 +293,6 @@ class LaplacianOperator:
     @property
     def shape(self) -> tuple:
         return (self.degrees.size, self.degrees.size)
-
-    @property
-    def copies(self) -> int:
-        """Points of A per location: the system size over the layers' n."""
-        return self.degrees.size // self.layers[0].n
 
     @property
     def nnz(self) -> int:
@@ -363,7 +328,7 @@ def symmetrized_operator(n: int, blocks: dict, layers: tuple) -> LaplacianOperat
     copy, column copy) to the pair x -> B x, x -> B^T x of one block B;
     unlisted blocks are zero, and blocks on R's diagonal have a zero
     diagonal, so A has none. The degrees are A @ 1, so L @ 1 is exactly
-    zero. `layers` are as for LaplacianOperator.
+    zero. `layers` are the location layers the blocks multiply by.
     """
     copies = 1 + max(max(key) for key in blocks)
 

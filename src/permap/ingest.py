@@ -60,7 +60,8 @@ class ColumnMap:
     """Names of the input columns carrying each required field.
 
     Header lookup is case-insensitive and ignores surrounding whitespace.
-    Dates are tried against each format in order until one parses.
+    Dates are tried against each format in order until one parses; at
+    least one format must be given.
     """
 
     event_date: str = "event_date"
@@ -72,6 +73,10 @@ class ColumnMap:
     event_type: str = "event_type"
     fatalities: str = "fatalities"
     date_formats: tuple = DEFAULT_DATE_FORMATS
+
+    def __post_init__(self):
+        if not self.date_formats:
+            raise ConfigError("column_map.date_formats must list at least one format")
 
     def required(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "date_formats"}

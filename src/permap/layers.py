@@ -86,7 +86,7 @@ BORDER_KINDS = {
 DEFAULT_BORDER_P = 0.95
 
 # Where the memory check reads the available memory: the host's
-# MemAvailable, and the limit and usage of the process's cgroup v2.
+# MemAvailable, and the limit, usage and page cache of the process's cgroup v2.
 _MEMINFO = Path("/proc/meminfo")
 _CGROUP = Path("/proc/self/cgroup")
 _CGROUP_ROOT = Path("/sys/fs/cgroup")
@@ -398,7 +398,10 @@ def _available_memory() -> int | None:
     """Bytes this process may still allocate, or None when nothing can be read.
 
     MemAvailable of the host, lowered to memory.max - memory.current of
-    the process's cgroup v2 where memory.max is a number.
+    the process's cgroup v2 where memory.max is a number. The cgroup's
+    inactive_file page cache, which the kernel drops before it refuses an
+    allocation, is not counted as used; without a readable memory.stat
+    line for it, all of memory.current is.
     """
     available = None
     try:
@@ -415,7 +418,14 @@ def _available_memory() -> int | None:
         group = _CGROUP_ROOT / group.lstrip("/")
         limit = (group / "memory.max").read_text(encoding="ascii").strip()
         if limit != "max":
-            headroom = int(limit) - int((group / "memory.current").read_text(encoding="ascii"))
+            used = int((group / "memory.current").read_text(encoding="ascii"))
+            try:
+                stat = (group / "memory.stat").read_text(encoding="ascii").splitlines()
+                cache = next(line for line in stat if line.startswith("inactive_file "))
+                used -= int(cache.split()[-1])
+            except (OSError, ValueError, StopIteration):
+                pass
+            headroom = int(limit) - used
             available = headroom if available is None else min(available, headroom)
     except (OSError, ValueError, StopIteration):
         pass

@@ -11,9 +11,8 @@ repeated runs are bit-identical.
 `embed` works on a `LaplacianOperator`: L x = degrees * x - A x, with A
 applied from its layers, so neither A nor L is ever formed. A
 WeightMatrix is wrapped into one. The operator also supplies the scale
-||L||_inf = 2 max(degrees) (A has a zero diagonal) and the WeightMatrix
-layers whose union of supports decides connectivity; each layer answers
-which nodes a set of rows reaches, whatever its storage.
+||L||_inf = 2 max(degrees) (A has a zero diagonal). The component check
+walks the same A, so it sees exactly the graph the eigensolver multiplies.
 `eigensolve_symmetric` takes such an operator or any symmetric matrix.
 
 The Lanczos basis holds at least 40 vectors, twice scipy's default. The
@@ -141,32 +140,29 @@ def _residuals(values, vals, vecs) -> np.ndarray:
     return np.linalg.norm(prod - vecs * vals[None, :], axis=0)
 
 
-def connected_components(*layers):
-    """Count components of the union of positive-entry supports, with canonical labels.
+def connected_components(lap: LaplacianOperator):
+    """Count the components of A's graph, the graph Lanczos multiplies, with canonical labels.
 
-    Each layer is a WeightMatrix in any storage, all over the same n
-    nodes. An edge joins i and j where any layer has w[i, j] or w[j, i]
-    positive, so one-way entries connect too. Each component is found by
-    a frontier traversal from its smallest unlabelled node: every round
-    reads the support rows of the current frontier in each layer, and the
-    newly reached nodes become the next frontier. Components are thus numbered in order of their smallest
-    node index, so the component containing node 0 is always component 0.
+    Points i and j are joined where A has a positive entry (i, j). Each
+    component is walked from its smallest unlabelled point: a round
+    multiplies A by the indicator of the frontier, and the unlabelled
+    points where the product is positive are the next frontier. A is
+    symmetric and nonnegative, so a zero entry adds an exact 0; the only
+    negative terms (a dropped diagonal) fall on the frontier, labelled
+    already. Components are numbered in order of their smallest point.
     """
-    reaches = [w.reach() for w in layers]
-    n = layers[0].n
+    n = lap.shape[0]
     labels = np.full(n, -1, dtype=np.int32)
     count = 0
     for start in range(n):
         if labels[start] >= 0:
             continue
-        labels[start] = count
-        frontier = np.array([start])
-        while frontier.size:
-            reached = reaches[0](frontier)
-            for reach in reaches[1:]:
-                reached |= reach(frontier)
-            frontier = np.flatnonzero(reached & (labels < 0))
+        frontier = [start]
+        while len(frontier):
             labels[frontier] = count
+            x = np.zeros(n)
+            x[frontier] = 1.0
+            frontier = np.flatnonzero((lap.adjacency(x) > 0) & (labels < 0))
         count += 1
     return count, labels
 
@@ -216,11 +212,11 @@ def embed(w, k: int, provenance=None) -> Embedding:
     """Spectral embedding of a connected symmetric weighted graph.
 
     `w` is a LaplacianOperator or a symmetric WeightMatrix, which is
-    wrapped into one. Connectivity is checked on the union of the
-    operator's layer supports. Solves for the k+1 smallest Laplacian
-    eigenpairs, discards the zero pair belonging to the constant
-    eigenvector, and returns the next k eigenvectors as coordinate
-    columns under the deterministic sign convention.
+    wrapped into one. Connectivity is checked on the operator's A.
+    Solves for the k+1 smallest Laplacian eigenpairs, discards the zero
+    pair belonging to the constant eigenvector, and returns the next k
+    eigenvectors as coordinate columns under the deterministic sign
+    convention.
     """
     if isinstance(w, LaplacianOperator):
         lap = w
@@ -231,10 +227,9 @@ def embed(w, k: int, provenance=None) -> Embedding:
     n = lap.shape[0]
     if not 1 <= k <= n - 1:
         raise ValueError(f"embedding dimension must be in [1, {n - 1}], got {k}")
-    count, labels = connected_components(*lap.layers)
+    count, labels = connected_components(lap)
     if count > 1:
-        # Every point of a location lies in that location's component.
-        sizes = np.bincount(labels) * lap.copies
+        sizes = np.bincount(labels)
         raise DisconnectedGraphError(
             f"graph has {count} components (sizes {sizes.tolist()}); embedding "
             "requires a connected graph"

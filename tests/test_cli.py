@@ -688,6 +688,23 @@ class TestFailureStages:
         assert rc == 1
         assert err.startswith("error: ingest:")
 
+    def test_no_date_formats(self, capsys, fixture_run, tmp_path):
+        for command in ("embed", "summarize"):
+            out = tmp_path / command
+            rc, _, err = run_cli(
+                capsys,
+                command,
+                "--config",
+                str(fixture_run["config"]),
+                "--out",
+                str(out),
+                "--override",
+                "column_map.date_formats=[]",
+            )
+            assert rc == 1
+            assert err.startswith("error: config:") and "date_formats" in err
+            assert not out.exists()
+
     def test_filtered_to_nothing(self, capsys, fixture_run, tmp_path):
         rc, _, err = run_cli(
             capsys,

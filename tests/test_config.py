@@ -158,6 +158,7 @@ LIST_FIELD_CASES = (
         "column_map.date_formats must be a list of strings, got '%Y-%m-%d'",
     ),
     ({"column_map": {"date_formats": None}}, "column_map.date_formats must be a list of strings"),
+    ({"column_map": {"date_formats": []}}, "column_map.date_formats must list at least one format"),
     ({"sweep_costs_km": "100"}, "sweep_costs_km must be a list of numbers, got '100'"),
     ({"sweep_probabilities": 0.5}, "sweep_probabilities must be a list of numbers, got 0.5"),
 )

@@ -483,6 +483,19 @@ class TestAvailableMemory:
         self.write_cgroup(proc, 10**9)
         assert layers._available_memory() == 500 * 1024
 
+    def test_inactive_page_cache_is_not_used_memory(self, proc):
+        (proc / "meminfo").write_text("MemAvailable: 500 kB\n")
+        self.write_cgroup(proc, 201_000, current=150_000)
+        stat = proc / "fs" / "job" / "memory.stat"
+        stat.write_text("anon 90000\nfile 60000\nactive_file 20000\ninactive_file 40000\n")
+        assert layers._available_memory() == 201_000 - (150_000 - 40_000)
+        # Without a readable inactive_file line, all of memory.current is used.
+        for text in ("anon 90000\nactive_file 20000\n", "inactive_file many\n"):
+            stat.write_text(text)
+            assert layers._available_memory() == 51_000
+        stat.unlink()
+        assert layers._available_memory() == 51_000
+
     def test_unlimited_cgroup_leaves_mem_available(self, proc):
         (proc / "meminfo").write_text("MemAvailable: 500 kB\n")
         self.write_cgroup(proc, "max")

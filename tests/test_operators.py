@@ -252,7 +252,7 @@ class TestSymmetrizedOperator:
         blocks = {key: pair for key, (_, pair) in grid.items()}
         lap = graphs.symmetrized_operator(n, blocks, (seq, border))
         check_products(lap, laplacian((raw + raw.T) / 2.0), rng)
-        assert lap.shape == (3 * n, 3 * n) and lap.copies == 3
+        assert lap.shape == (3 * n, 3 * n)
         assert not np.any(lap @ np.ones(3 * n))
 
     @staticmethod

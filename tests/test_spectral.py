@@ -19,7 +19,7 @@ from permap.geo import (
     distance_matrix,
     invert_distances,
 )
-from permap.graphs import DIRECTED, SYMMETRIC, WeightMatrix
+from permap.graphs import DIRECTED, SYMMETRIC, WeightMatrix, symmetrized_operator
 from permap.spectral import (
     Embedding,
     PointRef,
@@ -177,20 +177,31 @@ class TestEigensolve:
         assert got.residuals.max() <= 1e-10
 
 
-def directed(values):
-    return WeightMatrix(values, DIRECTED)
+def walk(grid):
+    """The operator of A = (R + R^T) / 2 for a raw walk R given as {(row, col): block}.
+
+    Each block is a directed layer, so one-way entries stay one-way in R.
+    """
+    blocks = {key: WeightMatrix(values, DIRECTED) for key, values in grid.items()}
+    n = next(iter(blocks.values())).n
+    pairs = {key: (w.__matmul__, w.transposed_product()) for key, w in blocks.items()}
+    return symmetrized_operator(n, pairs, tuple(blocks.values()))
+
+
+def one_block(values):
+    return walk({(0, 0): values})
 
 
 class TestConnectedComponents:
     def test_single_edge(self):
-        count, labels = connected_components(directed(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        count, labels = connected_components(one_block(np.array([[0.0, 1.0], [1.0, 0.0]])))
         assert count == 1 and labels.tolist() == [0, 0]
 
     def test_two_blocks(self):
         m = np.zeros((5, 5))
         m[0, 1] = m[1, 0] = 1.0
         m[2, 3] = m[3, 2] = m[3, 4] = m[4, 3] = 1.0
-        count, labels = connected_components(directed(m))
+        count, labels = connected_components(one_block(m))
         assert count == 2
         assert labels.tolist() == [0, 0, 1, 1, 1]
 
@@ -198,7 +209,7 @@ class TestConnectedComponents:
         # node 0 is isolated, nodes 1-2 form the second component
         m = np.zeros((3, 3))
         m[1, 2] = m[2, 1] = 1.0
-        count, labels = connected_components(directed(m))
+        count, labels = connected_components(one_block(m))
         assert count == 2
         assert labels.tolist() == [0, 1, 1]
 
@@ -209,7 +220,7 @@ class TestConnectedComponents:
             m = rng.uniform(0, 1, (n, n)) * (rng.uniform(size=(n, n)) < 0.15)
             m = (m + m.T) / 2.0
             np.fill_diagonal(m, 0.0)
-            count, labels = connected_components(directed(m))
+            count, labels = connected_components(one_block(m))
             want_count, want_labels = traversal_components(m.tolist())
             assert count == want_count
             assert labels.tolist() == want_labels
@@ -232,9 +243,35 @@ class TestConnectedComponents:
                 dense = values.toarray() if sparse.issparse(values) else values
                 want_count, want_labels = traversal_components(dense.tolist())
                 assert want_count >= 3 and np.bincount(want_labels).min() == 1
-                count, labels = connected_components(directed(values))
+                count, labels = connected_components(one_block(values))
                 assert count == want_count
                 assert labels.tolist() == want_labels
+
+    def test_matches_traversal_oracle_over_several_copies(self):
+        rng = np.random.default_rng(44)
+        n, copies = 60, 3
+        for _ in range(4):
+            isolated = rng.uniform(size=n) < 0.1
+            # The largest copy must be listed for the operator to span it.
+            grid = {(copies - 1, 0): sparse.csr_matrix((n, n))}
+            raw = np.zeros((copies * n, copies * n))
+            for row in range(copies):
+                for col in range(copies):
+                    if rng.uniform() < 0.4:
+                        continue
+                    block = rng.uniform(0.1, 1.0, (n, n)) * (rng.uniform(size=(n, n)) < 0.02)
+                    block[isolated, :] = block[:, isolated] = 0.0
+                    if row == col:
+                        np.fill_diagonal(block, 0.0)
+                    csr = sparse.csr_matrix(block)
+                    csr.data[::4] = 0.0  # stored zeros are not edges
+                    grid[row, col] = csr
+                    raw[row * n : (row + 1) * n, col * n : (col + 1) * n] = csr.toarray()
+            want_count, want_labels = traversal_components(((raw + raw.T) / 2.0).tolist())
+            assert want_count > isolated.sum() * copies
+            count, labels = connected_components(walk(grid))
+            assert count == want_count
+            assert labels.tolist() == want_labels
 
 
 class TestFixSigns:
