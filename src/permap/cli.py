@@ -19,7 +19,7 @@ from .fileio import atomic_write
 
 
 def _load_events(cfg: RunConfig):
-    with open(cfg.events_csv, encoding="utf-8", newline="") as fh:
+    with open(cfg.events_csv, encoding="utf-8-sig", newline="") as fh:
         events, report = ingest.parse_events(fh, cfg.column_map)
     violent = ingest.filter_violent(events, cfg.categories)
     if cfg.split_rules:

@@ -55,9 +55,12 @@ def _check_bounds(lat: float, lon: float):
 def distance_matrix(locations) -> WeightMatrix:
     """All-pairs great-circle (haversine) distances for >= 2 locations (zero diagonal).
 
-    Rows are computed in blocks into one n x n result, so the temporaries
-    hold _ROW_BLOCK rows, not n; each entry goes through the same
-    operations as in the whole-matrix formula.
+    Each block of _ROW_BLOCK rows is computed only from its diagonal
+    column on, into one n x n result, and the tile right of its diagonal
+    block is written transposed below it. So the temporaries hold at most
+    _ROW_BLOCK rows, and each pair is computed once. Every computed entry
+    goes through the same operations as in the whole-matrix formula, and
+    the formula is exactly symmetric, so the result is bit-equal to it.
     """
     pts = [_latlon(p) for p in locations]
     if len(pts) < 2:
@@ -69,11 +72,14 @@ def distance_matrix(locations) -> WeightMatrix:
     cos_lat = np.cos(lat)
     d = np.empty((lat.size, lat.size))
     for start in range(0, lat.size, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
-        dp = lat[rows, None] - lat[None, :]
-        dl = lon[rows, None] - lon[None, :]
-        h = np.sin(dp / 2.0) ** 2 + cos_lat[rows, None] * cos_lat[None, :] * np.sin(dl / 2.0) ** 2
-        d[rows] = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+        stop = start + _ROW_BLOCK
+        rows, cols = slice(start, stop), slice(start, None)
+        dp = lat[rows, None] - lat[None, cols]
+        dl = lon[rows, None] - lon[None, cols]
+        cos_pair = cos_lat[rows, None] * cos_lat[None, cols]
+        h = np.sin(dp / 2.0) ** 2 + cos_pair * np.sin(dl / 2.0) ** 2
+        d[rows, cols] = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
+        d[stop:, rows] = d[rows, stop:].T
     np.fill_diagonal(d, 0.0)
     return WeightMatrix(d, SYMMETRIC)
 
@@ -153,7 +159,7 @@ class CountryBorderGraph:
     @classmethod
     def load_csv(cls, path) -> "CountryBorderGraph":
         pairs = []
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             for row in csv.reader(fh):
                 if not row or not any(cell.strip() for cell in row):
                     continue

@@ -85,6 +85,10 @@ BORDER_KINDS = {
 
 DEFAULT_BORDER_P = 0.95
 
+# Rows per step of country_separation_ratio, as geo's _ROW_BLOCK is for the
+# distance matrix: its two buffers hold this many rows of pair distances.
+_PAIR_ROWS = 64
+
 # Where the memory check reads the available memory: the host's
 # MemAvailable, and the limit, usage and page cache of the process's cgroup v2.
 _MEMINFO = Path("/proc/meminfo")
@@ -536,38 +540,55 @@ def country_separation_ratio(emb: Embedding, countries) -> float:
     Pairs of points backed by the same location are excluded, so the fixed
     inter-layer geometry of a location's own copies does not dilute the
     between-country signal.
+
+    The points are ordered once by country, with a stable sort, so every
+    pair runs from a point to a later one and the pairs between two
+    countries fill off-diagonal blocks. A location has one country, so
+    none of those pairs shares a location and they need no mask. Rows go
+    _PAIR_ROWS at a time against every later point, into two buffers
+    allocated once; only the block of the rows' own country is masked, to
+    its upper triangle and to pairs of different locations. Each distance
+    is the same float as in a pair-by-pair loop (squares added axis by
+    axis from the first); the sums run block by block, so the ratio
+    depends on the point order only at rounding level. Counts are exact.
     """
     coords = emb.coordinates
-    n = coords.shape[0]
-    loc_ids = np.array([ref.location_id for ref in emb.provenance])
+    n, k = coords.shape
     _, tags = np.unique(
         [str(countries[ref.location_id]) for ref in emb.provenance], return_inverse=True
     )
+    order = np.argsort(tags, kind="stable")
+    coords = coords[order]
+    loc_ids = np.array([ref.location_id for ref in emb.provenance])[order]
 
-    # Each row block pairs its rows with columns from the block start on;
-    # the masked distances come out in the same order as over all columns.
+    dist = np.empty(min(_PAIR_ROWS, n) * n)
+    squares = np.empty_like(dist)
     inter_sum = intra_sum = 0.0
     inter_count = intra_count = 0
-    block = 512
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        # Squares added axis by axis, left to right, as a sum over the
-        # length-k axis adds them, so the distances are the same floats.
-        squared = np.zeros((stop - start, n - start))
-        for axis in range(coords.shape[1]):
-            d = coords[start:stop, axis, None] - coords[None, start:, axis]
-            d *= d
-            squared += d
-        dist = np.sqrt(squared, out=squared)
-        keep = np.arange(stop - start)[:, None] < np.arange(n - start)[None, :]
-        keep &= loc_ids[start:stop][:, None] != loc_ids[None, start:]
-        same_country = tags[start:stop][:, None] == tags[None, start:]
-        intra = keep & same_country
-        inter = keep & ~same_country
-        intra_sum += float(dist[intra].sum())
-        intra_count += np.count_nonzero(intra)
-        inter_sum += float(dist[inter].sum())
-        inter_count += np.count_nonzero(inter)
+    start = 0
+    for end in np.cumsum(np.bincount(tags)).tolist():
+        for lo in range(start, end, _PAIR_ROWS):
+            hi = min(lo + _PAIR_ROWS, end)
+            shape = (hi - lo, n - lo)
+            d = dist[: shape[0] * shape[1]].reshape(shape)
+            sq = squares[: d.size].reshape(shape)
+            np.subtract(coords[lo:hi, 0, None], coords[None, lo:, 0], out=d)
+            np.multiply(d, d, out=d)
+            for axis in range(1, k):
+                np.subtract(coords[lo:hi, axis, None], coords[None, lo:, axis], out=sq)
+                np.multiply(sq, sq, out=sq)
+                d += sq
+            np.sqrt(d, out=d)
+            # Columns from `end` on are later countries: every pair counts.
+            inter_sum += float(d[:, end - lo :].sum())
+            inter_count += shape[0] * (n - end)
+            keep = np.arange(lo, end)[None, :] > np.arange(lo, hi)[:, None]
+            keep &= loc_ids[lo:hi, None] != loc_ids[None, lo:end]
+            intra = d[:, : end - lo]
+            intra *= keep
+            intra_sum += float(intra.sum())
+            intra_count += int(np.count_nonzero(keep))
+        start = end
     if not inter_count:
         raise ValueError("no inter-country point pairs; ratio undefined")
     if not intra_count:

@@ -285,8 +285,9 @@ def symmetric_product(values, x):
 def haversine_matrix(points, radius=6371.0):
     """All-pairs haversine as one whole-matrix numpy formula, diagonal zeroed.
 
-    The same operations per entry as a row-blocked computation, so the two
-    must agree bit for bit; haversine_reference checks the values.
+    The same operations per entry as distance_matrix's row-blocked tiles;
+    the formula is exactly symmetric, so the tiles it mirrors below the
+    diagonal agree too, bit for bit. haversine_reference checks the values.
     """
     import numpy as np
 

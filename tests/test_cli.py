@@ -542,6 +542,55 @@ class TestFreeTextCells:
                 assert {row["country"] for row in rows} == {self.COUNTRY, "Gabon"}, file
 
 
+class TestByteOrderMark:
+    """Spreadsheets save "CSV UTF-8" with a leading byte-order mark."""
+
+    BOM = "\ufeff"
+
+    def outputs(self, out_dir):
+        return {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+
+    def test_events_csv_with_a_bom_reads_as_without(self, capsys, fixture_run, tmp_path):
+        # The header starts with event_date, the name a BOM would join. A bad
+        # row is added, so the rejection line numbers are compared too.
+        events = fixture_run["events"]
+        text = events.read_text(encoding="utf-8") + "not a date,G,1,1,A,adm,Battle,0\n"
+        runs = {}
+        for name, prefix in (("plain", ""), ("bom", self.BOM)):
+            events.write_text(prefix + text, encoding="utf-8")
+            out_dir = tmp_path / name
+            rc, out, err = run_cli(
+                capsys, "summarize", "--config", str(fixture_run["config"]), "--out", str(out_dir)
+            )
+            assert rc == 0 and err == ""
+            runs[name] = (out, self.outputs(out_dir))
+        assert runs["bom"] == runs["plain"]
+        assert runs["bom"][0].splitlines()[0] == "events=12 groups=3 locations=12"
+        assert runs["bom"][1]["rejections.csv"] == b"line,reason\n14,unparseable date\n"
+
+    def test_borders_csv_with_a_bom_reads_as_without(self, capsys, fixture_run, tmp_path):
+        borders = fixture_run["borders"]
+        runs = {}
+        for name, prefix in (("plain", ""), ("bom", self.BOM)):
+            borders.write_text(prefix + "A,B\nB,C\n", encoding="utf-8")
+            out_dir = tmp_path / name
+            rc, _, err = run_cli(
+                capsys,
+                "embed",
+                "--config",
+                str(fixture_run["config"]),
+                "--out",
+                str(out_dir),
+                "--override",
+                'border_model={"kind": "permeability", "p": 0.95}',
+            )
+            assert rc == 0 and err == ""
+            runs[name] = self.outputs(out_dir)
+        assert runs["bom"] == runs["plain"]
+        countries = {line.split(b",")[-1] for line in runs["bom"]["embedding.csv"].splitlines()}
+        assert countries == {b"country", b"A", b"B", b"C"}
+
+
 class TestListConfigFields:
     CASES = (
         ("groups=AQIM", "groups must be a list of strings, got 'AQIM'"),

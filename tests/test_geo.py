@@ -80,10 +80,13 @@ class TestDistanceMatrix:
         assert np.array_equal(d, d.T)
 
     def test_row_blocks_bit_equal_to_whole_matrix_formula(self, twelve_locations):
-        # 600 is not a multiple of the 256-row blocks; 257 leaves a one-row block.
+        # Only the tiles on and above the diagonal are computed; the rest are
+        # their transposes. Around the 256-row block: 255 and 256 fill one
+        # block, 257 leaves a one-row block, and 600 and 700 are not
+        # multiples of it.
         rng = np.random.default_rng(18)
         cases = [[(loc.latitude, loc.longitude) for loc in twelve_locations]]
-        for n in (120, 257, 600):
+        for n in (2, 120, 255, 256, 257, 600, 700):
             cases.append(list(zip(rng.uniform(-89, 89, n), rng.uniform(-179, 179, n))))
         for points in cases:
             d = distance_matrix(points).values

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -633,6 +635,36 @@ class TestCountrySeparationRatio:
         with pytest.raises(ValueError, match="intra-country"):
             country_separation_ratio(fake_embedding(coords, refs), {0: "A", 1: "B"})
 
+    def test_only_same_location_intra_pairs_rejected(self):
+        # Two copies of one location per country: every intra pair is excluded.
+        coords = [[0.0], [1.0], [5.0], [7.0]]
+        refs = [PointRef(lid, tag, NO_COPY) for tag in "ab" for lid in (0, 1)]
+        with pytest.raises(ValueError, match="intra-country"):
+            country_separation_ratio(fake_embedding(coords, refs), {0: "A", 1: "B"})
+
+    def test_zero_intra_distances_rejected(self):
+        coords = [[0.0], [0.0], [5.0], [5.0]]
+        refs = [PointRef(i, "a", NO_COPY) for i in range(4)]
+        with pytest.raises(ValueError, match="all zero"):
+            country_separation_ratio(fake_embedding(coords, refs), dict(enumerate("AABB")))
+
+    def test_memory_stays_within_two_row_chunks(self):
+        # 3000 points as in a two-layer sweep over 1500 locations, k = 2. The
+        # two 64-row buffers take 3.1 MB; a single (512, 3000) float array
+        # would take 12.3 MB.
+        rng = np.random.default_rng(70)
+        location_ids = np.tile(np.arange(1500), 2)
+        refs = [PointRef(int(lid), "a", NO_COPY) for lid in location_ids]
+        emb = fake_embedding(rng.normal(size=(3000, 2)), refs)
+        country_of = {lid: f"C{lid % 21}" for lid in range(1500)}
+        tracemalloc.start()
+        try:
+            country_separation_ratio(emb, country_of)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_blocked_accumulation_matches_direct(self):
         rng = np.random.default_rng(67)
         coords = rng.uniform(-1, 1, (600, 2))
@@ -655,17 +687,34 @@ class TestCountrySeparationRatio:
         assert got == pytest.approx(want, rel=1e-10)
 
     def test_matches_pair_loop_oracle_over_several_blocks(self):
-        # 1300 points over 650 locations, two copies each as in a two-layer
-        # embedding: three 512-row blocks, and same-location pairs that
-        # straddle blocks.
+        # The points are shuffled, so countries interleave and the copies of a
+        # location are scattered. First 1300 points over 650 locations, two
+        # copies each as in a two-layer embedding. Then 1, 2 and 6 copies,
+        # where country "big" holds more than two row chunks of points,
+        # "solo" a single point, and n is not a multiple of the chunk.
+        rows = layers._PAIR_ROWS
         rng = np.random.default_rng(68)
-        for k in (1, 2, 3):
-            location_ids = np.concatenate([rng.permutation(650), rng.permutation(650)])
-            coords = rng.normal(size=(1300, k))
-            country_of = {lid: f"C{lid % 7}" for lid in range(650)}
-            refs = [PointRef(int(lid), "a", NO_COPY) for lid in location_ids]
-            got = country_separation_ratio(fake_embedding(coords, refs), country_of)
-            want = pairwise_separation_ratio(
-                coords.tolist(), location_ids.tolist(), [country_of[lid] for lid in location_ids]
+        cases = [
+            (
+                np.concatenate([rng.permutation(650), rng.permutation(650)]),
+                {lid: f"C{lid % 7}" for lid in range(650)},
             )
-            assert got == pytest.approx(want, rel=1e-12)
+        ]
+        for copies in (1, 2, 6):
+            big = 2 * rows // copies + 5
+            country_of = {0: "solo"}
+            country_of.update({lid: "big" for lid in range(1, big + 1)})
+            country_of.update({lid: f"C{lid % 5}" for lid in range(big + 1, big + 41)})
+            location_ids = rng.permutation(
+                np.concatenate([[0], np.repeat(np.arange(1, big + 41), copies)])
+            )
+            assert len(location_ids) % rows and copies * big > 2 * rows
+            cases.append((location_ids, country_of))
+        for location_ids, country_of in cases:
+            refs = [PointRef(int(lid), "a", NO_COPY) for lid in location_ids]
+            countries = [country_of[lid] for lid in location_ids.tolist()]
+            for k in (1, 2, 3):
+                coords = rng.normal(size=(len(location_ids), k))
+                got = country_separation_ratio(fake_embedding(coords, refs), country_of)
+                want = pairwise_separation_ratio(coords.tolist(), location_ids.tolist(), countries)
+                assert got == pytest.approx(want, rel=1e-12), (len(location_ids), k)
