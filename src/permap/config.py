@@ -325,7 +325,7 @@ def load_config(path, overrides=()) -> RunConfig:
     """Read a config JSON file, apply overrides, and validate."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

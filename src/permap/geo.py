@@ -9,11 +9,14 @@ crossings, used directly as an edge weight).
 Crossings depend only on the two locations' countries, so the pipelines
 keep them as a country code per location and a country-by-country hop
 table (`country_crossings`). The permeability weights then stay per pair
-of countries (`border_blocks`, a WeightMatrix over a GroupBlocks), and
-the linear model prices and inverts one n x n buffer
-(`linear_border_weights`). The n x n builders
-(`crossings_matrix`, `border_permeability_matrix`,
-`linear_border_distances`) give the same values as full matrices.
+of countries (`border_blocks`, a WeightMatrix over a GroupBlocks). The
+linear model keeps only the km matrix: its priced, inverted weights
+1.1 * max(d + cost * crossings) - (d + cost * crossings) are never
+formed, and their scale comes from the farthest pair of each two
+countries (`country_farthest`, `priced_top`). The multilayer pipelines
+invert the km matrix in its own buffer (`closeness_matrix`). The n x n builders (`crossings_matrix`,
+`border_permeability_matrix`, `linear_border_distances`) give the same
+values as full matrices.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ EARTH_RADIUS_KM = 6371.0
 
 _REFERENCE_BORDERS = "country_borders_west_africa.csv"
 
-# Rows computed per step by distance_matrix and linear_border_weights.
-_ROW_BLOCK = 256
+# Rows computed per step by distance_matrix and country_farthest.
+_ROW_BLOCK = 64
 # invert_distances' scale: the farthest pair keeps a tenth of the top weight.
 _MULTIPLIER = 1.1
 
@@ -96,14 +99,28 @@ def invert_distances(d: WeightMatrix) -> WeightMatrix:
     return WeightMatrix(_invert(d.values, np.empty(d.values.shape)), SYMMETRIC)
 
 
+def closeness_matrix(locations) -> WeightMatrix:
+    """invert_distances(distance_matrix(locations)), inverted in the km matrix's own buffer.
+
+    Every entry goes through the same operations as in the two-step form,
+    so the result is bit-equal to it, and only one n x n array is held.
+    """
+    values = distance_matrix(locations).values
+    return WeightMatrix(_invert(values, values), SYMMETRIC)
+
+
 def _invert(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write _MULTIPLIER * max(values) - values, zero diagonal, into `out` (may be `values`)."""
-    top = float(values.max())
-    if top <= 0.0:
-        raise ValueError("all distances are zero; nothing to invert")
-    np.subtract(_MULTIPLIER * top, values, out=out)
+    np.subtract(_scaled(float(values.max())), values, out=out)
     np.fill_diagonal(out, 0.0)
     return out
+
+
+def _scaled(top: float) -> float:
+    """The value distances are subtracted from when their largest is `top`."""
+    if top <= 0.0:
+        raise ValueError("all distances are zero; nothing to invert")
+    return _MULTIPLIER * top
 
 
 @dataclass(frozen=True)
@@ -261,19 +278,41 @@ def border_blocks(codes: np.ndarray, hops: np.ndarray, p: float) -> WeightMatrix
     return WeightMatrix(GroupBlocks(codes, np.power(float(p), hops.astype(float))), SYMMETRIC)
 
 
-def linear_border_weights(d: WeightMatrix, codes, hops, cost_km: float) -> WeightMatrix:
-    """invert_distances(linear_border_distances(d, crossings, cost_km)) in one n x n buffer.
+def country_farthest(d: WeightMatrix, codes=None) -> np.ndarray:
+    """The largest entry of d between each pair of countries.
 
-    Row blocks of d + cost_km * hops[codes[i], codes[j]] are priced into
-    the buffer, which is then inverted in place. Every entry goes through
-    the same operations as in the two-step form, so the result is
-    bit-equal to it.
+    Entry (a, b) of the table is the largest d[i, j] with codes[i] == a
+    and codes[j] == b, and -inf for a code no location has; codes are
+    indexes into a hop table, as country_crossings gives them. Without
+    codes every location is in one country, and the table is 1 x 1.
+    Rows go _ROW_BLOCK at a time, so no n x n temporary is made.
     """
-    _check_cost(cost_km)
-    extra = cost_km * hops.astype(float)
     n = d.n
-    out = np.empty((n, n))
+    codes = np.zeros(n, dtype=np.intp) if codes is None else np.asarray(codes, dtype=np.intp)
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    rows_max = np.empty((n, starts.size))
     for start in range(0, n, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        np.add(d.values[rows], extra[codes[rows, None], codes[None, :]], out=out[rows])
-    return WeightMatrix(_invert(out, out), SYMMETRIC)
+        rows_max[rows] = np.maximum.reduceat(d.values[rows][:, order], starts, axis=1)
+    present = ordered[starts]
+    table = np.full((int(codes.max()) + 1,) * 2, -np.inf)
+    table[np.ix_(present, present)] = np.maximum.reduceat(rows_max[order], starts, axis=0)
+    return table
+
+
+def priced_top(farthest: np.ndarray, hops, cost_km: float) -> float:
+    """1.1 * max(d + cost_km * crossings), read off country_farthest's table of d.
+
+    This is the value invert_distances(linear_border_distances(d,
+    crossings, cost_km)) subtracts each priced distance from. Adding the
+    cost rounds monotonically in the distance, so the largest priced
+    distance between two countries is their farthest pair priced, and the
+    result is bit-equal to the n x n form. `hops` is None where no border
+    is priced. Raises ValueError for a negative cost or when every
+    priced distance is zero.
+    """
+    _check_cost(cost_km)
+    priced = farthest if hops is None else farthest + cost_km * hops.astype(float)
+    return _scaled(float(priced.max()))

@@ -4,8 +4,9 @@ Input files are header-first CSVs in the style of public conflict-event
 exports. Malformed rows never abort a run; they are collected into a
 rejection report with line numbers. Locations are deduplicated on a
 composite key of country, admin district, and rounded coordinates.
-Rows are read by cell position, and each distinct date text, event type
-and exact site is judged once, since real exports repeat them.
+Rows are read by cell position, and each distinct date, text cell,
+coordinate pair, event type and exact site is judged once, since real
+exports repeat them; records holding the same text share one object.
 """
 
 from __future__ import annotations
@@ -111,14 +112,46 @@ def _parse_date(text: str, formats) -> date | None:
     return None
 
 
+class _Memo(dict):
+    """key -> fn(key), each computed at its first lookup and then shared."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _coordinates(cells: tuple):
+    """(latitude, longitude) of one row's coordinate cells, or the reason they are rejected."""
+    raw_lat, raw_lon = cells
+    try:
+        lat = float(raw_lat)
+    except ValueError:
+        return "unparseable latitude"
+    try:
+        lon = float(raw_lon)
+    except ValueError:
+        return "unparseable longitude"
+    if not -90.0 <= lat <= 90.0:
+        return "latitude out of range"
+    if not -180.0 <= lon <= 180.0:
+        return "longitude out of range"
+    return lat, lon
+
+
 def parse_events(source, column_map: ColumnMap | None = None):
     """Parse a header-first CSV stream into events plus a rejection report.
 
     Returns (events, report). Rows that fail to parse, including rows the
     csv module itself cannot read, are skipped and logged with their
     physical line number; a missing mapped column in the header is a
-    configuration error instead. Each distinct date text is parsed once
-    per call, since real exports repeat the same dates across many rows.
+    configuration error instead. Each distinct raw date, coordinate pair
+    and actor, country, admin1 or event-type text is parsed once per call,
+    and the records share what it gives: one date, one (latitude,
+    longitude) pair of floats, one stripped str.
     """
     cmap = column_map or ColumnMap()
     reader = csv.reader(source)
@@ -147,7 +180,14 @@ def parse_events(source, column_map: ColumnMap | None = None):
     report = ParseReport()
     reject = report.reject
     formats = cmap.date_formats
-    dates = {}  # raw date text -> parsed date, or None when no format fits
+    # Real exports repeat the same cells across many rows, so each distinct
+    # raw text is judged once and every record holding it shares one object.
+    # Raw date text -> parsed date, or None when no format fits:
+    dates = _Memo(lambda text: _parse_date(text, formats))
+    # Raw actor, country, admin1 or event type text -> stripped text:
+    texts = _Memo(str.strip)
+    # Raw (latitude, longitude) texts -> (lat, lon), or a rejection reason:
+    sites = _Memo(_coordinates)
     while True:
         # A row the csv module cannot read (an oversized field, or a NUL
         # byte before Python 3.11) is rejected; reading resumes on the
@@ -167,35 +207,19 @@ def parse_events(source, column_map: ColumnMap | None = None):
             reject(line, "missing fields")
             continue
 
-        raw_date = row[at_date]
-        try:
-            when = dates[raw_date]
-        except KeyError:
-            when = dates[raw_date] = _parse_date(raw_date, formats)
+        when = dates[row[at_date]]
         if when is None:
             reject(line, "unparseable date")
             continue
-        group = row[at_actor].strip()
+        group = texts[row[at_actor]]
         if not group:
             reject(line, "empty group id")
             continue
-        try:
-            lat = float(row[at_lat])
-        except ValueError:
-            reject(line, "unparseable latitude")
+        site = sites[row[at_lat], row[at_lon]]
+        if type(site) is str:
+            reject(line, site)
             continue
-        try:
-            lon = float(row[at_lon])
-        except ValueError:
-            reject(line, "unparseable longitude")
-            continue
-        if not -90.0 <= lat <= 90.0:
-            reject(line, "latitude out of range")
-            continue
-        if not -180.0 <= lon <= 180.0:
-            reject(line, "longitude out of range")
-            continue
-        country = row[at_country].strip()
+        country = texts[row[at_country]]
         if not country:
             reject(line, "empty country")
             continue
@@ -212,8 +236,8 @@ def parse_events(source, column_map: ColumnMap | None = None):
         else:
             fatalities = 0
 
-        admin1, kind = row[at_admin1].strip(), row[at_type].strip()
-        events.append(EventRecord(when, group, lat, lon, country, admin1, kind, fatalities, line))
+        admin1, kind = texts[row[at_admin1]], texts[row[at_type]]
+        events.append(EventRecord(when, group, *site, country, admin1, kind, fatalities, line))
     return events, report
 
 
@@ -237,17 +261,8 @@ def filter_violent(events, categories=DEFAULT_CATEGORIES):
         kind = _normalize(event_type)
         return kind in cats or (battles and kind.startswith("battle"))
 
-    verdicts = {}  # raw event type text -> keep or drop
-    kept = []
-    for event in events:
-        kind = event.event_type
-        try:
-            verdict = verdicts[kind]
-        except KeyError:
-            verdict = verdicts[kind] = keep(kind)
-        if verdict:
-            kept.append(event)
-    return kept
+    verdicts = _Memo(keep)  # raw event type text -> keep or drop
+    return [event for event in events if verdicts[event.event_type]]
 
 
 def build_locations(events, rounding: int = DEFAULT_ROUNDING):

@@ -43,14 +43,16 @@ from .errors import InsufficientMemoryError, IsolatedNodeError, stage
 from .fileio import atomic_write
 from .geo import (
     border_blocks,
+    closeness_matrix,
     country_crossings,
+    country_farthest,
     distance_matrix,
-    invert_distances,
-    linear_border_weights,
+    priced_top,
 )
 from .graphs import (
     DIRECTED,
     SYMMETRIC,
+    GroupBlocks,
     LaplacianOperator,
     WeightMatrix,
     laplacian_operator,
@@ -329,10 +331,12 @@ class Prepared:
     `codes` and `hops` are each location's country code and the
     country-by-country crossings, or None when the config prices no
     borders. `distances` is the raw km matrix for `geo` (priced per
-    border before inversion) and the inverted distance layer for the
-    multilayer pipelines; it is None where the pipeline never reads it.
-    `sequence` is the three-layer sequence layer, CSR as
-    `sequence.sequence_adjacency` builds it.
+    border and inverted implicitly, in each product) and the inverted
+    distance layer for the multilayer pipelines; it is None where the
+    pipeline never reads it. `farthest` is the km matrix's
+    `geo.country_farthest` table for `geo`, which gives each priced
+    layer's scale, and None elsewhere. `sequence` is the three-layer
+    sequence layer, CSR as `sequence.sequence_adjacency` builds it.
     """
 
     pipeline: str
@@ -341,6 +345,7 @@ class Prepared:
     codes: np.ndarray | None
     hops: np.ndarray | None
     distances: WeightMatrix | None
+    farthest: np.ndarray | None
     sequence: WeightMatrix | None
 
 
@@ -367,19 +372,21 @@ def prepare(pipeline: str, locations, cg, seq=None, border_kind="permeability") 
     with stage("assembly"):
         builds_distances = pipeline != "geo" or border_kind != "permeability"
         _check_memory(pipeline, len(locations), builds_distances)
-        distances = None
-        if builds_distances:
+        distances = farthest = None
+        if pipeline != "geo":
+            distances = closeness_matrix(locations)
+        elif builds_distances:
             distances = distance_matrix(locations)
-            if pipeline != "geo":
-                distances = invert_distances(distances)
-    return Prepared(pipeline, border_kind, locations, codes, hops, distances, seq)
+            farthest = country_farthest(distances, codes)
+    return Prepared(pipeline, border_kind, locations, codes, hops, distances, farthest, seq)
 
 
 def _check_memory(pipeline: str, n: int, builds_distances: bool) -> None:
     """Refuse a run whose estimated peak memory exceeds the memory available.
 
-    Building the distance layer holds two n x n float arrays at once: the
-    km matrix and the inverted or priced copy beside it. The Lanczos basis
+    A distance layer is one n x n float array: the km matrix, which the
+    multilayer pipelines invert in place and `geo` prices and inverts in
+    each product, so no copy of it is made. The Lanczos basis
     holds MIN_BASIS vectors of the system size. Raises
     InsufficientMemoryError; checks nothing when the available memory
     cannot be read.
@@ -391,7 +398,7 @@ def _check_memory(pipeline: str, n: int, builds_distances: bool) -> None:
     if pipeline in LAYOUTS:
         layer_tags, copies = LAYOUTS[pipeline]
         size *= len(layer_tags) * len(copies)
-    needed = 8 * MIN_BASIS * size + (16 * n * n if builds_distances else 0)
+    needed = 8 * MIN_BASIS * size + (8 * n * n if builds_distances else 0)
     if needed > available:
         raise InsufficientMemoryError(
             f"needs an estimated {needed / 1e9:.1f} GB, {available / 1e9:.1f} GB available"
@@ -445,19 +452,44 @@ def system_operator(prepared: Prepared, value: float | None):
     n = len(prepared.locations)
     if prepared.pipeline == "geo":
         if prepared.border_kind == "permeability":
-            w, tag = border_blocks(prepared.codes, prepared.hops, value), "border"
-        elif prepared.border_kind == "linear":
-            w = linear_border_weights(prepared.distances, prepared.codes, prepared.hops, value)
-            tag = "distance"
-        else:  # "none"
-            w, tag = invert_distances(prepared.distances), "distance"
-        return laplacian_operator(w), _provenance(n, (tag,), (NO_COPY,))
+            lap = laplacian_operator(border_blocks(prepared.codes, prepared.hops, value))
+            tag = "border"
+        else:  # "linear", or "none", which prices borders at no cost
+            cost = value if prepared.border_kind == "linear" else 0.0
+            lap, tag = _priced_operator(prepared, cost), "distance"
+        return lap, _provenance(n, (tag,), (NO_COPY,))
     w_border = border_blocks(prepared.codes, prepared.hops, value)
     if prepared.pipeline == "two_layer":
         lap = two_layer_operator(prepared.distances, w_border)
     else:  # "three_layer"
         lap = three_layer_operator(w_border, prepared.distances, prepared.sequence)
     return lap, _provenance(n, *LAYOUTS[prepared.pipeline])
+
+
+def _priced_operator(prepared: Prepared, cost_km: float) -> LaplacianOperator:
+    """The Laplacian of geo's priced layer, with no n x n array of it made.
+
+    The layer is invert_distances(linear_border_distances(D, crossings,
+    cost_km)). Off its diagonal it is M - cost_km * H_ij - D_ij, with D the
+    km matrix, H the crossings and M from geo.priced_top. The first two
+    terms are constant on each pair of countries, so they are a
+    GroupBlocks of the table M - cost_km * hops, and a product is one
+    with that table and one with D, through its upper triangle. Where no
+    crossing is priced, all locations form one group, so a zero cost
+    gives the same bytes as no borders. The degrees are W @ 1, so L @ 1
+    is exactly zero.
+    """
+    d, codes, hops = prepared.distances, prepared.codes, prepared.hops
+    top = priced_top(prepared.farthest, hops, cost_km)
+    if hops is None or cost_km == 0.0:
+        codes, hops = np.zeros(d.n, dtype=np.intp), np.zeros((1, 1))
+    priced = WeightMatrix(GroupBlocks(codes, top - cost_km * hops), SYMMETRIC)
+
+    def adjacency(x):
+        return priced @ x - d @ x
+
+    degrees = adjacency(np.ones(d.n))
+    return LaplacianOperator(degrees=degrees, adjacency=adjacency, layers=(d, priced))
 
 
 def solve(prepared: Prepared, value: float | None, k: int):

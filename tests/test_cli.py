@@ -590,6 +590,25 @@ class TestByteOrderMark:
         countries = {line.split(b",")[-1] for line in runs["bom"]["embedding.csv"].splitlines()}
         assert countries == {b"country", b"A", b"B", b"C"}
 
+    def test_config_json_with_a_bom_reads_as_without(self, capsys, fixture_run, tmp_path):
+        # Windows Notepad saves "UTF-8" JSON with a byte-order mark.
+        config = fixture_run["config"]
+        text = config.read_text(encoding="utf-8")
+        runs = {}
+        for name, prefix in (("plain", ""), ("bom", self.BOM)):
+            config.write_text(prefix + text, encoding="utf-8")
+            out_dir = tmp_path / name
+            rc, out, err = run_cli(capsys, "embed", "--config", str(config), "--out", str(out_dir))
+            assert rc == 0 and err == ""
+            runs[name] = (out, self.outputs(out_dir))
+        assert runs["bom"] == runs["plain"]
+        assert sorted(runs["bom"][1]) == [
+            "eigenvalues.csv",
+            "embedding.csv",
+            "manifest.json",
+            "rejections.csv",
+        ]
+
 
 class TestListConfigFields:
     CASES = (
@@ -805,16 +824,16 @@ class TestFailureStages:
         assert "no border path" in err
 
     def test_too_little_memory_fails_in_assembly(self, capsys, monkeypatch, fixture_run, tmp_path):
-        # 12 locations of a geo run with no borders: two 12 x 12 float arrays
-        # and a 40-vector basis, 16 * 144 + 8 * 40 * 12 = 6144 bytes.
-        monkeypatch.setattr(layers, "_available_memory", lambda: 6143)
+        # 12 locations of a geo run with no borders: one 12 x 12 float array
+        # and a 40-vector basis, 8 * 144 + 8 * 40 * 12 = 4992 bytes.
+        monkeypatch.setattr(layers, "_available_memory", lambda: 4991)
         out_dir = tmp_path / "o"
         rc, _, err = run_cli(
             capsys, "embed", "--config", str(fixture_run["config"]), "--out", str(out_dir)
         )
         assert (rc, err) == (1, "error: assembly: needs an estimated 0.0 GB, 0.0 GB available\n")
         assert not out_dir.exists()
-        monkeypatch.setattr(layers, "_available_memory", lambda: 6144)
+        monkeypatch.setattr(layers, "_available_memory", lambda: 4992)
         rc, _, _ = run_cli(
             capsys, "embed", "--config", str(fixture_run["config"]), "--out", str(out_dir)
         )

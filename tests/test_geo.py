@@ -9,11 +9,14 @@ from permap.geo import (
     CountryBorderGraph,
     border_permeability_matrix,
     country_crossings,
+    closeness_matrix,
+    country_farthest,
     crossings_matrix,
     distance_matrix,
     invert_distances,
     linear_border_distances,
     load_reference_borders,
+    priced_top,
 )
 
 # High-precision references computed once with 50-digit arithmetic and frozen.
@@ -81,12 +84,12 @@ class TestDistanceMatrix:
 
     def test_row_blocks_bit_equal_to_whole_matrix_formula(self, twelve_locations):
         # Only the tiles on and above the diagonal are computed; the rest are
-        # their transposes. Around the 256-row block: 255 and 256 fill one
-        # block, 257 leaves a one-row block, and 600 and 700 are not
-        # multiples of it.
+        # their transposes. Around the 64-row block: 63 and 64 fill one
+        # block, 65 and 129 leave a one-row block, and 120, 600 and 700 are
+        # not multiples of it; 255, 256 and 257 sit around four blocks.
         rng = np.random.default_rng(18)
         cases = [[(loc.latitude, loc.longitude) for loc in twelve_locations]]
-        for n in (2, 120, 255, 256, 257, 600, 700):
+        for n in (2, 63, 64, 65, 120, 129, 255, 256, 257, 600, 700):
             cases.append(list(zip(rng.uniform(-89, 89, n), rng.uniform(-179, 179, n))))
         for points in cases:
             d = distance_matrix(points).values
@@ -121,6 +124,21 @@ class TestInvertDistances:
 
         with pytest.raises(ValueError, match="zero"):
             invert_distances(WeightMatrix(np.zeros((2, 2)), SYMMETRIC))
+
+    def test_closeness_matrix_bit_equal_to_two_step_form(self, twelve_locations):
+        # Inverted in the km matrix's own buffer, around the 64-row block.
+        rng = np.random.default_rng(19)
+        cases = [twelve_locations]
+        for n in (2, 63, 64, 65, 129, 256):
+            cases.append(list(zip(rng.uniform(-89, 89, n), rng.uniform(-179, 179, n))))
+        for points in cases:
+            got = closeness_matrix(points)
+            want = invert_distances(distance_matrix(points))
+            assert got.is_symmetric
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
+        with pytest.raises(ValueError, match="all distances are zero"):
+            closeness_matrix([(3.0, 4.0)] * 3)
 
 
 class TestCountryBorderGraph:
@@ -270,6 +288,60 @@ class TestLinearBorderDistances:
         d = distance_matrix([(0, 0), (0, 1)])
         with pytest.raises(ValueError, match="shape"):
             linear_border_distances(d, np.zeros((3, 3)), 10.0)
+
+
+def farthest_oracle(d, codes, size):
+    """Country-pair maxima of d, pair by pair."""
+    table = np.full((size, size), -np.inf)
+    for i, a in enumerate(codes):
+        for j, b in enumerate(codes):
+            table[a, b] = max(table[a, b], d[i, j])
+    return table
+
+
+class TestCountryFarthest:
+    def test_matches_pair_by_pair_maxima(self):
+        # Codes in any order, a one-location country, a code no location
+        # has, and n around the 64-row block.
+        rng = np.random.default_rng(20)
+        for n in (2, 63, 64, 65, 129):
+            points = list(zip(rng.uniform(-60, 60, n), rng.uniform(-170, 170, n)))
+            d = distance_matrix(points)
+            codes = rng.integers(0, 5, n)
+            codes[0] = 6
+            got = country_farthest(d, codes)
+            assert np.array_equal(got, farthest_oracle(d.values, codes, 7))
+            assert np.all(got[5] == -np.inf) and np.all(got[:, 5] == -np.inf)
+            assert got[6, 6] == 0.0
+            assert np.array_equal(country_farthest(d), [[d.values.max()]])
+
+    def test_priced_top_bit_equal_to_the_n_by_n_max(self, chain_borders):
+        # 1.1 * max(d + cost * crossings), as invert_distances computes it
+        # from the priced n x n matrix.
+        rng = np.random.default_rng(21)
+        for n in (2, 63, 64, 65, 129):
+            countries = [("A", "B", "C")[i % 3] for i in range(n)]
+            points = list(zip(rng.uniform(0, 10, n), rng.uniform(0, 10, n)))
+            d = distance_matrix(points)
+            codes, hops = country_crossings(countries, chain_borders)
+            crossings = crossings_matrix(countries, chain_borders)
+            farthest = country_farthest(d, codes)
+            for cost in (0.0, 50.0, 500.0, 1e6, 0.1 + 0.2):
+                want = 1.1 * float(linear_border_distances(d, crossings, cost).values.max())
+                assert priced_top(farthest, hops, cost) == want
+            assert priced_top(country_farthest(d), None, 0.0) == 1.1 * float(d.values.max())
+
+    def test_priced_top_checks(self, chain_borders):
+        d = distance_matrix([(1.0, 1.0)] * 3)
+        codes, hops = country_crossings(["A", "A", "C"], chain_borders)
+        with pytest.raises(ValueError, match="all distances are zero"):
+            priced_top(country_farthest(d), None, 0.0)
+        with pytest.raises(ValueError, match="all distances are zero"):
+            priced_top(country_farthest(d, codes), hops, 0.0)
+        # A cost makes the distances across a border nonzero.
+        assert priced_top(country_farthest(d, codes), hops, 10.0) == 1.1 * 20.0
+        with pytest.raises(ValueError, match="nonnegative"):
+            priced_top(country_farthest(d, codes), hops, -1.0)
 
 
 class TestBorderPermeability:

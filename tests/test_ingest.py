@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 from datetime import date
 
 import numpy as np
@@ -36,6 +37,16 @@ class TestParseEvents:
         assert e.country == "Mali" and e.admin1 == "Mopti"
         assert e.event_type == "Battle" and e.fatalities == 4
         assert e.source_row == 2
+
+    def test_repeated_cells_share_one_object(self):
+        padded = ("2024-01-05", " Group A ", "12.5", "-3.25", "Mali ", "Mopti", "Battle", "4")
+        bad = ("2024-01-05", "Group A", "12.5", "x", "Mali", "Mopti", "Battle", "4")
+        events, report = parse([ROW, padded, ROW, bad, bad])
+        first, second, third = events
+        assert first.group_id is third.group_id and first.country is third.country
+        assert first.latitude is third.latitude and first.longitude is third.longitude
+        assert (second.group_id, second.country) == ("Group A", "Mali")
+        assert report.rejections == [(5, "unparseable longitude"), (6, "unparseable longitude")]
 
     def test_alternate_date_formats(self):
         rows = [
@@ -300,10 +311,17 @@ class TestBuildLocations:
             build_locations([])
 
 
-def test_counts_on_the_geo_sweep_benchmark_input(tmp_path):
-    """The seed-101 `geo_sweep` input ingests to the counts its generator wrote."""
+@pytest.fixture(scope="module")
+def geo_sweep_input(tmp_path_factory):
+    """The seed-101 `geo_sweep` benchmark input: 100k rows over 1500 locations."""
     workloads = benchmark_workloads()
-    gen = workloads.generate(workloads.WORKLOADS["geo_sweep"], 101, 0, tmp_path)
+    root = tmp_path_factory.mktemp("geo_sweep")
+    return workloads.generate(workloads.WORKLOADS["geo_sweep"], 101, 0, root)
+
+
+def test_counts_on_the_geo_sweep_benchmark_input(geo_sweep_input):
+    """The seed-101 `geo_sweep` input ingests to the counts its generator wrote."""
+    gen = geo_sweep_input
     want = gen.properties
     with open(gen.config_json.parent / "events.csv", newline="", encoding="utf-8") as fh:
         events, report = parse_events(fh)
@@ -315,6 +333,30 @@ def test_counts_on_the_geo_sweep_benchmark_input(tmp_path):
     assert len(locations) == want["locations"] == 1500
     assert len(mapping) == len(violent)
 
+
+
+def test_geo_sweep_input_records_share_their_cells(geo_sweep_input):
+    """Each distinct cell text is held once, so the 99k records parse within 24 MB.
+
+    Records holding their own copy of every text and float took 47 MB.
+    """
+    events_csv = geo_sweep_input.config_json.parent / "events.csv"
+    with open(events_csv, newline="", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            events, _ = parse_events(fh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert len(events) == 99_000
+    assert peak < 24e6
+    texts, sites = {}, {}
+    for e in events:
+        for text in (e.group_id, e.country, e.admin1, e.event_type):
+            assert texts.setdefault(text, text) is text
+        first = sites.setdefault((e.latitude, e.longitude), e)
+        assert first.latitude is e.latitude and first.longitude is e.longitude
+    assert len(sites) == 1500
 
 class TestSummarize:
     def test_single_event(self):

@@ -408,16 +408,16 @@ def twenty_locations():
 
 
 class TestMemoryCheck:
-    # Estimated bytes at n = 20: two n x n float arrays where the distance
+    # Estimated bytes at n = 20: one n x n float array where the distance
     # layer is built, plus a 40-vector Lanczos basis of the system size.
     @pytest.mark.parametrize(
         "pipeline, border_kind, needed",
         [
-            ("geo", "none", 16 * 20**2 + 8 * 40 * 20),
-            ("geo", "linear", 16 * 20**2 + 8 * 40 * 20),
+            ("geo", "none", 8 * 20**2 + 8 * 40 * 20),
+            ("geo", "linear", 8 * 20**2 + 8 * 40 * 20),
             ("geo", "permeability", 8 * 40 * 20),
-            ("two_layer", "permeability", 16 * 20**2 + 8 * 40 * 40),
-            ("three_layer", "permeability", 16 * 20**2 + 8 * 40 * 120),
+            ("two_layer", "permeability", 8 * 20**2 + 8 * 40 * 40),
+            ("three_layer", "permeability", 8 * 20**2 + 8 * 40 * 120),
         ],
     )
     def test_refuses_exactly_above_the_estimate(
@@ -435,7 +435,8 @@ class TestMemoryCheck:
         self, monkeypatch, chain_borders
     ):
         locations = twenty_locations()
-        monkeypatch.setattr(layers, "_available_memory", lambda: 16 * 20**2)
+        # Room for the Lanczos basis alone.
+        monkeypatch.setattr(layers, "_available_memory", lambda: 8 * 40 * 20)
         with pytest.raises(InsufficientMemoryError):
             prepare("geo", locations, chain_borders, border_kind="none")
         prepared = prepare("geo", locations, chain_borders, border_kind="permeability")
@@ -452,7 +453,7 @@ class TestMemoryCheck:
         with pytest.raises(
             InsufficientMemoryError, match=r"^needs an estimated 2\.5 GB, 2\.3 GB available$"
         ):
-            layers._check_memory("geo", 12_500, True)
+            layers._check_memory("geo", 17_678, True)
 
     def test_unreadable_memory_checks_nothing(self, monkeypatch, chain_borders):
         monkeypatch.setattr(layers, "_available_memory", lambda: None)

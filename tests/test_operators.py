@@ -24,12 +24,13 @@ from permap.geo import (
     border_blocks,
     border_permeability_matrix,
     country_crossings,
+    country_farthest,
     crossings_matrix,
     distance_matrix,
     invert_distances,
     linear_border_distances,
-    linear_border_weights,
     load_reference_borders,
+    priced_top,
 )
 from permap.graphs import (
     DIRECTED,
@@ -201,6 +202,9 @@ class TestOperatorsMatchAssembledBuilders:
         for name, prepared in seed_101_inputs.items():
             # Dense symmetric layers multiply through one triangle.
             assert np.array_equal(prepared.distances.values, prepared.distances.values.T)
+            # The layer inverted in place is the two-step one, bit for bit.
+            closeness = invert_distances(distance_matrix(prepared.locations))
+            assert np.array_equal(prepared.distances.values, closeness.values)
             crossings = crossings_matrix(prepared.locations, load_reference_borders())
             assert np.array_equal(prepared.hops[prepared.codes[:, None], prepared.codes], crossings)
             for p in (1.0, 0.5, UNDERFLOW_P):
@@ -214,10 +218,17 @@ class TestOperatorsMatchAssembledBuilders:
                 check_products(lap, laplacian(system.assembled), rng, 2)
         # The geo pipeline runs on the last of them, the 800 three-layer locations.
         d = distance_matrix(prepared.locations)
-        geo = replace(prepared, pipeline="geo", border_kind="linear", distances=d, sequence=None)
+        geo = replace(
+            prepared,
+            pipeline="geo",
+            border_kind="linear",
+            distances=d,
+            farthest=country_farthest(d, prepared.codes),
+            sequence=None,
+        )
         priced = invert_distances(linear_border_distances(d, crossings, 100.0))
         check_products(system_operator(geo, 100.0)[0], laplacian(priced), rng, 2)
-        geo = replace(geo, border_kind="permeability", distances=None)
+        geo = replace(geo, border_kind="permeability", distances=None, farthest=None)
         for p in (1.0, 0.5, UNDERFLOW_P):
             reference = laplacian(border_permeability_matrix(crossings, p))
             check_products(system_operator(geo, p)[0], reference, rng, 2)
@@ -281,20 +292,65 @@ class TestSymmetrizedOperator:
                 self.assert_constant_is_null(system_operator(prepared, p)[0])
 
 
+def chain_sites(rng, n, countries=4):
+    """n random locations spread over chain-bordered countries, and the chain."""
+    names = [f"C{i}" for i in range(countries)]
+    cg = CountryBorderGraph.from_pairs(list(zip(names, names[1:])))
+    lats, lons = rng.uniform(5, 20, n), rng.uniform(-10, 10, n)
+    located = [names[i] for i in rng.permutation(np.arange(n) % countries)]
+    return [make_location(i, lats[i], lons[i], c) for i, c in enumerate(located)], cg
+
+
 class TestLinearBorderWeights:
+    # geo's linear and none layers are never formed: each product prices and
+    # inverts the km matrix, whose 64-row blocks n runs around.
+    SIZES = (2, 63, 64, 65, 129, 300)
+    COSTS = (0.0, 50.0, 500.0, 1e6)
+
     def test_bit_equal_to_two_step_form(self):
+        # What the operator reads is the two-step form's, bit for bit: the
+        # km matrix, and the scale invert_distances reads off the priced one.
         rng = np.random.default_rng(205)
-        for n in (2, 255, 256, 600):
-            points = list(zip(rng.uniform(5, 20, n), rng.uniform(-10, 10, n)))
-            d = distance_matrix(points)
-            codes, hops, crossings = random_borders(rng, n)
-            for cost in (0.0, 37.5, 500.0):
-                got = linear_border_weights(d, codes, hops, cost).values
-                want = invert_distances(linear_border_distances(d, crossings, cost)).values
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
+        for n in self.SIZES:
+            locations, cg = chain_sites(rng, n)
+            crossings = crossings_matrix(locations, cg)
+            prepared = layers.prepare("geo", locations, cg, border_kind="linear")
+            d = distance_matrix(locations)
+            assert np.array_equal(prepared.distances.values, d.values)
+            for cost in self.COSTS + (37.5,):
+                priced = linear_border_distances(d, crossings, cost).values
+                top = priced_top(prepared.farthest, prepared.hops, cost)
+                assert top == 1.1 * float(priced.max())
         with pytest.raises(ValueError, match="nonnegative"):
-            linear_border_weights(d, codes, hops, -1.0)
+            system_operator(prepared, -1.0)
+
+    def test_products_match_the_dense_layer(self):
+        rng = np.random.default_rng(208)
+        for n in self.SIZES:
+            locations, cg = chain_sites(rng, n)
+            crossings = crossings_matrix(locations, cg)
+            d = distance_matrix(locations)
+            prepared = layers.prepare("geo", locations, cg, border_kind="linear")
+            for cost in self.COSTS:
+                lap, _ = system_operator(prepared, cost)
+                priced = invert_distances(linear_border_distances(d, crossings, cost))
+                check_products(lap, laplacian(priced), rng)
+                assert not np.any(lap @ np.ones(n))
+            plain = layers.prepare("geo", locations, None, border_kind="none")
+            assert plain.codes is plain.hops is None
+            lap, _ = system_operator(plain, None)
+            check_products(lap, laplacian(invert_distances(d)), rng)
+            assert not np.any(lap @ np.ones(n))
+
+    def test_zero_distances_are_refused(self):
+        # Every location on one spot: nothing to invert, with or without borders.
+        cg = CountryBorderGraph.from_pairs([("A", "B")])
+        locations = [make_location(i, 1.0, 1.0, "A") for i in range(3)]
+        cases = (("none", None, None), ("linear", cg, 0.0), ("linear", cg, 9.0))
+        for kind, borders, value in cases:
+            prepared = layers.prepare("geo", locations, borders, border_kind=kind)
+            with pytest.raises(ValueError, match="all distances are zero; nothing to invert"):
+                system_operator(prepared, value)
 
 
 def two_clusters():
@@ -395,7 +451,12 @@ def test_solve_forms_no_system_laplacian_or_crossings(monkeypatch, twelve_locati
         ("three_layer", "permeability", codes, hops, closeness, seq_layer, 0.5),
     ]
     for pipeline, kind, codes, hops, distances, sequence, value in runs:
-        prepared = layers.Prepared(pipeline, kind, locations, codes, hops, distances, sequence)
+        farthest = None
+        if pipeline == "geo" and distances is not None:
+            farthest = country_farthest(d, codes)
+        prepared = layers.Prepared(
+            pipeline, kind, locations, codes, hops, distances, farthest, sequence
+        )
         emb, report = layers.solve(prepared, value, 2)
         assert emb.n_points == 12 * {"geo": 1, "two_layer": 2, "three_layer": 6}[prepared.pipeline]
         assert (report is None) == (prepared.pipeline == "geo")

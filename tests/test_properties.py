@@ -24,9 +24,10 @@ from permap.cli import main
 from permap.geo import (
     EARTH_RADIUS_KM,
     CountryBorderGraph,
+    country_farthest,
     distance_matrix,
     invert_distances,
-    linear_border_weights,
+    priced_top,
 )
 from permap.ingest import (
     DEFAULT_CATEGORIES,
@@ -144,7 +145,7 @@ edge_coordinate = st.tuples(
 def priced_sites(draw):
     """Sites drawn from a pool, so some repeat, with country codes, a hop table and a cost.
 
-    Some draws pass the 256-row blocks distance_matrix computes in.
+    Some draws span four of the 64-row blocks distance_matrix computes in.
     """
     pool = draw(st.lists(edge_coordinate, min_size=1, max_size=30))
     n = draw(st.one_of(st.integers(2, 40), st.integers(250, 300)))
@@ -172,10 +173,13 @@ def test_dense_layers_are_exactly_symmetric(case):
     if d.values.max() > 0:
         w = invert_distances(d).values
         assert np.array_equal(w, w.T)
+    # geo's priced layer is never formed: it multiplies through d, and its
+    # scale, read off the country table, is the n x n one bit for bit.
+    size = codes.max() + 1
+    hops = hops[:size, :size]
     priced = d.values + cost * hops[codes[:, None], codes[None, :]]
     if priced.max() > 0:
-        w = linear_border_weights(d, codes, hops, cost).values
-        assert np.array_equal(w, w.T)
+        assert priced_top(country_farthest(d, codes), hops, cost) == 1.1 * float(priced.max())
 
 
 @settings(max_examples=60, deadline=None)
