@@ -72,7 +72,7 @@ def _prepare(cfg: RunConfig):
     seq = None
     if cfg.pipeline == "three_layer":
         with stage("assembly"):
-            location_of = {e.source_row: lid for e, lid in zip(violent, mapping)}
+            location_of = dict(zip(violent.rows["source_row"].tolist(), mapping.tolist()))
             seq = sequence.sequence_adjacency(violent, location_of, cfg.groups, len(locations))
     prepared = layers.prepare(cfg.pipeline, locations, cg, seq, cfg.border_model.kind)
     return prepared, report

@@ -4,17 +4,28 @@ Input files are header-first CSVs in the style of public conflict-event
 exports. Malformed rows never abort a run; they are collected into a
 rejection report with line numbers. Locations are deduplicated on a
 composite key of country, admin district, and rounded coordinates.
-Rows are read by cell position, and each distinct date, text cell,
-coordinate pair, event type and exact site is judged once, since real
-exports repeat them; records holding the same text share one object.
+
+Parsed events are an `EventTable` of integer columns, not one object per
+event. Real exports repeat the same actors, sites, event types and
+fatality counts, so those columns hold codes into tuples of the distinct
+values. The row loop only looks codes up, so each distinct date, cell
+text and site is judged once; filtering, location deduplication, group
+splits and summaries then work once per distinct value and gather the
+columns. The table reads as a sequence of `EventRecord`s, and each
+function here and in `sequence` turns a plain list of records into a
+table at its entry.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, fields
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields, replace
 from datetime import date, datetime
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ConfigError
 from .fileio import atomic_write
@@ -103,13 +114,22 @@ def write_rejections_csv(report: ParseReport, path) -> None:
             fh.write(f"{line},{reason}\n")
 
 
-def _parse_date(text: str, formats) -> date | None:
+def _parse_date(text: str, formats) -> int | None:
+    """The date ordinal of the first format that reads text, or None."""
     for fmt in formats:
         try:
-            return datetime.strptime(text.strip(), fmt).date()
+            return datetime.strptime(text.strip(), fmt).toordinal()
         except ValueError:
             continue
     return None
+
+
+def _number(kind, text: str):
+    """kind(text), or None where that fails or text holds a "_" digit separator."""
+    try:
+        return None if "_" in text else kind(text)
+    except ValueError:
+        return None
 
 
 class _Memo(dict):
@@ -124,16 +144,20 @@ class _Memo(dict):
         return value
 
 
+class _Codes(dict):
+    """value -> its code: the number of distinct values looked up before it."""
+
+    def __missing__(self, key):
+        code = self[key] = len(self)
+        return code
+
+
 def _coordinates(cells: tuple):
     """(latitude, longitude) of one row's coordinate cells, or the reason they are rejected."""
-    raw_lat, raw_lon = cells
-    try:
-        lat = float(raw_lat)
-    except ValueError:
+    lat, lon = (_number(float, text) for text in cells)
+    if lat is None:
         return "unparseable latitude"
-    try:
-        lon = float(raw_lon)
-    except ValueError:
+    if lon is None:
         return "unparseable longitude"
     if not -90.0 <= lat <= 90.0:
         return "latitude out of range"
@@ -142,16 +166,80 @@ def _coordinates(cells: tuple):
     return lat, lon
 
 
+def _fatalities(text: str, codes: _Codes):
+    """The code of a fatalities cell's count (0 when blank), or the reason it is rejected."""
+    text = text.strip()
+    value = _number(int, text) if text else 0
+    if value is None:
+        return "unparseable fatalities"
+    return codes[value] if value >= 0 else "negative fatalities"
+
+
+# One event: its date ordinal, codes into EventTable's value tuples, and
+# its physical line. A line past 2**31 - 1 stops the parse with an
+# OverflowError instead of wrapping.
+ROW = np.dtype([(c, np.int32) for c in ("day", "group", "site", "dead", "kind", "source_row")])
+
+
+@dataclass(frozen=True, eq=False)
+class EventTable(Sequence):
+    """Events as integer columns; a read-only sequence of EventRecord.
+
+    `rows` holds one ROW per event. Its `group`, `site`, `dead` and `kind`
+    columns are codes into `groups`, `sites` ((latitude, longitude,
+    country, admin1) tuples), `deaths` (fatality counts) and `kinds`.
+    Indexing and iteration build records from the columns, so records
+    holding the same text or coordinate share one object.
+    """
+
+    rows: np.ndarray
+    groups: tuple
+    sites: tuple
+    kinds: tuple
+    deaths: tuple
+
+    @classmethod
+    def of(cls, events) -> EventTable:
+        """`events` if it is a table, else its records coded into one."""
+        if isinstance(events, cls):
+            return events
+        groups, sites, kinds, deaths = codes = [_Codes() for _ in range(4)]
+        rows = [
+            (e.event_date.toordinal(), groups[e.group_id], sites[e[2:6]], deaths[e.fatalities],
+             kinds[e.event_type], e.source_row)
+            for e in events
+        ]
+        return cls(np.array(rows, dtype=ROW), *map(tuple, codes))
+
+    def group_codes(self) -> dict:
+        """Name -> code of each group that at least one event holds."""
+        return {self.groups[g]: g for g in np.unique(self.rows["group"]).tolist()}
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return self._record(*self.rows[i].tolist())
+
+    def __iter__(self):
+        return (self._record(*row) for row in self.rows.tolist())
+
+    def _record(self, day, group, site, dead, kind, source_row) -> EventRecord:
+        return EventRecord(
+            date.fromordinal(day), self.groups[group], *self.sites[site], self.kinds[kind],
+            self.deaths[dead], source_row,
+        )
+
+
 def parse_events(source, column_map: ColumnMap | None = None):
-    """Parse a header-first CSV stream into events plus a rejection report.
+    """Parse a header-first CSV stream into an EventTable plus a rejection report.
 
     Returns (events, report). Rows that fail to parse, including rows the
     csv module itself cannot read, are skipped and logged with their
     physical line number; a missing mapped column in the header is a
-    configuration error instead. Each distinct raw date, coordinate pair
-    and actor, country, admin1 or event-type text is parsed once per call,
-    and the records share what it gives: one date, one (latitude,
-    longitude) pair of floats, one stripped str.
+    configuration error instead. Each distinct raw date, site (the
+    coordinate, country and admin1 cells), actor, event type and
+    fatalities text is judged once per call, and the row keeps its code.
     """
     cmap = column_map or ColumnMap()
     reader = csv.reader(source)
@@ -176,18 +264,29 @@ def parse_events(source, column_map: ColumnMap | None = None):
     at_date, at_actor, at_lat, at_lon, at_country, at_admin1, at_type, at_dead = positions
     width = max(positions)
 
-    events = []
     report = ParseReport()
     reject = report.reject
     formats = cmap.date_formats
-    # Real exports repeat the same cells across many rows, so each distinct
-    # raw text is judged once and every record holding it shares one object.
-    # Raw date text -> parsed date, or None when no format fits:
-    dates = _Memo(lambda text: _parse_date(text, formats))
-    # Raw actor, country, admin1 or event type text -> stripped text:
     texts = _Memo(str.strip)
-    # Raw (latitude, longitude) texts -> (lat, lon), or a rejection reason:
-    sites = _Memo(_coordinates)
+    coordinates = _Memo(_coordinates)
+    groups, kinds, deaths, sites = _Codes(), _Codes(), _Codes(), []
+
+    def site(cells):
+        place, country = coordinates[cells[:2]], texts[cells[2]]
+        if type(place) is str:
+            return place
+        if not country:
+            return "empty country"
+        sites.append((*place, country, texts[cells[3]]))
+        return len(sites) - 1
+
+    # Raw cell text -> its code (the ordinal for a date), or why the row is rejected.
+    day_of = _Memo(lambda text: _parse_date(text, formats) or "unparseable date")
+    group_of = _Memo(lambda text: groups[texts[text]] if texts[text] else "empty group id")
+    site_of = _Memo(site)
+    dead_of = _Memo(lambda text: _fatalities(text, deaths))
+    kind_of = _Memo(lambda text: kinds[texts[text]])
+    rows = array("i")
     while True:
         # A row the csv module cannot read (an oversized field, or a NUL
         # byte before Python 3.11) is rejected; reading resumes on the
@@ -206,38 +305,20 @@ def parse_events(source, column_map: ColumnMap | None = None):
         if len(row) <= width:
             reject(line, "missing fields")
             continue
-
-        when = dates[row[at_date]]
-        if when is None:
-            reject(line, "unparseable date")
-            continue
-        group = texts[row[at_actor]]
-        if not group:
-            reject(line, "empty group id")
-            continue
-        site = sites[row[at_lat], row[at_lon]]
-        if type(site) is str:
-            reject(line, site)
-            continue
-        country = texts[row[at_country]]
-        if not country:
-            reject(line, "empty country")
-            continue
-        raw_fatalities = row[at_dead].strip()
-        if raw_fatalities:
-            try:
-                fatalities = int(raw_fatalities)
-            except ValueError:
-                reject(line, "unparseable fatalities")
-                continue
-            if fatalities < 0:
-                reject(line, "negative fatalities")
-                continue
+        # In the order the rules are checked; the first reason rejects the row.
+        codes = (
+            day_of[row[at_date]],
+            group_of[row[at_actor]],
+            site_of[row[at_lat], row[at_lon], row[at_country], row[at_admin1]],
+            dead_of[row[at_dead]],
+        )
+        for code in codes:
+            if type(code) is str:
+                reject(line, code)
+                break
         else:
-            fatalities = 0
-
-        admin1, kind = texts[row[at_admin1]], texts[row[at_type]]
-        events.append(EventRecord(when, group, *site, country, admin1, kind, fatalities, line))
+            rows.extend((*codes, kind_of[row[at_type]], line))
+    events = EventTable(np.frombuffer(rows, dtype=ROW), *map(tuple, (groups, sites, kinds, deaths)))
     return events, report
 
 
@@ -245,24 +326,21 @@ def _normalize(text: str) -> str:
     return text.strip().casefold()
 
 
-def filter_violent(events, categories=DEFAULT_CATEGORIES):
+def filter_violent(events, categories=DEFAULT_CATEGORIES) -> EventTable:
     """Keep events whose type matches a category, preserving order.
 
     Matching is case-insensitive on trimmed names. A category reading
     "battle" matches every battle subtype by prefix; all other categories
-    match exactly. Each distinct event type text is judged once.
+    match exactly. Each distinct event type is judged once.
     """
     cats = {_normalize(c) for c in categories}
     if not cats:
         raise ValueError("filter_violent needs at least one category")
     battles = any(c in ("battle", "battles") for c in cats)
-
-    def keep(event_type: str) -> bool:
-        kind = _normalize(event_type)
-        return kind in cats or (battles and kind.startswith("battle"))
-
-    verdicts = _Memo(keep)  # raw event type text -> keep or drop
-    return [event for event in events if verdicts[event.event_type]]
+    table = EventTable.of(events)
+    kinds = [_normalize(kind) for kind in table.kinds]
+    keep = np.array([k in cats or (battles and k.startswith("battle")) for k in kinds], dtype=bool)
+    return replace(table, rows=table.rows[keep[table.rows["kind"]]])
 
 
 def build_locations(events, rounding: int = DEFAULT_ROUNDING):
@@ -270,29 +348,28 @@ def build_locations(events, rounding: int = DEFAULT_ROUNDING):
 
     The key is (country, admin1, coordinates rounded to `rounding`
     places); ids are dense in first-appearance order; each location keeps
-    the exact coordinates of its first event.
+    the exact coordinates of its first event. Each distinct site is keyed
+    once, in the order its first event appears.
     """
-    if not events:
+    table = EventTable.of(events)
+    if not len(table):
         raise ValueError("build_locations needs at least one event")
     if not 0 <= rounding <= 6:
         raise ValueError(f"rounding must be in [0, 6], got {rounding}")
+    site = table.rows["site"]
+    used, first = np.unique(site, return_index=True)
+    location_of_site = np.zeros(len(table.sites), dtype=np.intp)
     locations = []
     ids = {}  # rounded key -> location id
-    sites = {}  # exact (country, admin1, latitude, longitude) -> location id
-    mapping = []
-    for event in events:
-        site = (event.country, event.admin1, event.latitude, event.longitude)
-        lid = sites.get(site)
+    for s in used[np.argsort(first)].tolist():
+        lat, lon, country, admin1 = table.sites[s]
+        key = (country, admin1, round(lat, rounding), round(lon, rounding))
+        lid = ids.get(key)
         if lid is None:
-            country, admin1, lat, lon = site
-            key = (country, admin1, round(lat, rounding), round(lon, rounding))
-            lid = ids.get(key)
-            if lid is None:
-                lid = ids[key] = len(locations)
-                locations.append(Location(lid, lat, lon, country, admin1))
-            sites[site] = lid
-        mapping.append(lid)
-    return locations, mapping
+            lid = ids[key] = len(locations)
+            locations.append(Location(lid, lat, lon, country, admin1))
+        location_of_site[s] = lid
+    return locations, location_of_site.take(site)
 
 
 class Totals(NamedTuple):
@@ -312,26 +389,31 @@ class SummaryStats:
 
 
 def summarize(events, locations, mapping) -> SummaryStats:
-    """Tally per-location and per-country-year statistics."""
-    if len(mapping) != len(events):
+    """Tally per-location and per-country-year statistics.
+
+    Groups count by their stripped names, which a split rule's suffix may pad.
+    """
+    table = EventTable.of(events)
+    if len(mapping) != len(table):
         raise ValueError("mapping must assign a location id to every event")
-    attacks = [0] * len(locations)
-    group_sets = [set() for _ in locations]
+    n = len(locations)
+    names = _Codes()
+    rows = table.rows
+    group = np.array([names[g.strip()] for g in table.groups], dtype=np.intp)[rows["group"]]
+    located = np.unique(np.stack([np.asarray(mapping, dtype=np.intp), group]), axis=1)[0]
+    # Proleptic Gregorian, as datetime.date: 719163 is 1970-01-01's ordinal.
+    year = (rows["day"] - 719163).astype("datetime64[D]").astype("datetime64[Y]").astype(int) + 1970
+    keys = np.stack([rows["site"], year, rows["dead"]])
+    tallies, counts = np.unique(keys, axis=1, return_counts=True)
     fatalities: dict = {}
-    for event, lid in zip(events, mapping):
-        attacks[lid] += 1
-        group_sets[lid].add(event.group_id.strip())
-        key = (event.country, event.event_date.year)
-        fatalities[key] = fatalities.get(key, 0) + event.fatalities
+    for (site, y, dead), count in zip(tallies.T.tolist(), counts.tolist()):
+        key = (table.sites[site][2], y)
+        fatalities[key] = fatalities.get(key, 0) + table.deaths[dead] * count
     return SummaryStats(
-        attacks_per_location=tuple(attacks),
-        groups_per_location=tuple(len(s) for s in group_sets),
+        attacks_per_location=tuple(np.bincount(mapping, minlength=n).tolist()),
+        groups_per_location=tuple(np.bincount(located, minlength=n).tolist()),
         fatalities_by_country_year=fatalities,
-        totals=Totals(
-            events=len(events),
-            groups=len({e.group_id.strip() for e in events}),
-            locations=len(locations),
-        ),
+        totals=Totals(len(table), len(np.unique(group)), n),
     )
 
 

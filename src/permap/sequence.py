@@ -11,13 +11,15 @@ sub-groups by a coordinate half-plane before sequencing.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError
 from .graphs import DIRECTED, WeightMatrix
+from .ingest import EventTable
 
 _BOUNDS = {"latitude": (-90.0, 90.0), "longitude": (-180.0, 180.0)}
 _COMPARATORS = ("<", ">=")
@@ -50,39 +52,54 @@ class GroupSplitRule:
         if not self.virtual_suffix:
             raise ConfigError("split rule virtual_suffix must be non-empty")
 
-    def matches(self, event) -> bool:
+    def matches(self, event):
+        """Whether the event lies in the half-plane; arrays of coordinates give a mask."""
         value = getattr(event, self.attribute)
         if self.comparator == "<":
             return value < self.threshold
         return value >= self.threshold
 
 
-def split_groups(events, rules) -> list:
+def split_groups(events, rules) -> EventTable:
     """Apply split rules, returning events with rewritten group ids.
 
     Event order is preserved. The first rule whose group and predicate both
-    match wins. Rules naming groups absent from the data only warn.
+    match wins. Rules naming groups absent from the data only warn. Each
+    rule is tested once per distinct site.
     """
-    rules = list(rules)
-    known = {e.group_id for e in events}
+    table = EventTable.of(events)
+    present = table.group_codes()
+    names = list(table.groups)
+    latitude, longitude = np.array([s[:2] for s in table.sites], dtype=float).reshape(-1, 2).T
+    sites = SimpleNamespace(latitude=latitude, longitude=longitude)
+    rows = table.rows.copy()
+    unsplit = np.ones(len(table), dtype=bool)
     for rule in rules:
-        if rule.group_id not in known:
+        if rule.group_id not in present:
             warnings.warn(f"split rule references unknown group {rule.group_id!r}", stacklevel=2)
-    out = []
-    for event in events:
-        for rule in rules:
-            if event.group_id == rule.group_id and rule.matches(event):
-                event = event._replace(group_id=event.group_id + rule.virtual_suffix)
-                break
-        out.append(event)
-    return out
+            continue
+        hit = table.rows["group"] == present[rule.group_id]
+        hit &= unsplit & rule.matches(sites)[table.rows["site"]]
+        virtual = rule.group_id + rule.virtual_suffix
+        if virtual not in names:
+            names.append(virtual)
+        rows["group"][hit] = names.index(virtual)
+        unsplit &= ~hit
+    return replace(table, rows=rows, groups=tuple(names))
+
+
+def _ordered(table: EventTable, code: int) -> np.ndarray:
+    """Rows of one group code in ascending date order, ties by source row."""
+    rows = np.flatnonzero(table.rows["group"] == code)
+    mine = table.rows[rows]
+    return rows[np.lexsort((mine["source_row"], mine["day"]))]
 
 
 def order_events(events, group: str) -> list:
     """A group's events in ascending date order, ties kept in file order."""
-    mine = [e for e in events if e.group_id == group]
-    mine.sort(key=lambda e: (e.event_date, e.source_row))
-    return mine
+    table = EventTable.of(events)
+    code = table.group_codes().get(group)
+    return [] if code is None else [table[i] for i in _ordered(table, code)]
 
 
 def sequence_adjacency(events, location_of, groups, n_locations: int) -> WeightMatrix:
@@ -100,24 +117,26 @@ def sequence_adjacency(events, location_of, groups, n_locations: int) -> WeightM
     if n_locations < 1:
         raise ValueError(f"n_locations must be positive, got {n_locations}")
 
-    def lookup(e):
+    def lookup(line):
         try:
-            lid = location_of[e.source_row]
+            lid = location_of[line]
         except KeyError:
-            raise ValueError(f"event at line {e.source_row} has no location") from None
+            raise ValueError(f"event at line {line} has no location") from None
         if not 0 <= lid < n_locations:
             raise ValueError(
-                f"event at line {e.source_row} has location {lid}, outside [0, {n_locations})"
+                f"event at line {line} has location {lid}, outside [0, {n_locations})"
             )
         return lid
 
-    present = {e.group_id for e in events}
+    table = EventTable.of(events)
+    present = table.group_codes()
     rows, cols = [], []
     for group in groups:
         if group not in present:
             warnings.warn(f"selected group {group!r} has no events", stacklevel=2)
             continue
-        locs = [lookup(e) for e in order_events(events, group)]
+        lines = table.rows["source_row"][_ordered(table, present[group])]
+        locs = [lookup(line) for line in lines.tolist()]
         for a, b in zip(locs, locs[1:]):
             if a != b:
                 rows.append(a)

@@ -6,6 +6,7 @@ trading speed for obviousness.
 """
 
 import math
+import warnings
 
 
 def jacobi_eigh(matrix, sweeps=100, tol=1e-13):
@@ -313,6 +314,13 @@ INGEST_COLUMNS = (
 )
 
 
+def _without_separators(text):
+    """text itself; raises ValueError where it holds a digit separator, which no export means."""
+    if "_" in text:
+        raise ValueError(f"digit separator in {text!r}")
+    return text
+
+
 def _reference_event(cell, date_formats):
     """One row's cells as an event tuple without its line number, or why the row is rejected."""
     from datetime import datetime
@@ -329,11 +337,11 @@ def _reference_event(cell, date_formats):
     if cell["actor1"].strip() == "":
         return "empty group id"
     try:
-        lat = float(cell["latitude"])
+        lat = float(_without_separators(cell["latitude"]))
     except ValueError:
         return "unparseable latitude"
     try:
-        lon = float(cell["longitude"])
+        lon = float(_without_separators(cell["longitude"]))
     except ValueError:
         return "unparseable longitude"
     if not -90.0 <= lat <= 90.0:
@@ -345,7 +353,7 @@ def _reference_event(cell, date_formats):
     fatalities = 0
     if cell["fatalities"].strip() != "":
         try:
-            fatalities = int(cell["fatalities"].strip())
+            fatalities = int(_without_separators(cell["fatalities"].strip()))
         except ValueError:
             return "unparseable fatalities"
         if fatalities < 0:
@@ -417,3 +425,39 @@ def reference_ingest(text, date_formats, categories, rounding):
             locations.append((len(locations), lat, lon, country, admin1))
         mapping.append(keys.index(key))
     return events, rejections, kept, locations, mapping
+
+
+def record_split_groups(events, rules):
+    """Split rules applied one event record at a time: the first matching rule renames the group."""
+    rules = list(rules)
+    known = {e.group_id for e in events}
+    for rule in rules:
+        if rule.group_id not in known:
+            warnings.warn(f"split rule references unknown group {rule.group_id!r}", stacklevel=2)
+    out = []
+    for event in events:
+        for rule in rules:
+            value = getattr(event, rule.attribute)
+            inside = value < rule.threshold if rule.comparator == "<" else value >= rule.threshold
+            if event.group_id == rule.group_id and inside:
+                event = event._replace(group_id=event.group_id + rule.virtual_suffix)
+                break
+        out.append(event)
+    return out
+
+
+def record_summarize(events, n_locations, mapping):
+    """(attacks per location, groups per location, fatalities by (country, year), totals).
+
+    Tallied one event record at a time; groups count by stripped name.
+    """
+    attacks = [0] * n_locations
+    group_sets = [set() for _ in range(n_locations)]
+    fatalities = {}
+    for event, lid in zip(events, mapping):
+        attacks[lid] += 1
+        group_sets[lid].add(event.group_id.strip())
+        key = (event.country, event.event_date.year)
+        fatalities[key] = fatalities.get(key, 0) + event.fatalities
+    totals = (len(events), len({e.group_id.strip() for e in events}), n_locations)
+    return tuple(attacks), tuple(len(s) for s in group_sets), fatalities, totals

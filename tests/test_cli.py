@@ -1,11 +1,14 @@
 import csv
+import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import events_csv_text
+from conftest import benchmark_workloads, events_csv_text
 from permap import ingest, layers
 from permap.cli import main
 
@@ -95,6 +98,24 @@ class TestSummarize:
         assert lines[0] == "line,reason"
         assert lines[1] == "14,unparseable date"
 
+
+    def test_digit_separators_rejected(self, capsys, fixture_run, tmp_path):
+        bad = fixture_run["events"].read_text() + "".join(
+            f"2024-02-01,G,{lat},{lon},A,adm,Violence against civilians,{dead}\n"
+            for lat, lon, dead in (("1_0", "1", "0"), ("1", "3_0", "0"), ("1", "1", "1_000"))
+        )
+        fixture_run["events"].write_text(bad, encoding="utf-8")
+        rc, out, err = run_cli(
+            capsys, "summarize", "--config", str(fixture_run["config"]), "--out", str(tmp_path / "o")
+        )
+        assert rc == 0 and err == ""
+        assert out.splitlines()[0] == "events=12 groups=3 locations=12"
+        assert (tmp_path / "o" / "rejections.csv").read_text().splitlines() == [
+            "line,reason",
+            "14,unparseable latitude",
+            "15,unparseable longitude",
+            "16,unparseable fatalities",
+        ]
 
 class TestEmbed:
     def test_geo_run_exports_everything(self, capsys, fixture_run, tmp_path):
@@ -915,3 +936,59 @@ def test_module_entry_point_help():
     )
     assert proc.returncode == 0
     assert "summarize" in proc.stdout and "sweep" in proc.stdout
+
+
+# How far `embed` outputs may move between one and two OpenBLAS threads:
+# symv sums in another order on each. Measured on the benchmark's seed-101
+# and seed-102 inputs, at most: coordinates 1.7e-10 absolute, eigenvalues
+# 7.1e-13 relative, displacement 4.8e-12 absolute (all three-layer).
+THREAD_TOLERANCES = {
+    "embedding.csv": ("abs", 1e-9),
+    "eigenvalues.csv": ("rel", 1e-11),
+    "displacement.csv": ("abs", 1e-10),
+}
+
+
+def assert_close_csv(a: Path, b: Path, kind: str, tol: float):
+    """Same header, rows and text; numbers that differ are within tol."""
+    rows_a, rows_b = (sorted(csv.reader(p.read_text().splitlines()[1:])) for p in (a, b))
+    assert a.read_text().splitlines()[0] == b.read_text().splitlines()[0]
+    assert len(rows_a) == len(rows_b)
+    for row_a, row_b in zip(rows_a, rows_b):
+        for x, y in zip(row_a, row_b):
+            if x != y:
+                x, y = float(x), float(y)
+                scale = max(abs(x), abs(y)) if kind == "rel" else 1.0
+                assert abs(x - y) <= tol * scale, (a.name, x, y)
+
+
+@pytest.mark.parametrize("name", ["geo_sweep", "two_layer_sweep", "three_layer_embed"])
+def test_one_and_two_blas_threads_agree_within_tolerance(name, tmp_path):
+    """`embed` at one and two OpenBLAS threads, in subprocesses, on a 200-location input.
+
+    Those sizes already multiply through multithreaded symv, so the
+    outputs may differ in the last digits, never beyond THREAD_TOLERANCES;
+    rejections.csv and manifest.json are byte-equal.
+    """
+    workloads = benchmark_workloads()
+    workload = dataclasses.replace(workloads.WORKLOADS[name], locations=200, rows=3000)
+    config = workloads.generate(workload, 101, 0, tmp_path / "input").config_json
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = [sys.executable, "-m", "permap", "embed", "--config", str(config), "--out", str(out)]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert {"rejections.csv", "manifest.json"} <= set(names)
+    for file in names:
+        a, b = outs[0] / file, outs[1] / file
+        if file in THREAD_TOLERANCES:
+            assert_close_csv(a, b, *THREAD_TOLERANCES[file])
+        else:
+            assert a.read_bytes() == b.read_bytes(), file

@@ -75,7 +75,7 @@ class TestParseEvents:
             ROW[:7] + ("-1",),
         ]
         events, report = parse(rows)
-        assert events == []
+        assert list(events) == []
         assert report.rejections == [
             (2, "unparseable date"),
             (3, "empty group id"),
@@ -86,6 +86,24 @@ class TestParseEvents:
             (8, "empty country"),
             (9, "unparseable fatalities"),
             (10, "negative fatalities"),
+        ]
+
+    def test_digit_separators_rejected(self):
+        # float and int read "3_0" as 30; no export writes a number that way.
+        rows = [
+            ROW[:2] + ("1_2.5",) + ROW[3:],
+            ROW[:3] + ("-3_0",) + ROW[4:],
+            ROW[:7] + ("1_000",),
+            ROW[:7] + (" 4_ ",),
+            ROW,
+        ]
+        events, report = parse(rows)
+        assert [e.source_row for e in events] == [6]
+        assert report.rejections == [
+            (2, "unparseable latitude"),
+            (3, "unparseable longitude"),
+            (4, "unparseable fatalities"),
+            (5, "unparseable fatalities"),
         ]
 
     def test_short_row_rejected_blank_row_skipped(self):
@@ -157,7 +175,7 @@ class TestParseEvents:
 
     def test_non_finite_coordinates_rejected(self):
         events, report = parse([ROW[:2] + ("nan",) + ROW[3:], ROW[:3] + ("inf",) + ROW[4:]])
-        assert events == []
+        assert list(events) == []
         assert [r for _, r in report.rejections] == [
             "latitude out of range",
             "longitude out of range",
@@ -243,7 +261,7 @@ class TestFilterViolent:
 
     def test_non_battle_categories_never_prefix_match(self):
         events = [make_event(1, kind="Remote violence against convoys")]
-        assert filter_violent(events, categories=("Remote violence",)) == []
+        assert list(filter_violent(events, categories=("Remote violence",))) == []
 
     def test_empty_categories_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -255,7 +273,7 @@ class TestBuildLocations:
         events = [make_event(i) for i in range(1, 4)]
         locations, mapping = build_locations(events)
         assert len(locations) == 1
-        assert mapping == [0, 0, 0]
+        assert list(mapping) == [0, 0, 0]
         assert locations[0].id == 0
 
     def test_fifth_decimal_collapses_at_default_rounding(self):
@@ -266,7 +284,7 @@ class TestBuildLocations:
         ]
         locations, mapping = build_locations(events)
         assert len(locations) == 2
-        assert mapping == [0, 0, 1]
+        assert list(mapping) == [0, 0, 1]
         # the first event's exact coordinates are kept
         assert locations[0].latitude == 12.00001
 
@@ -278,7 +296,7 @@ class TestBuildLocations:
         ]
         locations, mapping = build_locations(events)
         assert len(locations) == 3
-        assert mapping == [0, 1, 2]
+        assert list(mapping) == [0, 1, 2]
 
     def test_seven_events_three_districts(self):
         events = [
@@ -292,7 +310,7 @@ class TestBuildLocations:
         ]
         locations, mapping = build_locations(events)
         assert len(locations) == 3
-        assert mapping == [0, 1, 0, 2, 0, 1, 2]
+        assert list(mapping) == [0, 1, 0, 2, 0, 1, 2]
 
     def test_rounding_bounds(self):
         with pytest.raises(ValueError, match="rounding"):
@@ -357,6 +375,25 @@ def test_geo_sweep_input_records_share_their_cells(geo_sweep_input):
         first = sites.setdefault((e.latitude, e.longitude), e)
         assert first.latitude is e.latitude and first.longitude is e.longitude
     assert len(sites) == 1500
+
+def test_geo_sweep_input_ingests_within_8_mb(geo_sweep_input):
+    """Parse, filter and location dedup of the 100k-row input peak below 8 MB.
+
+    As the CLI ingests: the parsed table is dropped once filtered. Events
+    held as one record each peaked at 17.9 MB here.
+    """
+    events_csv = geo_sweep_input.config_json.parent / "events.csv"
+    with open(events_csv, newline="", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            violent = filter_violent(parse_events(fh)[0])
+            locations, mapping = build_locations(violent)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert (len(violent), len(locations), len(mapping)) == (89_000, 1500, 89_000)
+    assert peak < 8e6
+
 
 class TestSummarize:
     def test_single_event(self):

@@ -3,6 +3,7 @@
 import io
 import json
 import tempfile
+import warnings
 from datetime import date
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from oracles import (
     haversine_reference,
     laplacian,
     principal_angle_cos,
+    record_split_groups,
+    record_summarize,
     reference_ingest,
 )
 from permap.cli import main
@@ -32,9 +35,11 @@ from permap.geo import (
 from permap.ingest import (
     DEFAULT_CATEGORIES,
     DEFAULT_DATE_FORMATS,
+    EventRecord,
     build_locations,
     filter_violent,
     parse_events,
+    summarize,
 )
 from permap.graphs import (
     DIRECTED,
@@ -46,7 +51,7 @@ from permap.graphs import (
     symmetrize,
 )
 from permap.layers import build_two_layer, embed_two_layer, prepare, system_operator
-from permap.sequence import sequence_adjacency
+from permap.sequence import GroupSplitRule, sequence_adjacency, split_groups
 from permap.spectral import embed, fix_signs
 
 finite = {"allow_nan": False, "allow_infinity": False}
@@ -324,15 +329,15 @@ def test_ingest_matches_the_row_by_row_reference(text, categories, rounding):
     ref_events, ref_rejections, ref_kept, ref_locations, ref_mapping = reference_ingest(
         text, DEFAULT_DATE_FORMATS, categories, rounding
     )
-    assert events == ref_events
+    assert list(events) == ref_events
     assert report.rejections == ref_rejections
-    assert kept == ref_kept
+    assert list(kept) == ref_kept
     if kept:
         locations, mapping = build_locations(kept, rounding)
         assert [
             (loc.id, loc.latitude, loc.longitude, loc.country, loc.admin_key) for loc in locations
         ] == ref_locations
-        assert mapping == ref_mapping
+        assert list(mapping) == ref_mapping
 
 
 def test_the_every_reason_text_reaches_every_rule():
@@ -346,6 +351,127 @@ def test_the_every_reason_text_reaches_every_rule():
         "negative fatalities",
     }
     assert len(kept) == 3 and len(locations) == 1
+
+
+# INGEST_CELLS plus quoted cells that span lines, so a row's line number
+# is its last physical line; digit separators; and "Group A-south", which
+# the first split rule below also writes. CLEAN_CELLS are the ones no rule
+# rejects, so clean rows keep enough events to split and sequence.
+PIPELINE_CELLS = {
+    **INGEST_CELLS,
+    "actor1": INGEST_CELLS["actor1"] + ["Group A-south", '"Group\nA"'],
+    "latitude": INGEST_CELLS["latitude"] + ["1_2.5", '"12.5\n"'],
+    "longitude": INGEST_CELLS["longitude"] + ["-3_0"],
+    "admin1": INGEST_CELLS["admin1"] + ['"Mop\nti"'],
+    "fatalities": INGEST_CELLS["fatalities"] + ["1_000"],
+    "notes": ["", '"a\nlong, note"'],
+}
+CLEAN_CELLS = {
+    "event_date": ["2024-01-05", " 2024-01-05 ", "06 Jan 2024", "05/03/1997", "2024-02-29"],
+    "actor1": ["Group A", " Group B ", "Group A-south", '"Group\nA"', "Group A"],
+    "latitude": ["12.5", "12.50001", "12.50004", " 12.49996 ", '"12.5\n"'],
+    "longitude": ["-3.25", "-3.25004", "-3.2500001", "-3.24"],
+    "country": ["Mali", " Niger "],
+    "admin1": ["Mopti", " Gao ", "", '"Mop\nti"'],
+    "event_type": ["Battle", "battles", " BATTLE-No change of territory ", "Remote violence",
+                   "  violence AGAINST civilians", "Protests", "Strategic development"],
+    "fatalities": ["4", "", " 0 ", "12"],
+    "notes": PIPELINE_CELLS["notes"],
+}
+SPLIT_RULES = [
+    GroupSplitRule("Group A", "latitude", "<", 12.50002, "-south"),
+    GroupSplitRule("Group A", "longitude", ">=", -3.25, " east"),
+    # Its name strips back to the group's own, which summarize counts once.
+    GroupSplitRule("Group B", "latitude", ">=", 12.5, " "),
+    GroupSplitRule("Nobody", "latitude", "<", 0.0, "-x"),
+]
+
+
+# The first rule writes "Group A-south" beside the actor of that name, the
+# third "Group B " beside "Group B" at one location; quoted cells span
+# lines; one fatalities cell holds a digit separator.
+SPLIT_EXAMPLE = "\n".join(
+    [",".join(INGEST_COLUMNS + ("notes",))]
+    + [
+        "2024-01-05,Group A,12.5,-3.25,Mali,Mopti,Battle,4,",
+        '2024-01-06,Group A-south,12.6,-3.25,Mali,Mopti,Battle,0,"a\nlong, note"',
+        "2024-01-05,Group A,12.6,-3.24,Mali,Mopti,Battle,1_000,",
+        '06 Jan 2024,"Group\nA",12.50001,-3.25, Niger ,Gao,Remote violence,,',
+        "05/03/1997,Group A,12.49996,-3.25004,Mali,Mopti,Battle,2,",
+        "2024-01-05, Group B ,12.5,-3.25,Mali,Mopti,Battle,3,",
+        "2024-01-08,Group B,12.49996,-3.25,Mali,Mopti,Battle,0,",
+        "2024-01-07,Group A,12.6,-3.25,Mali,Mopti,Battle,1,",
+    ]
+) + "\n"
+
+
+@st.composite
+def pipeline_csv_texts(draw):
+    """Event CSV text: clean, full, short, blank and unreadable rows, with a notes column."""
+    columns = list(draw(st.permutations(INGEST_COLUMNS)))
+    columns.insert(draw(st.integers(0, len(columns))), "notes")
+    lines = []
+    kinds = ["clean", "clean", "clean", "full", "short", "blank"]
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=4, max_size=30)):
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(BLANK_LINES)))
+            continue
+        cells = CLEAN_CELLS if kind == "clean" else PIPELINE_CELLS
+        line = [draw(st.sampled_from(cells[name])) for name in columns]
+        if kind == "short":
+            line = line[: draw(st.integers(0, len(line) - 1))]
+        lines.append(",".join(line))
+    if draw(st.integers(0, 9)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), UNREADABLE_LINE)
+    return "\n".join([",".join(columns)] + lines) + "\n"
+
+
+def run_warned(fn, *args):
+    """fn(*args) and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [str(w.message) for w in caught]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pipeline_csv_texts(),
+    st.sampled_from([DEFAULT_CATEGORIES, ("Battle",), ("remote violence", " PROTESTS ")]),
+    st.integers(0, 6),
+    st.lists(st.sampled_from(SPLIT_RULES), max_size=3),
+)
+@example(EVERY_REASON, DEFAULT_CATEGORIES, 4, SPLIT_RULES)
+@example(SPLIT_EXAMPLE, DEFAULT_CATEGORIES, 4, SPLIT_RULES)
+def test_columnar_pipeline_matches_the_record_oracles(text, categories, rounding, rules):
+    events, report = parse_events(io.StringIO(text))
+    kept, warned = run_warned(split_groups, filter_violent(events, categories), rules)
+    ref_events, ref_rejections, ref_kept, ref_locations, ref_mapping = reference_ingest(
+        text, DEFAULT_DATE_FORMATS, categories, rounding
+    )
+    ref_kept = [EventRecord(*e) for e in ref_kept]
+    ref_split, ref_warned = run_warned(record_split_groups, ref_kept, rules)
+    assert list(events) == ref_events
+    assert report.rejections == ref_rejections
+    assert list(kept) == ref_split
+    assert warned == ref_warned
+    if not ref_split:
+        return
+    locations, mapping = build_locations(kept, rounding)
+    got = [(loc.id, loc.latitude, loc.longitude, loc.country, loc.admin_key) for loc in locations]
+    assert got == ref_locations
+    assert list(mapping) == ref_mapping
+    stats = summarize(kept, locations, mapping)
+    got = (stats.attacks_per_location, stats.groups_per_location,
+           stats.fatalities_by_country_year, tuple(stats.totals))
+    assert got == record_summarize(ref_split, len(ref_locations), ref_mapping)
+    n = len(locations)
+    groups = sorted({e.group_id for e in ref_split}) + ["Nobody"]
+    location_of = {e.source_row: lid for e, lid in zip(ref_split, ref_mapping)}
+    seq, warned = run_warned(sequence_adjacency, kept, location_of, groups, n)
+    ref_seq = brute_force_sequence(ref_split, location_of, groups, n)
+    assert np.array_equal(seq.values.toarray(), np.array(ref_seq, dtype=float))
+    assert warned == ["selected group 'Nobody' has no events"]
 
 
 CHAIN = CountryBorderGraph.from_pairs([("A", "B"), ("B", "C")])

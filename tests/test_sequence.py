@@ -75,7 +75,7 @@ class TestSplitGroups:
 
     def test_no_rules_is_identity(self):
         events = [make_event(1), make_event(2)]
-        assert split_groups(events, []) == events
+        assert list(split_groups(events, [])) == events
 
 
 class TestOrderEvents:
