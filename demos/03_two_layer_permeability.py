@@ -16,8 +16,9 @@ grows fastest relative to that baseline are the ones living off their
 cross-border ties: here the frontier pair Kidal and Niamey.
 """
 
-from permap import CountryBorderGraph, embed_two_layer
+from permap import CountryBorderGraph
 from permap.ingest import Location
+from permap.layers import prepare, solve
 
 TOWNS = [
     ("Bamako", 12.64, -8.00, "Mali"),
@@ -33,10 +34,12 @@ locations = [
     for i, (_, lat, lon, country) in enumerate(TOWNS)
 ]
 borders = CountryBorderGraph.from_pairs([("Mali", "Niger")])
+# Everything that does not depend on p, computed once for every run.
+prepared = prepare("two_layer", locations, borders)
 
 
 def lengths(p):
-    _, report = embed_two_layer(locations, borders, p=p, k=2)
+    _, report = solve(prepared, p, 2)
     return {row.location_id: row.length for row in report.rows}
 
 

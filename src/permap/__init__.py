@@ -14,7 +14,7 @@ from .geo import (
     invert_distances,
     linear_border_distances,
 )
-from .layers import build_three_layer, embed_two_layer
+from .layers import build_three_layer
 from .sequence import sequence_adjacency
 from .spectral import embed
 
@@ -27,7 +27,6 @@ __all__ = [
     "crossings_matrix",
     "distance_matrix",
     "embed",
-    "embed_two_layer",
     "invert_distances",
     "linear_border_distances",
     "sequence_adjacency",

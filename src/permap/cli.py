@@ -127,9 +127,11 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
                 sub = cfg.with_border_value(value)
             emb, disp = layers.solve(prepared, value, cfg.k)
             with stage("export"):
+                # The ratio first, so a value it fails on writes no files.
+                ratio = layers.country_separation_ratio(emb, countries)
                 sub_dir = out_dir / _sweep_label(cfg, value)
                 _export_run(sub, emb, disp, prepared.locations, report, sub_dir)
-                ratios.append((value, layers.country_separation_ratio(emb, countries)))
+                ratios.append((value, ratio))
         except Exception as exc:
             if stage_of(exc) is None:
                 raise

@@ -11,6 +11,8 @@ border graph and (for three layers) the sequence layer the caller has
 read, and does the work that does not depend on the border value
 (country codes and crossings, the distance layer); `solve` weights the
 borders at one value and embeds the system, so a sweep prepares once.
+They are the only way into an embedding: a two-layer map at
+permeability p is `solve(prepare("two_layer", locations, cg), p, k)`.
 This module weights layers; it reads no events.
 
 `two_layer_operator` and `three_layer_operator` only list the blocks of
@@ -18,7 +20,8 @@ their raw walk over the copies, each a product with one layer or a
 diagonal; `graphs.symmetrized_operator` turns them into the Laplacian.
 `build_two_layer` and `build_three_layer` assemble the 2n x 2n and
 6n x 6n systems from a dense copy of each layer, in any storage: the
-references the operators are tested against.
+references the operators are tested against, and the assembly the
+benchmark's dense reference solve is built from.
 
 `LAYOUTS` fixes the order of every multilayer system's points once:
 its layer tags, then the copies of each layer, then the locations.
@@ -85,8 +88,6 @@ BORDER_KINDS = {
     "three_layer": ("permeability",),
 }
 
-DEFAULT_BORDER_P = 0.95
-
 # Rows per step of country_separation_ratio, as geo's _ROW_BLOCK is for the
 # distance matrix: its two buffers hold this many rows of pair distances.
 _PAIR_ROWS = 64
@@ -118,10 +119,6 @@ class MultiLayerSystem:
             )
         if len(self.provenance) != size or len(set(self.provenance)) != size:
             raise ValueError("provenance must map rows one-to-one")
-
-    @property
-    def size(self) -> int:
-        return self.assembled.n
 
 
 def _provenance(n: int, layer_tags, copies) -> tuple:
@@ -505,15 +502,6 @@ def solve(prepared: Prepared, value: float | None, k: int):
         if prepared.pipeline == "geo":
             return emb, None
         return emb, displacement(emb, *LAYOUTS[prepared.pipeline])
-
-
-def embed_two_layer(locations, cg, p: float = DEFAULT_BORDER_P, k: int = 2):
-    """Distance layer + border permeability layer, embedded together.
-
-    Returns (Embedding, DisplacementReport); the report measures how far
-    each location's two copies land apart.
-    """
-    return solve(prepare("two_layer", locations, cg), p, k)
 
 
 class DisplacementRow(NamedTuple):

@@ -88,20 +88,6 @@ def split_groups(events, rules) -> EventTable:
     return replace(table, rows=rows, groups=tuple(names))
 
 
-def _ordered(table: EventTable, code: int) -> np.ndarray:
-    """Rows of one group code in ascending date order, ties by source row."""
-    rows = np.flatnonzero(table.rows["group"] == code)
-    mine = table.rows[rows]
-    return rows[np.lexsort((mine["source_row"], mine["day"]))]
-
-
-def order_events(events, group: str) -> list:
-    """A group's events in ascending date order, ties kept in file order."""
-    table = EventTable.of(events)
-    code = table.group_codes().get(group)
-    return [] if code is None else [table[i] for i in _ordered(table, code)]
-
-
 def sequence_adjacency(events, location_of, groups, n_locations: int) -> WeightMatrix:
     """Count consecutive same-group attacks between ordered location pairs.
 
@@ -135,7 +121,9 @@ def sequence_adjacency(events, location_of, groups, n_locations: int) -> WeightM
         if group not in present:
             warnings.warn(f"selected group {group!r} has no events", stacklevel=2)
             continue
-        lines = table.rows["source_row"][_ordered(table, present[group])]
+        # The group's events in ascending date order, ties by source row.
+        mine = table.rows[table.rows["group"] == present[group]]
+        lines = mine["source_row"][np.lexsort((mine["source_row"], mine["day"]))]
         locs = [lookup(line) for line in lines.tolist()]
         for a, b in zip(locs, locs[1:]):
             if a != b:

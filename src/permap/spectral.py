@@ -13,7 +13,8 @@ applied from its layers, so neither A nor L is ever formed. A
 WeightMatrix is wrapped into one. The operator also supplies the scale
 ||L||_inf = 2 max(degrees) (A has a zero diagonal). The component check
 walks the same A, so it sees exactly the graph the eigensolver multiplies.
-`eigensolve_symmetric` takes such an operator or any symmetric matrix.
+`eigensolve_symmetric` takes only such an operator, so every caller
+solves through the one path the CLI uses.
 
 The Lanczos basis holds at least 40 vectors, twice scipy's default. The
 kept eigenvalues of a multilayer system sit in a tight cluster far below
@@ -33,12 +34,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import DisconnectedGraphError, SolverError
 from .fileio import atomic_write
-from .graphs import LaplacianOperator, WeightMatrix, asymmetry, laplacian_operator
+from .graphs import LaplacianOperator, WeightMatrix, laplacian_operator
 
 RESIDUAL_RTOL = 1e-8
 ZERO_EIGENVALUE_RTOL = 1e-8
@@ -63,49 +63,34 @@ class EigenPairs(NamedTuple):
     residuals: np.ndarray
 
 
-def _matrix_of(m):
-    if isinstance(m, WeightMatrix):
+def eigensolve_symmetric(lap: LaplacianOperator, count: int) -> EigenPairs:
+    """Compute the `count` smallest eigenpairs of a Laplacian operator.
+
+    `lap` is a LaplacianOperator, symmetric by construction and carrying
+    its own inf-norm; a WeightMatrix is embedded or wrapped with
+    laplacian_operator first. With sigma = 2 * max(||L||_inf, 1) above
+    the whole spectrum, the smallest eigenpairs of L are the largest of
+    sigma*I - L, which implicitly restarted Lanczos finds from products
+    with L alone, in a basis of min(n, max(2 * count + 1, 40)) vectors.
+    ARPACK cannot return n - 1 or more pairs, so those counts take a full
+    dense decomposition of L. Every returned pair is residual-checked.
+    """
+    if not isinstance(lap, LaplacianOperator):
         raise ValueError(
-            "eigensolve_symmetric takes a matrix or a LaplacianOperator; "
+            "eigensolve_symmetric takes a LaplacianOperator; "
             "embed a WeightMatrix or wrap it with laplacian_operator"
         )
-    if sparse.issparse(m) or isinstance(m, LaplacianOperator):
-        return m
-    return np.asarray(m, dtype=float)
-
-
-def eigensolve_symmetric(m, count: int) -> EigenPairs:
-    """Compute the `count` smallest eigenpairs of a symmetric matrix or operator.
-
-    `m` is a LaplacianOperator, symmetric by construction and carrying
-    its own inf-norm, or a dense or sparse matrix, which is measured and
-    checked for symmetry here. With sigma = 2 * max(||m||_inf, 1) above
-    the whole spectrum, the smallest eigenpairs of m are the largest of
-    sigma*I - m, which implicitly restarted Lanczos finds from products
-    with m alone, in a basis of min(n, max(2 * count + 1, 40)) vectors.
-    ARPACK cannot return n - 1 or more pairs, so those counts take a full
-    dense decomposition. Every returned pair is residual-checked.
-    """
-    values = _matrix_of(m)
-    n = values.shape[0]
-    if values.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got shape {values.shape}")
+    n = lap.shape[0]
     if not 1 <= count <= n:
         raise ValueError(f"eigenpair count must be in [1, {n}], got {count}")
-    if isinstance(values, LaplacianOperator):
-        scale = values.inf_norm
-    else:
-        scale = float(abs(values).sum(axis=1).max())
-        if asymmetry(values) > 1e-10 * max(scale, 1.0):
-            raise ValueError("eigensolve_symmetric requires a symmetric matrix")
+    scale = max(lap.inf_norm, 1.0)
 
     if count >= n - 1:
-        dense = values if isinstance(values, np.ndarray) else values.toarray()
-        all_vals, all_vecs = np.linalg.eigh(dense)
+        all_vals, all_vecs = np.linalg.eigh(lap.toarray())
         vals, vecs = all_vals[:count], all_vecs[:, :count]
     else:
-        sigma = 2.0 * max(scale, 1.0)
-        flipped = LinearOperator((n, n), matvec=lambda x: sigma * x - values @ x, dtype=float)
+        sigma = 2.0 * scale
+        flipped = LinearOperator((n, n), matvec=lambda x: sigma * x - lap @ x, dtype=float)
         # Fixed and not constant: the constant vector spans a Laplacian's
         # null space, so it is an exact eigenvector of the flipped operator.
         v0 = np.cos(np.arange(n, dtype=float))
@@ -125,19 +110,14 @@ def eigensolve_symmetric(m, count: int) -> EigenPairs:
         order = np.argsort(vals, kind="stable")
         vals, vecs = vals[order], vecs[:, order]
 
-    residuals = _residuals(values, vals, vecs)
-    bad = np.flatnonzero(residuals > RESIDUAL_RTOL * max(scale, 1.0))
+    residuals = np.linalg.norm(lap @ vecs - vecs * vals[None, :], axis=0)
+    bad = np.flatnonzero(residuals > RESIDUAL_RTOL * scale)
     if bad.size:
         raise SolverError(
             f"eigenpair {bad[0]} failed the residual check: "
-            f"{residuals[bad[0]]:.3e} > {RESIDUAL_RTOL * max(scale, 1.0):.3e}"
+            f"{residuals[bad[0]]:.3e} > {RESIDUAL_RTOL * scale:.3e}"
         )
     return EigenPairs(vals, vecs, residuals)
-
-
-def _residuals(values, vals, vecs) -> np.ndarray:
-    prod = values @ vecs
-    return np.linalg.norm(prod - vecs * vals[None, :], axis=0)
 
 
 def connected_components(lap: LaplacianOperator):
@@ -198,10 +178,6 @@ class Embedding:
         object.__setattr__(self, "provenance", tuple(self.provenance))
         if len(self.provenance) != coords.shape[0]:
             raise ValueError("provenance must name every embedded point")
-
-    @property
-    def n_points(self) -> int:
-        return self.coordinates.shape[0]
 
     @property
     def k(self) -> int:

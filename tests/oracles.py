@@ -268,6 +268,26 @@ def laplacian(w):
     return lap
 
 
+def matrix_operator(m):
+    """A general symmetric matrix m as the LaplacianOperator the eigensolver takes.
+
+    The operator applies degrees * x - A x. With degrees c * 1 and
+    A x = c x - m x, that is m x, up to rounding at the scale of c. With
+    c = ||m||_inf / 2, the operator's inf_norm, twice the largest degree,
+    is ||m||_inf, so the eigensolver's sigma and residual gate are those
+    of m itself.
+    """
+    import numpy as np
+
+    from permap.graphs import LaplacianOperator
+
+    m = np.asarray(m, dtype=float)
+    c = float(np.abs(m).sum(axis=1).max()) / 2.0
+    return LaplacianOperator(
+        degrees=np.full(m.shape[0], c), adjacency=lambda x: c * x - m @ x, layers=()
+    )
+
+
 def symmetric_product(values, x):
     """W x for a symmetric W read from its upper triangle, one exactly rounded sum per row.
 

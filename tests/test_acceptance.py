@@ -20,6 +20,7 @@ from oracles import (
     brute_force_sequence,
     jacobi_eigh,
     laplacian,
+    matrix_operator,
     principal_angle_cos,
     traversal_components,
     two_layer_walk_matrix,
@@ -33,7 +34,7 @@ from permap.geo import (
     invert_distances,
     linear_border_distances,
 )
-from permap.graphs import DIRECTED, SYMMETRIC, WeightMatrix
+from permap.graphs import DIRECTED, SYMMETRIC, WeightMatrix, laplacian_operator
 from permap.ingest import (
     DEFAULT_CATEGORIES,
     build_locations,
@@ -45,10 +46,11 @@ from permap.layers import (
     build_three_layer,
     build_two_layer,
     country_separation_ratio,
-    embed_two_layer,
     normalize_sequence_layer,
+    prepare,
+    solve,
 )
-from permap.sequence import order_events, sequence_adjacency
+from permap.sequence import sequence_adjacency
 from permap.spectral import eigensolve_symmetric, embed
 
 ACLED_ENV = "PERMAP_ACLED_CSV"
@@ -89,7 +91,7 @@ def test_c02_eigensolver_matches_rotation_oracle():
         m = rng.uniform(-2.0, 2.0, (n, n))
         m = (m + m.T) / 2.0
 
-        got = eigensolve_symmetric(m, count)
+        got = eigensolve_symmetric(matrix_operator(m), count)
         want_values, want_vectors = jacobi_eigh(m.tolist())
         assert np.abs(got.values - np.array(want_values[:count])).max() <= 1e-8
         oracle_basis = np.array([row[:count] for row in want_vectors])
@@ -99,8 +101,8 @@ def test_c02_eigensolver_matches_rotation_oracle():
 
 def test_c03_analytic_fixtures():
     # 3-node path: characteristic polynomial -x (x^2 - 4x + 3) has roots 0, 1, 3
-    path_lap = laplacian(WeightMatrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0.0]]), SYMMETRIC))
-    got = eigensolve_symmetric(path_lap, 3).values
+    path = WeightMatrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0.0]]), SYMMETRIC)
+    got = eigensolve_symmetric(laplacian_operator(path), 3).values
     assert np.abs(got - np.array([0.0, 1.0, 3.0])).max() <= 1e-8
 
     # one edge of weight w: nonzero eigenvalue is 2w
@@ -186,7 +188,7 @@ def test_c06_separation_ratio_monotone_in_border_strength():
 
     coupled_ratios = []
     for p in (1.0, 0.95, 0.8, 0.5):
-        emb, _ = embed_two_layer(locations, cg, p=p, k=2)
+        emb, _ = solve(prepare("two_layer", locations, cg), p, 2)
         coupled_ratios.append(country_separation_ratio(emb, countries))
     # the ratio may only grow as the per-border success probability drops
     assert all(b >= a for a, b in zip(coupled_ratios, coupled_ratios[1:]))
@@ -298,7 +300,10 @@ def test_c09_sequence_extraction_matches_brute_force():
 
         moves = 0
         for group in groups:
-            ordered = order_events(events, group)
+            ordered = sorted(
+                (e for e in events if e.group_id == group),
+                key=lambda e: (e.event_date, e.source_row),
+            )
             moves += sum(
                 1
                 for a, b in zip(ordered, ordered[1:])

@@ -420,6 +420,8 @@ class TestSweep:
         assert err == "sweep value 0.0 failed; export: no inter-country point pairs; ratio undefined\n"
         table = (out_dir / "separation_ratios.csv").read_text().splitlines()
         assert table == ["value,separation_ratio"]
+        # A skipped value leaves none of its files behind.
+        assert not (out_dir / "cost_0.0").exists()
 
     def test_repeated_values_rejected(self, capsys, fixture_run, tmp_path):
         cases = (

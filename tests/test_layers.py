@@ -33,7 +33,6 @@ from permap.layers import (
     build_two_layer,
     country_separation_ratio,
     displacement,
-    embed_two_layer,
     normalize_sequence_layer,
     prepare,
     solve,
@@ -138,7 +137,7 @@ class TestBuildTwoLayer:
         v = system.assembled.values
         assert system.assembled.is_symmetric
         assert np.array_equal(v, v.T)
-        assert system.size == 8
+        assert system.assembled.n == 8
 
     def test_assembled_is_bit_equal_to_symmetrized_walk(self):
         # build_two_layer averages only the within-layer blocks; the result
@@ -176,15 +175,15 @@ class TestEmbedTwoLayer:
             make_location(3, 0.5, 0.0),
         ]
         cg = CountryBorderGraph.from_pairs([("A", "B")])
-        emb, report = embed_two_layer(locs, cg, k=2)
-        assert emb.n_points == 8
+        emb, report = solve(prepare("two_layer", locs, cg), 0.95, 2)
+        assert len(emb.provenance) == 8
         lengths = [row.length for row in report.rows]
         assert max(lengths) - min(lengths) <= 1e-12
         assert report.layer_a == "distance" and report.layer_b == "border"
 
     def test_two_countries_give_positive_displacement(self, twelve_locations, chain_borders):
-        emb, report = embed_two_layer(twelve_locations, chain_borders, p=0.5, k=2)
-        assert emb.n_points == 24
+        emb, report = solve(prepare("two_layer", twelve_locations, chain_borders), 0.5, 2)
+        assert len(emb.provenance) == 24
         assert len(report.rows) == 12
         assert report.rows[0].length >= report.rows[-1].length
         assert report.rows[0].length > 0
@@ -257,7 +256,7 @@ def three_layer_fixture():
 class TestBuildThreeLayer:
     def test_shape_tags_and_symmetry(self):
         system = build_three_layer(*three_layer_fixture())
-        assert system.size == 18
+        assert system.assembled.n == 18
         assert system.layer_tags == THREE_LAYER_TAGS
         assert system.copies_per_layer == 2
         v = system.assembled.values.toarray()
@@ -361,7 +360,7 @@ class TestEmbedThreeLayer:
         a[8, 9] = 1.0
         prepared = prepare("three_layer", twelve_locations, chain_borders, directed(a))
         emb, report = solve(prepared, 0.95, 2)
-        assert emb.n_points == 72
+        assert len(emb.provenance) == 72
         tags = [ref.layer for ref in emb.provenance]
         assert tags.count("border") == tags.count("distance") == tags.count("sequence") == 24
         assert len(report.rows) == 12
@@ -371,7 +370,7 @@ class TestEmbedThreeLayer:
         a = np.zeros((12, 12))
         a[0, 1] = a[4, 5] = a[8, 9] = 1.0
         for emb, report in (
-            embed_two_layer(twelve_locations, chain_borders, k=3),
+            solve(prepare("two_layer", twelve_locations, chain_borders), 0.95, 3),
             solve(prepare("three_layer", twelve_locations, chain_borders, directed(a)), 0.95, 3),
         ):
             points = [

@@ -395,7 +395,7 @@ class TestFailures:
         bridged = seq.values.copy()
         bridged[3, 4] = 1.0
         emb = embed(three_layer_operator(blocks, w_dist, WeightMatrix(bridged, DIRECTED)), 2)
-        assert emb.n_points == 36
+        assert len(emb.provenance) == 36
 
     def test_zero_row_names_its_layer(self):
         # A location alone in its country, with every border block to it
@@ -458,5 +458,5 @@ def test_solve_forms_no_system_laplacian_or_crossings(monkeypatch, twelve_locati
             pipeline, kind, locations, codes, hops, distances, farthest, sequence
         )
         emb, report = layers.solve(prepared, value, 2)
-        assert emb.n_points == 12 * {"geo": 1, "two_layer": 2, "three_layer": 6}[prepared.pipeline]
+        assert len(emb.provenance) == 12 * {"geo": 1, "two_layer": 2, "three_layer": 6}[prepared.pipeline]
         assert (report is None) == (prepared.pipeline == "geo")

@@ -50,7 +50,7 @@ from permap.graphs import (
     mean_nonzero_normalize,
     symmetrize,
 )
-from permap.layers import build_two_layer, embed_two_layer, prepare, system_operator
+from permap.layers import build_two_layer, prepare, solve, system_operator
 from permap.sequence import GroupSplitRule, sequence_adjacency, split_groups
 from permap.spectral import embed, fix_signs
 
@@ -585,7 +585,8 @@ def test_permuting_locations_permutes_the_two_layer_embedding(case, p):
     drawn, order = case
 
     def run(locations):
-        emb, _ = embed_two_layer(locations, CHAIN, p=p, k=2)
-        return emb, system_operator(prepare("two_layer", locations, CHAIN), p)[0]
+        prepared = prepare("two_layer", locations, CHAIN)
+        emb, _ = solve(prepared, p, 2)
+        return emb, system_operator(prepared, p)[0]
 
     permuted_runs_agree(run, site_locations(drawn), order, copies=2)

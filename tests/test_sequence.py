@@ -9,7 +9,7 @@ from conftest import make_event
 from oracles import brute_force_sequence
 from permap.errors import ConfigError
 from permap.graphs import DIRECTED
-from permap.sequence import GroupSplitRule, order_events, sequence_adjacency, split_groups
+from permap.sequence import GroupSplitRule, sequence_adjacency, split_groups
 
 
 def rule(group="G", attribute="latitude", comparator="<", threshold=27.9, suffix="-south"):
@@ -78,14 +78,30 @@ class TestSplitGroups:
         assert list(split_groups(events, [])) == events
 
 
+def walk_matrix(path, n):
+    """The adjacency of one group visiting the locations in `path`, one per event."""
+    want = np.zeros((n, n))
+    for a, b in zip(path, path[1:]):
+        want[a, b] += 1.0
+    return want
+
+
 class TestOrderEvents:
+    """sequence_adjacency walks a group's events by date, ties in file order.
+
+    Each event sits at a location of its own, so the adjacency is a path
+    that spells out the order the events were walked in.
+    """
+
     def test_sorts_by_date(self):
         events = [
             make_event(1, when=date(2024, 3, 1)),
             make_event(2, when=date(2024, 1, 5)),
             make_event(3, when=date(2024, 2, 10)),
         ]
-        assert [e.source_row for e in order_events(events, "G")] == [2, 3, 1]
+        loc = {1: 0, 2: 1, 3: 2}
+        got = sequence_adjacency(events, loc, ["G"], 3).values.toarray()
+        assert np.array_equal(got, walk_matrix([1, 2, 0], 3))
 
     def test_date_ties_keep_file_order(self):
         events = [
@@ -93,11 +109,20 @@ class TestOrderEvents:
             make_event(2, when=date(2024, 1, 1)),
             make_event(5, when=date(2024, 1, 1)),
         ]
-        assert [e.source_row for e in order_events(events, "G")] == [2, 5, 9]
+        loc = {9: 0, 2: 1, 5: 2}
+        got = sequence_adjacency(events, loc, ["G"], 3).values.toarray()
+        assert np.array_equal(got, walk_matrix([1, 2, 0], 3))
 
     def test_filters_to_named_group(self):
-        events = [make_event(1, group="G"), make_event(2, group="H")]
-        assert [e.source_row for e in order_events(events, "H")] == [2]
+        events = [
+            make_event(1, group="G"),
+            make_event(2, group="H"),
+            make_event(3, group="G"),
+            make_event(4, group="H"),
+        ]
+        loc = {1: 0, 2: 1, 3: 2, 4: 3}
+        got = sequence_adjacency(events, loc, ["H"], 4).values.toarray()
+        assert np.array_equal(got, walk_matrix([1, 3], 4))
 
     def test_matches_independent_sort(self):
         rng = np.random.default_rng(13)
@@ -110,14 +135,15 @@ class TestOrderEvents:
                     when=date(2024, 1, int(rng.integers(1, 28))),
                 )
             )
+        loc = {row: row - 1 for row in range(1, 41)}
         shuffled = list(events)
         rng.shuffle(shuffled)
         for g in ("G0", "G1", "G2"):
-            got = [e.source_row for e in order_events(events, g)]
+            got = sequence_adjacency(events, loc, [g], 40).values.toarray()
             want = sorted(
                 ((e.event_date, e.source_row) for e in shuffled if e.group_id == g),
             )
-            assert got == [row for _, row in want]
+            assert np.array_equal(got, walk_matrix([loc[row] for _, row in want], 40))
 
 
 class TestSequenceAdjacency:
@@ -189,7 +215,10 @@ class TestSequenceAdjacency:
             assert np.array_equal(got, want)
             moves = 0
             for g in groups:
-                ordered = order_events(events, g)
+                ordered = sorted(
+                    (e for e in events if e.group_id == g),
+                    key=lambda e: (e.event_date, e.source_row),
+                )
                 moves += sum(
                     1
                     for a, b in zip(ordered, ordered[1:])

@@ -7,6 +7,7 @@ from scipy import sparse
 from oracles import (
     jacobi_eigh,
     laplacian,
+    matrix_operator,
     path_graph_eigenpairs,
     principal_angle_cos,
     traversal_components,
@@ -19,7 +20,13 @@ from permap.geo import (
     distance_matrix,
     invert_distances,
 )
-from permap.graphs import DIRECTED, SYMMETRIC, WeightMatrix, symmetrized_operator
+from permap.graphs import (
+    DIRECTED,
+    SYMMETRIC,
+    WeightMatrix,
+    laplacian_operator,
+    symmetrized_operator,
+)
 from permap.spectral import (
     Embedding,
     PointRef,
@@ -55,7 +62,7 @@ class TestEigensolve:
         for _ in range(10):
             n = int(rng.integers(3, 9))
             m = random_symmetric(rng, n)
-            got = eigensolve_symmetric(m, n)
+            got = eigensolve_symmetric(matrix_operator(m), n)
             want_vals, want_vecs = jacobi_eigh(m.tolist())
             scale = max(abs(v) for v in want_vals) or 1.0
             assert np.allclose(got.values, want_vals, atol=1e-10 * scale)
@@ -65,37 +72,37 @@ class TestEigensolve:
                 assert abs(float(mine @ theirs)) >= 1.0 - 1e-8
 
     def test_scaled_identity(self):
-        got = eigensolve_symmetric(3.0 * np.eye(4), 2)
+        got = eigensolve_symmetric(matrix_operator(3.0 * np.eye(4)), 2)
         assert np.allclose(got.values, [3.0, 3.0], atol=1e-12)
 
     def test_path_graph_spectrum(self):
-        lap = laplacian(WeightMatrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0.0]]), SYMMETRIC))
-        got = eigensolve_symmetric(lap, 3)
+        w = WeightMatrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0.0]]), SYMMETRIC)
+        got = eigensolve_symmetric(laplacian_operator(w), 3)
         assert np.allclose(got.values, [0.0, 1.0, 3.0], atol=1e-12)
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            eigensolve_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
-
     def test_refuses_a_weight_matrix_in_every_storage(self):
-        # A layer is weights, not a Laplacian; solving it would answer the wrong question.
+        # A layer is weights, not a Laplacian; solving it would answer the
+        # wrong question. A bare matrix, even the Laplacian itself, is
+        # refused too: the operator is the one input form.
         ring = ring_weights(6)
         cg = CountryBorderGraph.from_pairs([("A", "B")])
         codes, hops = country_crossings(["A", "A", "B", "B", "B", "A"], cg)
         message = (
-            "eigensolve_symmetric takes a matrix or a LaplacianOperator; "
+            "eigensolve_symmetric takes a LaplacianOperator; "
             "embed a WeightMatrix or wrap it with laplacian_operator"
         )
         for w in (
             ring,
             WeightMatrix(sparse.csr_matrix(ring.values), SYMMETRIC),
             border_blocks(codes, hops, 0.5),
+            laplacian(ring),
+            sparse.csr_matrix(laplacian(ring)),
         ):
             with pytest.raises(ValueError, match=re.escape(message)):
                 eigensolve_symmetric(w, 2)
 
     def test_count_bounds(self):
-        m = np.eye(3)
+        m = matrix_operator(np.eye(3))
         with pytest.raises(ValueError, match="count"):
             eigensolve_symmetric(m, 0)
         with pytest.raises(ValueError, match="count"):
@@ -105,7 +112,7 @@ class TestEigensolve:
         rng = np.random.default_rng(77)
         w = ring_weights(30, rng)
         lap = laplacian(w)
-        iterative = eigensolve_symmetric(lap, 4)
+        iterative = eigensolve_symmetric(laplacian_operator(w), 4)
         all_vals, all_vecs = jacobi_eigh(lap.tolist())
         want_vals = np.array(all_vals[:4])
         want_vecs = np.array([row[:4] for row in all_vecs])
@@ -115,7 +122,7 @@ class TestEigensolve:
 
     def test_iterative_route_is_deterministic(self):
         rng = np.random.default_rng(78)
-        lap = laplacian(ring_weights(25, rng))
+        lap = laplacian_operator(ring_weights(25, rng))
         first = eigensolve_symmetric(lap, 3)
         second = eigensolve_symmetric(lap, 3)
         assert np.array_equal(first.values, second.values)
@@ -123,9 +130,9 @@ class TestEigensolve:
 
     def test_near_full_count_falls_back_to_dense(self):
         rng = np.random.default_rng(79)
-        lap = laplacian(ring_weights(12, rng))
-        got = eigensolve_symmetric(lap, 11)
-        want = np.linalg.eigvalsh(lap)[:11]
+        w = ring_weights(12, rng)
+        got = eigensolve_symmetric(laplacian_operator(w), 11)
+        want = np.linalg.eigvalsh(laplacian(w))[:11]
         assert np.allclose(got.values, want, atol=1e-9 * max(want.max(), 1.0))
 
     def test_near_degenerate_pairs_match_rotation_oracle(self):
@@ -136,8 +143,9 @@ class TestEigensolve:
         w = np.zeros((n, n))
         for i in range(n):
             w[i, (i + 1) % n] = w[(i + 1) % n, i] = 1.0 + 1e-3 * rng.uniform(-1.0, 1.0)
-        lap = laplacian(WeightMatrix(w, SYMMETRIC))
-        got = eigensolve_symmetric(lap, 5)
+        layer = WeightMatrix(w, SYMMETRIC)
+        lap = laplacian(layer)
+        got = eigensolve_symmetric(laplacian_operator(layer), 5)
         all_vals, all_vecs = jacobi_eigh(lap.tolist())
         want_vals = np.array(all_vals[:5])
         want_vecs = np.array([row[:5] for row in all_vecs])
@@ -154,25 +162,26 @@ class TestEigensolve:
             w = np.zeros((n, n))
             i = np.arange(n - 1)
             w[i, i + 1] = w[i + 1, i] = 1.0
-            lap = laplacian(WeightMatrix(w, SYMMETRIC))
             all_vals, all_vecs = path_graph_eigenpairs(n)
             want_vals = np.array(all_vals[:4])
             want_vecs = np.array(all_vecs)[:, :4]
-            for stored in (lap, sparse.csr_matrix(lap)):
-                got = eigensolve_symmetric(stored, 4)
+            for stored in (w, sparse.csr_matrix(w)):
+                got = eigensolve_symmetric(laplacian_operator(WeightMatrix(stored, SYMMETRIC)), 4)
                 assert np.abs(got.values - want_vals).max() <= 1e-12 * 4.0
                 for j in range(4):
                     assert abs(float(got.vectors[:, j] @ want_vecs[:, j])) >= 1 - 1e-10
 
     def test_sparse_input_matches_dense(self):
         rng = np.random.default_rng(80)
-        lap = laplacian(ring_weights(16, rng))
-        a = eigensolve_symmetric(lap, 4)
-        b = eigensolve_symmetric(sparse.csr_matrix(lap), 4)
+        w = ring_weights(16, rng)
+        a = eigensolve_symmetric(laplacian_operator(w), 4)
+        b = eigensolve_symmetric(
+            laplacian_operator(WeightMatrix(sparse.csr_matrix(w.values), SYMMETRIC)), 4
+        )
         assert np.allclose(a.values, b.values, atol=1e-10)
 
     def test_residuals_reported_small(self):
-        got = eigensolve_symmetric(np.diag([1.0, 2.0, 3.0]), 3)
+        got = eigensolve_symmetric(matrix_operator(np.diag([1.0, 2.0, 3.0])), 3)
         assert got.residuals.shape == (3,)
         assert got.residuals.max() <= 1e-10
 
@@ -343,7 +352,7 @@ class TestEmbed:
         assert (emb.eigenvalues > 0).all()
         assert np.all(np.diff(emb.eigenvalues) >= -1e-12)
         assert emb.residuals.max() <= 1e-8 * 10
-        assert emb.n_points == 9 and emb.k == 3
+        assert len(emb.provenance) == 9 and emb.k == 3
         assert emb.provenance[0] == PointRef(0, "-", "-")
 
     def test_repeat_runs_bit_identical(self):
