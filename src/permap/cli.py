@@ -15,11 +15,11 @@ from . import config as config_mod
 from . import geo, ingest, layers, sequence, spectral
 from .config import RunConfig
 from .errors import ConfigError, stage, stage_of
-from .fileio import atomic_write
+from .fileio import open_input, write_csv
 
 
 def _load_events(cfg: RunConfig):
-    with open(cfg.events_csv, encoding="utf-8-sig", newline="") as fh:
+    with open_input(cfg.events_csv) as fh:
         events, report = ingest.parse_events(fh, cfg.column_map)
     violent = ingest.filter_violent(events, cfg.categories)
     if cfg.split_rules:
@@ -43,7 +43,6 @@ def cmd_summarize(cfg: RunConfig, out_dir: Path) -> int:
         else:
             stats = ingest.SummaryStats((), (), {}, ingest.Totals(0, 0, 0))
     with stage("export"):
-        out_dir.mkdir(parents=True, exist_ok=True)
         ingest.write_summary_csvs(stats, out_dir)
         ingest.write_rejections_csv(report, out_dir / "rejections.csv")
     totals = stats.totals
@@ -79,7 +78,6 @@ def _prepare(cfg: RunConfig):
 
 
 def _export_run(cfg, emb, disp, locations, report, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     countries = {loc.id: loc.country for loc in locations}
     spectral.write_embedding_csv(emb, out_dir / "embedding.csv", countries)
     spectral.write_eigenvalues_csv(emb, out_dir / "eigenvalues.csv")
@@ -131,18 +129,14 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
                 ratio = layers.country_separation_ratio(emb, countries)
                 sub_dir = out_dir / _sweep_label(cfg, value)
                 _export_run(sub, emb, disp, prepared.locations, report, sub_dir)
-                ratios.append((value, ratio))
+                ratios.append((value, float(ratio)))
         except Exception as exc:
             if stage_of(exc) is None:
                 raise
             failed += 1
             print(f"sweep value {value!r} failed; {stage_of(exc)}: {exc}", file=sys.stderr)
     with stage("export"):
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with atomic_write(out_dir / "separation_ratios.csv") as fh:
-            fh.write("value,separation_ratio\n")
-            for value, ratio in ratios:
-                fh.write(f"{float(value)!r},{float(ratio)!r}\n")
+        write_csv(out_dir / "separation_ratios.csv", ["value", "separation_ratio"], ratios)
     return 1 if failed else 0
 
 

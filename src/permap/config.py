@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
+from .fileio import atomic_write, open_input
 from .ingest import DEFAULT_CATEGORIES, DEFAULT_ROUNDING, ColumnMap
 from .layers import BORDER_KINDS
 from .sequence import GroupSplitRule
@@ -263,9 +264,13 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> RunConfig:
     if "events_csv" not in raw or not raw["events_csv"]:
         raise ConfigError("config must name events_csv")
 
-    def resolve(path_str):
+    def resolve(key):
+        path_str = raw.get(key)
         if path_str is None:
             return None
+        # Path("") is ".", which would name the config's own directory.
+        if not _string(path_str, key).strip():
+            raise ConfigError(f"{key} must not be an empty path, got {path_str!r}")
         path = Path(path_str)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
@@ -273,8 +278,8 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> RunConfig:
 
     try:
         return RunConfig(
-            events_csv=resolve(raw["events_csv"]),
-            borders_csv=resolve(raw.get("borders_csv")),
+            events_csv=resolve("events_csv"),
+            borders_csv=resolve("borders_csv"),
             pipeline=raw.get("pipeline", "geo"),
             border_model=_build_border_model(raw.get("border_model")),
             column_map=_build_column_map(raw.get("column_map")),
@@ -287,7 +292,7 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> RunConfig:
             sweep_probabilities=_listed(
                 raw.get("sweep_probabilities"), "sweep_probabilities", (), object
             ),
-            output_dir=resolve(raw.get("output_dir")),
+            output_dir=resolve("output_dir"),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
@@ -325,7 +330,8 @@ def load_config(path, overrides=()) -> RunConfig:
     """Read a config JSON file, apply overrides, and validate."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8-sig"))
+        with open_input(path) as fh:
+            raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -342,8 +348,6 @@ def manifest_dict(config: RunConfig, command: str) -> dict:
 
 
 def write_manifest(config: RunConfig, command: str, path) -> None:
-    from .fileio import atomic_write
-
     with atomic_write(path) as fh:
         json.dump(manifest_dict(config, command), fh, indent=2, sort_keys=True)
         fh.write("\n")

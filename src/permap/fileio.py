@@ -1,7 +1,14 @@
-"""Atomic text-file writing used by all CSV/report emitters."""
+"""permap's file formats: atomic writes, one CSV table writer, one input opener.
+
+`write_csv` writes every table: commas, LF line ends, a cell quoted only
+where it holds a comma, a double quote or a line break, and a float as
+its Python `repr`, which reads back as the same float. `open_input` opens
+every input (events, borders, config) as UTF-8 with an optional BOM.
+"""
 
 from __future__ import annotations
 
+import csv
 import os
 import tempfile
 from contextlib import contextmanager
@@ -35,3 +42,16 @@ def atomic_write(path):
         except OSError:
             pass
         raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Write `header`, then `rows` of int, str or float cells, to `path` atomically."""
+    with atomic_write(path) as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(rows)
+
+
+def open_input(path):
+    """Open an input file for reading as UTF-8 with an optional byte-order mark."""
+    return open(path, encoding="utf-8-sig", newline="")

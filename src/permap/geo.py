@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DisconnectedGraphError
+from .fileio import open_input
 from .graphs import SYMMETRIC, GroupBlocks, WeightMatrix
 
 EARTH_RADIUS_KM = 6371.0
@@ -176,7 +177,7 @@ class CountryBorderGraph:
     @classmethod
     def load_csv(cls, path) -> "CountryBorderGraph":
         pairs = []
-        with open(path, encoding="utf-8-sig", newline="") as fh:
+        with open_input(path) as fh:
             for row in csv.reader(fh):
                 if not row or not any(cell.strip() for cell in row):
                     continue

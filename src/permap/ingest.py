@@ -23,12 +23,13 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from datetime import date, datetime
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import atomic_write
+from .fileio import write_csv
 
 DEFAULT_CATEGORIES = (
     "Battle",
@@ -108,10 +109,7 @@ class ParseReport:
 
 
 def write_rejections_csv(report: ParseReport, path) -> None:
-    with atomic_write(path) as fh:
-        fh.write("line,reason\n")
-        for line, reason in report.rejections:
-            fh.write(f"{line},{reason}\n")
+    write_csv(path, ["line", "reason"], report.rejections)
 
 
 def _parse_date(text: str, formats) -> int | None:
@@ -419,24 +417,11 @@ def summarize(events, locations, mapping) -> SummaryStats:
 
 def write_summary_csvs(stats: SummaryStats, outdir) -> list:
     """Write the three summary tables; returns the paths written."""
-    from pathlib import Path
-
-    outdir = Path(outdir)
-    attacks = outdir / "attacks_per_location.csv"
-    with atomic_write(attacks) as fh:
-        fh.write("location_id,attacks\n")
-        for lid, count in enumerate(stats.attacks_per_location):
-            fh.write(f"{lid},{count}\n")
-    groups = outdir / "groups_per_location.csv"
-    with atomic_write(groups) as fh:
-        fh.write("location_id,groups\n")
-        for lid, count in enumerate(stats.groups_per_location):
-            fh.write(f"{lid},{count}\n")
-    deaths = outdir / "fatalities_by_country_year.csv"
-    with atomic_write(deaths) as fh:
-        # Country names are free text and may hold a comma.
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(["country", "year", "fatalities"])
-        for (country, year), total in sorted(stats.fatalities_by_country_year.items()):
-            out.writerow([country, year, total])
+    attacks = Path(outdir) / "attacks_per_location.csv"
+    write_csv(attacks, ["location_id", "attacks"], enumerate(stats.attacks_per_location))
+    groups = attacks.with_name("groups_per_location.csv")
+    write_csv(groups, ["location_id", "groups"], enumerate(stats.groups_per_location))
+    deaths = attacks.with_name("fatalities_by_country_year.csv")
+    rows = sorted((*key, total) for key, total in stats.fatalities_by_country_year.items())
+    write_csv(deaths, ["country", "year", "fatalities"], rows)
     return [attacks, groups, deaths]

@@ -33,7 +33,6 @@ three-layer system, each point is the centroid of the out and in copies).
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 from pathlib import Path
@@ -43,7 +42,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import InsufficientMemoryError, IsolatedNodeError, stage
-from .fileio import atomic_write
+from .fileio import write_csv
 from .geo import (
     border_blocks,
     closeness_matrix,
@@ -543,15 +542,12 @@ def write_displacement_csv(report: DisplacementReport, path, countries=None) -> 
     """Export displacement rows with the layer pair spelled out per row."""
     delta_cols = [f"d{name}" for name in COORD_NAMES[: report.k]]
     header = ["location_id", "layer_a", "layer_b"] + delta_cols + ["length", "country"]
-    with atomic_write(path) as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(header)
-        for row in report.rows:
-            country = "" if countries is None else str(countries[row.location_id])
-            cells = [str(row.location_id), report.layer_a, report.layer_b]
-            cells += [repr(float(v)) for v in row.vector]
-            cells += [repr(row.length), country]
-            out.writerow(cells)
+    rows = (
+        [row.location_id, report.layer_a, report.layer_b, *row.vector, row.length]
+        + ["" if countries is None else countries[row.location_id]]
+        for row in report.rows
+    )
+    write_csv(path, header, rows)
 
 
 def country_separation_ratio(emb: Embedding, countries) -> float:

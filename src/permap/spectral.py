@@ -29,7 +29,6 @@ more on the other two.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -37,7 +36,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import DisconnectedGraphError, SolverError
-from .fileio import atomic_write
+from .fileio import write_csv
 from .graphs import LaplacianOperator, WeightMatrix, laplacian_operator
 
 RESIDUAL_RTOL = 1e-8
@@ -236,20 +235,14 @@ def write_embedding_csv(emb: Embedding, path, countries=None) -> None:
         raise ValueError(f"cannot export more than {len(COORD_NAMES)} coordinate columns")
     header = ["point_id", "location_id", "layer", "copy"]
     header += list(COORD_NAMES[: emb.k]) + ["country"]
-    with atomic_write(path) as fh:
-        out = csv.writer(fh, lineterminator="\n")
-        out.writerow(header)
-        for idx, ref in enumerate(emb.provenance):
-            country = "" if countries is None else str(countries[ref.location_id])
-            cells = [str(idx), str(ref.location_id), ref.layer, ref.copy]
-            cells += [repr(float(v)) for v in emb.coordinates[idx]]
-            cells.append(country)
-            out.writerow(cells)
+    rows = (
+        [idx, ref.location_id, ref.layer, ref.copy, *coords]
+        + ["" if countries is None else countries[ref.location_id]]
+        for idx, (ref, coords) in enumerate(zip(emb.provenance, emb.coordinates.tolist()))
+    )
+    write_csv(path, header, rows)
 
 
 def write_eigenvalues_csv(emb: Embedding, path) -> None:
     """Export the nonzero eigenvalues backing each coordinate dimension."""
-    with atomic_write(path) as fh:
-        fh.write("dimension,eigenvalue\n")
-        for j, value in enumerate(emb.eigenvalues, start=1):
-            fh.write(f"{j},{float(value)!r}\n")
+    write_csv(path, ["dimension", "eigenvalue"], enumerate(emb.eigenvalues.tolist(), start=1))

@@ -496,15 +496,59 @@ class TestSweep:
 
 
 class TestFreeTextCells:
-    COUNTRY = "Congo, Republic of"
+    """Every table the CLI writes reads back, with a country that needs quoting."""
+
+    COUNTRY = 'Congo, "Republic" of'
+    PERMEABILITY = 'border_model={"kind": "permeability", "p": 0.95}'
+    RUNS = {
+        "summarize": ("summarize",),
+        "geo": ("embed",),
+        "two_layer": ("embed", "--override", "pipeline=two_layer", "--override", PERMEABILITY),
+        "three_layer": (
+            "embed",
+            "--override",
+            "pipeline=three_layer",
+            "--override",
+            PERMEABILITY,
+            "--override",
+            'groups=["G"]',
+        ),
+        "geo_sweep": (
+            "sweep",
+            "--override",
+            'border_model={"kind": "linear", "cost_km": 0.0}',
+            "--override",
+            "sweep_costs_km=[0.0, 50.0]",
+        ),
+        "two_layer_sweep": (
+            "sweep",
+            "--override",
+            "pipeline=two_layer",
+            "--override",
+            PERMEABILITY,
+            "--override",
+            "sweep_probabilities=[0.95, 0.5]",
+        ),
+    }
+    TABLES = {
+        "rejections.csv",
+        "attacks_per_location.csv",
+        "groups_per_location.csv",
+        "fatalities_by_country_year.csv",
+        "embedding.csv",
+        "eigenvalues.csv",
+        "displacement.csv",
+        "separation_ratios.csv",
+    }
 
     @pytest.fixture
-    def comma_run(self, tmp_path):
-        """Four events, two of them in a country whose name holds a comma."""
+    def free_text_run(self, tmp_path):
+        """Six events in two countries, one named in a custom borders file, and a bad row."""
         header = ["event_date", "actor1", "latitude", "longitude", "country", "admin1"]
         header += ["event_type", "fatalities"]
         sites = [(-4.3, 15.3, self.COUNTRY), (-1.6, 13.6, self.COUNTRY)]
-        sites += [(0.4, 9.5, "Gabon"), (-1.7, 11.9, "Gabon")]
+        sites += [(-3.0, 12.5, self.COUNTRY), (0.4, 9.5, "Gabon")]
+        sites += [(-1.7, 11.9, "Gabon"), (1.5, 11.0, "Gabon")]
         with open(tmp_path / "events.csv", "w", encoding="utf-8", newline="") as fh:
             rows = csv.writer(fh)
             rows.writerow(header)
@@ -512,6 +556,7 @@ class TestFreeTextCells:
                 rows.writerow(
                     [f"2020-03-{day:02d}", "G", lat, lon, country, f"a{day}", "Battles", 1]
                 )
+            rows.writerow(["not a date", "G", 0.0, 10.0, "Gabon", "a7", "Battles", 1])
         with open(tmp_path / "borders.csv", "w", encoding="utf-8", newline="") as fh:
             csv.writer(fh).writerow([self.COUNTRY, "Gabon"])
         config = tmp_path / "config.json"
@@ -532,37 +577,29 @@ class TestFreeTextCells:
     def read_back(self, path):
         with open(path, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert {len(row) for row in rows} == {len(rows[0])}, path.name
+        assert {len(row) for row in rows} == {len(rows[0])}, path
         return [dict(zip(rows[0], row)) for row in rows[1:]]
 
-    def test_country_with_a_comma_reads_back(self, capsys, comma_run, tmp_path):
-        summary = tmp_path / "s"
-        rc, _, err = run_cli(capsys, "summarize", "--config", str(comma_run), "--out", str(summary))
-        assert rc == 0 and err == ""
-        deaths = self.read_back(summary / "fatalities_by_country_year.csv")
-        assert deaths == [
-            {"country": self.COUNTRY, "year": "2020", "fatalities": "2"},
-            {"country": "Gabon", "year": "2020", "fatalities": "2"},
-        ]
-        runs = {
-            "geo": (),
-            "two_layer": (
-                "--override",
-                "pipeline=two_layer",
-                "--override",
-                'border_model={"kind": "permeability", "p": 0.95}',
-            ),
-        }
-        for name, overrides in runs.items():
+    def test_every_table_reads_back_at_its_header_width(self, capsys, free_text_run, tmp_path):
+        tables = {}
+        for name, (command, *overrides) in self.RUNS.items():
             out_dir = tmp_path / name
             rc, _, err = run_cli(
-                capsys, "embed", "--config", str(comma_run), "--out", str(out_dir), *overrides
+                capsys, command, "--config", str(free_text_run), "--out", str(out_dir), *overrides
             )
-            assert rc == 0 and err == ""
-            files = ["embedding.csv"] + (["displacement.csv"] if name == "two_layer" else [])
-            for file in files:
-                rows = self.read_back(out_dir / file)
-                assert {row["country"] for row in rows} == {self.COUNTRY, "Gabon"}, file
+            assert (rc, err) == (0, ""), name
+            for path in sorted(out_dir.rglob("*.csv")):
+                tables[path.relative_to(tmp_path).as_posix()] = self.read_back(path)
+        assert {key.rpartition("/")[2] for key in tables} == self.TABLES
+        assert tables["summarize/fatalities_by_country_year.csv"] == [
+            {"country": self.COUNTRY, "year": "2020", "fatalities": "3"},
+            {"country": "Gabon", "year": "2020", "fatalities": "3"},
+        ]
+        for key, rows in tables.items():
+            if key.endswith("rejections.csv"):
+                assert rows == [{"line": "8", "reason": "unparseable date"}], key
+            elif "country" in rows[0]:
+                assert {row["country"] for row in rows} == {self.COUNTRY, "Gabon"}, key
 
 
 class TestByteOrderMark:
@@ -764,6 +801,21 @@ class TestFailureStages:
         rc, _, err = run_cli(capsys, "embed", "--config", str(fixture_run["config"]))
         assert rc == 1
         assert "error: config:" in err and "output directory" in err
+
+    def test_empty_paths_fail_in_config(self, capsys, fixture_run, tmp_path):
+        # An empty path would resolve to the config's own directory: the
+        # border graph would fail to read it, and outputs would land there.
+        config = fixture_run["config"]
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        raw["border_model"] = {"kind": "permeability", "p": 0.95}
+        before = sorted(fixture_run["dir"].iterdir())
+        for key, out in (("borders_csv", ("--out", str(tmp_path / "o"))), ("output_dir", ())):
+            for empty in ("", " \t"):
+                config.write_text(json.dumps({**raw, key: empty}), encoding="utf-8")
+                rc, _, err = run_cli(capsys, "embed", "--config", str(config), *out)
+                message = f"invalid config value: {key} must not be an empty path, got {empty!r}"
+                assert (rc, err) == (1, f"error: config: {message}\n")
+        assert sorted(fixture_run["dir"].iterdir()) == before
 
     def test_missing_events_file(self, capsys, fixture_run, tmp_path):
         rc, _, err = run_cli(

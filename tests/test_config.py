@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from permap.config import (
+    PIPELINES,
     BorderModel,
     RunConfig,
     apply_overrides,
@@ -18,6 +19,8 @@ from permap.config import (
 from permap.errors import ConfigError
 from permap.ingest import DEFAULT_CATEGORIES, ColumnMap
 from permap.sequence import GroupSplitRule
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestBorderModel:
@@ -185,6 +188,8 @@ class TestConfigFromDict:
             config_from_dict({})
         with pytest.raises(ConfigError, match="events_csv"):
             config_from_dict({"events_csv": ""})
+        with pytest.raises(ConfigError, match="events_csv must not be an empty path"):
+            config_from_dict({"events_csv": " "})
 
     def test_relative_paths_resolve_against_base_dir(self):
         raw = {"events_csv": "data/e.csv", "borders_csv": "b.csv", "output_dir": "out"}
@@ -322,6 +327,14 @@ class TestManifest:
         cfg = self.full_config()
         again = config_from_dict(manifest_dict(cfg, "embed"))
         assert again == cfg
+
+    def test_shipped_configs_round_trip(self, tmp_path):
+        events = tmp_path / "events.csv"
+        loaded = [load_config(path, [f"events_csv={events}"]) for path in CONFIGS.glob("*.json")]
+        assert {cfg.pipeline for cfg in loaded} == set(PIPELINES)
+        for cfg in loaded:
+            assert cfg.events_csv == str(events)
+            assert config_from_dict(manifest_dict(cfg, "embed")) == cfg
 
     def test_meta_block_present(self):
         doc = manifest_dict(self.full_config(), "sweep")

@@ -8,6 +8,9 @@ reads no events: the CLI builds locations and the sequence layer, and
 Two checks keep dead code out: every public function, class and method
 is read by the package or the benchmark, not only by tests, and no
 module imports a name it never reads.
+
+`fileio` alone knows the file formats: no other module makes a
+`csv.writer` or names the `utf-8-sig` codec.
 """
 
 import ast
@@ -178,3 +181,41 @@ def test_no_module_imports_a_name_it_never_uses():
         if path.name != "__init__.py"
     }
     assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def file_format_uses(source: str) -> list:
+    """(line, what) of each `csv.writer` reference and each string naming the utf-8-sig codec."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "writer":
+            if isinstance(node.value, ast.Name) and node.value.id == "csv":
+                found.append((node.lineno, "csv.writer"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            if any(alias.name == "writer" for alias in node.names):
+                found.append((node.lineno, "csv.writer"))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.lower().replace("_", "-") == "utf-8-sig":
+                found.append((node.lineno, "utf-8-sig"))
+    return sorted(found)
+
+
+def test_the_file_format_check_sees_writers_and_the_bom_codec():
+    source = "import csv\nfrom csv import reader, writer\nw = csv.writer(fh)\n"
+    source += "open(p, encoding='utf-8-sig')\nopen(p, encoding='UTF_8_SIG')\n"
+    source += "csv.reader(fh)\nopen(p, encoding='utf-8')\n'utf-8-sig is the BOM codec'\n"
+    assert file_format_uses(source) == [
+        (2, "csv.writer"),
+        (3, "csv.writer"),
+        (4, "utf-8-sig"),
+        (5, "utf-8-sig"),
+    ]
+
+
+def test_only_fileio_knows_the_file_formats():
+    found = {
+        path.name: file_format_uses(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "fileio.py"
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
+    assert file_format_uses((PACKAGE / "fileio.py").read_text(encoding="utf-8")) != []
