@@ -14,7 +14,6 @@ from .geo import (
     invert_distances,
     linear_border_distances,
 )
-from .layers import build_three_layer
 from .sequence import sequence_adjacency
 from .spectral import embed
 
@@ -23,7 +22,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CountryBorderGraph",
     "border_permeability_matrix",
-    "build_three_layer",
     "crossings_matrix",
     "distance_matrix",
     "embed",

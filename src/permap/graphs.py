@@ -13,8 +13,8 @@ symmetric or directed, held in one of three storages:
 operators ask of a layer: products with it and its transpose, row and
 column sums, the diagonal, the mean nonzero entry and the numbers it
 stores.
-`toarray` gives a dense copy in every storage, for the assembled
-reference builders. Only this module looks at the storage.
+`toarray` gives a dense copy in every storage, which the reference
+builders in `layers` assemble from. Only this module looks at the storage.
 
 A dense layer is stored C-contiguous. A dense symmetric layer multiplies
 through one triangle: the BLAS symmetric product `dsymv` reads only the
@@ -351,33 +351,8 @@ def laplacian_operator(w: WeightMatrix) -> LaplacianOperator:
     No n x n array is made, whatever the layer's storage.
     """
     if not (isinstance(w, WeightMatrix) and w.is_symmetric):
-        raise ValueError("laplacian requires a symmetric weight matrix; symmetrize first")
+        raise ValueError("laplacian requires a symmetric weight matrix")
     return LaplacianOperator(
         degrees=w.row_sums(), adjacency=w.__matmul__, layers=(w,), loops=w.diagonal()
     )
 
-
-def symmetrize(m) -> WeightMatrix:
-    """Average a square dense or sparse matrix with its transpose."""
-    values = m.values if isinstance(m, WeightMatrix) else m
-    if not _is_sparse(values):
-        values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ValueError("symmetrize requires a square matrix")
-    sym = (values + values.T) / 2.0
-    return WeightMatrix(sym.tocsr() if _is_sparse(sym) else sym, SYMMETRIC)
-
-
-def mean_nonzero_normalize(w: WeightMatrix) -> WeightMatrix:
-    """Divide every entry by the mean of the strictly nonzero entries.
-
-    Brings edge-weight magnitudes of differently scaled layers onto a
-    common footing: the nonzero entries of the result average to 1. The
-    result is dense, whatever the storage of `w`.
-    """
-    values = w.toarray()
-    nz = values[values != 0]
-    if nz.size == 0:
-        raise ValueError("cannot normalize an all-zero matrix")
-    values /= nz.mean()
-    return WeightMatrix(values, w.kind)

@@ -18,10 +18,10 @@ This module weights layers; it reads no events.
 `two_layer_operator` and `three_layer_operator` only list the blocks of
 their raw walk over the copies, each a product with one layer or a
 diagonal; `graphs.symmetrized_operator` turns them into the Laplacian.
-`build_two_layer` and `build_three_layer` assemble the 2n x 2n and
-6n x 6n systems from a dense copy of each layer, in any storage: the
-references the operators are tested against, and the assembly the
-benchmark's dense reference solve is built from.
+`build_two_layer` and `build_three_layer` write the 2n x 2n and 6n x 6n
+systems densely from a dense copy of each layer, in any storage (the
+second returns CSR). The operators are tested against them, and the
+benchmark's dense reference solve is built from them.
 
 `LAYOUTS` fixes the order of every multilayer system's points once:
 its layer tags, then the copies of each layer, then the locations.
@@ -52,14 +52,11 @@ from .geo import (
     priced_top,
 )
 from .graphs import (
-    DIRECTED,
     SYMMETRIC,
     GroupBlocks,
     LaplacianOperator,
     WeightMatrix,
     laplacian_operator,
-    mean_nonzero_normalize,
-    symmetrize,
     symmetrized_operator,
 )
 from .spectral import COORD_NAMES, MIN_BASIS, Embedding, PointRef, embed
@@ -207,67 +204,51 @@ def _layer_block(w: WeightMatrix, rows, diagonal):
     )
 
 
-def normalize_sequence_layer(w: WeightMatrix) -> WeightMatrix:
-    """Normalize the sequence layer and pad rows to a constant sum.
-
-    After dividing by the mean nonzero weight, every row gets a self-loop
-    sized to lift its sum to the maximum row sum S; nodes with no sequence
-    edges end up with a self-loop of weight S. The result is dense, from a
-    dense or a CSR layer alike.
-    """
-    try:
-        # A new dense array, whatever the storage of w, so it is padded in place.
-        values = mean_nonzero_normalize(w).values
-    except ValueError:
-        raise ValueError("sequence layer has no edges; nothing to normalize") from None
-    sums = values.sum(axis=1)
-    top = float(sums.max())
-    np.fill_diagonal(values, values.diagonal() + (top - sums))
-    return WeightMatrix(values, DIRECTED)
-
-
 def build_three_layer(
     w_border: WeightMatrix, w_dist: WeightMatrix, a_seq: WeightMatrix
 ) -> MultiLayerSystem:
     """Assemble border, distance, and sequence layers into a 6n x 6n system.
 
-    Every layer is normalized to unit mean nonzero weight (the sequence
-    layer additionally padded to constant row sums), budget-split half
-    within-layer and a quarter toward each other layer, and replicated
-    into out/in copies. Out/in copies of one node in one layer are joined
-    by an edge worth half the node's incident weight there. The result is
-    symmetrized and held as a sparse CSR matrix. The pipelines solve
-    through `three_layer_operator` instead; this assembled form is the
-    reference it is tested against.
+    Each layer is divided by the mean of its nonzero entries; the sequence
+    layer then gets self-loops that lift every row to the largest row sum.
+    With N that normalized layer and b its row sums (its budgets), the raw
+    walk runs from the layer's out-copies to in-copies: N / 2 + diag((b +
+    column sums of N) / 4) to its own in-copy, so each node's out/in pair
+    is joined by half its incident weight, and diag(b / 4) to the in-copy
+    of each other layer. The system is that walk averaged with its
+    transpose, held as a sparse CSR matrix. The pipelines solve through
+    `three_layer_operator` instead; this assembled form is the reference
+    it is tested against.
     """
     n = _check_three_layers(w_border, w_dist, a_seq)
-
-    normalized = [
-        mean_nonzero_normalize(w_border).values,
-        mean_nonzero_normalize(w_dist).values,
-        normalize_sequence_layer(a_seq).values,
-    ]
-    budgets = [
-        _check_positive(layer.sum(axis=1), tag) for tag, layer in zip(THREE_LAYER_TAGS, normalized)
-    ]
-    links = [(budget + layer.sum(axis=0)) / 4.0 for budget, layer in zip(budgets, normalized)]
-
-    # Row block 2*l holds layer l's out-copies, row block 2*l+1 its
-    # in-copies; pre-symmetrization weight flows out-rows -> in-columns.
-    grid = [[None] * 6 for _ in range(6)]
-    for li in range(3):
+    raw = np.zeros((6 * n, 6 * n))
+    diagonal = np.arange(n)
+    for li, (w, tag) in enumerate(zip((w_border, w_dist, a_seq), THREE_LAYER_TAGS)):
+        values = w.toarray()
+        nonzero = values[values != 0]
+        if not nonzero.size:
+            if li == 2:
+                raise ValueError("sequence layer has no edges; nothing to normalize")
+            raise ValueError("cannot normalize an all-zero matrix")
+        values /= nonzero.mean()
+        sums = values.sum(axis=1)
+        if li == 2:
+            values[diagonal, diagonal] += sums.max() - sums
+            sums = values.sum(axis=1)
+        budget = _check_positive(sums, tag)
+        # Row block 2*l holds layer l's out-copies, column block 2*l+1 its in-copies.
+        out = raw[2 * li * n : (2 * li + 1) * n]
         for lj in range(3):
-            if li == lj:
-                block = sparse.csr_matrix(normalized[li] / 2.0 + np.diag(links[li]))
+            block = out[:, (2 * lj + 1) * n : (2 * lj + 2) * n]
+            if lj == li:
+                block[...] = values / 2.0
+                block[diagonal, diagonal] += (budget + values.sum(axis=0)) / 4.0
             else:
-                block = sparse.diags(budgets[li] / 4.0, format="csr")
-            grid[2 * li][2 * lj + 1] = block
-        # bmat cannot size fully-empty block rows/columns; the in-copy
-        # rows and out-copy columns carry no pre-symmetrization weight.
-        grid[2 * li + 1][2 * li] = sparse.csr_matrix((n, n))
-    raw = sparse.bmat(grid, format="csr")
-
-    return _system("three_layer", n, symmetrize(raw))
+                block[diagonal, diagonal] = budget / 4.0
+    # The average (raw + raw.T) / 2, with one 6n x 6n temporary, not two.
+    raw += raw.T
+    raw /= 2.0
+    return _system("three_layer", n, WeightMatrix(sparse.csr_matrix(raw), SYMMETRIC))
 
 
 def _check_three_layers(w_border, w_dist, a_seq) -> int:

@@ -244,6 +244,47 @@ def two_layer_walk_matrix(w_a, w_b):
     return walk
 
 
+def three_layer_system(w_border, w_dist, a_seq):
+    """Symmetrized 6n x 6n three-layer system, reassembled entry by entry.
+
+    Each layer (a plain n x n array) is divided by the mean of its nonzero
+    entries, and the sequence layer padded with self-loops to the largest
+    row sum. Every out-copy row then spends half its budget inside its
+    layer and a quarter on its in-copy in each other layer; the out/in
+    pair of one node in one layer is joined by (out budget + in budget) / 4.
+    The raw walk averaged with its transpose is returned.
+    """
+    import numpy as np
+
+    n = len(w_border)
+    layers = []
+    for m in (w_border, w_dist, a_seq):
+        m = np.array(m, dtype=float)
+        nonzero = m[m != 0]
+        layers.append(m / nonzero.mean())
+    seq = layers[2]
+    row_sums = seq.sum(axis=1)
+    top = row_sums.max()
+    for i in range(n):
+        seq[i, i] += top - row_sums[i]
+
+    raw = np.zeros((6 * n, 6 * n))
+    for li, layer in enumerate(layers):
+        out_budget = layer.sum(axis=1)
+        in_budget = layer.sum(axis=0)
+        for i in range(n):
+            out_row = 2 * li * n + i
+            for lj in range(3):
+                for j in range(n):
+                    in_col = (2 * lj + 1) * n + j
+                    if li == lj:
+                        raw[out_row, in_col] += layer[i, j] / 2.0
+                    elif i == j:
+                        raw[out_row, in_col] += out_budget[i] / 4.0
+            raw[out_row, (2 * li + 1) * n + i] += (out_budget[i] + in_budget[i]) / 4.0
+    return (raw + raw.T) / 2.0
+
+
 def laplacian(w):
     """Combinatorial Laplacian diag(row sums) - W, in the storage of the weights.
 
@@ -255,7 +296,7 @@ def laplacian(w):
     from scipy import sparse
 
     if not getattr(w, "is_symmetric", True):
-        raise ValueError("laplacian requires a symmetric weight matrix; symmetrize first")
+        raise ValueError("laplacian requires a symmetric weight matrix")
     values = getattr(w, "values", w)
     if sparse.issparse(values):
         return (sparse.diags(np.asarray(values.sum(axis=1)).ravel()) - values).tocsr()

@@ -22,6 +22,7 @@ from oracles import (
     laplacian,
     matrix_operator,
     principal_angle_cos,
+    three_layer_system,
     traversal_components,
     two_layer_walk_matrix,
 )
@@ -46,7 +47,6 @@ from permap.layers import (
     build_three_layer,
     build_two_layer,
     country_separation_ratio,
-    normalize_sequence_layer,
     prepare,
     solve,
 )
@@ -223,43 +223,12 @@ def test_c07_two_layer_walk_structure():
     )
 
 
-def _scripted_three_layer_reference(w_border, w_dist, a_seq):
-    """Literal reassembly: normalize, pad, split 0.5/0.25/0.25, replicate."""
-    n = len(w_border)
-    layers = []
-    for m in (w_border, w_dist, a_seq):
-        m = np.array(m, dtype=float)
-        nonzero = m[m != 0]
-        layers.append(m / nonzero.mean())
-    seq = layers[2]
-    row_sums = seq.sum(axis=1)
-    top = row_sums.max()
-    for i in range(n):
-        seq[i, i] += top - row_sums[i]
-
-    raw = np.zeros((6 * n, 6 * n))
-    for li, layer in enumerate(layers):
-        out_budget = layer.sum(axis=1)
-        in_budget = layer.sum(axis=0)
-        for i in range(n):
-            out_row = 2 * li * n + i
-            for lj in range(3):
-                for j in range(n):
-                    in_col = (2 * lj + 1) * n + j
-                    if li == lj:
-                        raw[out_row, in_col] += layer[i, j] / 2.0
-                    elif i == j:
-                        raw[out_row, in_col] += out_budget[i] / 4.0
-            raw[out_row, (2 * li + 1) * n + i] += (out_budget[i] + in_budget[i]) / 4.0
-    return (raw + raw.T) / 2.0, top
-
-
 def test_c08_three_layer_assembly_matches_scripted_reference():
     w_border = [[0.0, 1.0, 0.95], [1.0, 0.0, 0.95], [0.95, 0.95, 0.0]]
     w_dist = [[0.0, 2.0, 1.0], [2.0, 0.0, 3.0], [1.0, 3.0, 0.0]]
     a_seq = [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
 
-    want, top = _scripted_three_layer_reference(w_border, w_dist, a_seq)
+    want = three_layer_system(w_border, w_dist, a_seq)
     system = build_three_layer(
         WeightMatrix(np.array(w_border), SYMMETRIC),
         WeightMatrix(np.array(w_dist), SYMMETRIC),
@@ -269,10 +238,6 @@ def test_c08_three_layer_assembly_matches_scripted_reference():
     assert got.shape == (18, 18)
     assert np.abs(got - want).max() <= 1e-12
     assert np.array_equal(got, got.T)
-
-    padded = normalize_sequence_layer(WeightMatrix(np.array(a_seq), DIRECTED)).values
-    sums = padded.sum(axis=1)
-    assert np.abs(sums - top).max() <= 1e-12
 
 
 def test_c09_sequence_extraction_matches_brute_force():

@@ -914,6 +914,39 @@ class TestFailureStages:
         )
         assert rc == 0
 
+    def test_three_layer_group_that_never_moves_fails_in_assembly(
+        self, capsys, fixture_run, tmp_path
+    ):
+        # The only selected group attacks one location twice: no transitions.
+        lines = fixture_run["events"].read_text(encoding="utf-8").splitlines()
+        cells = lines[1].split(",")
+        lone = [",".join([f"2024-02-0{day}", "Lone", *cells[2:]]) for day in (1, 2)]
+        (fixture_run["dir"] / "lone.csv").write_text(
+            "\n".join(lines + lone) + "\n", encoding="utf-8"
+        )
+        out_dir = tmp_path / "o"
+        rc, _, err = run_cli(
+            capsys,
+            "embed",
+            "--config",
+            str(fixture_run["config"]),
+            "--out",
+            str(out_dir),
+            "--override",
+            "events_csv=lone.csv",
+            "--override",
+            "pipeline=three_layer",
+            "--override",
+            'border_model={"kind": "permeability", "p": 0.95}',
+            "--override",
+            'groups=["Lone"]',
+        )
+        assert (rc, err) == (
+            1,
+            "error: assembly: sequence layer has no edges; nothing to normalize\n",
+        )
+        assert not out_dir.exists()
+
     def test_non_finite_border_value_fails_in_config(self, capsys, fixture_run, tmp_path):
         raw = json.loads(fixture_run["config"].read_text(encoding="utf-8"))
         raw["border_model"] = {"kind": "linear", "cost_km": float("nan")}

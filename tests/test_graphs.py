@@ -9,8 +9,6 @@ from permap.graphs import (
     WeightMatrix,
     asymmetry,
     laplacian_operator,
-    mean_nonzero_normalize,
-    symmetrize,
 )
 
 PRODUCT_RTOL = 1e-13
@@ -168,27 +166,6 @@ class TestLaplacian:
             assert near_zero == want
 
 
-class TestSymmetrize:
-    def test_symmetric_unchanged(self):
-        m = np.array([[0.0, 2.0], [2.0, 0.0]])
-        assert np.array_equal(symmetrize(m).values, m)
-
-    def test_single_directed_edge(self):
-        out = symmetrize(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert np.array_equal(out.values, [[0.0, 0.5], [0.5, 0.0]])
-
-    def test_result_equals_own_transpose_and_idempotent(self):
-        rng = np.random.default_rng(9)
-        m = rng.uniform(0, 1, (5, 5))
-        once = symmetrize(m).values
-        assert np.array_equal(once, once.T)
-        assert np.array_equal(symmetrize(once).values, once)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            symmetrize(np.zeros((2, 3)))
-
-
 # Sizes around the 256-wide tiles of the dense kernels.
 TILE_EDGE_SIZES = (1, 2, 255, 256, 257, 600)
 
@@ -201,12 +178,6 @@ def weights_with_zeros(rng, n):
 
 
 class TestTiledKernelsMatchPlainFormulas:
-    def test_symmetrize(self):
-        rng = np.random.default_rng(71)
-        for n in TILE_EDGE_SIZES:
-            v = weights_with_zeros(rng, n)
-            assert np.array_equal(symmetrize(v).values, (v + v.T) / 2.0)
-
     def test_asymmetry_dense_and_sparse(self):
         rng = np.random.default_rng(72)
         for n in TILE_EDGE_SIZES:
@@ -220,43 +191,13 @@ class TestTiledKernelsMatchPlainFormulas:
     def test_laplacian_values_and_zero_signs(self):
         rng = np.random.default_rng(73)
         for n in TILE_EDGE_SIZES:
-            w = symmetrize(weights_with_zeros(rng, n))
+            v = weights_with_zeros(rng, n)
+            w = WeightMatrix((v + v.T) / 2.0, SYMMETRIC)
             got = laplacian(w)
             want = np.diag(w.values.sum(axis=1)) - w.values
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
             assert got.flags.c_contiguous and got.dtype == np.float64
-
-
-class TestMeanNonzeroNormalize:
-    def test_two_entry_example(self):
-        w = wm([[0.0, 2.0], [2.0, 0.0]], SYMMETRIC)
-        # nonzero entries {2, 2} have mean 2
-        assert np.array_equal(mean_nonzero_normalize(w).values, [[0.0, 1.0], [1.0, 0.0]])
-        w = wm([[0, 2, 0], [2, 0, 4], [0, 4, 0.0]])
-        out = mean_nonzero_normalize(w).values
-        assert np.allclose(out[0, 1], 2 / 3, atol=1e-15)
-        assert np.allclose(out[1, 2], 4 / 3, atol=1e-15)
-
-    def test_constant_entries_become_one(self):
-        w = wm([[0, 7, 7], [7, 0, 0], [7, 0, 0.0]])
-        out = mean_nonzero_normalize(w).values
-        assert np.array_equal(out != 0, w.values != 0)
-        assert np.allclose(out[out != 0], 1.0, atol=0)
-
-    def test_result_mean_is_one_and_ratios_kept(self):
-        rng = np.random.default_rng(21)
-        m = rng.uniform(0, 5, (8, 8)) * (rng.uniform(size=(8, 8)) < 0.6)
-        w = WeightMatrix(m, DIRECTED)
-        out = mean_nonzero_normalize(w).values
-        nz = out[out != 0]
-        assert abs(nz.mean() - 1.0) <= 1e-12
-        src = m[m != 0]
-        assert np.allclose(src / src[0], nz / nz[0], rtol=1e-12)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError, match="all-zero"):
-            mean_nonzero_normalize(wm(np.zeros((3, 3))))
 
 
 def test_laplacian_type_exposes_n():

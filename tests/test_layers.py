@@ -19,7 +19,7 @@ from permap.geo import (
     border_permeability_matrix,
     country_crossings,
 )
-from permap.graphs import DIRECTED, SYMMETRIC, WeightMatrix
+from permap.graphs import DIRECTED, SYMMETRIC, GroupBlocks, WeightMatrix
 from permap.layers import (
     IN,
     LAYOUTS,
@@ -33,9 +33,9 @@ from permap.layers import (
     build_two_layer,
     country_separation_ratio,
     displacement,
-    normalize_sequence_layer,
     prepare,
     solve,
+    three_layer_operator,
     two_layer_operator,
     write_displacement_csv,
 )
@@ -189,38 +189,6 @@ class TestEmbedTwoLayer:
         assert report.rows[0].length > 0
 
 
-class TestNormalizeSequenceLayer:
-    def test_five_node_fixture(self):
-        a = np.zeros((5, 5))
-        a[0, 1:] = 1.0
-        a[1, 0] = 1.0
-        out = normalize_sequence_layer(directed(a))
-        assert out.kind == DIRECTED
-        # six unit weights have mean 1, so only the padding changes anything
-        want = np.array(a)
-        want[np.diag_indices(5)] = [0.0, 3.0, 4.0, 4.0, 4.0]
-        assert np.array_equal(out.values, want)
-        assert np.array_equal(out.values.sum(axis=1), np.full(5, 4.0))
-
-    def test_row_sums_constant_after_padding(self):
-        rng = np.random.default_rng(65)
-        a = rng.uniform(0, 3, (7, 7)) * (rng.uniform(size=(7, 7)) < 0.4)
-        np.fill_diagonal(a, 0.0)
-        if not a.any():
-            a[0, 1] = 1.0
-        out = normalize_sequence_layer(directed(a)).values
-        sums = out.sum(axis=1)
-        assert np.abs(sums - sums[0]).max() <= 1e-12
-        # off-diagonal ratios survive the rescale
-        nz = a != 0
-        ratio = out[nz] / a[nz]
-        assert np.abs(ratio - ratio[0]).max() <= 1e-12
-
-    def test_empty_layer_rejected(self):
-        with pytest.raises(ValueError, match="no edges"):
-            normalize_sequence_layer(directed(np.zeros((3, 3))))
-
-
 class TestBudgetAssembly:
     def test_block_structure(self):
         m0 = np.array([[0.0, 2.0], [2.0, 0.0]])
@@ -331,6 +299,29 @@ class TestBuildThreeLayer:
         _, w_dist, a_seq = three_layer_fixture()
         with pytest.raises(IsolatedNodeError, match="node 2 in layer 'border'"):
             build_three_layer(w_border, w_dist, a_seq)
+
+
+EMPTY_LAYERS = {
+    "border": (0, sym(np.zeros((3, 3))), "all-zero"),
+    "border_blocks": (
+        0,
+        WeightMatrix(GroupBlocks(np.zeros(3, dtype=int), np.zeros((1, 1))), SYMMETRIC),
+        "all-zero",
+    ),
+    "distance": (1, sym(np.zeros((3, 3))), "all-zero"),
+    "sequence": (2, directed(np.zeros((3, 3))), "no edges"),
+    "sequence_csr": (2, WeightMatrix(sparse.csr_matrix((3, 3)), DIRECTED), "no edges"),
+}
+
+
+@pytest.mark.parametrize("build", [build_three_layer, three_layer_operator])
+@pytest.mark.parametrize("empty", EMPTY_LAYERS)
+def test_an_empty_three_layer_input_is_refused(build, empty):
+    position, layer, message = EMPTY_LAYERS[empty]
+    inputs = list(three_layer_fixture())
+    inputs[position] = layer
+    with pytest.raises(ValueError, match=message):
+        build(*inputs)
 
 
 class TestBuildersTakeEveryBorderStorage:

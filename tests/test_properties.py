@@ -11,6 +11,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import sparse
 
 from conftest import events_csv_text, make_event, make_location
 from oracles import (
@@ -22,6 +23,7 @@ from oracles import (
     record_split_groups,
     record_summarize,
     reference_ingest,
+    three_layer_system,
 )
 from permap.cli import main
 from permap.geo import (
@@ -47,18 +49,12 @@ from permap.graphs import (
     GroupBlocks,
     WeightMatrix,
     laplacian_operator,
-    mean_nonzero_normalize,
-    symmetrize,
 )
-from permap.layers import build_two_layer, prepare, solve, system_operator
+from permap.layers import build_three_layer, build_two_layer, prepare, solve, system_operator
 from permap.sequence import GroupSplitRule, sequence_adjacency, split_groups
 from permap.spectral import embed, fix_signs
 
 finite = {"allow_nan": False, "allow_infinity": False}
-
-
-def square(side, low=0.0, high=10.0):
-    return arrays(np.float64, (side, side), elements=st.floats(low, high, **finite))
 
 
 @settings(max_examples=60, deadline=None)
@@ -92,28 +88,43 @@ def test_sequence_counts_match_brute_force(case):
 weight_or_zero = st.one_of(st.just(0.0), st.floats(0.25, 10.0, **finite))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(2, 6).flatmap(
-        lambda n: arrays(np.float64, (n, n), elements=weight_or_zero)
-    )
-)
-def test_mean_nonzero_normalize_properties(m):
-    if not m.any():
-        m[0, 0] = 1.0
-    out = mean_nonzero_normalize(WeightMatrix(m, DIRECTED)).values
-    nz = out[out != 0]
-    assert abs(float(nz.mean()) - 1.0) <= 1e-12
-    assert np.array_equal(out != 0, m != 0)
+@st.composite
+def three_layer_inputs(draw):
+    """Three layers as the builder takes them, and each as a plain array.
+
+    The border layer is dense or group blocks, the sequence layer dense or
+    CSR; every border and distance node has an edge, and the sequence
+    layer has at least one.
+    """
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        groups = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        table = draw(arrays(np.float64, (3, 3), elements=weight_or_zero))
+        table = (table + table.T) / 2.0
+        border = table[np.ix_(groups, groups)]
+        np.fill_diagonal(border, 0.0)
+        w_border = WeightMatrix(GroupBlocks(groups, table), SYMMETRIC)
+    else:
+        border = draw(arrays(np.float64, (n, n), elements=weight_or_zero))
+        border = (border + border.T) / 2.0
+        w_border = WeightMatrix(border, SYMMETRIC)
+    dist = draw(arrays(np.float64, (n, n), elements=weight_or_zero))
+    dist = (dist + dist.T) / 2.0
+    seq = draw(arrays(np.float64, (n, n), elements=st.integers(0, 4).map(float)))
+    assume((border.sum(axis=1) > 0).all() and (dist.sum(axis=1) > 0).all() and seq.any())
+    stored = sparse.csr_matrix(seq) if draw(st.booleans()) else seq
+    layers = (w_border, WeightMatrix(dist, SYMMETRIC), WeightMatrix(stored, DIRECTED))
+    return layers, (border, dist, seq)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(2, 6).flatmap(lambda n: square(n, 0.0, 5.0)))
-def test_symmetrize_properties(m):
-    out = symmetrize(m).values
-    assert np.array_equal(out, out.T)
-    assert np.array_equal(symmetrize(out).values, out)
-    assert abs(out.sum() - m.sum()) <= 1e-9 * max(abs(m).sum(), 1.0)
+@given(three_layer_inputs())
+def test_three_layer_assembly_matches_the_oracle(case):
+    layers, plain = case
+    got = build_three_layer(*layers).assembled.values.toarray()
+    want = three_layer_system(*plain)
+    assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+    assert np.array_equal(got, got.T)
 
 
 coordinate = st.tuples(
