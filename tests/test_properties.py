@@ -127,6 +127,60 @@ def test_three_layer_assembly_matches_the_oracle(case):
     assert np.array_equal(got, got.T)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2),
+    st.integers(2, 6).flatmap(
+        lambda n: arrays(np.float64, (n, n), elements=weight_or_zero)
+    ),
+)
+def test_mean_nonzero_normalize_properties(slot, m):
+    """Each layer enters the system divided by the mean of its nonzero entries.
+
+    Off its diagonal, a layer's out->in block of the assembled system is a
+    quarter of the normalized layer (half a step, then averaged with a zero
+    in->out block), so four times it has nonzero mean one and the support
+    of the layer as given.
+    """
+    n = len(m)
+    np.fill_diagonal(m, 0.0)
+    if slot < 2:
+        m = (m + m.T) / 2.0
+        assume((m.sum(axis=1) > 0).all())
+    else:
+        assume(m.any())
+    filler = np.ones((n, n)) - np.eye(n)
+    plain = [filler, filler, filler]
+    plain[slot] = m
+    kinds = (SYMMETRIC, SYMMETRIC, DIRECTED)
+    system = build_three_layer(*(WeightMatrix(p, k) for p, k in zip(plain, kinds)))
+    dense = system.assembled.values.toarray()
+    out_row, in_col = 2 * slot * n, (2 * slot + 1) * n
+    got = 4.0 * dense[out_row : out_row + n, in_col : in_col + n]
+    np.fill_diagonal(got, 0.0)
+    assert abs(float(got[got != 0].mean()) - 1.0) <= 1e-12
+    assert np.array_equal(got != 0, m != 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(three_layer_inputs())
+def test_symmetrize_properties(case):
+    """The system is the raw walk averaged with its transpose.
+
+    So it equals its own transpose exactly, averaging it again changes
+    nothing, and it keeps the raw walk's total: 3/2 of the normalized
+    layers' totals, where a layer divided by its nonzero mean totals its
+    nonzero count and the padded sequence layer n times its largest row.
+    """
+    layers, (border, dist, seq) = case
+    got = build_three_layer(*layers).assembled.values.toarray()
+    assert np.array_equal(got, got.T)
+    assert np.array_equal((got + got.T) / 2.0, got)
+    seq_total = len(seq) * seq.sum(axis=1).max() / seq[seq != 0].mean()
+    want = 1.5 * (np.count_nonzero(border) + np.count_nonzero(dist) + seq_total)
+    assert abs(got.sum() - want) <= 1e-9 * want
+
+
 coordinate = st.tuples(
     st.floats(-90.0, 90.0, **finite), st.floats(-180.0, 180.0, **finite)
 )
