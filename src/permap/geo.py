@@ -9,7 +9,9 @@ crossings, used directly as an edge weight).
 Crossings depend only on the two locations' countries, so the pipelines
 keep them as a country code per location and a country-by-country hop
 table (`country_crossings`). The permeability weights then stay per pair
-of countries (`border_blocks`, a WeightMatrix over a GroupBlocks). The
+of countries (`border_blocks`, a WeightMatrix over a GroupBlocks). Every
+layer made here is undirected, and a WeightMatrix reads that off its
+storage: a dense array or a GroupBlocks is symmetric. The
 linear model keeps only the km matrix: its priced, inverted weights
 1.1 * max(d + cost * crossings) - (d + cost * crossings) are never
 formed, and their scale comes from the farthest pair of each two
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, DisconnectedGraphError
 from .fileio import open_input
-from .graphs import SYMMETRIC, GroupBlocks, WeightMatrix
+from .graphs import GroupBlocks, WeightMatrix
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -85,7 +87,7 @@ def distance_matrix(locations) -> WeightMatrix:
         d[rows, cols] = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(h, 0.0, 1.0)))
         d[stop:, rows] = d[rows, stop:].T
     np.fill_diagonal(d, 0.0)
-    return WeightMatrix(d, SYMMETRIC)
+    return WeightMatrix(d)
 
 
 def invert_distances(d: WeightMatrix) -> WeightMatrix:
@@ -97,7 +99,7 @@ def invert_distances(d: WeightMatrix) -> WeightMatrix:
     """
     if not d.is_symmetric:
         raise ValueError("invert_distances expects a symmetric distance matrix")
-    return WeightMatrix(_invert(d.values, np.empty(d.values.shape)), SYMMETRIC)
+    return WeightMatrix(_invert(d.values, np.empty(d.values.shape)))
 
 
 def closeness_matrix(locations) -> WeightMatrix:
@@ -107,7 +109,7 @@ def closeness_matrix(locations) -> WeightMatrix:
     so the result is bit-equal to it, and only one n x n array is held.
     """
     values = distance_matrix(locations).values
-    return WeightMatrix(_invert(values, values), SYMMETRIC)
+    return WeightMatrix(_invert(values, values))
 
 
 def _invert(values: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -254,7 +256,7 @@ def linear_border_distances(d: WeightMatrix, b: np.ndarray, cost_km: float) -> W
     _check_cost(cost_km)
     if d.values.shape != np.asarray(b).shape:
         raise ValueError("distance and crossing matrices must have the same shape")
-    return WeightMatrix(d.values + cost_km * np.asarray(b, dtype=float), SYMMETRIC)
+    return WeightMatrix(d.values + cost_km * np.asarray(b, dtype=float))
 
 
 def border_permeability_matrix(b: np.ndarray, p: float) -> WeightMatrix:
@@ -266,7 +268,7 @@ def border_permeability_matrix(b: np.ndarray, p: float) -> WeightMatrix:
     _check_probability(p)
     w = np.power(float(p), np.asarray(b, dtype=float))
     np.fill_diagonal(w, 0.0)
-    return WeightMatrix(w, SYMMETRIC)
+    return WeightMatrix(w)
 
 
 def border_blocks(codes: np.ndarray, hops: np.ndarray, p: float) -> WeightMatrix:
@@ -276,7 +278,7 @@ def border_blocks(codes: np.ndarray, hops: np.ndarray, p: float) -> WeightMatrix
     the n x n matrix, which is never formed.
     """
     _check_probability(p)
-    return WeightMatrix(GroupBlocks(codes, np.power(float(p), hops.astype(float))), SYMMETRIC)
+    return WeightMatrix(GroupBlocks(codes, np.power(float(p), hops.astype(float))))
 
 
 def country_farthest(d: WeightMatrix, codes=None) -> np.ndarray:

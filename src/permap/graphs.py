@@ -1,13 +1,13 @@
 """Weighted-graph layers and the Laplacian operator built from them.
 
-A layer is a `WeightMatrix`: n x n nonnegative edge weights, flagged
-symmetric or directed, held in one of three storages:
+A layer is a `WeightMatrix`: n x n nonnegative edge weights in one of
+three storages, and the storage is the kind of layer:
 
-- a dense numpy array (the distance layer);
-- a scipy.sparse CSR matrix (the sequence layer);
-- a `GroupBlocks`, for weights that are constant on the blocks of a
-  grouping of the nodes (the border layer: one value per pair of
-  countries), stored as the group of each node plus a small table.
+- a dense numpy array is symmetric (the distance layer);
+- a `GroupBlocks` is symmetric: weights that are constant on the blocks
+  of a grouping of the nodes (the border layer: one value per pair of
+  countries), stored as the group of each node plus a small table;
+- a scipy.sparse matrix, held as CSR, is directed (the sequence layer).
 
 `WeightMatrix` validates its entries once and answers every question the
 operators ask of a layer: products with it and its transpose, row and
@@ -16,13 +16,13 @@ stores.
 `toarray` gives a dense copy in every storage, which the reference
 builders in `layers` assemble from. Only this module looks at the storage.
 
-A dense layer is stored C-contiguous. A dense symmetric layer multiplies
-through one triangle: the BLAS symmetric product `dsymv` reads only the
-row-major upper triangle, half the memory a full matrix product reads,
-in about half its time (0.81 -> 0.38 ms at n = 3000 on a 2-CPU host with
-OpenBLAS 0.3.31). A layer flagged symmetric whose triangles differ
-within SYMMETRY_RTOL multiplies, in either direction, as its upper
-triangle mirrored. The distance layers the pipelines build are exactly
+A dense layer is stored C-contiguous and multiplies through one
+triangle: the BLAS symmetric product `dsymv` reads only the row-major
+upper triangle, half the memory a full matrix product reads, in about
+half its time (0.81 -> 0.38 ms at n = 3000 on a 2-CPU host with
+OpenBLAS 0.3.31). A dense layer whose triangles differ within
+SYMMETRY_RTOL multiplies, in either direction, as its upper triangle
+mirrored. The distance layers the pipelines build are exactly
 symmetric.
 
 `LaplacianOperator` is the Laplacian diag(degrees) - A of a symmetric
@@ -49,9 +49,6 @@ from scipy.linalg.blas import dsymv
 
 SYMMETRY_RTOL = 1e-10
 
-SYMMETRIC = "symmetric"
-DIRECTED = "directed"
-
 # Side of the square tiles `asymmetry` works on.
 _TILE = 256
 
@@ -60,9 +57,7 @@ def _is_sparse(values):
     return sparse.issparse(values)
 
 
-def _max_abs(values) -> float:
-    if _is_sparse(values):
-        return float(abs(values).max()) if values.nnz else 0.0
+def _max_abs(values: np.ndarray) -> float:
     return float(max(values.max(), -values.min())) if values.size else 0.0
 
 
@@ -82,10 +77,8 @@ def _upper_tiles(n: int):
                 yield slice(i, i + _TILE), slice(j, j + _TILE)
 
 
-def asymmetry(values) -> float:
-    """Largest absolute difference between a matrix and its transpose."""
-    if _is_sparse(values):
-        return _max_abs(values - values.T)
+def asymmetry(values: np.ndarray) -> float:
+    """Largest absolute difference between a dense matrix and its transpose."""
     # |a - b| == |b - a| exactly, so the tiles on and above the diagonal
     # see every difference; np.max keeps a NaN, as abs(diff).max() does.
     worst = [
@@ -103,8 +96,8 @@ class GroupBlocks:
     on it: with locations grouped by country and a table of p ** hops,
     this is the border layer E P E^T - I, where E is the n x C
     location-to-country indicator. Only the n groups and the C x C table
-    are stored, and a product costs O(n + C^2). The table's entries are
-    checked by the WeightMatrix that holds it, which must be symmetric.
+    are stored, and a product costs O(n + C^2). It is a symmetric layer:
+    the WeightMatrix that holds it checks that its table is symmetric.
     """
 
     groups: np.ndarray
@@ -155,42 +148,37 @@ class GroupBlocks:
 
 @dataclass(frozen=True)
 class WeightMatrix:
-    """n x n nonnegative edge weights, flagged symmetric or directed.
+    """n x n nonnegative edge weights; the storage fixes the kind.
 
-    `values` is a dense array, stored C-contiguous, a scipy.sparse
-    matrix or a GroupBlocks (whose table is what gets checked here; it
-    must be flagged symmetric). Entries must be finite and nonnegative,
-    and a matrix flagged symmetric must equal its transpose to
-    SYMMETRY_RTOL. A dense symmetric layer multiplies as its upper
-    triangle mirrored, which is itself when it is exactly symmetric.
+    `values` is a dense array, stored C-contiguous, or a GroupBlocks
+    (whose table is what gets checked here): a symmetric layer, which
+    must equal its transpose to SYMMETRY_RTOL. A dense layer multiplies
+    as its upper triangle mirrored, which is itself when it is exactly
+    symmetric. A scipy.sparse matrix, stored CSR, is a directed layer.
+    Entries must be finite and nonnegative.
     """
 
     values: object
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in (SYMMETRIC, DIRECTED):
-            raise ValueError(f"unknown weight-matrix kind {self.kind!r}")
         v = self.values
-        blocks = isinstance(v, GroupBlocks)
-        if not (blocks or _is_sparse(v)):
+        if _is_sparse(v):
+            v = v.tocsr()
+        elif not isinstance(v, GroupBlocks):
             v = np.ascontiguousarray(v, dtype=float)
-            object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", v)
         if len(v.shape) != 2 or v.shape[0] != v.shape[1]:
             raise ValueError(f"weight matrix must be square, got shape {v.shape}")
-        if blocks and self.kind != SYMMETRIC:
-            raise ValueError("group blocks must be flagged symmetric")
-        entries = v.table if blocks else v
+        entries = v.table if isinstance(v, GroupBlocks) else v
         # A NaN shows in both extremes and an infinity in one of them.
         low, high = _extremes(entries)
         if not (np.isfinite(low) and np.isfinite(high)):
             raise ValueError("weight matrix entries must be finite")
         if low < 0:
             raise ValueError("weight matrix entries must be nonnegative")
-        if self.kind == SYMMETRIC:
-            # Entries are nonnegative, so the largest is the largest magnitude.
-            if asymmetry(entries) > SYMMETRY_RTOL * max(high, 1.0):
-                raise ValueError("matrix flagged symmetric is not symmetric")
+        # Entries are nonnegative, so the largest is the largest magnitude.
+        if self.is_symmetric and asymmetry(entries) > SYMMETRY_RTOL * max(high, 1.0):
+            raise ValueError("a dense or group-block layer is not symmetric")
 
     @property
     def n(self) -> int:
@@ -202,11 +190,12 @@ class WeightMatrix:
 
     @property
     def is_symmetric(self) -> bool:
-        return self.kind == SYMMETRIC
+        """Dense and group-block layers are symmetric, sparse ones directed."""
+        return not _is_sparse(self.values)
 
     def __matmul__(self, x):
         v = self.values
-        if self.is_symmetric and isinstance(v, np.ndarray):
+        if isinstance(v, np.ndarray):
             # dsymv reads a longer or a flattened x without complaint.
             if np.shape(x) != (self.n,):
                 raise ValueError(
@@ -227,13 +216,12 @@ class WeightMatrix:
         """x -> W^T x. The transpose of a directed layer is made here, once.
 
         A symmetric layer multiplies as itself, a dense one through its
-        upper triangle; a CSR transpose is turned back into CSR, whose
-        products are several times faster.
+        upper triangle; a directed layer's CSR transpose is turned back
+        into CSR, whose products are several times faster.
         """
         if self.is_symmetric:
             return self.__matmul__
-        v = self.values
-        return (v.T.tocsr() if _is_sparse(v) else v.T).__matmul__
+        return self.values.T.tocsr().__matmul__
 
     def row_sums(self) -> np.ndarray:
         v = self.values

@@ -19,9 +19,9 @@ This module weights layers; it reads no events.
 their raw walk over the copies, each a product with one layer or a
 diagonal; `graphs.symmetrized_operator` turns them into the Laplacian.
 `build_two_layer` and `build_three_layer` write the 2n x 2n and 6n x 6n
-systems densely from a dense copy of each layer, in any storage (the
-second returns CSR). The operators are tested against them, and the
-benchmark's dense reference solve is built from them.
+systems as dense arrays, from a dense copy of each layer in any storage.
+The operators are tested against them, and the benchmark's dense
+reference solve is built from them.
 
 `LAYOUTS` fixes the order of every multilayer system's points once:
 its layer tags, then the copies of each layer, then the locations.
@@ -39,7 +39,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .errors import InsufficientMemoryError, IsolatedNodeError, stage
 from .fileio import write_csv
@@ -52,7 +51,6 @@ from .geo import (
     priced_top,
 )
 from .graphs import (
-    SYMMETRIC,
     GroupBlocks,
     LaplacianOperator,
     WeightMatrix,
@@ -173,14 +171,14 @@ def build_two_layer(w_a: WeightMatrix, w_b: WeightMatrix) -> MultiLayerSystem:
     cross = np.arange(n)
     assembled[cross, n + cross] = 0.5
     assembled[n + cross, cross] = 0.5
-    return _system("two_layer", n, WeightMatrix(assembled, SYMMETRIC))
+    return _system("two_layer", n, WeightMatrix(assembled))
 
 
 def two_layer_operator(w_a, w_b) -> LaplacianOperator:
     """The Laplacian of build_two_layer(w_a, w_b).assembled, from the two layers alone.
 
-    Layers are symmetric WeightMatrix objects in any storage, checked as
-    in build_two_layer. The raw walk has one block per layer on that
+    Layers are symmetric WeightMatrix objects, dense or group blocks,
+    checked as in build_two_layer. The raw walk has one block per layer on that
     layer's copy: W without its diagonal, rows scaled by D^-1 / 2, where D
     are its row sums. One identity block leads from copy 0 to copy 1;
     symmetrized, it is the I / 2 coupling both ways.
@@ -216,7 +214,7 @@ def build_three_layer(
     column sums of N) / 4) to its own in-copy, so each node's out/in pair
     is joined by half its incident weight, and diag(b / 4) to the in-copy
     of each other layer. The system is that walk averaged with its
-    transpose, held as a sparse CSR matrix. The pipelines solve through
+    transpose, held dense. The pipelines solve through
     `three_layer_operator` instead; this assembled form is the reference
     it is tested against.
     """
@@ -248,7 +246,7 @@ def build_three_layer(
     # The average (raw + raw.T) / 2, with one 6n x 6n temporary, not two.
     raw += raw.T
     raw /= 2.0
-    return _system("three_layer", n, WeightMatrix(sparse.csr_matrix(raw), SYMMETRIC))
+    return _system("three_layer", n, WeightMatrix(raw))
 
 
 def _check_three_layers(w_border, w_dist, a_seq) -> int:
@@ -268,8 +266,8 @@ def _check_three_layers(w_border, w_dist, a_seq) -> int:
 def three_layer_operator(w_border, w_dist, a_seq: WeightMatrix) -> LaplacianOperator:
     """The Laplacian of build_three_layer(...).assembled, from the three layers alone.
 
-    The border and distance layers are symmetric and the sequence layer a
-    directed WeightMatrix, each in any storage; the checks are those of
+    The border and distance layers are symmetric (dense or group blocks)
+    and the sequence layer is directed (CSR); the checks are those of
     build_three_layer. Layer l, normalized to N_l with budgets b_l (its
     row sums), has two kinds of raw-walk block, both from its out-copy:
     N_l / 2 + diag((b_l + column sums of N_l) / 4) to its own in-copy,
@@ -460,7 +458,7 @@ def _priced_operator(prepared: Prepared, cost_km: float) -> LaplacianOperator:
     top = priced_top(prepared.farthest, hops, cost_km)
     if hops is None or cost_km == 0.0:
         codes, hops = np.zeros(d.n, dtype=np.intp), np.zeros((1, 1))
-    priced = WeightMatrix(GroupBlocks(codes, top - cost_km * hops), SYMMETRIC)
+    priced = WeightMatrix(GroupBlocks(codes, top - cost_km * hops))
 
     def adjacency(x):
         return priced @ x - d @ x

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError
-from .graphs import DIRECTED, WeightMatrix
+from .graphs import WeightMatrix
 from .ingest import EventTable
 
 _BOUNDS = {"latitude": (-90.0, 90.0), "longitude": (-180.0, 180.0)}
@@ -130,4 +130,4 @@ def sequence_adjacency(events, location_of, groups, n_locations: int) -> WeightM
                 rows.append(a)
                 cols.append(b)
     counts = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_locations,) * 2)
-    return WeightMatrix(counts, DIRECTED)
+    return WeightMatrix(counts)

@@ -159,31 +159,6 @@ def haversine_reference(lat1, lon1, lat2, lon2, radius=6371.0):
     return 2.0 * radius * math.asin(min(1.0, math.sqrt(h)))
 
 
-def three_layer_budget_assembly(normalized):
-    """Directed 3n x 3n node-layer assembly under the 0.5/0.25/0.25 split.
-
-    Within-layer blocks carry half of each node's normalized edge weight;
-    the node's copy in each other layer receives a quarter of its budget
-    on the corresponding cross-block diagonal.
-    """
-    import numpy as np
-
-    normalized = [np.asarray(m, dtype=float) for m in normalized]
-    n = normalized[0].shape[0]
-    m = len(normalized)
-    out = np.zeros((m * n, m * n))
-    for li, layer in enumerate(normalized):
-        budget = layer.sum(axis=1)
-        for i in range(n):
-            for lj in range(m):
-                for j in range(n):
-                    if li == lj:
-                        out[li * n + i, lj * n + j] = layer[i, j] / 2.0
-                    elif i == j:
-                        out[li * n + i, lj * n + j] = budget[i] / 4.0
-    return out
-
-
 def displacement_rows(points, layer_a, layer_b):
     """Displacement rows by a plain loop over every point for every location.
 
@@ -286,21 +261,17 @@ def three_layer_system(w_border, w_dist, a_seq):
 
 
 def laplacian(w):
-    """Combinatorial Laplacian diag(row sums) - W, in the storage of the weights.
+    """Combinatorial Laplacian diag(row sums) - W, as a dense array.
 
-    `w` is a symmetric WeightMatrix held dense or sparse, or a bare
-    array. A dense result is C-ordered, and zero weights give +0.0 off
-    the diagonal, exactly as np.diag(w.sum(axis=1)) - w does.
+    `w` is a dense symmetric WeightMatrix or a bare array. The result is
+    C-ordered, and zero weights give +0.0 off the diagonal, exactly as
+    np.diag(w.sum(axis=1)) - w does.
     """
     import numpy as np
-    from scipy import sparse
 
     if not getattr(w, "is_symmetric", True):
         raise ValueError("laplacian requires a symmetric weight matrix")
-    values = getattr(w, "values", w)
-    if sparse.issparse(values):
-        return (sparse.diags(np.asarray(values.sum(axis=1)).ravel()) - values).tocsr()
-    values = np.asarray(values, dtype=float)
+    values = np.asarray(getattr(w, "values", w), dtype=float)
     # 0.0 - w, not -w, so zero weights give +0.0; then degree + (0.0 - w_ii)
     # equals degree - w_ii exactly.
     lap = np.subtract(0.0, values, order="C")

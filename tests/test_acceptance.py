@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from conftest import make_event, make_location
 from oracles import (
@@ -35,7 +36,7 @@ from permap.geo import (
     invert_distances,
     linear_border_distances,
 )
-from permap.graphs import DIRECTED, SYMMETRIC, WeightMatrix, laplacian_operator
+from permap.graphs import WeightMatrix, laplacian_operator
 from permap.ingest import (
     DEFAULT_CATEGORIES,
     build_locations,
@@ -67,7 +68,7 @@ def test_c01_laplacian_rows_symmetry_and_nullity():
         m = m + m.T
         if not m.any():
             m[0, 1] = m[1, 0] = 1.0
-        lap = laplacian(WeightMatrix(m, SYMMETRIC))
+        lap = laplacian(WeightMatrix(m))
 
         scale = max(np.abs(lap).max(), 1.0)
         assert np.abs(lap.sum(axis=1)).max() <= 1e-9 * scale
@@ -101,20 +102,20 @@ def test_c02_eigensolver_matches_rotation_oracle():
 
 def test_c03_analytic_fixtures():
     # 3-node path: characteristic polynomial -x (x^2 - 4x + 3) has roots 0, 1, 3
-    path = WeightMatrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0.0]]), SYMMETRIC)
+    path = WeightMatrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0.0]]))
     got = eigensolve_symmetric(laplacian_operator(path), 3).values
     assert np.abs(got - np.array([0.0, 1.0, 3.0])).max() <= 1e-8
 
     # one edge of weight w: nonzero eigenvalue is 2w
     for w in (1.0, 2.5, 7.25):
-        emb = embed(WeightMatrix(np.array([[0.0, w], [w, 0.0]]), SYMMETRIC), 1)
+        emb = embed(WeightMatrix(np.array([[0.0, w], [w, 0.0]])), 1)
         assert abs(emb.eigenvalues[0] - 2.0 * w) <= 1e-8
 
     # 4-cycle: the embedded ring keeps all adjacent pairs equally far apart
     ring = np.zeros((4, 4))
     for i in range(4):
         ring[i, (i + 1) % 4] = ring[(i + 1) % 4, i] = 1.0
-    coords = embed(WeightMatrix(ring, SYMMETRIC), 2).coordinates
+    coords = embed(WeightMatrix(ring), 2).coordinates
     gaps = [np.linalg.norm(coords[i] - coords[(i + 1) % 4]) for i in range(4)]
     assert max(gaps) - min(gaps) <= 1e-6
 
@@ -200,8 +201,8 @@ def test_c07_two_layer_walk_structure():
     for n in (2, 5, 9):
         m1 = rng.uniform(0.1, 3.0, (n, n))
         m2 = rng.uniform(0.1, 3.0, (n, n))
-        w_a = WeightMatrix((m1 + m1.T) / 2 - np.diag(np.diag(m1)), SYMMETRIC)
-        w_b = WeightMatrix((m2 + m2.T) / 2 - np.diag(np.diag(m2)), SYMMETRIC)
+        w_a = WeightMatrix((m1 + m1.T) / 2 - np.diag(np.diag(m1)))
+        w_b = WeightMatrix((m2 + m2.T) / 2 - np.diag(np.diag(m2)))
         walk = two_layer_walk_matrix(w_a, w_b)
         assert walk.shape == (2 * n, 2 * n)
         assert np.abs(walk.sum(axis=1) - 1.0).max() <= 1e-12
@@ -209,8 +210,8 @@ def test_c07_two_layer_walk_structure():
         assert np.array_equal(walk[n:, :n], 0.5 * np.eye(n))
 
     hand = two_layer_walk_matrix(
-        WeightMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]), SYMMETRIC),
-        WeightMatrix(np.array([[0.0, 2.0], [2.0, 0.0]]), SYMMETRIC),
+        WeightMatrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
+        WeightMatrix(np.array([[0.0, 2.0], [2.0, 0.0]])),
     )
     assert np.array_equal(
         hand,
@@ -230,11 +231,11 @@ def test_c08_three_layer_assembly_matches_scripted_reference():
 
     want = three_layer_system(w_border, w_dist, a_seq)
     system = build_three_layer(
-        WeightMatrix(np.array(w_border), SYMMETRIC),
-        WeightMatrix(np.array(w_dist), SYMMETRIC),
-        WeightMatrix(np.array(a_seq), DIRECTED),
+        WeightMatrix(np.array(w_border)),
+        WeightMatrix(np.array(w_dist)),
+        WeightMatrix(sparse.csr_matrix(a_seq)),
     )
-    got = system.assembled.values.toarray()
+    got = system.assembled.values
     assert got.shape == (18, 18)
     assert np.abs(got - want).max() <= 1e-12
     assert np.array_equal(got, got.T)

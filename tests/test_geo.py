@@ -120,10 +120,10 @@ class TestInvertDistances:
         assert w[0, 1] > w[1, 2] > w[0, 2] > 0
 
     def test_all_zero_rejected(self):
-        from permap.graphs import SYMMETRIC, WeightMatrix
+        from permap.graphs import WeightMatrix
 
         with pytest.raises(ValueError, match="zero"):
-            invert_distances(WeightMatrix(np.zeros((2, 2)), SYMMETRIC))
+            invert_distances(WeightMatrix(np.zeros((2, 2))))
 
     def test_closeness_matrix_bit_equal_to_two_step_form(self, twelve_locations):
         # Inverted in the km matrix's own buffer, around the 64-row block.
@@ -266,9 +266,9 @@ class TestCrossingsMatrix:
 
 class TestLinearBorderDistances:
     def test_adds_cost_per_crossing(self):
-        from permap.graphs import SYMMETRIC, WeightMatrix
+        from permap.graphs import WeightMatrix
 
-        d = WeightMatrix(np.array([[0.0, 200.0], [200.0, 0.0]]), SYMMETRIC)
+        d = WeightMatrix(np.array([[0.0, 200.0], [200.0, 0.0]]))
         b = np.array([[0, 1], [1, 0]])
         out = linear_border_distances(d, b, 100.0).values
         assert np.array_equal(out, [[0.0, 300.0], [300.0, 0.0]])

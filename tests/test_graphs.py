@@ -3,25 +3,41 @@ import pytest
 from scipy import sparse
 
 from oracles import laplacian, symmetric_product, traversal_components
+from permap.geo import invert_distances
 from permap.graphs import (
-    DIRECTED,
-    SYMMETRIC,
+    GroupBlocks,
     WeightMatrix,
     asymmetry,
     laplacian_operator,
+    symmetrized_operator,
 )
+from permap.layers import two_layer_operator
+from permap.spectral import embed
 
 PRODUCT_RTOL = 1e-13
 
 
-def wm(values, kind=SYMMETRIC):
-    return WeightMatrix(np.asarray(values, dtype=float), kind)
+def wm(values):
+    return WeightMatrix(np.asarray(values, dtype=float))
 
 
 class TestWeightMatrix:
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            WeightMatrix(np.zeros((2, 2)), "sideways")
+    def test_the_storage_fixes_the_kind(self):
+        assert wm([[0.0, 1.0], [1.0, 0.0]]).is_symmetric
+        assert WeightMatrix(GroupBlocks([0, 1], np.eye(2))).is_symmetric
+        coo = sparse.coo_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        held = WeightMatrix(coo)
+        assert held.values.format == "csr" and not held.is_symmetric
+        assert np.array_equal(held.toarray(), coo.toarray())
+        # A sparse layer is directed, even with equal triangles.
+        refusals = (
+            (embed, (held, 1), "embed requires a symmetric WeightMatrix or a LaplacianOperator"),
+            (two_layer_operator, (held, wm(coo.toarray())), "both layers must be symmetric"),
+            (invert_distances, (held,), "invert_distances expects a symmetric distance matrix"),
+        )
+        for refuse, args, message in refusals:
+            with pytest.raises(ValueError, match=message):
+                refuse(*args)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
@@ -36,20 +52,19 @@ class TestWeightMatrix:
             values = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
             values[0, 2] = values[2, 0] = bad
             for stored in (values, sparse.csr_matrix(values)):
-                for kind in (SYMMETRIC, DIRECTED):
-                    with pytest.raises(ValueError, match="entries must be finite"):
-                        WeightMatrix(stored, kind)
+                with pytest.raises(ValueError, match="entries must be finite"):
+                    WeightMatrix(stored)
 
     def test_rejects_asymmetric_flagged_symmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):
             wm([[0.0, 1.0], [2.0, 0.0]])
 
     def test_directed_kind_allows_asymmetry(self):
-        m = wm([[0.0, 1.0], [2.0, 0.0]], DIRECTED)
+        m = WeightMatrix(sparse.csr_matrix(np.array([[0.0, 1.0], [2.0, 0.0]])))
         assert m.n == 2 and not m.is_symmetric
 
     def test_accepts_sparse(self):
-        m = WeightMatrix(sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])), SYMMETRIC)
+        m = WeightMatrix(sparse.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
         assert m.n == 2
 
 
@@ -71,7 +86,7 @@ class TestDenseSymmetricProduct:
         big = np.zeros((2 * n, 2 * n))
         big[::2, ::2] = values
         for stored in (values.copy(), np.asfortranarray(values), big[::2, ::2]):
-            w = WeightMatrix(stored, SYMMETRIC)
+            w = WeightMatrix(stored)
             assert w.values.flags.c_contiguous
             # A C-ordered array is kept, not copied.
             assert (w.values is stored) == stored.flags.c_contiguous
@@ -89,7 +104,7 @@ class TestDenseSymmetricProduct:
         values = upper + upper.T
         values[np.tril_indices(n, -1)] *= 1.0 + 1e-12
         np.fill_diagonal(values, rng.uniform(0.5, 1.0, n))
-        w = WeightMatrix(values, SYMMETRIC)
+        w = WeightMatrix(values)
         x = rng.uniform(0.5, 1.0, n)
         want = symmetric_product(values, x)
         lower = np.array(symmetric_product(values.T, x))
@@ -135,13 +150,15 @@ class TestLaplacian:
 
     def test_rejects_directed_input(self):
         with pytest.raises(ValueError, match="symmetr"):
-            laplacian(wm([[0, 1], [2, 0]], DIRECTED))
+            laplacian(WeightMatrix(sparse.csr_matrix(np.array([[0, 1], [2, 0.0]]))))
 
     def test_sparse_input_matches_dense(self):
+        # A sparse layer is directed; as the one block of a walk it is
+        # averaged with its transpose, which leaves equal triangles as they are.
         m = np.array([[0, 2, 0], [2, 0, 1], [0, 1, 0.0]])
-        dense = laplacian(wm(m))
-        sp = laplacian(WeightMatrix(sparse.csr_matrix(m), SYMMETRIC))
-        assert np.array_equal(sp.toarray(), dense)
+        w = WeightMatrix(sparse.csr_matrix(m))
+        sp = symmetrized_operator(3, {(0, 0): (w.__matmul__, w.transposed_product())}, (w,))
+        assert np.array_equal(sp.toarray(), laplacian(wm(m)))
 
     def test_zero_eigenvalues_count_components(self):
         rng = np.random.default_rng(5)
@@ -178,13 +195,12 @@ def weights_with_zeros(rng, n):
 
 
 class TestTiledKernelsMatchPlainFormulas:
-    def test_asymmetry_dense_and_sparse(self):
+    def test_asymmetry_matches_the_plain_formula(self):
         rng = np.random.default_rng(72)
         for n in TILE_EDGE_SIZES:
             v = weights_with_zeros(rng, n) - weights_with_zeros(rng, n)
             want = np.abs(v - v.T).max()
             assert asymmetry(v) == asymmetry(-v) == want
-            assert asymmetry(sparse.csr_matrix(v)) == want
             sym = (v + v.T) / 2.0
             assert asymmetry(sym) == np.abs(sym - sym.T).max() == 0.0
 
@@ -192,7 +208,7 @@ class TestTiledKernelsMatchPlainFormulas:
         rng = np.random.default_rng(73)
         for n in TILE_EDGE_SIZES:
             v = weights_with_zeros(rng, n)
-            w = WeightMatrix((v + v.T) / 2.0, SYMMETRIC)
+            w = WeightMatrix((v + v.T) / 2.0)
             got = laplacian(w)
             want = np.diag(w.values.sum(axis=1)) - w.values
             assert np.array_equal(got, want)

@@ -1,6 +1,7 @@
 import io
 import tracemalloc
 from datetime import date
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -353,21 +354,40 @@ def test_counts_on_the_geo_sweep_benchmark_input(geo_sweep_input):
 
 
 
-def test_geo_sweep_input_records_share_their_cells(geo_sweep_input):
-    """Each distinct cell text is held once, so the 99k records parse within 24 MB.
+@pytest.fixture(scope="module")
+def traced_ingest(geo_sweep_input):
+    """One ingest of the 100k-row input under tracemalloc, as the CLI runs it.
 
-    Records holding their own copy of every text and float took 47 MB.
+    `parse_peak` is the traced peak once parse_events returns, and
+    `ingest_peak` the peak once filter_violent and build_locations have
+    run too. The parsed table is kept alive for the first test, though
+    the CLI drops it once filtered; that can only raise the second peak.
     """
     events_csv = geo_sweep_input.config_json.parent / "events.csv"
     with open(events_csv, newline="", encoding="utf-8") as fh:
         tracemalloc.start()
         try:
             events, _ = parse_events(fh)
-            _, peak = tracemalloc.get_traced_memory()
+            _, parse_peak = tracemalloc.get_traced_memory()
+            violent = filter_violent(events)
+            locations, mapping = build_locations(violent)
+            _, ingest_peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+    sizes = (len(violent), len(locations), len(mapping))
+    return SimpleNamespace(
+        events=events, parse_peak=parse_peak, sizes=sizes, ingest_peak=ingest_peak
+    )
+
+
+def test_geo_sweep_input_records_share_their_cells(traced_ingest):
+    """Each distinct cell text is held once, so the 99k records parse within 24 MB.
+
+    Records holding their own copy of every text and float took 47 MB.
+    """
+    events = traced_ingest.events
     assert len(events) == 99_000
-    assert peak < 24e6
+    assert traced_ingest.parse_peak < 24e6
     texts, sites = {}, {}
     for e in events:
         for text in (e.group_id, e.country, e.admin1, e.event_type):
@@ -376,23 +396,14 @@ def test_geo_sweep_input_records_share_their_cells(geo_sweep_input):
         assert first.latitude is e.latitude and first.longitude is e.longitude
     assert len(sites) == 1500
 
-def test_geo_sweep_input_ingests_within_8_mb(geo_sweep_input):
+
+def test_geo_sweep_input_ingests_within_8_mb(traced_ingest):
     """Parse, filter and location dedup of the 100k-row input peak below 8 MB.
 
-    As the CLI ingests: the parsed table is dropped once filtered. Events
-    held as one record each peaked at 17.9 MB here.
+    Events held as one record each peaked at 17.9 MB here.
     """
-    events_csv = geo_sweep_input.config_json.parent / "events.csv"
-    with open(events_csv, newline="", encoding="utf-8") as fh:
-        tracemalloc.start()
-        try:
-            violent = filter_violent(parse_events(fh)[0])
-            locations, mapping = build_locations(violent)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-    assert (len(violent), len(locations), len(mapping)) == (89_000, 1500, 89_000)
-    assert peak < 8e6
+    assert traced_ingest.sizes == (89_000, 1500, 89_000)
+    assert traced_ingest.ingest_peak < 8e6
 
 
 class TestSummarize:

@@ -8,7 +8,7 @@ from conftest import make_location
 from oracles import (
     displacement_rows,
     pairwise_separation_ratio,
-    three_layer_budget_assembly,
+    three_layer_system,
     two_layer_walk_matrix,
 )
 from permap import layers
@@ -19,7 +19,7 @@ from permap.geo import (
     border_permeability_matrix,
     country_crossings,
 )
-from permap.graphs import DIRECTED, SYMMETRIC, GroupBlocks, WeightMatrix
+from permap.graphs import GroupBlocks, WeightMatrix
 from permap.layers import (
     IN,
     LAYOUTS,
@@ -43,11 +43,11 @@ from permap.spectral import Embedding, PointRef
 
 
 def sym(values):
-    return WeightMatrix(np.asarray(values, dtype=float), SYMMETRIC)
+    return WeightMatrix(np.asarray(values, dtype=float))
 
 
 def directed(values):
-    return WeightMatrix(np.asarray(values, dtype=float), DIRECTED)
+    return WeightMatrix(sparse.csr_matrix(np.asarray(values, dtype=float)))
 
 
 def fake_embedding(coords, refs):
@@ -189,30 +189,6 @@ class TestEmbedTwoLayer:
         assert report.rows[0].length > 0
 
 
-class TestBudgetAssembly:
-    def test_block_structure(self):
-        m0 = np.array([[0.0, 2.0], [2.0, 0.0]])
-        m1 = np.array([[0.0, 4.0], [4.0, 0.0]])
-        m2 = np.array([[1.0, 1.0], [0.0, 3.0]])
-        out = three_layer_budget_assembly([m0, m1, m2])
-        assert out.shape == (6, 6)
-        assert np.array_equal(out[:2, :2], m0 / 2.0)
-        assert np.array_equal(out[2:4, 2:4], m1 / 2.0)
-        assert np.array_equal(out[4:, 4:], m2 / 2.0)
-        assert np.array_equal(out[:2, 2:4], np.diag([0.5, 0.5]))
-        assert np.array_equal(out[:2, 4:], np.diag([0.5, 0.5]))
-        assert np.array_equal(out[2:4, :2], np.diag([1.0, 1.0]))
-        assert np.array_equal(out[4:, :2], np.diag([0.5, 0.75]))
-
-    def test_rows_keep_their_budget(self):
-        rng = np.random.default_rng(66)
-        layers = [rng.uniform(0, 2, (4, 4)) for _ in range(3)]
-        out = three_layer_budget_assembly(layers)
-        for li, layer in enumerate(layers):
-            rows = out[li * 4 : (li + 1) * 4]
-            assert np.allclose(rows.sum(axis=1), layer.sum(axis=1), atol=1e-12)
-
-
 def three_layer_fixture():
     w_border = sym([[0.0, 1.0, 0.95], [1.0, 0.0, 0.95], [0.95, 0.95, 0.0]])
     w_dist = sym([[0.0, 2.0, 1.0], [2.0, 0.0, 3.0], [1.0, 3.0, 0.0]])
@@ -227,21 +203,21 @@ class TestBuildThreeLayer:
         assert system.assembled.n == 18
         assert system.layer_tags == THREE_LAYER_TAGS
         assert system.copies_per_layer == 2
-        v = system.assembled.values.toarray()
+        v = system.assembled.values
         assert np.array_equal(v, v.T)
         assert (v >= 0).all()
 
     def test_csr_sequence_layer_gives_the_dense_assembly(self):
-        # prepare holds the sequence layer as CSR; the reference builder takes it too.
+        # prepare holds the sequence layer as CSR; the reference builder
+        # takes it and returns the system as a dense symmetric layer.
         rng = np.random.default_rng(72)
         n = 30
         a, b = (rng.uniform(0.1, 1.0, (n, n)) for _ in "ab")
-        w_border, w_dist = sym(a + a.T), sym(b + b.T)
         seq = rng.integers(0, 4, (n, n)) * (rng.uniform(size=(n, n)) < 0.1).astype(float)
-        dense = build_three_layer(w_border, w_dist, directed(seq)).assembled.values
-        stored = WeightMatrix(sparse.csr_matrix(seq), DIRECTED)
-        got = build_three_layer(w_border, w_dist, stored).assembled.values
-        assert np.array_equal(got.toarray(), dense.toarray())
+        assembled = build_three_layer(sym(a + a.T), sym(b + b.T), directed(seq)).assembled
+        assert isinstance(assembled.values, np.ndarray) and assembled.is_symmetric
+        want = three_layer_system(a + a.T, b + b.T, seq)
+        assert np.abs(assembled.values - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_provenance_order(self):
         system = build_three_layer(*three_layer_fixture())
@@ -261,29 +237,6 @@ class TestBuildThreeLayer:
         assert v[12, 15] == pytest.approx(0.25 / 2, abs=1e-15)
         assert v[13, 16] == pytest.approx(1.25 / 2, abs=1e-15)
         assert v[14, 17] == pytest.approx(1.0 / 2, abs=1e-15)
-
-    def test_matches_budget_oracle(self):
-        # Pre-symmetrization weight flows only from out-rows to in-columns,
-        # so twice that block, minus the out/in links on its diagonal, is
-        # the budget assembly of the normalized layers.
-        rng = np.random.default_rng(67)
-        n = 5
-        out_rows = np.concatenate([np.arange(2 * li * n, (2 * li + 1) * n) for li in range(3)])
-        in_cols = out_rows + n
-        b, d = (rng.uniform(0.1, 1.0, (n, n)) for _ in range(2))
-        b, d = (b + b.T) / 2.0, (d + d.T) / 2.0
-        a = rng.integers(0, 3, (n, n)).astype(float)
-        for m in (b, d, a):
-            np.fill_diagonal(m, 0.0)
-        system = build_three_layer(sym(b), sym(d), directed(a))
-        v = system.assembled.values.toarray()
-
-        normalized = [m / m[m != 0].mean() for m in (b, d, a)]
-        seq_sums = normalized[2].sum(axis=1)
-        normalized[2][np.diag_indices(n)] += seq_sums.max() - seq_sums
-        links = np.concatenate([(m.sum(axis=1) + m.sum(axis=0)) / 4.0 for m in normalized])
-        got = 2.0 * v[np.ix_(out_rows, in_cols)] - np.diag(links)
-        assert np.abs(got - three_layer_budget_assembly(normalized)).max() <= 1e-12
 
     def test_kind_violations(self):
         w_border, w_dist, a_seq = three_layer_fixture()
@@ -305,12 +258,17 @@ EMPTY_LAYERS = {
     "border": (0, sym(np.zeros((3, 3))), "all-zero"),
     "border_blocks": (
         0,
-        WeightMatrix(GroupBlocks(np.zeros(3, dtype=int), np.zeros((1, 1))), SYMMETRIC),
+        WeightMatrix(GroupBlocks(np.zeros(3, dtype=int), np.zeros((1, 1)))),
         "all-zero",
     ),
     "distance": (1, sym(np.zeros((3, 3))), "all-zero"),
-    "sequence": (2, directed(np.zeros((3, 3))), "no edges"),
-    "sequence_csr": (2, WeightMatrix(sparse.csr_matrix((3, 3)), DIRECTED), "no edges"),
+    # Stored zeros are not edges.
+    "sequence": (
+        2,
+        WeightMatrix(sparse.csr_matrix(([0.0, 0.0], ([0, 1], [1, 2])), shape=(3, 3))),
+        "no edges",
+    ),
+    "sequence_csr": (2, WeightMatrix(sparse.csr_matrix((3, 3))), "no edges"),
 }
 
 
@@ -338,7 +296,7 @@ class TestBuildersTakeEveryBorderStorage:
             assert np.array_equal(got, build_two_layer(w_dist, dense).assembled.values)
             got = build_three_layer(blocks, w_dist, directed(seq)).assembled.values
             want = build_three_layer(dense, w_dist, directed(seq)).assembled.values
-            assert np.array_equal(got.toarray(), want.toarray())
+            assert np.array_equal(got, want)
             assert np.array_equal(blocks.toarray(), dense.values)
 
 

@@ -33,8 +33,6 @@ from permap.geo import (
     priced_top,
 )
 from permap.graphs import (
-    DIRECTED,
-    SYMMETRIC,
     GroupBlocks,
     WeightMatrix,
     laplacian_operator,
@@ -79,7 +77,7 @@ def random_layer(rng, n, density=0.6, diagonal=False):
     m[ring, (ring + 1) % n] = m[(ring + 1) % n, ring] = 1.0
     if diagonal:
         m[ring, ring] = rng.uniform(0.0, 2.0, n)
-    return WeightMatrix(m, SYMMETRIC)
+    return WeightMatrix(m)
 
 
 def random_borders(rng, n, countries=4):
@@ -100,7 +98,7 @@ def random_sequence(rng, n):
     a = rng.integers(0, 3, (n, n)).astype(float) * (rng.uniform(size=(n, n)) < 0.3)
     np.fill_diagonal(a, 0.0)
     a[0, 1] = 1.0
-    return WeightMatrix(a, DIRECTED)
+    return WeightMatrix(sparse.csr_matrix(a))
 
 
 class TestGroupBlocks:
@@ -120,15 +118,15 @@ class TestGroupBlocks:
         # Three countries in a chain; the two ends are 2 crossings apart, so
         # their block underflows to 0 and must not count as an entry.
         table = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.5], [0.0, 0.5, 1.0]])
-        blocks = WeightMatrix(GroupBlocks([0, 0, 1, 2], table), SYMMETRIC)
+        blocks = WeightMatrix(GroupBlocks([0, 0, 1, 2], table))
         full = dense(blocks)
         assert np.count_nonzero(full) == 8
         assert blocks.nonzero_mean() == pytest.approx(full.sum() / 8, rel=RTOL)
 
     def test_table_checks(self):
         # The WeightMatrix holding the blocks checks the table's entries.
-        def blocks(table, kind=SYMMETRIC):
-            return WeightMatrix(GroupBlocks([0, 1], table), kind)
+        def blocks(table):
+            return WeightMatrix(GroupBlocks([0, 1], table))
 
         with pytest.raises(ValueError, match="not symmetric"):
             blocks([[1.0, 0.5], [0.2, 1.0]])
@@ -136,8 +134,6 @@ class TestGroupBlocks:
             blocks([[1.0, -0.5], [-0.5, 1.0]])
         with pytest.raises(ValueError, match="finite"):
             blocks([[1.0, np.nan], [np.nan, 1.0]])
-        with pytest.raises(ValueError, match="flagged symmetric"):
-            blocks(np.eye(2), DIRECTED)
         with pytest.raises(ValueError, match="index rows"):
             GroupBlocks([0, 2], np.eye(2))
 
@@ -160,10 +156,13 @@ def seed_101_inputs(tmp_path_factory):
 
 class TestOperatorsMatchAssembledBuilders:
     def test_single_layer_wraps_dense_and_sparse(self):
+        # The two symmetric storages: a dense layer and country blocks.
         rng = np.random.default_rng(201)
         w = random_layer(rng, 25, diagonal=True)
-        for stored in (w, WeightMatrix(sparse.csr_matrix(w.values), SYMMETRIC)):
-            check_products(laplacian_operator(stored), laplacian(w), rng)
+        check_products(laplacian_operator(w), laplacian(w), rng)
+        codes, hops, crossings = random_borders(rng, 25)
+        full = border_permeability_matrix(crossings, 0.5)
+        check_products(laplacian_operator(border_blocks(codes, hops, 0.5)), laplacian(full), rng)
         lap = laplacian_operator(w)
         assert np.array_equal(lap.toarray(), laplacian(w))
 
@@ -193,9 +192,8 @@ class TestOperatorsMatchAssembledBuilders:
                 reference = laplacian(
                     build_three_layer(border_permeability_matrix(crossings, p), w_dist, seq).assembled
                 )
-                for stored in (seq, WeightMatrix(sparse.csr_matrix(seq.values), DIRECTED)):
-                    lap = three_layer_operator(border_blocks(codes, hops, p), w_dist, stored)
-                    check_products(lap, reference, rng)
+                lap = three_layer_operator(border_blocks(codes, hops, p), w_dist, seq)
+                check_products(lap, reference, rng)
 
     def test_seed_101_benchmark_inputs(self, seed_101_inputs):
         rng = np.random.default_rng(204)
@@ -242,7 +240,7 @@ class TestSymmetrizedOperator:
         rng = np.random.default_rng(206)
         n = 13
         codes, hops, _ = random_borders(rng, n)
-        seq = WeightMatrix(sparse.csr_matrix(random_sequence(rng, n).values), DIRECTED)
+        seq = random_sequence(rng, n)
         border = border_blocks(codes, hops, 0.5)
         forward = rng.uniform(0.0, 2.0, (n, n))
         hollow = rng.uniform(0.0, 2.0, (n, n))
@@ -280,11 +278,9 @@ class TestSymmetrizedOperator:
                 w_dist = random_layer(rng, n, density=0.3, diagonal=True)
                 seq = random_sequence(rng, n)
                 borders = (border_blocks(codes, hops, p), border_permeability_matrix(crossings, p))
-                for w in (w_dist, WeightMatrix(sparse.csr_matrix(w_dist.values), SYMMETRIC)):
-                    for border in borders:
-                        self.assert_constant_is_null(two_layer_operator(w, border))
-                        for stored in (seq, WeightMatrix(sparse.csr_matrix(seq.values), DIRECTED)):
-                            self.assert_constant_is_null(three_layer_operator(border, w, stored))
+                for border in borders:
+                    self.assert_constant_is_null(two_layer_operator(w_dist, border))
+                    self.assert_constant_is_null(three_layer_operator(border, w_dist, seq))
 
     def test_constant_vector_is_null_on_seed_101_inputs(self, seed_101_inputs):
         for prepared in seed_101_inputs.values():
@@ -363,7 +359,7 @@ def two_clusters():
     np.fill_diagonal(dist, 0.0)
     seq = np.zeros((6, 6))
     seq[0, 1] = seq[4, 5] = 1.0
-    return codes, hops, WeightMatrix(dist, SYMMETRIC), WeightMatrix(seq, DIRECTED)
+    return codes, hops, WeightMatrix(dist), WeightMatrix(sparse.csr_matrix(seq))
 
 
 class TestFailures:
@@ -392,9 +388,9 @@ class TestFailures:
     def test_one_bridge_in_any_layer_connects(self):
         codes, hops, w_dist, seq = two_clusters()
         blocks = border_blocks(codes, hops, UNDERFLOW_P)
-        bridged = seq.values.copy()
+        bridged = seq.values.toarray()
         bridged[3, 4] = 1.0
-        emb = embed(three_layer_operator(blocks, w_dist, WeightMatrix(bridged, DIRECTED)), 2)
+        emb = embed(three_layer_operator(blocks, w_dist, WeightMatrix(sparse.csr_matrix(bridged))), 2)
         assert len(emb.provenance) == 36
 
     def test_zero_row_names_its_layer(self):
@@ -403,8 +399,8 @@ class TestFailures:
         cg = CountryBorderGraph.from_pairs([("A", "X"), ("X", "Y"), ("Y", "B")])
         codes, hops = country_crossings(["A", "A", "A", "B"], cg)
         blocks = border_blocks(codes, hops, UNDERFLOW_P)
-        full = WeightMatrix(np.ones((4, 4)) - np.eye(4), SYMMETRIC)
-        seq = WeightMatrix(np.eye(4, k=1), DIRECTED)
+        full = WeightMatrix(np.ones((4, 4)) - np.eye(4))
+        seq = WeightMatrix(sparse.csr_matrix(np.eye(4, k=1)))
         with pytest.raises(IsolatedNodeError, match="node 3 in layer 'border'"):
             two_layer_operator(full, blocks)
         with pytest.raises(IsolatedNodeError, match="node 3 in layer 'border'"):
@@ -412,9 +408,9 @@ class TestFailures:
         hollow = full.values.copy()
         hollow[1, :] = hollow[:, 1] = 0.0
         with pytest.raises(IsolatedNodeError, match="node 1 in layer 'distance'"):
-            two_layer_operator(WeightMatrix(hollow, SYMMETRIC), full)
+            two_layer_operator(WeightMatrix(hollow), full)
         with pytest.raises(IsolatedNodeError, match="node 1 in layer 'distance'"):
-            three_layer_operator(full, WeightMatrix(hollow, SYMMETRIC), seq)
+            three_layer_operator(full, WeightMatrix(hollow), seq)
 
 
 def test_solve_forms_no_system_laplacian_or_crossings(monkeypatch, twelve_locations, chain_borders):
@@ -442,7 +438,7 @@ def test_solve_forms_no_system_laplacian_or_crossings(monkeypatch, twelve_locati
     closeness = invert_distances(d)
     seq = np.zeros((12, 12))
     seq[0, 1] = seq[4, 5] = seq[8, 9] = 1.0
-    seq_layer = WeightMatrix(sparse.csr_matrix(seq), DIRECTED)
+    seq_layer = WeightMatrix(sparse.csr_matrix(seq))
     runs = [
         ("geo", "none", None, None, d, None, None),
         ("geo", "linear", codes, hops, d, None, 100.0),

@@ -44,8 +44,6 @@ from permap.ingest import (
     summarize,
 )
 from permap.graphs import (
-    DIRECTED,
-    SYMMETRIC,
     GroupBlocks,
     WeightMatrix,
     laplacian_operator,
@@ -92,9 +90,9 @@ weight_or_zero = st.one_of(st.just(0.0), st.floats(0.25, 10.0, **finite))
 def three_layer_inputs(draw):
     """Three layers as the builder takes them, and each as a plain array.
 
-    The border layer is dense or group blocks, the sequence layer dense or
-    CSR; every border and distance node has an edge, and the sequence
-    layer has at least one.
+    The border layer is dense or group blocks, the sequence layer CSR;
+    every border and distance node has an edge, and the sequence layer
+    has at least one.
     """
     n = draw(st.integers(2, 6))
     if draw(st.booleans()):
@@ -103,17 +101,16 @@ def three_layer_inputs(draw):
         table = (table + table.T) / 2.0
         border = table[np.ix_(groups, groups)]
         np.fill_diagonal(border, 0.0)
-        w_border = WeightMatrix(GroupBlocks(groups, table), SYMMETRIC)
+        w_border = WeightMatrix(GroupBlocks(groups, table))
     else:
         border = draw(arrays(np.float64, (n, n), elements=weight_or_zero))
         border = (border + border.T) / 2.0
-        w_border = WeightMatrix(border, SYMMETRIC)
+        w_border = WeightMatrix(border)
     dist = draw(arrays(np.float64, (n, n), elements=weight_or_zero))
     dist = (dist + dist.T) / 2.0
     seq = draw(arrays(np.float64, (n, n), elements=st.integers(0, 4).map(float)))
     assume((border.sum(axis=1) > 0).all() and (dist.sum(axis=1) > 0).all() and seq.any())
-    stored = sparse.csr_matrix(seq) if draw(st.booleans()) else seq
-    layers = (w_border, WeightMatrix(dist, SYMMETRIC), WeightMatrix(stored, DIRECTED))
+    layers = (w_border, WeightMatrix(dist), WeightMatrix(sparse.csr_matrix(seq)))
     return layers, (border, dist, seq)
 
 
@@ -121,7 +118,7 @@ def three_layer_inputs(draw):
 @given(three_layer_inputs())
 def test_three_layer_assembly_matches_the_oracle(case):
     layers, plain = case
-    got = build_three_layer(*layers).assembled.values.toarray()
+    got = build_three_layer(*layers).assembled.values
     want = three_layer_system(*plain)
     assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
     assert np.array_equal(got, got.T)
@@ -152,9 +149,9 @@ def test_mean_nonzero_normalize_properties(slot, m):
     filler = np.ones((n, n)) - np.eye(n)
     plain = [filler, filler, filler]
     plain[slot] = m
-    kinds = (SYMMETRIC, SYMMETRIC, DIRECTED)
-    system = build_three_layer(*(WeightMatrix(p, k) for p, k in zip(plain, kinds)))
-    dense = system.assembled.values.toarray()
+    plain[2] = sparse.csr_matrix(plain[2])
+    system = build_three_layer(*(WeightMatrix(p) for p in plain))
+    dense = system.assembled.values
     out_row, in_col = 2 * slot * n, (2 * slot + 1) * n
     got = 4.0 * dense[out_row : out_row + n, in_col : in_col + n]
     np.fill_diagonal(got, 0.0)
@@ -173,7 +170,7 @@ def test_symmetrize_properties(case):
     nonzero count and the padded sequence layer n times its largest row.
     """
     layers, (border, dist, seq) = case
-    got = build_three_layer(*layers).assembled.values.toarray()
+    got = build_three_layer(*layers).assembled.values
     assert np.array_equal(got, got.T)
     assert np.array_equal((got + got.T) / 2.0, got)
     seq_total = len(seq) * seq.sum(axis=1).max() / seq[seq != 0].mean()
@@ -569,7 +566,7 @@ def test_two_layer_border_layer_at_p_one_is_all_ones(drawn):
     ones = np.ones((n, n)) - np.eye(n)
     # Each product with a unit vector is exact, so this is the layer itself.
     assert np.array_equal(np.column_stack([border @ unit for unit in np.eye(n)]), ones)
-    reference = laplacian(build_two_layer(prepared.distances, WeightMatrix(ones, SYMMETRIC)).assembled)
+    reference = laplacian(build_two_layer(prepared.distances, WeightMatrix(ones)).assembled)
     x = np.cos(np.arange(2 * n) * 0.7)
     assert np.abs(lap @ x - reference @ x).max() <= 1e-13 * np.abs(reference @ x).max()
 

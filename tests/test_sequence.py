@@ -8,7 +8,6 @@ from scipy import sparse
 from conftest import make_event
 from oracles import brute_force_sequence
 from permap.errors import ConfigError
-from permap.graphs import DIRECTED
 from permap.sequence import GroupSplitRule, sequence_adjacency, split_groups
 
 
@@ -155,7 +154,7 @@ class TestSequenceAdjacency:
         ]
         loc = {1: 0, 2: 1, 3: 0}
         a = sequence_adjacency(events, loc, ["G"], 2)
-        assert a.kind == DIRECTED
+        assert not a.is_symmetric
         assert np.array_equal(a.values.toarray(), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_repeated_pair_accumulates(self):

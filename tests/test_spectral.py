@@ -21,8 +21,6 @@ from permap.geo import (
     invert_distances,
 )
 from permap.graphs import (
-    DIRECTED,
-    SYMMETRIC,
     WeightMatrix,
     laplacian_operator,
     symmetrized_operator,
@@ -53,7 +51,7 @@ def ring_weights(n, rng=None):
             i, j = rng.integers(0, n, 2)
             if i != j:
                 w[i, j] = w[j, i] = rng.uniform(0.5, 2.0)
-    return WeightMatrix(w, SYMMETRIC)
+    return WeightMatrix(w)
 
 
 class TestEigensolve:
@@ -76,7 +74,7 @@ class TestEigensolve:
         assert np.allclose(got.values, [3.0, 3.0], atol=1e-12)
 
     def test_path_graph_spectrum(self):
-        w = WeightMatrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0.0]]), SYMMETRIC)
+        w = WeightMatrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0.0]]))
         got = eigensolve_symmetric(laplacian_operator(w), 3)
         assert np.allclose(got.values, [0.0, 1.0, 3.0], atol=1e-12)
 
@@ -93,7 +91,7 @@ class TestEigensolve:
         )
         for w in (
             ring,
-            WeightMatrix(sparse.csr_matrix(ring.values), SYMMETRIC),
+            WeightMatrix(sparse.csr_matrix(ring.values)),
             border_blocks(codes, hops, 0.5),
             laplacian(ring),
             sparse.csr_matrix(laplacian(ring)),
@@ -143,7 +141,7 @@ class TestEigensolve:
         w = np.zeros((n, n))
         for i in range(n):
             w[i, (i + 1) % n] = w[(i + 1) % n, i] = 1.0 + 1e-3 * rng.uniform(-1.0, 1.0)
-        layer = WeightMatrix(w, SYMMETRIC)
+        layer = WeightMatrix(w)
         lap = laplacian(layer)
         got = eigensolve_symmetric(laplacian_operator(layer), 5)
         all_vals, all_vecs = jacobi_eigh(lap.tolist())
@@ -165,19 +163,18 @@ class TestEigensolve:
             all_vals, all_vecs = path_graph_eigenpairs(n)
             want_vals = np.array(all_vals[:4])
             want_vecs = np.array(all_vecs)[:, :4]
-            for stored in (w, sparse.csr_matrix(w)):
-                got = eigensolve_symmetric(laplacian_operator(WeightMatrix(stored, SYMMETRIC)), 4)
-                assert np.abs(got.values - want_vals).max() <= 1e-12 * 4.0
-                for j in range(4):
-                    assert abs(float(got.vectors[:, j] @ want_vecs[:, j])) >= 1 - 1e-10
+            got = eigensolve_symmetric(laplacian_operator(WeightMatrix(w)), 4)
+            assert np.abs(got.values - want_vals).max() <= 1e-12 * 4.0
+            for j in range(4):
+                assert abs(float(got.vectors[:, j] @ want_vecs[:, j])) >= 1 - 1e-10
 
     def test_sparse_input_matches_dense(self):
+        # The same weights as a CSR directed block of a walk, whose average
+        # with its transpose is the symmetric layer itself.
         rng = np.random.default_rng(80)
         w = ring_weights(16, rng)
         a = eigensolve_symmetric(laplacian_operator(w), 4)
-        b = eigensolve_symmetric(
-            laplacian_operator(WeightMatrix(sparse.csr_matrix(w.values), SYMMETRIC)), 4
-        )
+        b = eigensolve_symmetric(one_block(w.values), 4)
         assert np.allclose(a.values, b.values, atol=1e-10)
 
     def test_residuals_reported_small(self):
@@ -189,9 +186,9 @@ class TestEigensolve:
 def walk(grid):
     """The operator of A = (R + R^T) / 2 for a raw walk R given as {(row, col): block}.
 
-    Each block is a directed layer, so one-way entries stay one-way in R.
+    Each block is a directed layer, held as CSR, so one-way entries stay one-way in R.
     """
-    blocks = {key: WeightMatrix(values, DIRECTED) for key, values in grid.items()}
+    blocks = {key: WeightMatrix(sparse.csr_matrix(values)) for key, values in grid.items()}
     n = next(iter(blocks.values())).n
     pairs = {key: (w.__matmul__, w.transposed_product()) for key, w in blocks.items()}
     return symmetrized_operator(n, pairs, tuple(blocks.values()))
@@ -310,7 +307,7 @@ class TestFixSigns:
 class TestEmbed:
     def test_two_node_graph(self):
         for w in (1.0, 2.5):
-            emb = embed(WeightMatrix(np.array([[0.0, w], [w, 0.0]]), SYMMETRIC), 1)
+            emb = embed(WeightMatrix(np.array([[0.0, w], [w, 0.0]])), 1)
             assert emb.eigenvalues[0] == pytest.approx(2.0 * w, rel=1e-12)
             r = 1.0 / np.sqrt(2.0)
             assert emb.coordinates[:, 0] == pytest.approx([r, -r], abs=1e-12)
@@ -330,17 +327,17 @@ class TestEmbed:
 
     def test_requires_symmetric_weight_matrix(self):
         with pytest.raises(ValueError, match="symmetric"):
-            embed(WeightMatrix(np.array([[0.0, 1.0], [2.0, 0.0]]), DIRECTED), 1)
+            embed(WeightMatrix(sparse.csr_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]))), 1)
 
     def test_disconnected_graph_reports_sizes(self):
         m = np.zeros((5, 5))
         m[0, 1] = m[1, 0] = 1.0
         m[2, 3] = m[3, 2] = m[3, 4] = m[4, 3] = 1.0
         with pytest.raises(DisconnectedGraphError, match=r"2 components \(sizes \[2, 3\]\)"):
-            embed(WeightMatrix(m, SYMMETRIC), 1)
+            embed(WeightMatrix(m), 1)
 
     def test_vanishing_bridge_counts_as_disconnected(self):
-        w = WeightMatrix(np.array([[0.0, 1e-30], [1e-30, 0.0]]), SYMMETRIC)
+        w = WeightMatrix(np.array([[0.0, 1e-30], [1e-30, 0.0]]))
         with pytest.raises(DisconnectedGraphError, match="multiplicity"):
             embed(w, 1)
 
