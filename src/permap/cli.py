@@ -14,7 +14,7 @@ from pathlib import Path
 from . import config as config_mod
 from . import geo, ingest, layers, sequence, spectral
 from .config import RunConfig
-from .errors import ConfigError, stage, stage_of
+from .errors import stage, stage_of
 from .fileio import open_input, write_csv
 
 
@@ -109,12 +109,6 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     """
     with stage("config"):
         values = cfg.sweep_values()
-        if not values:
-            raise ConfigError("sweep list is empty")
-        # Compared as floats, so 0.0 and -0.0 are one value.
-        repeated = [v for i, v in enumerate(values) if v in values[:i]]
-        if repeated:
-            raise ConfigError(f"sweep value {repeated[0]!r} is listed more than once")
     prepared, report = _prepare(cfg)
     countries = {loc.id: loc.country for loc in prepared.locations}
     ratios = []
@@ -177,10 +171,8 @@ def main(argv=None) -> int:
     try:
         with stage("config"):
             cfg = config_mod.load_config(args.config, args.override)
-            out_dir = args.out or cfg.output_dir
-            if not out_dir:
-                raise ConfigError("no output directory: pass --out or set output_dir")
-        return _COMMANDS[args.command](cfg, Path(out_dir))
+            out_dir = config_mod.out_dir(cfg, args.out)
+        return _COMMANDS[args.command](cfg, out_dir)
     except Exception as exc:
         if stage_of(exc) is None:
             raise

@@ -2,9 +2,13 @@
 
 A config JSON names the input files, the ingestion knobs, the pipeline
 (geo, two_layer, or three_layer), exactly one border model, and optional
-sweep lists. Relative input paths resolve against the config file's
-directory. A manifest is the same document re-emitted with resolved
-values, so a finished run can be replayed from its manifest alone.
+sweep lists. The dataclasses are the schema: each JSON object of a
+config (the top level, `_meta`, `column_map`, `border_model` and each
+split rule) must hold the required fields of its dataclass and refuses
+any key that is not one of its fields. Relative input paths resolve
+against the config file's directory. A manifest is the same document
+re-emitted with resolved values and every field listed (`output_dir` as
+null), so a finished run can be replayed from its manifest alone.
 """
 
 from __future__ import annotations
@@ -12,7 +16,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
 
 from .errors import ConfigError
@@ -54,19 +59,38 @@ def _string(value, name: str) -> str:
     return value
 
 
-def _listed(value, name: str, default=None, entry=str) -> tuple:
+def _listed(value, name: str, entry=str) -> tuple:
     """`value` as a tuple, if it is a list of `entry` items (a bare string is not).
 
-    With a `default`, null and an empty list give it. Sweep lists pass
-    entry=object: RunConfig checks each entry as a number, with its own
-    message.
+    Sweep lists pass entry=object: RunConfig checks each entry as a
+    number, with its own message.
     """
-    if default is not None and (value is None or isinstance(value, (list, tuple)) and not value):
-        return default
     if not isinstance(value, (list, tuple)) or not all(isinstance(v, entry) for v in value):
-        what = "strings" if entry is str else "numbers"
+        what = {str: "strings", dict: "objects"}.get(entry, "numbers")
         raise ConfigError(f"{name} must be a list of {what}, got {value!r}")
     return tuple(value)
+
+
+def _path(value, name: str) -> str:
+    """`value` itself, if it is a string that is not empty or only whitespace."""
+    # Path("") is ".", which would name the config's own directory.
+    if not _string(value, name).strip():
+        raise ConfigError(f"{name} must not be an empty path, got {value!r}")
+    return value
+
+
+def _object(raw, name: str, schema, *extra) -> dict:
+    """`raw` itself, if it is a JSON object that gives each required field of
+    the `schema` dataclass (not as null) and no key but its fields and `extra`."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a JSON object")
+    unknown = set(raw) - {f.name for f in fields(schema)} - set(extra)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    for f in fields(schema):
+        if f.default is MISSING and f.default_factory is MISSING and raw.get(f.name) is None:
+            raise ConfigError(f"{name} missing field {f.name!r}")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -103,12 +127,7 @@ class BorderModel:
         return self.cost_km if self.kind == "linear" else self.p
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        if self.cost_km is not None:
-            out["cost_km"] = self.cost_km
-        if self.p is not None:
-            out["p"] = self.p
-        return out
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 @dataclass(frozen=True)
@@ -154,146 +173,94 @@ class RunConfig:
             raise ConfigError("three_layer pipeline needs a non-empty group selection")
 
     def sweep_values(self) -> tuple:
-        if self.border_model.kind == "linear":
-            return self.sweep_costs_km
-        if self.border_model.kind == "permeability":
-            return self.sweep_probabilities
-        raise ConfigError("border model 'none' has nothing to sweep")
+        """The border values to sweep: a non-empty list with no value twice."""
+        swept = {"linear": self.sweep_costs_km, "permeability": self.sweep_probabilities}
+        values = swept.get(self.border_model.kind)
+        if values is None:
+            raise ConfigError("border model 'none' has nothing to sweep")
+        if not values:
+            raise ConfigError("sweep list is empty")
+        # Compared as floats, so 0.0 and -0.0 are one value.
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ConfigError(f"sweep value {repeated[0]!r} is listed more than once")
+        return values
 
     def with_border_value(self, value: float) -> "RunConfig":
-        if self.border_model.kind == "linear":
-            model = BorderModel("linear", cost_km=float(value))
-        elif self.border_model.kind == "permeability":
-            model = BorderModel("permeability", p=float(value))
-        else:
+        kind = self.border_model.kind
+        if kind == "none":
             raise ConfigError("border model 'none' has nothing to sweep")
-        return replace(self, border_model=model)
-
-    def to_dict(self) -> dict:
-        cmap = {f.name: getattr(self.column_map, f.name) for f in fields(ColumnMap)}
-        cmap["date_formats"] = list(cmap["date_formats"])
-        return {
-            "events_csv": self.events_csv,
-            "borders_csv": self.borders_csv,
-            "pipeline": self.pipeline,
-            "border_model": self.border_model.to_dict(),
-            "column_map": cmap,
-            "categories": list(self.categories),
-            "rounding": self.rounding,
-            "k": self.k,
-            "groups": list(self.groups),
-            "split_rules": [
-                {
-                    "group_id": r.group_id,
-                    "attribute": r.attribute,
-                    "comparator": r.comparator,
-                    "threshold": float(r.threshold),
-                    "virtual_suffix": r.virtual_suffix,
-                }
-                for r in self.split_rules
-            ],
-            "sweep_costs_km": [float(v) for v in self.sweep_costs_km],
-            "sweep_probabilities": [float(v) for v in self.sweep_probabilities],
-            "output_dir": None,
-        }
+        parameter = "cost_km" if kind == "linear" else "p"
+        return replace(self, border_model=BorderModel(kind, **{parameter: float(value)}))
 
 
-def _build_column_map(raw) -> ColumnMap:
-    if raw is None:
-        return ColumnMap()
-    if not isinstance(raw, dict):
-        raise ConfigError("column_map must be a JSON object")
-    known = {f.name for f in fields(ColumnMap)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown column_map keys: {sorted(unknown)}")
+@dataclass(frozen=True)
+class _Meta:
+    """A manifest's bookkeeping: the command that wrote it and the format."""
+
+    command: str
+    format: int = 1
+
+
+def _build_column_map(raw, name: str) -> ColumnMap:
     kwargs = {}
-    for key, value in raw.items():
+    for key, value in _object(raw, name, ColumnMap).items():
         check = _listed if key == "date_formats" else _string
-        kwargs[key] = check(value, f"column_map.{key}")
+        kwargs[key] = check(value, f"{name}.{key}")
     return ColumnMap(**kwargs)
 
 
-def _build_border_model(raw) -> BorderModel:
-    if raw is None:
-        return BorderModel("none")
-    if not isinstance(raw, dict) or "kind" not in raw:
-        raise ConfigError("border_model must be an object with a 'kind' field")
-    unknown = set(raw) - {"kind", "cost_km", "p"}
-    if unknown:
-        raise ConfigError(f"unknown border_model keys: {sorted(unknown)}")
-    return BorderModel(raw["kind"], cost_km=raw.get("cost_km"), p=raw.get("p"))
-
-
-def _build_split_rules(raw) -> tuple:
-    if raw is None:
-        return ()
+def _build_split_rules(raw, name: str) -> tuple:
     rules = []
-    for item in raw:
-        if not isinstance(item, dict):
-            raise ConfigError("each split rule must be a JSON object")
-        try:
-            rules.append(
-                GroupSplitRule(
-                    group_id=_string(item["group_id"], "split rule group_id"),
-                    attribute=_string(item["attribute"], "split rule attribute"),
-                    comparator=_string(item["comparator"], "split rule comparator"),
-                    threshold=_finite(item["threshold"], "split rule threshold"),
-                    virtual_suffix=_string(item["virtual_suffix"], "split rule virtual_suffix"),
-                )
-            )
-        except KeyError as exc:
-            raise ConfigError(f"split rule missing field {exc.args[0]!r}") from None
+    for item in _listed(raw, name, dict):
+        kwargs = {}
+        for key, value in _object(item, "split rule", GroupSplitRule).items():
+            check = _finite if key == "threshold" else _string
+            kwargs[key] = check(value, f"split rule {key}")
+        rules.append(GroupSplitRule(**kwargs))
     return tuple(rules)
-
-
-_KNOWN_KEYS = {f.name for f in fields(RunConfig)} | {_META_KEY}
 
 
 def config_from_dict(raw: dict, base_dir: Path | None = None) -> RunConfig:
     """Validate a raw JSON document into a RunConfig.
 
-    Relative input paths are resolved against base_dir when given. The
-    manifest bookkeeping key is ignored, so manifests are valid configs.
+    A null, or an empty list for a list field, leaves the field's
+    default. Relative input paths are resolved against base_dir when
+    given. The manifest bookkeeping key is checked and then ignored, so
+    manifests are valid configs.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - _KNOWN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "events_csv" not in raw or not raw["events_csv"]:
-        raise ConfigError("config must name events_csv")
+    _object(raw, "config", RunConfig, _META_KEY)
+    if _META_KEY in raw:
+        _object(raw[_META_KEY], _META_KEY, _Meta)
 
-    def resolve(key):
-        path_str = raw.get(key)
-        if path_str is None:
-            return None
-        # Path("") is ".", which would name the config's own directory.
-        if not _string(path_str, key).strip():
-            raise ConfigError(f"{key} must not be an empty path, got {path_str!r}")
-        path = Path(path_str)
+    def resolve(path_str, key):
+        path = Path(_path(path_str, key))
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
         return str(path)
 
+    numeric = partial(_listed, entry=object)
+    # How a JSON value becomes its field; the other values pass unchanged.
+    convert = {
+        "events_csv": resolve,
+        "borders_csv": resolve,
+        "output_dir": resolve,
+        "border_model": lambda value, name: BorderModel(**_object(value, name, BorderModel)),
+        "column_map": _build_column_map,
+        "categories": _listed,
+        "groups": _listed,
+        "split_rules": _build_split_rules,
+        "sweep_costs_km": numeric,
+        "sweep_probabilities": numeric,
+    }
+    lists = {f.name for f in fields(RunConfig) if isinstance(f.default, tuple)}
+    kwargs = {}
     try:
-        return RunConfig(
-            events_csv=resolve("events_csv"),
-            borders_csv=resolve("borders_csv"),
-            pipeline=raw.get("pipeline", "geo"),
-            border_model=_build_border_model(raw.get("border_model")),
-            column_map=_build_column_map(raw.get("column_map")),
-            categories=_listed(raw.get("categories"), "categories", DEFAULT_CATEGORIES),
-            rounding=raw.get("rounding", DEFAULT_ROUNDING),
-            k=raw.get("k", 2),
-            groups=_listed(raw.get("groups"), "groups", ()),
-            split_rules=_build_split_rules(raw.get("split_rules")),
-            sweep_costs_km=_listed(raw.get("sweep_costs_km"), "sweep_costs_km", (), object),
-            sweep_probabilities=_listed(
-                raw.get("sweep_probabilities"), "sweep_probabilities", (), object
-            ),
-            output_dir=resolve("output_dir"),
-        )
+        for key, value in raw.items():
+            if key == _META_KEY or value is None or (value == [] and key in lists):
+                continue
+            kwargs[key] = convert[key](value, key) if key in convert else value
+        return RunConfig(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
 
@@ -341,10 +308,23 @@ def load_config(path, overrides=()) -> RunConfig:
 
 
 def manifest_dict(config: RunConfig, command: str) -> dict:
-    """The re-runnable record of a run: resolved config plus bookkeeping."""
-    out = config.to_dict()
-    out[_META_KEY] = {"command": command, "format": 1}
-    return out
+    """The re-runnable record of a run: every config field plus bookkeeping.
+
+    `output_dir` is written as null: a replay names its own.
+    """
+    return {
+        **asdict(config),
+        "border_model": config.border_model.to_dict(),
+        "output_dir": None,
+        _META_KEY: asdict(_Meta(command)),
+    }
+
+
+def out_dir(config: RunConfig, out: str | None) -> Path:
+    """Where a run writes: `out` (the --out option) if given, else output_dir."""
+    if out is None and config.output_dir is None:
+        raise ConfigError("no output directory: pass --out or set output_dir")
+    return Path(config.output_dir if out is None else _path(out, "--out"))
 
 
 def write_manifest(config: RunConfig, command: str, path) -> None:

@@ -44,8 +44,9 @@ class GroupSplitRule:
             raise ConfigError(
                 f"split rule comparator must be one of {_COMPARATORS}, got {self.comparator!r}"
             )
+        object.__setattr__(self, "threshold", float(self.threshold))
         lo, hi = _BOUNDS[self.attribute]
-        if not lo <= float(self.threshold) <= hi:
+        if not lo <= self.threshold <= hi:
             raise ConfigError(
                 f"split rule threshold {self.threshold} outside [{lo}, {hi}] for {self.attribute}"
             )

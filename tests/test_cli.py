@@ -752,6 +752,12 @@ class TestNestedConfigFields:
             "split rule attribute must be a string, got ['latitude']",
         ),
         ({"split_rules": [{**SPLIT_RULE, "comparator": 1}]}, "split rule comparator must be a string, got 1"),
+        ({"split_rules": 5}, "split_rules must be a list of objects, got 5"),
+        (
+            {"split_rules": {"group_id": "A"}},
+            "split_rules must be a list of objects, got {'group_id': 'A'}",
+        ),
+        ({"split_rules": [{**SPLIT_RULE, "thresold": 99}]}, "unknown split rule keys: ['thresold']"),
     )
 
     def run(self, capsys, config, out_dir, *overrides):
@@ -816,6 +822,17 @@ class TestFailureStages:
                 message = f"invalid config value: {key} must not be an empty path, got {empty!r}"
                 assert (rc, err) == (1, f"error: config: {message}\n")
         assert sorted(fixture_run["dir"].iterdir()) == before
+
+    def test_empty_out_fails_in_config(self, capsys, fixture_run, tmp_path):
+        # An empty --out used to fall back to the config's output_dir.
+        config = fixture_run["config"]
+        raw = json.loads(config.read_text(encoding="utf-8"))
+        config.write_text(json.dumps({**raw, "output_dir": str(tmp_path / "o")}), encoding="utf-8")
+        for empty in ("", " \t"):
+            rc, _, err = run_cli(capsys, "summarize", "--config", str(config), "--out", empty)
+            message = f"--out must not be an empty path, got {empty!r}"
+            assert (rc, err) == (1, f"error: config: {message}\n")
+        assert not (tmp_path / "o").exists()
 
     def test_missing_events_file(self, capsys, fixture_run, tmp_path):
         rc, _, err = run_cli(

@@ -146,10 +146,6 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="p must be"):
             perm.with_border_value(1.5)
 
-    def test_to_dict_always_clears_output_dir(self):
-        cfg = RunConfig(events_csv="e.csv", output_dir="/tmp/somewhere")
-        assert cfg.to_dict()["output_dir"] is None
-
 
 # A config entry that is not a list of the right items, and the message it fails with.
 LIST_FIELD_CASES = (
@@ -182,6 +178,22 @@ class TestConfigFromDict:
             config_from_dict(
                 {"events_csv": "e.csv", "border_model": {"kind": "none", "fee": 1}}
             )
+        rule = {"group_id": "G", "attribute": "latitude", "comparator": "<", "threshold": 1.0}
+        cases = (
+            (
+                {"split_rules": [{**rule, "virtual_suffix": "-s", "thresold": 99}]},
+                "unknown split rule keys: ['thresold']",
+            ),
+            ({"split_rules": 5}, "split_rules must be a list of objects, got 5"),
+            (
+                {"split_rules": {"group_id": "A"}},
+                "split_rules must be a list of objects, got {'group_id': 'A'}",
+            ),
+            ({"_meta": {"command": "embed", "inputs": {}}}, "unknown _meta keys: ['inputs']"),
+        )
+        for fragment, message in cases:
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                config_from_dict({"events_csv": "e.csv", **fragment})
 
     def test_events_csv_required(self):
         with pytest.raises(ConfigError, match="events_csv"):
@@ -336,6 +348,10 @@ class TestManifest:
             assert cfg.events_csv == str(events)
             assert config_from_dict(manifest_dict(cfg, "embed")) == cfg
 
+    def test_output_dir_always_written_as_null(self):
+        cfg = RunConfig(events_csv="e.csv", output_dir="/tmp/somewhere")
+        assert manifest_dict(cfg, "embed")["output_dir"] is None
+
     def test_meta_block_present(self):
         doc = manifest_dict(self.full_config(), "sweep")
         assert doc["_meta"] == {"command": "sweep", "format": 1}
@@ -351,3 +367,139 @@ class TestManifest:
         doc = json.loads(a.read_text())
         assert doc["border_model"] == {"kind": "permeability", "p": 0.9}
         assert config_from_dict(doc) == cfg
+
+    def linear_sweep_config(self):
+        # Built in code with int values: the manifest still writes floats.
+        return RunConfig(
+            events_csv="e.csv",
+            border_model=BorderModel("linear", cost_km=100),
+            split_rules=(GroupSplitRule("G", "longitude", ">=", -5, "-east"),),
+            sweep_costs_km=(0, 50, 100.5),
+            output_dir="out",
+        )
+
+    def test_golden_bytes(self, tmp_path):
+        cases = (
+            (self.full_config(), "embed", FULL_MANIFEST),
+            (self.linear_sweep_config(), "sweep", LINEAR_SWEEP_MANIFEST),
+        )
+        for cfg, command, expected in cases:
+            path = tmp_path / f"{command}.json"
+            write_manifest(cfg, command, path)
+            assert path.read_bytes() == expected.encode("utf-8")
+
+
+# The exact bytes write_manifest gives for TestManifest's two configs.
+FULL_MANIFEST = """\
+{
+  "_meta": {
+    "command": "embed",
+    "format": 1
+  },
+  "border_model": {
+    "kind": "permeability",
+    "p": 0.9
+  },
+  "borders_csv": "/data/b.csv",
+  "categories": [
+    "Battle",
+    "Remote violence"
+  ],
+  "column_map": {
+    "actor": "who",
+    "admin1": "admin1",
+    "country": "country",
+    "date_formats": [
+      "%Y-%m-%d",
+      "%d %B %Y",
+      "%d %b %Y",
+      "%d/%m/%Y"
+    ],
+    "event_date": "event_date",
+    "event_type": "event_type",
+    "fatalities": "fatalities",
+    "latitude": "latitude",
+    "longitude": "longitude"
+  },
+  "events_csv": "/data/e.csv",
+  "groups": [
+    "G",
+    "H"
+  ],
+  "k": 3,
+  "output_dir": null,
+  "pipeline": "three_layer",
+  "rounding": 3,
+  "split_rules": [
+    {
+      "attribute": "latitude",
+      "comparator": "<",
+      "group_id": "G",
+      "threshold": 28.05,
+      "virtual_suffix": "-south"
+    }
+  ],
+  "sweep_costs_km": [],
+  "sweep_probabilities": [
+    0.95,
+    0.8
+  ]
+}
+"""
+
+LINEAR_SWEEP_MANIFEST = """\
+{
+  "_meta": {
+    "command": "sweep",
+    "format": 1
+  },
+  "border_model": {
+    "cost_km": 100.0,
+    "kind": "linear"
+  },
+  "borders_csv": null,
+  "categories": [
+    "Battle",
+    "Riots and protests",
+    "Violence against civilians",
+    "Remote violence"
+  ],
+  "column_map": {
+    "actor": "actor1",
+    "admin1": "admin1",
+    "country": "country",
+    "date_formats": [
+      "%Y-%m-%d",
+      "%d %B %Y",
+      "%d %b %Y",
+      "%d/%m/%Y"
+    ],
+    "event_date": "event_date",
+    "event_type": "event_type",
+    "fatalities": "fatalities",
+    "latitude": "latitude",
+    "longitude": "longitude"
+  },
+  "events_csv": "e.csv",
+  "groups": [],
+  "k": 2,
+  "output_dir": null,
+  "pipeline": "geo",
+  "rounding": 4,
+  "split_rules": [
+    {
+      "attribute": "longitude",
+      "comparator": ">=",
+      "group_id": "G",
+      "threshold": -5.0,
+      "virtual_suffix": "-east"
+    }
+  ],
+  "sweep_costs_km": [
+    0.0,
+    50.0,
+    100.5
+  ],
+  "sweep_probabilities": []
+}
+"""

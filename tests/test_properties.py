@@ -4,6 +4,7 @@ import io
 import json
 import tempfile
 import warnings
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from oracles import (
     three_layer_system,
 )
 from permap.cli import main
+from permap.config import BorderModel, RunConfig, config_from_dict, manifest_dict
 from permap.geo import (
     EARTH_RADIUS_KM,
     CountryBorderGraph,
@@ -36,6 +38,7 @@ from permap.geo import (
 )
 from permap.ingest import (
     DEFAULT_CATEGORIES,
+    ColumnMap,
     DEFAULT_DATE_FORMATS,
     EventRecord,
     build_locations,
@@ -48,7 +51,14 @@ from permap.graphs import (
     WeightMatrix,
     laplacian_operator,
 )
-from permap.layers import build_three_layer, build_two_layer, prepare, solve, system_operator
+from permap.layers import (
+    BORDER_KINDS,
+    build_three_layer,
+    build_two_layer,
+    prepare,
+    solve,
+    system_operator,
+)
 from permap.sequence import GroupSplitRule, sequence_adjacency, split_groups
 from permap.spectral import embed, fix_signs
 
@@ -652,3 +662,67 @@ def test_permuting_locations_permutes_the_two_layer_embedding(case, p):
         return emb, system_operator(prepared, p)[0]
 
     permuted_runs_agree(run, site_locations(drawn), order, copies=2)
+
+
+names = st.text(alphabet="abcAB _-", min_size=1, max_size=6)
+# Relative or absolute paths that the Path() in config_from_dict leaves as they are.
+paths = st.builds(
+    lambda root, parts: root + "/".join(parts),
+    st.sampled_from(["", "/"]),
+    st.lists(st.text("abc_", min_size=1, max_size=4), min_size=1, max_size=3),
+)
+
+
+def int_or_float(lo, hi):
+    return st.integers(lo, hi) | st.floats(lo, hi, **finite)
+
+
+def split_rules(attribute, bound):
+    return st.builds(
+        GroupSplitRule,
+        group_id=names,
+        attribute=st.just(attribute),
+        comparator=st.sampled_from(["<", ">="]),
+        threshold=int_or_float(-bound, bound),
+        virtual_suffix=names,
+    )
+
+
+@st.composite
+def run_configs(draw):
+    pipeline = draw(st.sampled_from(sorted(BORDER_KINDS)))
+    kind = draw(st.sampled_from(BORDER_KINDS[pipeline]))
+    if kind == "linear":
+        model = BorderModel(kind, cost_km=draw(int_or_float(0, 10**6)))
+    elif kind == "permeability":
+        model = BorderModel(kind, p=draw(st.just(1) | st.floats(0, 1, exclude_min=True)))
+    else:
+        model = BorderModel(kind)
+    sweep = st.lists(int_or_float(-(10**9), 10**9), max_size=4)
+    rule = split_rules("latitude", 90) | split_rules("longitude", 180)
+    return RunConfig(
+        events_csv=draw(paths),
+        pipeline=pipeline,
+        border_model=model,
+        borders_csv=draw(st.none() | paths),
+        column_map=ColumnMap(actor=draw(names), date_formats=tuple(draw(st.lists(names, min_size=1)))),
+        categories=draw(st.lists(names, min_size=1, max_size=3)),
+        rounding=draw(st.integers(0, 6)),
+        k=draw(st.integers(1, 3)),
+        groups=draw(st.lists(names, min_size=int(pipeline == "three_layer"), max_size=3)),
+        split_rules=draw(st.lists(rule, max_size=2)),
+        sweep_costs_km=draw(sweep),
+        sweep_probabilities=draw(sweep),
+        output_dir=draw(st.none() | paths),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_configs())
+def test_a_manifest_replays_its_config(cfg):
+    doc = json.loads(json.dumps(manifest_dict(cfg, "embed")))
+    # The manifest leaves output_dir to the replay, and keeps every other field.
+    assert config_from_dict(doc) == replace(cfg, output_dir=None)
+    written = doc["sweep_costs_km"] + doc["sweep_probabilities"]
+    written += [rule["threshold"] for rule in doc["split_rules"]]
+    assert all(type(v) is float for v in written)
