@@ -29,7 +29,7 @@ locations = [
 borders = CountryBorderGraph.from_pairs([("Mali", "Niger")])
 
 # One group alternates Gao -> Ouallam -> Gao -> ... for 33 dated events.
-events, location_of = [], {}
+events, location_ids = [], []
 start = date(2024, 1, 1).toordinal()
 for row in range(1, 34):
     site = locations[(row - 1) % 2]
@@ -46,9 +46,9 @@ for row in range(1, 34):
             source_row=row,
         )
     )
-    location_of[row] = site.id
+    location_ids.append(site.id)
 
-moves = sequence_adjacency(events, location_of, ["Raiders"], len(locations))
+moves = sequence_adjacency(events, location_ids, ["Raiders"], len(locations))
 print("Directed move counts between locations:")
 print(moves.values.toarray().astype(int))
 

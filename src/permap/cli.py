@@ -71,8 +71,9 @@ def _prepare(cfg: RunConfig):
     seq = None
     if cfg.pipeline == "three_layer":
         with stage("assembly"):
-            location_of = dict(zip(violent.rows["source_row"].tolist(), mapping.tolist()))
-            seq = sequence.sequence_adjacency(violent, location_of, cfg.groups, len(locations))
+            seq = sequence.sequence_adjacency(violent, mapping, cfg.groups, len(locations))
+    # The events are spent: freed here, they do not stack on the distance layer.
+    del violent, mapping
     prepared = layers.prepare(cfg.pipeline, locations, cg, seq, cfg.border_model.kind)
     return prepared, report
 

@@ -37,8 +37,8 @@ EARTH_RADIUS_KM = 6371.0
 
 _REFERENCE_BORDERS = "country_borders_west_africa.csv"
 
-# Rows computed per step by distance_matrix and country_farthest.
-_ROW_BLOCK = 64
+# Bytes of one row-block temporary in distance_matrix and country_farthest.
+_BLOCK_BYTES = 192 * 1024
 # invert_distances' scale: the farthest pair keeps a tenth of the top weight.
 _MULTIPLIER = 1.1
 
@@ -58,13 +58,19 @@ def _check_bounds(lat: float, lon: float):
         raise ValueError(f"longitude {lon} out of range [-180, 180]")
 
 
+def _block_rows(n: int) -> int:
+    """Rows of n float64 columns that fit in _BLOCK_BYTES, and at least one."""
+    return max(1, _BLOCK_BYTES // (8 * n))
+
+
 def distance_matrix(locations) -> WeightMatrix:
     """All-pairs great-circle (haversine) distances for >= 2 locations (zero diagonal).
 
-    Each block of _ROW_BLOCK rows is computed only from its diagonal
+    Each block of _block_rows(n) rows is computed only from its diagonal
     column on, into one n x n result, and the tile right of its diagonal
-    block is written transposed below it. So the temporaries hold at most
-    _ROW_BLOCK rows, and each pair is computed once. Every computed entry
+    block is written transposed below it. So each temporary holds at most
+    _BLOCK_BYTES while one row fits in it, at any n, and each pair is
+    computed once. Every computed entry
     goes through the same operations as in the whole-matrix formula, and
     the formula is exactly symmetric, so the result is bit-equal to it.
     """
@@ -77,8 +83,9 @@ def distance_matrix(locations) -> WeightMatrix:
     lon = np.radians([p[1] for p in pts])
     cos_lat = np.cos(lat)
     d = np.empty((lat.size, lat.size))
-    for start in range(0, lat.size, _ROW_BLOCK):
-        stop = start + _ROW_BLOCK
+    block = _block_rows(lat.size)
+    for start in range(0, lat.size, block):
+        stop = start + block
         rows, cols = slice(start, stop), slice(start, None)
         dp = lat[rows, None] - lat[None, cols]
         dl = lon[rows, None] - lon[None, cols]
@@ -288,7 +295,8 @@ def country_farthest(d: WeightMatrix, codes=None) -> np.ndarray:
     and codes[j] == b, and -inf for a code no location has; codes are
     indexes into a hop table, as country_crossings gives them. Without
     codes every location is in one country, and the table is 1 x 1.
-    Rows go _ROW_BLOCK at a time, so no n x n temporary is made.
+    Rows go _block_rows(n) at a time, so no temporary outgrows
+    _BLOCK_BYTES while one row fits in it.
     """
     n = d.n
     codes = np.zeros(n, dtype=np.intp) if codes is None else np.asarray(codes, dtype=np.intp)
@@ -296,8 +304,9 @@ def country_farthest(d: WeightMatrix, codes=None) -> np.ndarray:
     ordered = codes[order]
     starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
     rows_max = np.empty((n, starts.size))
-    for start in range(0, n, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
+    block = _block_rows(n)
+    for start in range(0, n, block):
+        rows = slice(start, start + block)
         rows_max[rows] = np.maximum.reduceat(d.values[rows][:, order], starts, axis=1)
     present = ordered[starts]
     table = np.full((int(codes.max()) + 1,) * 2, -np.inf)

@@ -19,10 +19,12 @@ table at its entry.
 from __future__ import annotations
 
 import csv
+import locale
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from datetime import date, datetime
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -112,13 +114,91 @@ def write_rejections_csv(report: ParseReport, path) -> None:
     write_csv(path, ["line", "reason"], report.rejections)
 
 
-def _parse_date(text: str, formats) -> int | None:
-    """The date ordinal of the first format that reads text, or None."""
+# The month names %B reads while LC_TIME is C, lower-cased.
+_MONTHS = {
+    name: month
+    for month, name in enumerate(
+        ("january", "february", "march", "april", "may", "june", "july",
+         "august", "september", "october", "november", "december"),
+        start=1,
+    )
+}
+
+
+def _strptime_ordinal(fmt: str, text: str) -> int | None:
+    try:
+        return datetime.strptime(text, fmt).toordinal()
+    except ValueError:
+        return None
+
+
+def _ordinal(year: int, month: int, day: int) -> int | None:
+    try:
+        return date(year, month, day).toordinal()
+    except ValueError:
+        return None
+
+
+# For ASCII text, strptime reads %Y-%m-%d only as 4, 1-2 and 1-2 digits
+# joined by hyphens (a space may pad the day), and %d %B %Y in the C locale
+# only as 1-2 digits, a month name in any case and 4 digits split by runs of
+# whitespace; then it fails exactly where date() does. So the two readers
+# below settle ASCII text themselves and pass `strptime` the rest.
+
+
+def _read_iso(strptime, text: str) -> int | None:
+    if not text.isascii():
+        return strptime(text)
+    digits = text.replace("-", "")
+    if not digits.isdigit():
+        # Only a space-padded day can still match.
+        return strptime(text) if digits.replace(" ", "").isdigit() else None
+    parts = text.split("-")
+    if len(parts) != 3 or len(parts[0]) != 4 or not all(0 < len(p) <= 2 for p in parts[1:]):
+        return None
+    return _ordinal(*map(int, parts))
+
+
+def _read_day_month_year(strptime, text: str) -> int | None:
+    if not text.isascii():
+        return strptime(text)
+    parts = text.split()
+    if len(parts) != 3:
+        return None
+    day, month, year = parts
+    month = _MONTHS.get(month.lower())
+    if not (month and day.isdigit() and len(day) <= 2 and year.isdigit() and len(year) == 4):
+        return None
+    return _ordinal(int(year), month, int(day))
+
+
+def _date_readers(formats) -> list:
+    """One reader per format, in order: text -> its date ordinal, or None.
+
+    Each gives what datetime.strptime(text, fmt).toordinal() gives, None
+    where that raises ValueError. %Y-%m-%d, and %d %B %Y while LC_TIME is
+    C, read the text they can without strptime.
+    """
+    c_time = locale.setlocale(locale.LC_TIME) in ("C", "POSIX")
+    readers = []
     for fmt in formats:
-        try:
-            return datetime.strptime(text.strip(), fmt).toordinal()
-        except ValueError:
-            continue
+        strptime = partial(_strptime_ordinal, fmt)
+        if fmt == "%Y-%m-%d":
+            readers.append(partial(_read_iso, strptime))
+        elif fmt == "%d %B %Y" and c_time:
+            readers.append(partial(_read_day_month_year, strptime))
+        else:
+            readers.append(strptime)
+    return readers
+
+
+def _parse_date(text: str, readers) -> int | None:
+    """The date ordinal of the first of _date_readers' readers that reads text, or None."""
+    text = text.strip()
+    for read in readers:
+        ordinal = read(text)
+        if ordinal is not None:
+            return ordinal
     return None
 
 
@@ -264,7 +344,7 @@ def parse_events(source, column_map: ColumnMap | None = None):
 
     report = ParseReport()
     reject = report.reject
-    formats = cmap.date_formats
+    readers = _date_readers(cmap.date_formats)
     texts = _Memo(str.strip)
     coordinates = _Memo(_coordinates)
     groups, kinds, deaths, sites = _Codes(), _Codes(), _Codes(), []
@@ -279,7 +359,7 @@ def parse_events(source, column_map: ColumnMap | None = None):
         return len(sites) - 1
 
     # Raw cell text -> its code (the ordinal for a date), or why the row is rejected.
-    day_of = _Memo(lambda text: _parse_date(text, formats) or "unparseable date")
+    day_of = _Memo(lambda text: _parse_date(text, readers) or "unparseable date")
     group_of = _Memo(lambda text: groups[texts[text]] if texts[text] else "empty group id")
     site_of = _Memo(site)
     dead_of = _Memo(lambda text: _fatalities(text, deaths))

@@ -82,8 +82,10 @@ BORDER_KINDS = {
     "three_layer": ("permeability",),
 }
 
-# Rows per step of country_separation_ratio, as geo's _ROW_BLOCK is for the
-# distance matrix: its two buffers hold this many rows of pair distances.
+# Rows per step of country_separation_ratio: its two buffers hold this many
+# rows of pair distances. Unlike geo's blocks it is a row count, not a byte
+# bound: the ratio sums block by block, so the row count sets the rounding
+# of separation_ratios.csv, and changing it would change those bytes.
 _PAIR_ROWS = 64
 
 # Where the memory check reads the available memory: the host's
@@ -362,9 +364,11 @@ def _check_memory(pipeline: str, n: int, builds_distances: bool) -> None:
     A distance layer is one n x n float array: the km matrix, which the
     multilayer pipelines invert in place and `geo` prices and inverts in
     each product, so no copy of it is made. The Lanczos basis
-    holds MIN_BASIS vectors of the system size. Raises
-    InsufficientMemoryError; checks nothing when the available memory
-    cannot be read.
+    holds MIN_BASIS vectors of the system size. The distance builders'
+    row-block temporaries are left out: each is bounded in bytes
+    (geo._BLOCK_BYTES), not in n, and a few of them are small next to
+    either term. Raises InsufficientMemoryError; checks nothing when the
+    available memory cannot be read.
     """
     available = _available_memory()
     if available is None:

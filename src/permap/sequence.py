@@ -11,6 +11,7 @@ sub-groups by a coordinate half-plane before sequencing.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -89,46 +90,58 @@ def split_groups(events, rules) -> EventTable:
     return replace(table, rows=rows, groups=tuple(names))
 
 
-def sequence_adjacency(events, location_of, groups, n_locations: int) -> WeightMatrix:
+def sequence_adjacency(events, location_ids, groups, n_locations: int) -> WeightMatrix:
     """Count consecutive same-group attacks between ordered location pairs.
 
-    `location_of` maps each event's source_row to its location id in
-    [0, n_locations). Consecutive attacks at the same location contribute
-    nothing. Counts accumulate over all selected groups into one directed
-    layer, held as canonical CSR (sorted indices, repeated moves summed);
-    no n x n array is made.
+    `location_ids` holds each event's location id in [0, n_locations),
+    aligned with `events`, as `ingest.build_locations` returns them.
+    Consecutive attacks at the same location contribute nothing. Counts
+    accumulate over all selected groups into one directed layer, held as
+    canonical CSR (sorted indices, repeated moves summed); no n x n array
+    is made, and no Python loop runs over the events. A mapping from each
+    event's source_row to its id is still read, one lookup per event.
+    Raises ValueError for ids that are not one per event, for an id
+    outside [0, n_locations) (naming the event's line), and for an event
+    whose line a mapping lacks.
     """
     groups = list(groups)
     if not groups:
         raise ValueError("sequence_adjacency needs at least one selected group")
     if n_locations < 1:
         raise ValueError(f"n_locations must be positive, got {n_locations}")
-
-    def lookup(line):
-        try:
-            lid = location_of[line]
-        except KeyError:
-            raise ValueError(f"event at line {line} has no location") from None
-        if not 0 <= lid < n_locations:
-            raise ValueError(
-                f"event at line {line} has location {lid}, outside [0, {n_locations})"
-            )
-        return lid
-
     table = EventTable.of(events)
+    lines = table.rows["source_row"]
+    # perfbench/check.py still builds its reference with line -> id.
+    if isinstance(location_ids, Mapping):
+        try:
+            location_ids = [location_ids[line] for line in lines.tolist()]
+        except KeyError as exc:
+            raise ValueError(f"event at line {exc.args[0]} has no location") from None
+    ids = np.asarray(location_ids, dtype=np.intp)
+    if ids.shape != (len(table),):
+        raise ValueError(f"got location ids of shape {ids.shape} for {len(table)} events")
+    outside = (ids < 0) | (ids >= n_locations)
+    if outside.any():
+        first = int(np.flatnonzero(outside)[0])
+        raise ValueError(
+            f"event at line {lines[first]} has location {ids[first]}, outside [0, {n_locations})"
+        )
+
+    # How often each group is selected: a group listed twice counts twice.
     present = table.group_codes()
-    rows, cols = [], []
+    times = np.zeros(len(table.groups))
     for group in groups:
-        if group not in present:
+        if group in present:
+            times[present[group]] += 1
+        else:
             warnings.warn(f"selected group {group!r} has no events", stacklevel=2)
-            continue
-        # The group's events in ascending date order, ties by source row.
-        mine = table.rows[table.rows["group"] == present[group]]
-        lines = mine["source_row"][np.lexsort((mine["source_row"], mine["day"]))]
-        locs = [lookup(line) for line in lines.tolist()]
-        for a, b in zip(locs, locs[1:]):
-            if a != b:
-                rows.append(a)
-                cols.append(b)
-    counts = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n_locations,) * 2)
+    # The selected events by group, each group's in ascending date order
+    # with ties by source row; a move joins two neighbours of one group.
+    group = table.rows["group"]
+    mine = np.flatnonzero(times[group])
+    walk = mine[np.lexsort((lines[mine], table.rows["day"][mine], group[mine]))]
+    src, dst = ids[walk[:-1]], ids[walk[1:]]
+    moves = (group[walk[:-1]] == group[walk[1:]]) & (src != dst)
+    weights = times[group[walk[:-1]][moves]]
+    counts = sparse.csr_matrix((weights, (src[moves], dst[moves])), shape=(n_locations,) * 2)
     return WeightMatrix(counts)

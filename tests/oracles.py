@@ -135,15 +135,16 @@ def principal_angle_cos(basis_a, basis_b):
     return float(s.min())
 
 
-def brute_force_sequence(events, location_of, groups, n):
-    """Literal restatement of the sequence-layer counting rule."""
+def brute_force_sequence(events, location_ids, groups, n):
+    """Literal restatement of the sequence-layer counting rule.
+
+    `location_ids` holds each event's location id, aligned with `events`.
+    """
     counts = [[0 for _ in range(n)] for _ in range(n)]
     for group in groups:
-        mine = [e for e in events if e.group_id == group]
-        mine = sorted(mine, key=lambda e: (e.event_date, e.source_row))
-        for earlier, later in zip(mine, mine[1:]):
-            a = location_of[earlier.source_row]
-            b = location_of[later.source_row]
+        mine = [(e, lid) for e, lid in zip(events, location_ids) if e.group_id == group]
+        mine = sorted(mine, key=lambda pair: (pair[0].event_date, pair[0].source_row))
+        for (_, a), (_, b) in zip(mine, mine[1:]):
             if a != b:
                 counts[a][b] += 1
     return counts
@@ -353,17 +354,21 @@ def _without_separators(text):
     return text
 
 
-def _reference_event(cell, date_formats):
-    """One row's cells as an event tuple without its line number, or why the row is rejected."""
+def strptime_date(text, date_formats):
+    """The date of the first format datetime.strptime reads the stripped text with, or None."""
     from datetime import datetime
 
-    when = None
     for fmt in date_formats:
         try:
-            when = datetime.strptime(cell["event_date"].strip(), fmt).date()
-            break
+            return datetime.strptime(text.strip(), fmt).date()
         except ValueError:
             pass
+    return None
+
+
+def _reference_event(cell, date_formats):
+    """One row's cells as an event tuple without its line number, or why the row is rejected."""
+    when = strptime_date(cell["event_date"], date_formats)
     if when is None:
         return "unparseable date"
     if cell["actor1"].strip() == "":

@@ -248,7 +248,7 @@ def test_c09_sequence_extraction_matches_brute_force():
         n_events = int(rng.integers(2, 51))
         n_groups = int(rng.integers(1, 6))
         n_locations = int(rng.integers(2, 9))
-        events, location_of = [], {}
+        events, location_ids = [], []
         for row in range(1, n_events + 1):
             events.append(
                 make_event(
@@ -257,24 +257,22 @@ def test_c09_sequence_extraction_matches_brute_force():
                     when=date(2024, 1 + int(rng.integers(0, 12)), 1 + int(rng.integers(0, 28))),
                 )
             )
-            location_of[row] = int(rng.integers(0, n_locations))
+            location_ids.append(int(rng.integers(0, n_locations)))
         groups = sorted({e.group_id for e in events})
 
-        got = sequence_adjacency(events, location_of, groups, n_locations).values.toarray()
-        want = np.array(brute_force_sequence(events, location_of, groups, n_locations), dtype=float)
+        got = sequence_adjacency(events, location_ids, groups, n_locations).values.toarray()
+        want = np.array(
+            brute_force_sequence(events, location_ids, groups, n_locations), dtype=float
+        )
         assert np.array_equal(got, want)
 
         moves = 0
         for group in groups:
             ordered = sorted(
-                (e for e in events if e.group_id == group),
-                key=lambda e: (e.event_date, e.source_row),
+                (pair for pair in zip(events, location_ids) if pair[0].group_id == group),
+                key=lambda pair: (pair[0].event_date, pair[0].source_row),
             )
-            moves += sum(
-                1
-                for a, b in zip(ordered, ordered[1:])
-                if location_of[a.source_row] != location_of[b.source_row]
-            )
+            moves += sum(1 for (_, a), (_, b) in zip(ordered, ordered[1:]) if a != b)
         assert got.sum() == moves
     assert time.monotonic() - started < 5.0
 
@@ -309,8 +307,7 @@ def test_c10_habitual_pair_sits_closer_than_matched_control():
         make_event(row, group="G", when=date.fromordinal(base + row - 1))
         for row in range(1, 34)
     ]
-    location_of = {row: (row + 1) % 2 for row in range(1, 34)}
-    seq = sequence_adjacency(events, location_of, ["G"], 4)
+    seq = sequence_adjacency(events, [(row + 1) % 2 for row in range(1, 34)], ["G"], 4)
     assert seq.values[0, 1] == 16.0 and seq.values[1, 0] == 16.0
 
     w_border = border_permeability_matrix(hops, 0.95)

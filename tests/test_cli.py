@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from conftest import benchmark_workloads, events_csv_text
-from permap import ingest, layers
+from permap import ingest, layers, sequence
 from permap.cli import main
 
 
@@ -215,6 +216,51 @@ class TestEmbed:
         disp = (out_dir / "displacement.csv").read_text().splitlines()
         assert len(disp) == 13
         assert disp[1].split(",")[1:3] == ["distance", "border"]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            (),
+            (
+                "pipeline=three_layer",
+                'border_model={"kind": "permeability", "p": 0.95}',
+                'groups=["Group A", "Group B", "Group C"]',
+                'split_rules=[{"group_id": "Group A", "attribute": "latitude", '
+                '"comparator": ">=", "threshold": 90, "virtual_suffix": "-north"}]',
+            ),
+        ],
+        ids=["geo", "three_layer"],
+    )
+    def test_event_tables_are_freed_before_prepare(
+        self, capsys, fixture_run, tmp_path, monkeypatch, overrides
+    ):
+        # The distance layer is built in prepare; no event table may be
+        # alive then to add to the run's peak memory.
+        tables = []
+
+        def keeping(fn):
+            def wrapper(*args, **kwargs):
+                table = fn(*args, **kwargs)
+                tables.append(weakref.ref(table))
+                return table
+
+            return wrapper
+
+        alive = []
+        prepare = layers.prepare
+
+        def checking(*args, **kwargs):
+            alive.extend(ref() is not None for ref in tables)
+            return prepare(*args, **kwargs)
+
+        monkeypatch.setattr(ingest, "filter_violent", keeping(ingest.filter_violent))
+        monkeypatch.setattr(sequence, "split_groups", keeping(sequence.split_groups))
+        monkeypatch.setattr(layers, "prepare", checking)
+        args = [arg for override in overrides for arg in ("--override", override)]
+        config, out_dir = str(fixture_run["config"]), str(tmp_path / "run")
+        rc, _, err = run_cli(capsys, "embed", "--config", config, "--out", out_dir, *args)
+        assert rc == 0 and err == ""
+        assert alive == [False] * (1 + bool(overrides))
 
     def test_zero_cost_matches_plain_geodesic_bytes(self, capsys, fixture_run, tmp_path):
         plain, zero = tmp_path / "plain", tmp_path / "zero"

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import make_location
 from oracles import bfs_crossings, haversine_matrix, haversine_reference
+from permap import geo
 from permap.errors import ConfigError, DisconnectedGraphError
 from permap.geo import (
     EARTH_RADIUS_KM,
@@ -99,6 +102,21 @@ class TestDistanceMatrix:
                 assert d[i, j] == pytest.approx(want, rel=1e-12, abs=1e-9)
         assert np.array_equal(np.diag(d), np.zeros(n))
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7])
+    def test_any_block_of_rows_is_bit_equal(self, monkeypatch, rows):
+        # Blocks are sized in bytes, so the rows per block depend on n; a
+        # smaller budget puts these small n on the row counts a large n gets.
+        rng = np.random.default_rng(21)
+        for n in (2, 5, 13, 64):
+            monkeypatch.setattr(geo, "_BLOCK_BYTES", 8 * n * rows)
+            assert geo._block_rows(n) == rows
+            points = list(zip(rng.uniform(-89, 89, n), rng.uniform(-179, 179, n)))
+            d = distance_matrix(points)
+            assert np.array_equal(d.values, haversine_matrix(points))
+            codes = rng.integers(0, 3, n)
+            want = farthest_oracle(d.values, codes, int(codes.max()) + 1)
+            assert np.array_equal(country_farthest(d, codes), want)
+
     def test_needs_two_locations(self):
         with pytest.raises(ValueError, match="at least 2"):
             distance_matrix([(0.0, 0.0)])
@@ -139,6 +157,23 @@ class TestInvertDistances:
             assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
         with pytest.raises(ValueError, match="all distances are zero"):
             closeness_matrix([(3.0, 4.0)] * 3)
+
+    def test_closeness_matrix_holds_one_n_by_n_array(self):
+        # Besides the n x n result, only row blocks of at most _BLOCK_BYTES
+        # each and per-location arrays: under 2 MB at any n up to
+        # _BLOCK_BYTES / 8 columns.
+        rng = np.random.default_rng(22)
+        for n in (1500, 3000):
+            points = list(zip(rng.uniform(-89, 89, n), rng.uniform(-179, 179, n)))
+            tracemalloc.start()
+            try:
+                w = closeness_matrix(points)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert w.values.shape == (n, n)
+            assert peak < 8 * n * n + 2 * 2**20
+            del w
 
 
 class TestCountryBorderGraph:

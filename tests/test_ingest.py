@@ -1,4 +1,5 @@
 import io
+import locale
 import tracemalloc
 from datetime import date
 from types import SimpleNamespace
@@ -62,6 +63,17 @@ class TestParseEvents:
             date(1997, 1, 1),
             date(1997, 3, 5),
         ]
+
+    def test_month_names_go_to_strptime_outside_the_c_locale(self, monkeypatch):
+        # Elsewhere %B reads the locale's month names, which only strptime knows.
+        formats = ingest.DEFAULT_DATE_FORMATS
+        readers = ingest._date_readers(formats)
+        assert readers[1].func is ingest._read_day_month_year
+        monkeypatch.setattr(locale, "setlocale", lambda category, value=None: "fr_FR.UTF-8")
+        readers = ingest._date_readers(formats)
+        assert readers[0].func is ingest._read_iso
+        assert [r.args for r in readers[1:]] == [(fmt,) for fmt in formats[1:]]
+        assert ingest._parse_date("05 March 2011", readers) == date(2011, 3, 5).toordinal()
 
     def test_each_rejection_reason(self):
         rows = [

@@ -24,8 +24,10 @@ from oracles import (
     record_split_groups,
     record_summarize,
     reference_ingest,
+    strptime_date,
     three_layer_system,
 )
+from permap import ingest
 from permap.cli import main
 from permap.config import BorderModel, RunConfig, config_from_dict, manifest_dict
 from permap.geo import (
@@ -80,13 +82,14 @@ finite = {"allow_nan": False, "allow_infinity": False}
 )
 def test_sequence_counts_match_brute_force(case):
     n_locations, rows = case
-    events, location_of = [], {}
-    for row, (group, day, loc) in enumerate(rows, start=1):
-        events.append(make_event(row, group=f"G{group}", when=date(2024, 1, day)))
-        location_of[row] = loc
+    events = [
+        make_event(row, group=f"G{group}", when=date(2024, 1, day))
+        for row, (group, day, _) in enumerate(rows, start=1)
+    ]
+    location_ids = [loc for _, _, loc in rows]
     groups = sorted({e.group_id for e in events})
-    got = sequence_adjacency(events, location_of, groups, n_locations).values.toarray()
-    want = np.array(brute_force_sequence(events, location_of, groups, n_locations))
+    got = sequence_adjacency(events, location_ids, groups, n_locations).values.toarray()
+    want = np.array(brute_force_sequence(events, location_ids, groups, n_locations))
     assert np.array_equal(got, want)
     # each group with k events yields at most k - 1 moves
     assert got.sum() <= len(events) - len(groups)
@@ -425,6 +428,87 @@ def test_the_every_reason_text_reaches_every_rule():
     assert len(kept) == 3 and len(locations) == 1
 
 
+MONTH_NAMES = (
+    "January", "February", "March", "April", "May", "June", "July",
+    "August", "September", "October", "November", "December",
+)
+# Decimal digits that are not ASCII: Arabic-Indic, fullwidth, Devanagari.
+OTHER_DIGITS = ("\u0660", "\uff10", "\u0966")
+
+
+@st.composite
+def date_texts(draw):
+    """Dates written as the default formats write them, and near misses of each.
+
+    Fields may be unpadded, padded with a zero or a space, out of range or
+    of the wrong width, hold one digit of another script, and be split by
+    runs of whitespace; month names come full or short, in any case.
+    """
+
+    def rarely():
+        return draw(st.integers(0, 5)) == 0
+
+    def number(value, width):
+        text = str(value).zfill(draw(st.sampled_from([0, width])) + rarely())
+        if rarely():
+            text = " " + text
+        if rarely():
+            i = draw(st.integers(0, len(text) - 1))
+            if text[i].isdigit():
+                digit = chr(ord(draw(st.sampled_from(OTHER_DIGITS))) + int(text[i]))
+                text = text[:i] + digit + text[i + 1 :]
+        return text
+
+    year = number(draw(st.integers(0, 10000) if rarely() else st.integers(1000, 9999)), 4)
+    month = draw(st.integers(0, 13) if rarely() else st.integers(1, 12))
+    day = number(draw(st.integers(0, 32) if rarely() else st.integers(1, 29)), 2)
+    name = MONTH_NAMES[month % 12]
+    name = draw(st.sampled_from([name, name[:3], name.upper(), name.lower(), name + "x"]))
+    gap = draw(st.text(" \t\n\x1c\xa0\u3000-/", min_size=1, max_size=3)) if rarely() else " "
+    gap2 = draw(st.sampled_from([gap, " ", "-", "/"]))
+    return draw(
+        st.sampled_from(
+            [
+                f"{year}-{number(month, 2)}-{day}",
+                f"{day}{gap}{name}{gap2}{year}",
+                f"{day}/{number(month, 2)}/{year}",
+                f"{year}{gap}{number(month, 2)}{gap2}{day}",
+            ]
+        )
+    )
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.one_of(date_texts(), st.text(max_size=20)),
+    st.permutations(DEFAULT_DATE_FORMATS).flatmap(
+        lambda order: st.integers(1, len(order)).map(lambda k: tuple(order[:k]))
+    ),
+)
+@example("31/02/2011", DEFAULT_DATE_FORMATS)
+@example("29 February 2012", DEFAULT_DATE_FORMATS)
+@example("29 february 2011", DEFAULT_DATE_FORMATS)
+@example("2012-02-29", ("%d %B %Y", "%Y-%m-%d"))
+@example("2011-02-29", DEFAULT_DATE_FORMATS)
+@example("2011-1-5", DEFAULT_DATE_FORMATS)
+@example("2011-01- 5", DEFAULT_DATE_FORMATS)
+@example(" 5 \t March\x1c 2011 ", DEFAULT_DATE_FORMATS)
+@example("1\u0665 March 2011", DEFAULT_DATE_FORMATS)
+@example("05 March \u0662\u0660\u0661\u0661", DEFAULT_DATE_FORMATS)
+@example("\uff12\uff10\uff11\uff11-01-05", DEFAULT_DATE_FORMATS)
+@example("05 May 2011", ("%d %b %Y", "%d %B %Y"))
+@example("0000-01-01", DEFAULT_DATE_FORMATS)
+@example("999-01-05", DEFAULT_DATE_FORMATS)
+@example("2011-001-05", DEFAULT_DATE_FORMATS)
+@example("005 March 2011", DEFAULT_DATE_FORMATS)
+@example("05 March 02011", DEFAULT_DATE_FORMATS)
+@example("\u0660\u0665 March 2011", DEFAULT_DATE_FORMATS)
+def test_date_readers_match_the_strptime_loop(text, formats):
+    want = strptime_date(text, formats)
+    got = ingest._parse_date(text, ingest._date_readers(formats))
+    assert got == (None if want is None else want.toordinal())
+
+
 # INGEST_CELLS plus quoted cells that span lines, so a row's line number
 # is its last physical line; digit separators; and "Group A-south", which
 # the first split rule below also writes. CLEAN_CELLS are the ones no rule
@@ -539,9 +623,8 @@ def test_columnar_pipeline_matches_the_record_oracles(text, categories, rounding
     assert got == record_summarize(ref_split, len(ref_locations), ref_mapping)
     n = len(locations)
     groups = sorted({e.group_id for e in ref_split}) + ["Nobody"]
-    location_of = {e.source_row: lid for e, lid in zip(ref_split, ref_mapping)}
-    seq, warned = run_warned(sequence_adjacency, kept, location_of, groups, n)
-    ref_seq = brute_force_sequence(ref_split, location_of, groups, n)
+    seq, warned = run_warned(sequence_adjacency, kept, mapping, groups, n)
+    ref_seq = brute_force_sequence(ref_split, ref_mapping, groups, n)
     assert np.array_equal(seq.values.toarray(), np.array(ref_seq, dtype=float))
     assert warned == ["selected group 'Nobody' has no events"]
 

@@ -98,8 +98,7 @@ class TestOrderEvents:
             make_event(2, when=date(2024, 1, 5)),
             make_event(3, when=date(2024, 2, 10)),
         ]
-        loc = {1: 0, 2: 1, 3: 2}
-        got = sequence_adjacency(events, loc, ["G"], 3).values.toarray()
+        got = sequence_adjacency(events, [0, 1, 2], ["G"], 3).values.toarray()
         assert np.array_equal(got, walk_matrix([1, 2, 0], 3))
 
     def test_date_ties_keep_file_order(self):
@@ -108,8 +107,7 @@ class TestOrderEvents:
             make_event(2, when=date(2024, 1, 1)),
             make_event(5, when=date(2024, 1, 1)),
         ]
-        loc = {9: 0, 2: 1, 5: 2}
-        got = sequence_adjacency(events, loc, ["G"], 3).values.toarray()
+        got = sequence_adjacency(events, [0, 1, 2], ["G"], 3).values.toarray()
         assert np.array_equal(got, walk_matrix([1, 2, 0], 3))
 
     def test_filters_to_named_group(self):
@@ -119,8 +117,7 @@ class TestOrderEvents:
             make_event(3, group="G"),
             make_event(4, group="H"),
         ]
-        loc = {1: 0, 2: 1, 3: 2, 4: 3}
-        got = sequence_adjacency(events, loc, ["H"], 4).values.toarray()
+        got = sequence_adjacency(events, [0, 1, 2, 3], ["H"], 4).values.toarray()
         assert np.array_equal(got, walk_matrix([1, 3], 4))
 
     def test_matches_independent_sort(self):
@@ -134,15 +131,15 @@ class TestOrderEvents:
                     when=date(2024, 1, int(rng.integers(1, 28))),
                 )
             )
-        loc = {row: row - 1 for row in range(1, 41)}
+        ids = list(range(40))  # the event on line `row` sits at location row - 1
         shuffled = list(events)
         rng.shuffle(shuffled)
         for g in ("G0", "G1", "G2"):
-            got = sequence_adjacency(events, loc, [g], 40).values.toarray()
+            got = sequence_adjacency(events, ids, [g], 40).values.toarray()
             want = sorted(
                 ((e.event_date, e.source_row) for e in shuffled if e.group_id == g),
             )
-            assert np.array_equal(got, walk_matrix([loc[row] for _, row in want], 40))
+            assert np.array_equal(got, walk_matrix([row - 1 for _, row in want], 40))
 
 
 class TestSequenceAdjacency:
@@ -152,8 +149,7 @@ class TestSequenceAdjacency:
             make_event(2, when=date(2024, 1, 2)),
             make_event(3, when=date(2024, 1, 3)),
         ]
-        loc = {1: 0, 2: 1, 3: 0}
-        a = sequence_adjacency(events, loc, ["G"], 2)
+        a = sequence_adjacency(events, [0, 1, 0], ["G"], 2)
         assert not a.is_symmetric
         assert np.array_equal(a.values.toarray(), [[0.0, 1.0], [1.0, 0.0]])
 
@@ -162,13 +158,13 @@ class TestSequenceAdjacency:
         events = [
             make_event(row, when=date.fromordinal(base + row - 1)) for row in range(1, 33)
         ]
-        loc = {row: (row + 1) % 2 for row in range(1, 33)}
-        a = sequence_adjacency(events, loc, ["G"], 2).values.toarray()
+        ids = [(row + 1) % 2 for row in range(1, 33)]
+        a = sequence_adjacency(events, ids, ["G"], 2).values.toarray()
         assert a[0, 1] == 16.0 and a[1, 0] == 15.0
 
     def test_same_location_pairs_skipped(self):
         events = [make_event(i, when=date(2024, 1, i)) for i in range(1, 4)]
-        a = sequence_adjacency(events, {1: 0, 2: 0, 3: 0}, ["G"], 1)
+        a = sequence_adjacency(events, [0, 0, 0], ["G"], 1)
         assert np.array_equal(a.values.toarray(), np.zeros((1, 1)))
 
     def test_two_group_fixture_matches_oracle(self):
@@ -183,9 +179,9 @@ class TestSequenceAdjacency:
             make_event(8, group="H", when=date(2024, 1, 5)),
             make_event(9, group="G", when=date(2024, 1, 6)),
         ]
-        loc = {1: 0, 2: 2, 3: 1, 4: 0, 5: 2, 6: 1, 7: 0, 8: 2, 9: 1}
-        got = sequence_adjacency(events, loc, ["G", "H"], 3).values.toarray()
-        want = brute_force_sequence(events, loc, ["G", "H"], 3)
+        ids = [0, 2, 1, 0, 2, 1, 0, 2, 1]
+        got = sequence_adjacency(events, ids, ["G", "H"], 3).values.toarray()
+        want = brute_force_sequence(events, ids, ["G", "H"], 3)
         assert np.array_equal(got, want)
         # G walks 0 -> 1 -> 2 -> 0 -> 1, H walks 2 -> 0 -> 1 -> 2
         assert got[0, 1] == 3.0 and got[1, 2] == 2.0 and got[2, 0] == 2.0
@@ -196,7 +192,7 @@ class TestSequenceAdjacency:
             n_events = int(rng.integers(2, 50))
             n_groups = int(rng.integers(1, 6))
             n_locs = int(rng.integers(2, 8))
-            events, loc = [], {}
+            events, ids = [], []
             for row in range(1, n_events + 1):
                 events.append(
                     make_event(
@@ -205,24 +201,20 @@ class TestSequenceAdjacency:
                         when=date(2024, 1 + int(rng.integers(0, 12)), 1 + int(rng.integers(0, 28))),
                     )
                 )
-                loc[row] = int(rng.integers(0, n_locs))
+                ids.append(int(rng.integers(0, n_locs)))
             groups = [f"G{i}" for i in range(n_groups)]
             present = {e.group_id for e in events}
             groups = [g for g in groups if g in present]
-            got = sequence_adjacency(events, loc, groups, n_locs).values.toarray()
-            want = np.array(brute_force_sequence(events, loc, groups, n_locs), dtype=float)
+            got = sequence_adjacency(events, ids, groups, n_locs).values.toarray()
+            want = np.array(brute_force_sequence(events, ids, groups, n_locs), dtype=float)
             assert np.array_equal(got, want)
             moves = 0
             for g in groups:
                 ordered = sorted(
-                    (e for e in events if e.group_id == g),
-                    key=lambda e: (e.event_date, e.source_row),
+                    (pair for pair in zip(events, ids) if pair[0].group_id == g),
+                    key=lambda pair: (pair[0].event_date, pair[0].source_row),
                 )
-                moves += sum(
-                    1
-                    for a, b in zip(ordered, ordered[1:])
-                    if loc[a.source_row] != loc[b.source_row]
-                )
+                moves += sum(1 for (_, a), (_, b) in zip(ordered, ordered[1:]) if a != b)
             assert got.sum() == moves
 
     def test_input_order_does_not_matter(self):
@@ -231,25 +223,47 @@ class TestSequenceAdjacency:
             make_event(row, when=date(2024, 1, 1 + int(rng.integers(0, 20))))
             for row in range(1, 21)
         ]
-        loc = {row: int(rng.integers(0, 4)) for row in range(1, 21)}
-        a = sequence_adjacency(events, loc, ["G"], 4).values.toarray()
-        shuffled = list(events)
-        rng.shuffle(shuffled)
-        b = sequence_adjacency(shuffled, loc, ["G"], 4).values.toarray()
+        ids = [int(rng.integers(0, 4)) for _ in range(20)]
+        a = sequence_adjacency(events, ids, ["G"], 4).values.toarray()
+        order = rng.permutation(20)
+        shuffled = [events[i] for i in order]
+        b = sequence_adjacency(shuffled, [ids[i] for i in order], ["G"], 4).values.toarray()
         assert np.array_equal(a, b)
+
+    def test_a_group_listed_twice_counts_twice(self):
+        events = [make_event(i, when=date(2024, 1, i)) for i in range(1, 4)]
+        got = sequence_adjacency(events, [0, 1, 0], ["G", "G"], 2).values.toarray()
+        assert np.array_equal(got, brute_force_sequence(events, [0, 1, 0], ["G", "G"], 2))
+        assert np.array_equal(got, [[0.0, 2.0], [2.0, 0.0]])
+
+    def test_one_location_id_per_event(self):
+        events = [make_event(1, when=date(2024, 1, 1)), make_event(7, when=date(2024, 1, 2))]
+        for ids in ([0], [0, 1, 1], [[0], [1]]):
+            with pytest.raises(ValueError, match="location ids of shape"):
+                sequence_adjacency(events, ids, ["G"], 2)
+
+    def test_location_outside_the_range_named_by_line(self):
+        events = [make_event(1, when=date(2024, 1, 1)), make_event(7, when=date(2024, 1, 2))]
+        # -1 would wrap to the last row of an array, 5 would index past it.
+        for ids, line in (([-1, 0], 1), ([0, 5], 7), ([0, 2], 7)):
+            message = rf"line {line} has location -?\d, outside \[0, 2\)"
+            with pytest.raises(ValueError, match=message):
+                sequence_adjacency(events, ids, ["G"], 2)
+
+    def test_ids_keyed_by_line_read_as_aligned_ids(self):
+        events = [
+            make_event(9, when=date(2024, 1, 3)),
+            make_event(2, when=date(2024, 1, 1)),
+            make_event(5, when=date(2024, 1, 2)),
+        ]
+        got = sequence_adjacency(events, {9: 0, 2: 1, 5: 2}, ["G"], 3).values
+        want = sequence_adjacency(events, [0, 1, 2], ["G"], 3).values
+        assert np.array_equal(got.toarray(), want.toarray())
 
     def test_missing_location_named_by_line(self):
         events = [make_event(1, when=date(2024, 1, 1)), make_event(7, when=date(2024, 1, 2))]
         with pytest.raises(ValueError, match="line 7"):
             sequence_adjacency(events, {1: 0}, ["G"], 2)
-
-    def test_location_outside_the_range_named_by_line(self):
-        events = [make_event(1, when=date(2024, 1, 1)), make_event(7, when=date(2024, 1, 2))]
-        # -1 would wrap to the last row of an array, 5 would index past it.
-        for loc, line in (({1: -1, 7: 0}, 1), ({1: 0, 7: 5}, 7), ({1: 0, 7: 2}, 7)):
-            message = rf"line {line} has location -?\d, outside \[0, 2\)"
-            with pytest.raises(ValueError, match=message):
-                sequence_adjacency(events, loc, ["G"], 2)
 
     def test_large_layer_is_canonical_csr_without_a_dense_array(self):
         n = 2000
@@ -260,10 +274,9 @@ class TestSequenceAdjacency:
             make_event(row, group=f"G{row % 2}", when=date.fromordinal(base + row))
             for row in range(1, len(sites) + 1)
         ]
-        loc = dict(enumerate(sites, start=1))
         tracemalloc.start()
         try:
-            a = sequence_adjacency(events, loc, ["G0", "G1"], n)
+            a = sequence_adjacency(events, sites, ["G0", "G1"], n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -271,17 +284,17 @@ class TestSequenceAdjacency:
         assert peak < n * n * 8 / 100
         assert a.values.format == "csr" and a.values.has_canonical_format
         assert a.values.max() == 2.0
-        counts = brute_force_sequence(events, loc, ["G0", "G1"], n)
+        counts = brute_force_sequence(events, sites, ["G0", "G1"], n)
         want = sparse.csr_matrix(np.array(counts, dtype=float))
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(a.values, attr), getattr(want, attr))
 
     def test_empty_group_selection_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            sequence_adjacency([make_event(1)], {1: 0}, [], 1)
+            sequence_adjacency([make_event(1)], [0], [], 1)
 
     def test_group_without_events_warns(self):
         events = [make_event(1), make_event(2, when=date(2024, 1, 2))]
         with pytest.warns(UserWarning, match="'Z' has no events"):
-            a = sequence_adjacency(events, {1: 0, 2: 1}, ["G", "Z"], 2)
+            a = sequence_adjacency(events, [0, 1], ["G", "Z"], 2)
         assert a.values[0, 1] == 1.0
