@@ -11,7 +11,6 @@ matches their west-to-east order on the map.
 import numpy as np
 
 from permap import distance_matrix, embed, invert_distances
-from permap.spectral import PointRef
 
 # A small gazetteer: (name, latitude, longitude).  Three clusters on
 # purpose: two coastal pairs far apart, one inland pair in between.
@@ -37,12 +36,12 @@ for i, (name, _, _) in enumerate(CITIES):
 # the graph stays connected.
 weights = invert_distances(distances)
 
-provenance = [PointRef(i, "distance", "-") for i in range(len(CITIES))]
-embedding = embed(weights, k=2, provenance=provenance)
+# One layer, "distance", with one copy of each city: point i is city i.
+embedding = embed(weights, k=2, layout=(("distance",), ("-",)))
 
 print("\nEmbedded coordinates (first two nontrivial eigenvectors):")
-for ref, xy in zip(embedding.provenance, embedding.coordinates):
-    name = CITIES[ref.location_id][0]
+for location_id, xy in zip(embedding.location_ids(), embedding.coordinates):
+    name = CITIES[location_id][0]
     print(f"  {name:8s} x={xy[0]:+.4f}  y={xy[1]:+.4f}")
 
 print(f"\nEigenvalues used: {np.round(embedding.eigenvalues, 6)}")

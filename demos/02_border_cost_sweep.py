@@ -20,7 +20,6 @@ from permap import (
     linear_border_distances,
 )
 from permap.layers import country_separation_ratio
-from permap.spectral import PointRef
 
 # Two synthetic countries split by one land border: a western block and
 # an eastern block of six villages each, all on nearby latitudes.
@@ -34,15 +33,14 @@ borders = CountryBorderGraph.from_pairs([("Westland", "Eastmark")])
 crossings = crossings_matrix(countries, borders)
 
 geodesic = distance_matrix(coordinates)
-provenance = [PointRef(i, "distance", "-") for i in range(len(coordinates))]
 
 print("cost_km  inter/intra separation ratio")
 previous = 0.0
 for cost_km in (0.0, 50.0, 100.0, 250.0, 500.0):
     # Every crossed border lengthens the pair's effective distance.
     penalized = linear_border_distances(geodesic, crossings, cost_km)
-    embedding = embed(invert_distances(penalized), k=2, provenance=provenance)
-    ratio = country_separation_ratio(embedding, countries)
+    embedding = embed(invert_distances(penalized), k=2)
+    ratio = country_separation_ratio(embedding.coordinates, embedding.location_ids(), countries)
     trend = "" if cost_km == 0.0 else ("  (up)" if ratio >= previous else "  (DOWN?)")
     print(f"{cost_km:7.0f}  {ratio:10.4f}{trend}")
     previous = ratio

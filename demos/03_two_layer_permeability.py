@@ -16,6 +16,8 @@ grows fastest relative to that baseline are the ones living off their
 cross-border ties: here the frontier pair Kidal and Niamey.
 """
 
+import numpy as np
+
 from permap import CountryBorderGraph
 from permap.ingest import Location
 from permap.layers import prepare, solve
@@ -39,8 +41,9 @@ prepared = prepare("two_layer", locations, borders)
 
 
 def lengths(p):
-    _, report = solve(prepared, p, 2)
-    return {row.location_id: row.length for row in report.rows}
+    # Row i of the displacement is town i's border point minus its distance point.
+    _, vectors = solve(prepared, p, 2)
+    return {i: float(np.linalg.norm(vec)) for i, vec in enumerate(vectors)}
 
 
 baseline = lengths(1.0)

@@ -59,14 +59,11 @@ embedding, _ = layers.solve(prepared, 0.95, k=2)
 
 def pair_gap(a, b):
     """Mean embedded distance between two locations' layer copies."""
-    coords = embedding.coordinates
-    spots = {}
-    for idx, ref in enumerate(embedding.provenance):
-        spots.setdefault(ref.location_id, {})[(ref.layer, ref.copy)] = coords[idx]
-    gaps = [
-        np.linalg.norm(spots[a][key] - spots[b][key])
-        for key in sorted(spots[a])
-    ]
+    # The points run layer by layer, then copy by copy (out, in), then
+    # location by location, so each layer copy is one block of rows.
+    layer_tags, copies = embedding.layout
+    blocks = embedding.coordinates.reshape(len(layer_tags) * len(copies), len(locations), -1)
+    gaps = [np.linalg.norm(block[a] - block[b]) for block in blocks]
     return float(np.mean(gaps))
 
 

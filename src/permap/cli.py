@@ -121,7 +121,8 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
             emb, disp = layers.solve(prepared, value, cfg.k)
             with stage("export"):
                 # The ratio first, so a value it fails on writes no files.
-                ratio = layers.country_separation_ratio(emb, countries)
+                ids = emb.location_ids()
+                ratio = layers.country_separation_ratio(emb.coordinates, ids, countries)
                 sub_dir = out_dir / _sweep_label(cfg, value)
                 _export_run(sub, emb, disp, prepared.locations, report, sub_dir)
                 ratios.append((value, float(ratio)))

@@ -171,6 +171,9 @@ class RunConfig:
             raise ConfigError(f"pipeline {self.pipeline!r} requires the permeability border model")
         if self.pipeline == "three_layer" and not self.groups:
             raise ConfigError("three_layer pipeline needs a non-empty group selection")
+        repeated = [g for i, g in enumerate(self.groups) if g in self.groups[:i]]
+        if repeated:
+            raise ConfigError(f"group {repeated[0]!r} is listed more than once")
 
     def sweep_values(self) -> tuple:
         """The border values to sweep: a non-empty list with no value twice."""

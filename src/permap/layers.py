@@ -24,11 +24,11 @@ The operators are tested against them, and the benchmark's dense
 reference solve is built from them.
 
 `LAYOUTS` fixes the order of every multilayer system's points once:
-its layer tags, then the copies of each layer, then the locations.
-The provenance of the embedded points comes from it, and so does
-`displacement`, which reshapes the coordinates by it and reports each
-location's border-layer point minus its distance-layer point (in the
-three-layer system, each point is the centroid of the out and in copies).
+its layer tags, then the copies of each layer, then the locations. A
+system and its embedding carry that entry as their `layout`, the one
+record of the order. `displacement` reshapes the coordinates by it into
+each location's border-layer point minus its distance-layer point (in
+the three-layer system, each is the centroid of the out and in copies).
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -57,7 +56,7 @@ from .graphs import (
     laplacian_operator,
     symmetrized_operator,
 )
-from .spectral import COORD_NAMES, MIN_BASIS, Embedding, PointRef, embed
+from .spectral import COORD_NAMES, MIN_BASIS, Embedding, embed
 
 TWO_LAYER_TAGS = ("distance", "border")
 THREE_LAYER_TAGS = ("border", "distance", "sequence")
@@ -97,36 +96,15 @@ _CGROUP_ROOT = Path("/sys/fs/cgroup")
 
 @dataclass(frozen=True)
 class MultiLayerSystem:
-    """An assembled multilayer weight matrix plus row bookkeeping."""
+    """An assembled multilayer weight matrix and the LAYOUTS entry its rows follow."""
 
-    n: int
-    layer_tags: tuple
-    copies_per_layer: int
     assembled: WeightMatrix
-    provenance: tuple
+    layout: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_tags", tuple(self.layer_tags))
-        object.__setattr__(self, "provenance", tuple(self.provenance))
-        size = self.n * len(self.layer_tags) * self.copies_per_layer
-        if self.assembled.n != size:
-            raise ValueError(
-                f"assembled matrix is {self.assembled.n}x{self.assembled.n}, expected {size}"
-            )
-        if len(self.provenance) != size or len(set(self.provenance)) != size:
-            raise ValueError("provenance must map rows one-to-one")
-
-
-def _provenance(n: int, layer_tags, copies) -> tuple:
-    """Layer-major point order: every location's point of one layer copy, then the next."""
-    return tuple(PointRef(i, tag, copy) for tag in layer_tags for copy in copies for i in range(n))
-
-
-def _system(pipeline: str, n: int, assembled: WeightMatrix) -> MultiLayerSystem:
-    """An assembled system with the point layout of `pipeline`."""
-    layer_tags, copies = LAYOUTS[pipeline]
-    provenance = _provenance(n, layer_tags, copies)
-    return MultiLayerSystem(n, layer_tags, len(copies), assembled, provenance)
+        layer_tags, copies = self.layout
+        if self.assembled.n % (len(layer_tags) * len(copies)):
+            raise ValueError(f"{self.assembled.n} rows do not fit the layout {self.layout}")
 
 
 def _check_positive(sums: np.ndarray, layer: str) -> np.ndarray:
@@ -173,7 +151,7 @@ def build_two_layer(w_a: WeightMatrix, w_b: WeightMatrix) -> MultiLayerSystem:
     cross = np.arange(n)
     assembled[cross, n + cross] = 0.5
     assembled[n + cross, cross] = 0.5
-    return _system("two_layer", n, WeightMatrix(assembled))
+    return MultiLayerSystem(WeightMatrix(assembled), LAYOUTS["two_layer"])
 
 
 def two_layer_operator(w_a, w_b) -> LaplacianOperator:
@@ -248,7 +226,7 @@ def build_three_layer(
     # The average (raw + raw.T) / 2, with one 6n x 6n temporary, not two.
     raw += raw.T
     raw /= 2.0
-    return _system("three_layer", n, WeightMatrix(raw))
+    return MultiLayerSystem(WeightMatrix(raw), LAYOUTS["three_layer"])
 
 
 def _check_three_layers(w_border, w_dist, a_seq) -> int:
@@ -423,12 +401,11 @@ def _available_memory() -> int | None:
 
 
 def system_operator(prepared: Prepared, value: float | None):
-    """The Laplacian operator of one border value and the provenance of its points.
+    """The Laplacian operator of one border value and the layout of its points.
 
     `value` is the border cost in km for the linear model, the
     permeability p for the permeability model, and ignored for none.
     """
-    n = len(prepared.locations)
     if prepared.pipeline == "geo":
         if prepared.border_kind == "permeability":
             lap = laplacian_operator(border_blocks(prepared.codes, prepared.hops, value))
@@ -436,13 +413,13 @@ def system_operator(prepared: Prepared, value: float | None):
         else:  # "linear", or "none", which prices borders at no cost
             cost = value if prepared.border_kind == "linear" else 0.0
             lap, tag = _priced_operator(prepared, cost), "distance"
-        return lap, _provenance(n, (tag,), (NO_COPY,))
+        return lap, ((tag,), (NO_COPY,))
     w_border = border_blocks(prepared.codes, prepared.hops, value)
     if prepared.pipeline == "two_layer":
         lap = two_layer_operator(prepared.distances, w_border)
     else:  # "three_layer"
         lap = three_layer_operator(w_border, prepared.distances, prepared.sequence)
-    return lap, _provenance(n, *LAYOUTS[prepared.pipeline])
+    return lap, LAYOUTS[prepared.pipeline]
 
 
 def _priced_operator(prepared: Prepared, cost_km: float) -> LaplacianOperator:
@@ -475,67 +452,45 @@ def solve(prepared: Prepared, value: float | None, k: int):
     """Weight the borders at `value`, build the system operator, and embed in k dimensions.
 
     No system matrix, Laplacian or n x n crossings array is formed.
-    Returns (Embedding, DisplacementReport); the report is None for `geo`.
+    Returns (Embedding, displacement vectors); the vectors are None for `geo`.
     """
     with stage("assembly"):
-        lap, provenance = system_operator(prepared, value)
+        lap, layout = system_operator(prepared, value)
     with stage("solver"):
-        emb = embed(lap, k, provenance=provenance)
-        if prepared.pipeline == "geo":
-            return emb, None
-        return emb, displacement(emb, *LAYOUTS[prepared.pipeline])
+        emb = embed(lap, k, layout=layout)
+        return emb, None if prepared.pipeline == "geo" else displacement(emb)
 
 
-class DisplacementRow(NamedTuple):
-    location_id: int
-    vector: tuple
-    length: float
+def displacement(emb: Embedding) -> np.ndarray:
+    """Row i: location i's border-layer point minus its distance-layer point.
 
-
-@dataclass(frozen=True)
-class DisplacementReport:
-    """Per-location separation between two layer copies, longest first."""
-
-    layer_a: str
-    layer_b: str
-    k: int
-    rows: tuple
-
-
-def displacement(emb: Embedding, layer_tags, copies) -> DisplacementReport:
-    """Vector and length from each location's distance-layer point to its border-layer point.
-
-    The points are in the layout `layer_tags` x `copies` of LAYOUTS, so
-    the coordinates reshape to (layers, copies, locations, k); a layer
-    with two copies contributes the centroid of each location's pair.
+    A layer's point is the centroid of its copies, found by the layout.
     """
+    layer_tags, copies = emb.layout
     points = emb.coordinates.reshape(len(layer_tags), len(copies), -1, emb.k).mean(axis=1)
     distance, border = TWO_LAYER_TAGS
-    vectors = points[layer_tags.index(border)] - points[layer_tags.index(distance)]
-    # One norm per vector, not one over axis 1, whose sums can round differently.
-    rows = [
-        DisplacementRow(lid, tuple(vec.tolist()), float(np.linalg.norm(vec)))
-        for lid, vec in enumerate(vectors)
-    ]
-    rows.sort(key=lambda r: (-r.length, r.location_id))
-    return DisplacementReport(layer_a=distance, layer_b=border, k=emb.k, rows=tuple(rows))
+    return points[layer_tags.index(border)] - points[layer_tags.index(distance)]
 
 
-def write_displacement_csv(report: DisplacementReport, path, countries=None) -> None:
-    """Export displacement rows with the layer pair spelled out per row."""
-    delta_cols = [f"d{name}" for name in COORD_NAMES[: report.k]]
+def write_displacement_csv(vectors: np.ndarray, path, countries=None) -> None:
+    """Export each location's vector (distance to border layer) and length, longest first."""
+    delta_cols = [f"d{name}" for name in COORD_NAMES[: vectors.shape[1]]]
     header = ["location_id", "layer_a", "layer_b"] + delta_cols + ["length", "country"]
+    # One norm per vector, not one over axis 1, whose sums can round differently.
+    lengths = [float(np.linalg.norm(vec)) for vec in vectors]
+    order = sorted(range(len(lengths)), key=lambda lid: (-lengths[lid], lid))
     rows = (
-        [row.location_id, report.layer_a, report.layer_b, *row.vector, row.length]
-        + ["" if countries is None else countries[row.location_id]]
-        for row in report.rows
+        [lid, *TWO_LAYER_TAGS, *vectors[lid].tolist(), lengths[lid]]
+        + ["" if countries is None else countries[lid]]
+        for lid in order
     )
     write_csv(path, header, rows)
 
 
-def country_separation_ratio(emb: Embedding, countries) -> float:
+def country_separation_ratio(coords: np.ndarray, location_ids, countries) -> float:
     """Mean inter-country embedded distance over mean intra-country distance.
 
+    `location_ids` gives each row of `coords` its location; `countries[i]` is location i's country.
     Pairs of points backed by the same location are excluded, so the fixed
     inter-layer geometry of a location's own copies does not dilute the
     between-country signal.
@@ -551,14 +506,11 @@ def country_separation_ratio(emb: Embedding, countries) -> float:
     axis from the first); the sums run block by block, so the ratio
     depends on the point order only at rounding level. Counts are exact.
     """
-    coords = emb.coordinates
     n, k = coords.shape
-    _, tags = np.unique(
-        [str(countries[ref.location_id]) for ref in emb.provenance], return_inverse=True
-    )
+    _, tags = np.unique([str(countries[lid]) for lid in location_ids.tolist()], return_inverse=True)
     order = np.argsort(tags, kind="stable")
     coords = coords[order]
-    loc_ids = np.array([ref.location_id for ref in emb.provenance])[order]
+    loc_ids = location_ids[order]
 
     dist = np.empty(min(_PAIR_ROWS, n) * n)
     squares = np.empty_like(dist)

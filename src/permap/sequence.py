@@ -100,13 +100,16 @@ def sequence_adjacency(events, location_ids, groups, n_locations: int) -> Weight
     canonical CSR (sorted indices, repeated moves summed); no n x n array
     is made, and no Python loop runs over the events. A mapping from each
     event's source_row to its id is still read, one lookup per event.
-    Raises ValueError for ids that are not one per event, for an id
-    outside [0, n_locations) (naming the event's line), and for an event
-    whose line a mapping lacks.
+    Raises ValueError for a group listed more than once, for ids that are
+    not one per event, for an id outside [0, n_locations) (naming the
+    event's line), and for an event whose line a mapping lacks.
     """
     groups = list(groups)
     if not groups:
         raise ValueError("sequence_adjacency needs at least one selected group")
+    repeated = [g for i, g in enumerate(groups) if g in groups[:i]]
+    if repeated:
+        raise ValueError(f"group {repeated[0]!r} is listed more than once")
     if n_locations < 1:
         raise ValueError(f"n_locations must be positive, got {n_locations}")
     table = EventTable.of(events)
@@ -127,21 +130,20 @@ def sequence_adjacency(events, location_ids, groups, n_locations: int) -> Weight
             f"event at line {lines[first]} has location {ids[first]}, outside [0, {n_locations})"
         )
 
-    # How often each group is selected: a group listed twice counts twice.
     present = table.group_codes()
-    times = np.zeros(len(table.groups))
+    selected = np.zeros(len(table.groups), dtype=bool)
     for group in groups:
         if group in present:
-            times[present[group]] += 1
+            selected[present[group]] = True
         else:
             warnings.warn(f"selected group {group!r} has no events", stacklevel=2)
     # The selected events by group, each group's in ascending date order
     # with ties by source row; a move joins two neighbours of one group.
     group = table.rows["group"]
-    mine = np.flatnonzero(times[group])
+    mine = np.flatnonzero(selected[group])
     walk = mine[np.lexsort((lines[mine], table.rows["day"][mine], group[mine]))]
     src, dst = ids[walk[:-1]], ids[walk[1:]]
     moves = (group[walk[:-1]] == group[walk[1:]]) & (src != dst)
-    weights = times[group[walk[:-1]][moves]]
+    weights = np.ones(np.count_nonzero(moves))
     counts = sparse.csr_matrix((weights, (src[moves], dst[moves])), shape=(n_locations,) * 2)
     return WeightMatrix(counts)

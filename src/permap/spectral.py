@@ -16,6 +16,8 @@ walks the same A, so it sees exactly the graph the eigensolver multiplies.
 `eigensolve_symmetric` takes only such an operator, so every caller
 solves through the one path the CLI uses.
 
+An `Embedding` records its point order once, as a `layout` from layers.LAYOUTS.
+
 The Lanczos basis holds at least 40 vectors, twice scipy's default. The
 kept eigenvalues of a multilayer system sit in a tight cluster far below
 the top of the spectrum (about 57 against an inf-norm near 1400 on a
@@ -29,6 +31,7 @@ more on the other two.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,14 +49,6 @@ MAX_ITERATIONS = 10_000
 MIN_BASIS = 40
 
 COORD_NAMES = ("x", "y", "z")
-
-
-class PointRef(NamedTuple):
-    """Identifies what an embedded point stands for."""
-
-    location_id: int
-    layer: str
-    copy: str
 
 
 class EigenPairs(NamedTuple):
@@ -163,27 +158,33 @@ def fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Spectral coordinates plus the bookkeeping needed to export them."""
+    """Coordinates and eigenpairs; points run layer by layer, copy by copy, as `layout` lists."""
 
     coordinates: np.ndarray
     eigenvalues: np.ndarray
-    provenance: tuple
+    layout: tuple
     residuals: np.ndarray
 
     def __post_init__(self):
         coords = np.asarray(self.coordinates, dtype=float)
         object.__setattr__(self, "coordinates", coords)
         object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
-        object.__setattr__(self, "provenance", tuple(self.provenance))
-        if len(self.provenance) != coords.shape[0]:
-            raise ValueError("provenance must name every embedded point")
+        layer_tags, copies = self.layout
+        if coords.shape[0] % (len(layer_tags) * len(copies)):
+            raise ValueError(f"{coords.shape[0]} points do not fit the layout {self.layout}")
 
     @property
     def k(self) -> int:
         return self.coordinates.shape[1]
 
+    def location_ids(self) -> np.ndarray:
+        """Each point's location id: 0..n-1 once per layer copy."""
+        layer_tags, copies = self.layout
+        blocks = len(layer_tags) * len(copies)
+        return np.tile(np.arange(len(self.coordinates) // blocks), blocks)
 
-def embed(w, k: int, provenance=None) -> Embedding:
+
+def embed(w, k: int, layout=(("-",), ("-",))) -> Embedding:
     """Spectral embedding of a connected symmetric weighted graph.
 
     `w` is a LaplacianOperator or a symmetric WeightMatrix, which is
@@ -191,7 +192,7 @@ def embed(w, k: int, provenance=None) -> Embedding:
     Solves for the k+1 smallest Laplacian eigenpairs, discards the zero
     pair belonging to the constant eigenvector, and returns the next k
     eigenvectors as coordinate columns under the deterministic sign
-    convention.
+    convention. `layout` is the point layout of the Embedding.
     """
     if isinstance(w, LaplacianOperator):
         lap = w
@@ -224,21 +225,21 @@ def embed(w, k: int, provenance=None) -> Embedding:
         )
 
     coords = fix_signs(pairs.vectors[:, 1:])
-    if provenance is None:
-        provenance = [PointRef(i, "-", "-") for i in range(n)]
-    return Embedding(coords, pairs.values[1:], tuple(provenance), pairs.residuals[1:])
+    return Embedding(coords, pairs.values[1:], layout, pairs.residuals[1:])
 
 
 def write_embedding_csv(emb: Embedding, path, countries=None) -> None:
-    """Export one row per embedded point: ids, tags, coordinates, country."""
+    """Export one row per embedded point: ids and tags from the layout, coordinates, country."""
     if emb.k > len(COORD_NAMES):
         raise ValueError(f"cannot export more than {len(COORD_NAMES)} coordinate columns")
     header = ["point_id", "location_id", "layer", "copy"]
     header += list(COORD_NAMES[: emb.k]) + ["country"]
+    layer_tags, copies = emb.layout
+    n = len(emb.coordinates) // (len(layer_tags) * len(copies))
+    points = itertools.product(layer_tags, copies, range(n))
     rows = (
-        [idx, ref.location_id, ref.layer, ref.copy, *coords]
-        + ["" if countries is None else countries[ref.location_id]]
-        for idx, (ref, coords) in enumerate(zip(emb.provenance, emb.coordinates.tolist()))
+        [idx, lid, tag, copy, *coords] + ["" if countries is None else countries[lid]]
+        for idx, ((tag, copy, lid), coords) in enumerate(zip(points, emb.coordinates.tolist()))
     )
     write_csv(path, header, rows)
 

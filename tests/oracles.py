@@ -139,7 +139,11 @@ def brute_force_sequence(events, location_ids, groups, n):
     """Literal restatement of the sequence-layer counting rule.
 
     `location_ids` holds each event's location id, aligned with `events`.
+    A group listed more than once is refused.
     """
+    for i, group in enumerate(groups):
+        if group in groups[:i]:
+            raise ValueError(f"group {group!r} is listed more than once")
     counts = [[0 for _ in range(n)] for _ in range(n)]
     for group in groups:
         mine = [(e, lid) for e, lid in zip(events, location_ids) if e.group_id == group]

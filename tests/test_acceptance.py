@@ -183,14 +183,18 @@ def test_c06_separation_ratio_monotone_in_border_strength():
     for cost in (0.0, 50.0, 100.0, 500.0):
         priced = linear_border_distances(distances, hops, cost)
         emb = embed(invert_distances(priced), 2)
-        linear_ratios.append(country_separation_ratio(emb, countries))
+        linear_ratios.append(
+            country_separation_ratio(emb.coordinates, emb.location_ids(), countries)
+        )
     assert all(b >= a for a, b in zip(linear_ratios, linear_ratios[1:]))
     assert linear_ratios[0] > 0
 
     coupled_ratios = []
     for p in (1.0, 0.95, 0.8, 0.5):
         emb, _ = solve(prepare("two_layer", locations, cg), p, 2)
-        coupled_ratios.append(country_separation_ratio(emb, countries))
+        coupled_ratios.append(
+            country_separation_ratio(emb.coordinates, emb.location_ids(), countries)
+        )
     # the ratio may only grow as the per-border success probability drops
     assert all(b >= a for a, b in zip(coupled_ratios, coupled_ratios[1:]))
     assert time.monotonic() - started < 30.0
@@ -278,14 +282,11 @@ def test_c09_sequence_extraction_matches_brute_force():
 
 
 def _mean_copy_distance(emb, a, b):
-    points_a = {(r.layer, r.copy): i for i, r in enumerate(emb.provenance) if r.location_id == a}
-    points_b = {(r.layer, r.copy): i for i, r in enumerate(emb.provenance) if r.location_id == b}
-    assert points_a.keys() == points_b.keys()
-    gaps = [
-        np.linalg.norm(emb.coordinates[points_a[key]] - emb.coordinates[points_b[key]])
-        for key in sorted(points_a)
-    ]
-    return float(np.mean(gaps))
+    # Rows i and j of one layer copy are the points of locations i and j.
+    ids = emb.location_ids()
+    points_a, points_b = emb.coordinates[ids == a], emb.coordinates[ids == b]
+    assert len(points_a) == len(points_b) == 6
+    return float(np.mean(np.linalg.norm(points_a - points_b, axis=1)))
 
 
 def test_c10_habitual_pair_sits_closer_than_matched_control():
@@ -313,7 +314,7 @@ def test_c10_habitual_pair_sits_closer_than_matched_control():
     w_border = border_permeability_matrix(hops, 0.95)
     w_dist = invert_distances(distance_matrix(locations))
     system = build_three_layer(w_border, w_dist, seq)
-    emb = embed(system.assembled, 2, provenance=system.provenance)
+    emb = embed(system.assembled, 2, layout=system.layout)
 
     habitual = _mean_copy_distance(emb, 0, 1)
     control = _mean_copy_distance(emb, 2, 3)

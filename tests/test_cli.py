@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import benchmark_workloads, events_csv_text
+from oracles import displacement_rows
 from permap import ingest, layers, sequence
 from permap.cli import main
 
@@ -118,6 +119,19 @@ class TestSummarize:
             "16,unparseable fatalities",
         ]
 
+
+# The overrides that turn the fixture's geo config into each pipeline.
+PIPELINES = {
+    "geo": (),
+    "two_layer": ("pipeline=two_layer", 'border_model={"kind": "permeability", "p": 0.95}'),
+    "three_layer": (
+        "pipeline=three_layer",
+        'border_model={"kind": "permeability", "p": 0.95}',
+        'groups=["Group A", "Group B", "Group C"]',
+    ),
+}
+
+
 class TestEmbed:
     def test_geo_run_exports_everything(self, capsys, fixture_run, tmp_path):
         out_dir = tmp_path / "run"
@@ -216,6 +230,41 @@ class TestEmbed:
         disp = (out_dir / "displacement.csv").read_text().splitlines()
         assert len(disp) == 13
         assert disp[1].split(",")[1:3] == ["distance", "border"]
+
+    @pytest.mark.parametrize("pipeline", ["geo", "two_layer", "three_layer"])
+    def test_rows_follow_the_layout(self, capsys, fixture_run, tmp_path, pipeline):
+        # embedding.csv spells out the layout: layer by layer, copy by copy,
+        # location by location; displacement.csv is the oracle's, from those points.
+        out_dir = tmp_path / "run"
+        args = [arg for override in PIPELINES[pipeline] for arg in ("--override", override)]
+        config = str(fixture_run["config"])
+        rc, _, err = run_cli(capsys, "embed", "--config", config, "--out", str(out_dir), *args)
+        assert rc == 0 and err == ""
+        with open(out_dir / "embedding.csv", encoding="utf-8", newline="") as fh:
+            points = list(csv.DictReader(fh))
+        layer_tags, copies = layers.LAYOUTS.get(pipeline, (("distance",), ("-",)))
+        want = [(str(i), tag, copy) for tag in layer_tags for copy in copies for i in range(12)]
+        assert [(row["location_id"], row["layer"], row["copy"]) for row in points] == want
+        assert [row["point_id"] for row in points] == [str(i) for i in range(len(want))]
+        if pipeline == "geo":
+            assert not (out_dir / "displacement.csv").exists()
+            return
+        want = displacement_rows(
+            [
+                (int(row["location_id"]), row["layer"], [float(row["x"]), float(row["y"])])
+                for row in points
+            ],
+            "distance",
+            "border",
+        )
+        with open(out_dir / "displacement.csv", encoding="utf-8", newline="") as fh:
+            got = list(csv.DictReader(fh))
+        assert [(row["layer_a"], row["layer_b"]) for row in got] == [("distance", "border")] * 12
+        assert [(int(row["location_id"]), (float(row["dx"]), float(row["dy"]))) for row in got] == [
+            (lid, vector) for lid, vector, _ in want
+        ]
+        lengths = [float(row["length"]) for row in got]
+        assert lengths == pytest.approx([length for _, _, length in want], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize(
         "overrides",
@@ -1007,6 +1056,18 @@ class TestFailureStages:
         assert (rc, err) == (
             1,
             "error: assembly: sequence layer has no edges; nothing to normalize\n",
+        )
+        assert not out_dir.exists()
+
+    def test_a_group_listed_twice_fails_in_config(self, capsys, fixture_run, tmp_path):
+        out_dir = tmp_path / "o"
+        overrides = (*PIPELINES["three_layer"][:2], 'groups=["Group A", "Group B", "Group A"]')
+        args = [arg for override in overrides for arg in ("--override", override)]
+        config = str(fixture_run["config"])
+        rc, _, err = run_cli(capsys, "embed", "--config", config, "--out", str(out_dir), *args)
+        assert (rc, err) == (
+            1,
+            "error: config: invalid config value: group 'Group A' is listed more than once\n",
         )
         assert not out_dir.exists()
 

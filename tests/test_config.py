@@ -114,6 +114,19 @@ class TestRunConfig:
         )
         assert three.groups == ("G",)
 
+    def test_a_group_listed_twice_is_refused(self):
+        # On any pipeline, not only where the groups feed the sequence layer.
+        perm = BorderModel("permeability", p=0.9)
+        for pipeline, model in (("geo", BorderModel("none")), ("three_layer", perm)):
+            for groups, repeated in ((("G", "G"), "G"), (("G", "H", "I", "H"), "H")):
+                message = f"^group '{repeated}' is listed more than once$"
+                with pytest.raises(ConfigError, match=message):
+                    RunConfig(
+                        events_csv="e.csv", pipeline=pipeline, border_model=model, groups=groups
+                    )
+        with pytest.raises(ConfigError, match="invalid config value: group 'G' is listed more"):
+            config_from_dict({"events_csv": "e.csv", "groups": ["G", "G"]})
+
     def test_sweep_values_follow_border_model(self):
         linear = RunConfig(
             events_csv="e.csv",

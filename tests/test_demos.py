@@ -1,5 +1,10 @@
-"""Each demo runs as a script and prints the result it claims, not only exit 0."""
+"""Each demo runs as a script and prints the result it claims, not only exit 0.
 
+The README's Python examples run too.
+"""
+
+import contextlib
+import io
 import os
 import re
 import subprocess
@@ -53,3 +58,16 @@ def test_05_cli_runs_and_prints_three_ratios():
     table = out.split("value,separation_ratio\n", 1)[1].splitlines()
     ratios = [line for line in table if re.fullmatch(r"[\d.]+,[\d.]+", line)]
     assert len(ratios) == 3
+
+
+def test_readme_python_blocks_run_in_order():
+    # The second block reuses the names the first one defines.
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["emb"].location_ids().tolist() == [0, 1, 2]
+    assert namespace["vectors"].shape == (3, 2)
+    assert out.getvalue()

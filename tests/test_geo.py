@@ -41,6 +41,18 @@ def fewest_crossings(cg, a, b):
     return int(crossings_matrix([a, b], cg)[0, 1])
 
 
+def shipped_and_64_row_blocks(monkeypatch, n):
+    """Run the loop body at the shipped _BLOCK_BYTES, then with 64-row blocks.
+
+    Shipped blocks hold every n up to _BLOCK_BYTES / 512 in one block, so
+    the second pass is the one that puts n around a block edge.
+    """
+    for budget in (geo._BLOCK_BYTES, 8 * 64 * n):
+        with monkeypatch.context() as patch:
+            patch.setattr(geo, "_BLOCK_BYTES", budget)
+            yield geo._block_rows(n)
+
+
 class TestHaversine:
     def test_frozen_reference_values(self):
         assert km(ALGIERS, NIAMEY) == pytest.approx(ALGIERS_NIAMEY_KM, rel=1e-12)
@@ -85,22 +97,24 @@ class TestDistanceMatrix:
                 assert d[i, j] == pytest.approx(want, rel=1e-12, abs=1e-9)
         assert np.array_equal(d, d.T)
 
-    def test_row_blocks_bit_equal_to_whole_matrix_formula(self, twelve_locations):
+    def test_row_blocks_bit_equal_to_whole_matrix_formula(self, monkeypatch, twelve_locations):
         # Only the tiles on and above the diagonal are computed; the rest are
-        # their transposes. Around the 64-row block: 63 and 64 fill one
-        # block, 65 and 129 leave a one-row block, and 120, 600 and 700 are
-        # not multiples of it; 255, 256 and 257 sit around four blocks.
+        # their transposes. Each n runs at the shipped block size and at 64
+        # rows per block. With 64 rows, 63 and 64 fill one block, 65 and 129
+        # leave a one-row block, and 120, 600 and 700 are not multiples of
+        # it; 255, 256 and 257 sit around four blocks.
         rng = np.random.default_rng(18)
         cases = [[(loc.latitude, loc.longitude) for loc in twelve_locations]]
         for n in (2, 63, 64, 65, 120, 129, 255, 256, 257, 600, 700):
             cases.append(list(zip(rng.uniform(-89, 89, n), rng.uniform(-179, 179, n))))
         for points in cases:
-            d = distance_matrix(points).values
-            assert np.array_equal(d, haversine_matrix(points))
-            for i, j in zip(rng.integers(0, len(points), 50), rng.integers(0, len(points), 50)):
-                want = haversine_reference(*points[i], *points[j])
-                assert d[i, j] == pytest.approx(want, rel=1e-12, abs=1e-9)
-        assert np.array_equal(np.diag(d), np.zeros(n))
+            for rows in shipped_and_64_row_blocks(monkeypatch, len(points)):
+                d = distance_matrix(points).values
+                assert np.array_equal(d, haversine_matrix(points)), rows
+                for i, j in zip(rng.integers(0, len(points), 50), rng.integers(0, len(points), 50)):
+                    want = haversine_reference(*points[i], *points[j])
+                    assert d[i, j] == pytest.approx(want, rel=1e-12, abs=1e-9)
+                assert np.array_equal(np.diag(d), np.zeros(len(points)))
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 7])
     def test_any_block_of_rows_is_bit_equal(self, monkeypatch, rows):
@@ -143,18 +157,20 @@ class TestInvertDistances:
         with pytest.raises(ValueError, match="zero"):
             invert_distances(WeightMatrix(np.zeros((2, 2))))
 
-    def test_closeness_matrix_bit_equal_to_two_step_form(self, twelve_locations):
-        # Inverted in the km matrix's own buffer, around the 64-row block.
+    def test_closeness_matrix_bit_equal_to_two_step_form(self, monkeypatch, twelve_locations):
+        # Inverted in the km matrix's own buffer, at the shipped block size
+        # and at 64 rows per block, where 65, 129 and 256 cross block edges.
         rng = np.random.default_rng(19)
         cases = [twelve_locations]
         for n in (2, 63, 64, 65, 129, 256):
             cases.append(list(zip(rng.uniform(-89, 89, n), rng.uniform(-179, 179, n))))
         for points in cases:
-            got = closeness_matrix(points)
-            want = invert_distances(distance_matrix(points))
-            assert got.is_symmetric
-            assert np.array_equal(got.values, want.values)
-            assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
+            for rows in shipped_and_64_row_blocks(monkeypatch, len(points)):
+                got = closeness_matrix(points)
+                want = invert_distances(distance_matrix(points))
+                assert got.is_symmetric
+                assert np.array_equal(got.values, want.values), rows
+                assert np.array_equal(np.signbit(got.values), np.signbit(want.values))
         with pytest.raises(ValueError, match="all distances are zero"):
             closeness_matrix([(3.0, 4.0)] * 3)
 
@@ -335,20 +351,21 @@ def farthest_oracle(d, codes, size):
 
 
 class TestCountryFarthest:
-    def test_matches_pair_by_pair_maxima(self):
+    def test_matches_pair_by_pair_maxima(self, monkeypatch):
         # Codes in any order, a one-location country, a code no location
-        # has, and n around the 64-row block.
+        # has, and n at the shipped block size and around 64-row blocks.
         rng = np.random.default_rng(20)
         for n in (2, 63, 64, 65, 129):
             points = list(zip(rng.uniform(-60, 60, n), rng.uniform(-170, 170, n)))
             d = distance_matrix(points)
             codes = rng.integers(0, 5, n)
             codes[0] = 6
-            got = country_farthest(d, codes)
-            assert np.array_equal(got, farthest_oracle(d.values, codes, 7))
-            assert np.all(got[5] == -np.inf) and np.all(got[:, 5] == -np.inf)
-            assert got[6, 6] == 0.0
-            assert np.array_equal(country_farthest(d), [[d.values.max()]])
+            for rows in shipped_and_64_row_blocks(monkeypatch, n):
+                got = country_farthest(d, codes)
+                assert np.array_equal(got, farthest_oracle(d.values, codes, 7)), rows
+                assert np.all(got[5] == -np.inf) and np.all(got[:, 5] == -np.inf)
+                assert got[6, 6] == 0.0
+                assert np.array_equal(country_farthest(d), [[d.values.max()]])
 
     def test_priced_top_bit_equal_to_the_n_by_n_max(self, chain_borders):
         # 1.1 * max(d + cost * crossings), as invert_distances computes it

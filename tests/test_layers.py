@@ -1,3 +1,4 @@
+import csv
 import tracemalloc
 
 import numpy as np
@@ -27,7 +28,6 @@ from permap.layers import (
     OUT,
     THREE_LAYER_TAGS,
     TWO_LAYER_TAGS,
-    DisplacementRow,
     MultiLayerSystem,
     build_three_layer,
     build_two_layer,
@@ -39,7 +39,7 @@ from permap.layers import (
     two_layer_operator,
     write_displacement_csv,
 )
-from permap.spectral import Embedding, PointRef
+from permap.spectral import Embedding, write_embedding_csv
 
 
 def sym(values):
@@ -50,10 +50,24 @@ def directed(values):
     return WeightMatrix(sparse.csr_matrix(np.asarray(values, dtype=float)))
 
 
-def fake_embedding(coords, refs):
+def fake_embedding(coords, layout):
     coords = np.asarray(coords, dtype=float)
     k = coords.shape[1]
-    return Embedding(coords, np.ones(k), tuple(refs), np.zeros(k))
+    return Embedding(coords, np.ones(k), layout, np.zeros(k))
+
+
+def points_of(emb, tmp_path):
+    """(location_id, layer, copy) of every point, as embedding.csv spells them out."""
+    path = tmp_path / "embedding.csv"
+    write_embedding_csv(emb, path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [(int(row["location_id"]), row["layer"], row["copy"]) for row in csv.DictReader(fh)]
+
+
+def report_rows(vectors):
+    """(location_id, vector) of each displacement, longest first, ties by location."""
+    rows = [(lid, tuple(vec.tolist())) for lid, vec in enumerate(vectors)]
+    return sorted(rows, key=lambda row: (-float(np.linalg.norm(row[1])), row[0]))
 
 
 class TestTwoLayerWalk:
@@ -118,16 +132,18 @@ class TestTwoLayerWalk:
 
 
 class TestBuildTwoLayer:
-    def test_provenance_layer_major(self):
+    def test_provenance_layer_major(self, tmp_path):
+        # The layout says which location, layer and copy each row stands for.
         system = build_two_layer(sym([[0, 1], [1, 0]]), sym([[0, 2], [2, 0]]))
-        assert system.layer_tags == TWO_LAYER_TAGS
-        assert system.copies_per_layer == 1
-        assert system.provenance == (
-            PointRef(0, "distance", NO_COPY),
-            PointRef(1, "distance", NO_COPY),
-            PointRef(0, "border", NO_COPY),
-            PointRef(1, "border", NO_COPY),
-        )
+        assert system.layout == LAYOUTS["two_layer"] == (TWO_LAYER_TAGS, (NO_COPY,))
+        emb = fake_embedding(np.zeros((system.assembled.n, 1)), system.layout)
+        assert points_of(emb, tmp_path) == [
+            (0, "distance", NO_COPY),
+            (1, "distance", NO_COPY),
+            (0, "border", NO_COPY),
+            (1, "border", NO_COPY),
+        ]
+        assert emb.location_ids().tolist() == [0, 1, 0, 1]
 
     def test_assembled_symmetric(self):
         rng = np.random.default_rng(62)
@@ -155,14 +171,8 @@ class TestBuildTwoLayer:
 
     def test_wrong_size_assembly_rejected(self):
         good = build_two_layer(sym([[0, 1], [1, 0]]), sym([[0, 1], [1, 0]]))
-        with pytest.raises(ValueError, match="expected"):
-            MultiLayerSystem(
-                n=3,
-                layer_tags=good.layer_tags,
-                copies_per_layer=1,
-                assembled=good.assembled,
-                provenance=good.provenance,
-            )
+        with pytest.raises(ValueError, match="4 rows do not fit the layout"):
+            MultiLayerSystem(assembled=good.assembled, layout=LAYOUTS["three_layer"])
 
 
 class TestEmbedTwoLayer:
@@ -175,18 +185,17 @@ class TestEmbedTwoLayer:
             make_location(3, 0.5, 0.0),
         ]
         cg = CountryBorderGraph.from_pairs([("A", "B")])
-        emb, report = solve(prepare("two_layer", locs, cg), 0.95, 2)
-        assert len(emb.provenance) == 8
-        lengths = [row.length for row in report.rows]
+        emb, vectors = solve(prepare("two_layer", locs, cg), 0.95, 2)
+        assert emb.coordinates.shape == (8, 2) and emb.layout == LAYOUTS["two_layer"]
+        assert vectors.shape == (4, 2)
+        lengths = np.linalg.norm(vectors, axis=1)
         assert max(lengths) - min(lengths) <= 1e-12
-        assert report.layer_a == "distance" and report.layer_b == "border"
 
     def test_two_countries_give_positive_displacement(self, twelve_locations, chain_borders):
-        emb, report = solve(prepare("two_layer", twelve_locations, chain_borders), 0.5, 2)
-        assert len(emb.provenance) == 24
-        assert len(report.rows) == 12
-        assert report.rows[0].length >= report.rows[-1].length
-        assert report.rows[0].length > 0
+        emb, vectors = solve(prepare("two_layer", twelve_locations, chain_borders), 0.5, 2)
+        assert len(emb.coordinates) == 24
+        assert vectors.shape == (12, 2)
+        assert np.linalg.norm(vectors, axis=1).max() > 0
 
 
 def three_layer_fixture():
@@ -201,8 +210,7 @@ class TestBuildThreeLayer:
     def test_shape_tags_and_symmetry(self):
         system = build_three_layer(*three_layer_fixture())
         assert system.assembled.n == 18
-        assert system.layer_tags == THREE_LAYER_TAGS
-        assert system.copies_per_layer == 2
+        assert system.layout == (THREE_LAYER_TAGS, (OUT, IN))
         v = system.assembled.values
         assert np.array_equal(v, v.T)
         assert (v >= 0).all()
@@ -219,14 +227,14 @@ class TestBuildThreeLayer:
         want = three_layer_system(a + a.T, b + b.T, seq)
         assert np.abs(assembled.values - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_provenance_order(self):
+    def test_provenance_order(self, tmp_path):
         system = build_three_layer(*three_layer_fixture())
-        refs = system.provenance
-        assert refs[0] == PointRef(0, "border", OUT)
-        assert refs[3] == PointRef(0, "border", IN)
-        assert refs[6] == PointRef(0, "distance", OUT)
-        assert refs[12] == PointRef(0, "sequence", OUT)
-        assert refs[17] == PointRef(2, "sequence", IN)
+        refs = points_of(fake_embedding(np.zeros((18, 1)), system.layout), tmp_path)
+        assert refs[0] == (0, "border", OUT)
+        assert refs[3] == (0, "border", IN)
+        assert refs[6] == (0, "distance", OUT)
+        assert refs[12] == (0, "sequence", OUT)
+        assert refs[17] == (2, "sequence", IN)
         assert len(set(refs)) == 18
 
     def test_sequence_self_links_hand_values(self):
@@ -301,35 +309,34 @@ class TestBuildersTakeEveryBorderStorage:
 
 
 class TestEmbedThreeLayer:
-    def test_end_to_end_smoke(self, twelve_locations, chain_borders):
+    def test_end_to_end_smoke(self, tmp_path, twelve_locations, chain_borders):
         a = np.zeros((12, 12))
         a[0, 1] = 2.0
         a[1, 2] = 1.0
         a[4, 5] = 3.0
         a[8, 9] = 1.0
         prepared = prepare("three_layer", twelve_locations, chain_borders, directed(a))
-        emb, report = solve(prepared, 0.95, 2)
-        assert len(emb.provenance) == 72
-        tags = [ref.layer for ref in emb.provenance]
+        emb, vectors = solve(prepared, 0.95, 2)
+        assert len(emb.coordinates) == 72
+        tags = [layer for _, layer, _ in points_of(emb, tmp_path)]
         assert tags.count("border") == tags.count("distance") == tags.count("sequence") == 24
-        assert len(report.rows) == 12
-        assert report.layer_a == "distance" and report.layer_b == "border"
+        assert vectors.shape == (12, 2)
 
-    def test_reports_read_the_points_the_provenance_names(self, twelve_locations, chain_borders):
+    def test_reports_read_the_points_the_provenance_names(
+        self, tmp_path, twelve_locations, chain_borders
+    ):
         a = np.zeros((12, 12))
         a[0, 1] = a[4, 5] = a[8, 9] = 1.0
-        for emb, report in (
+        for emb, vectors in (
             solve(prepare("two_layer", twelve_locations, chain_borders), 0.95, 3),
             solve(prepare("three_layer", twelve_locations, chain_borders, directed(a)), 0.95, 3),
         ):
             points = [
-                (ref.location_id, ref.layer, xy.tolist())
-                for ref, xy in zip(emb.provenance, emb.coordinates)
+                (lid, layer, xy.tolist())
+                for (lid, layer, _), xy in zip(points_of(emb, tmp_path), emb.coordinates)
             ]
             want = displacement_rows(points, "distance", "border")
-            assert [(row.location_id, row.vector) for row in report.rows] == [
-                (lid, vector) for lid, vector, _ in want
-            ]
+            assert report_rows(vectors) == [(lid, vector) for lid, vector, _ in want]
 
 
 class TestPrepare:
@@ -465,71 +472,73 @@ class TestAvailableMemory:
         assert available is None or (isinstance(available, int) and available > 0)
 
 
-def layout_embedding(coords, layer_tags, copies):
-    """An embedding whose points run layer by layer, copy by copy, location by location."""
-    n = len(coords) // (len(layer_tags) * len(copies))
-    refs = [PointRef(i, tag, copy) for tag in layer_tags for copy in copies for i in range(n)]
-    return fake_embedding(coords, refs)
-
-
-def layout_report(coords, pipeline):
-    """The displacement of coordinates in the point layout of `pipeline`."""
-    layout = LAYOUTS[pipeline]
-    return displacement(layout_embedding(coords, *layout), *layout)
+def layout_csv(coords, pipeline, tmp_path, countries=None):
+    """displacement.csv, read back as (location_id, vector, length) rows, of
+    coordinates in the point layout of `pipeline`."""
+    path = tmp_path / "displacement.csv"
+    write_displacement_csv(displacement(fake_embedding(coords, LAYOUTS[pipeline])), path, countries)
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("location_id,layer_a,layer_b,")
+    rows = []
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert cells[1:3] == ["distance", "border"]
+        rows.append((int(cells[0]), tuple(map(float, cells[3:-2])), float(cells[-2])))
+    return rows
 
 
 class TestDisplacement:
-    def test_identical_copies_have_zero_length(self):
+    def test_identical_copies_have_zero_length(self, tmp_path):
         coords = [[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [3.0, 4.0]]
-        report = layout_report(coords, "two_layer")
-        assert all(row.length == 0.0 for row in report.rows)
+        vectors = displacement(fake_embedding(coords, LAYOUTS["two_layer"]))
+        assert np.array_equal(vectors, np.zeros((2, 2)))
+        assert [length for _, _, length in layout_csv(coords, "two_layer", tmp_path)] == [0.0, 0.0]
 
-    def test_hand_vectors_and_ordering(self):
+    def test_hand_vectors_and_ordering(self, tmp_path):
         # Distance-layer points first, then border-layer points.
         coords = [[0.0, 0.0], [1.0, 1.0], [3.0, 4.0], [1.0, 1.0]]
-        report = layout_report(coords, "two_layer")
-        assert (report.layer_a, report.layer_b) == ("distance", "border")
-        assert report.rows[0] == DisplacementRow(0, (3.0, 4.0), 5.0)
-        assert report.rows[1] == DisplacementRow(1, (0.0, 0.0), 0.0)
+        vectors = displacement(fake_embedding(coords, LAYOUTS["two_layer"]))
+        assert vectors.tolist() == [[3.0, 4.0], [0.0, 0.0]]
+        rows = layout_csv(coords, "two_layer", tmp_path)
+        assert rows == [(0, (3.0, 4.0), 5.0), (1, (0.0, 0.0), 0.0)]
 
-    def test_equal_lengths_sort_by_location(self):
+    def test_equal_lengths_sort_by_location(self, tmp_path):
         coords = [[0.0], [0.0], [0.0], [-1.0], [2.0], [1.0]]
-        report = layout_report(coords, "two_layer")
-        assert [row.location_id for row in report.rows] == [1, 0, 2]
-        assert [row.length for row in report.rows] == [2.0, 1.0, 1.0]
+        rows = layout_csv(coords, "two_layer", tmp_path)
+        assert [lid for lid, _, _ in rows] == [1, 0, 2]
+        assert [length for _, _, length in rows] == [2.0, 1.0, 1.0]
 
     def test_two_copies_give_their_centroid(self):
         # One location: border out/in, distance out/in, sequence out/in.
         coords = [[10.0], [20.0], [0.0], [4.0], [100.0], [-7.0]]
-        report = layout_report(coords, "three_layer")
-        assert report.rows[0].vector == (13.0,)  # centroids 2 and 15
+        vectors = displacement(fake_embedding(coords, LAYOUTS["three_layer"]))
+        assert vectors.tolist() == [[13.0]]  # centroids 2 and 15
 
-    def test_matches_loop_oracle_with_both_and_single_copies(self):
+    def test_matches_loop_oracle_with_both_and_single_copies(self, tmp_path):
         rng = np.random.default_rng(41)
-        for layer_tags, copies in LAYOUTS.values():
+        for pipeline, (layer_tags, copies) in LAYOUTS.items():
             for n in (1, 2, 9, 60, 301):
                 k = int(rng.integers(1, 4))
                 size = len(layer_tags) * len(copies) * n
                 # Coordinates over several magnitudes.
                 coords = rng.standard_normal((size, k)) * 10.0 ** rng.integers(-8, 3, (size, 1))
-                emb = layout_embedding(coords, layer_tags, copies)
-                report = displacement(emb, layer_tags, copies)
+                emb = fake_embedding(coords, (layer_tags, copies))
                 points = [
-                    (ref.location_id, ref.layer, coords[i].tolist())
-                    for i, ref in enumerate(emb.provenance)
+                    (lid, layer, coords[i].tolist())
+                    for i, (lid, layer, _) in enumerate(points_of(emb, tmp_path))
                 ]
                 want = displacement_rows(points, "distance", "border")
-                assert [(row.location_id, row.vector) for row in report.rows] == [
-                    (lid, vector) for lid, vector, _ in want
-                ]
-                lengths = np.array([row.length for row in report.rows])
+                assert report_rows(displacement(emb)) == [(lid, vec) for lid, vec, _ in want]
+                rows = layout_csv(coords, pipeline, tmp_path)
+                assert [(lid, vec) for lid, vec, _ in rows] == [(lid, vec) for lid, vec, _ in want]
+                lengths = np.array([length for _, _, length in rows])
                 assert np.allclose(lengths, [length for _, _, length in want], rtol=1e-12, atol=0)
 
     def test_csv_export(self, tmp_path):
         coords = [[0.0, 0.0], [3.0, 4.0]]
-        report = layout_report(coords, "two_layer")
+        vectors = displacement(fake_embedding(coords, LAYOUTS["two_layer"]))
         path = tmp_path / "displacement.csv"
-        write_displacement_csv(report, path, countries={0: "Mali"})
+        write_displacement_csv(vectors, path, countries={0: "Mali"})
         lines = path.read_text().splitlines()
         assert lines[0] == "location_id,layer_a,layer_b,dx,dy,length,country"
         assert lines[1] == "0,distance,border,3.0,4.0,5.0,Mali"
@@ -537,27 +546,17 @@ class TestDisplacement:
 
 class TestCountrySeparationRatio:
     def test_hand_ratio(self):
-        coords = [[0.0], [1.0], [10.0], [11.0]]
-        refs = [PointRef(i, "a", NO_COPY) for i in range(4)]
-        emb = fake_embedding(coords, refs)
+        coords = np.array([[0.0], [1.0], [10.0], [11.0]])
         countries = {0: "A", 1: "A", 2: "B", 3: "B"}
         # intra pairs: |0-1|=1 and |10-11|=1; inter: 10, 11, 9, 10
-        assert country_separation_ratio(emb, countries) == pytest.approx(10.0, rel=1e-12)
+        got = country_separation_ratio(coords, np.arange(4), countries)
+        assert got == pytest.approx(10.0, rel=1e-12)
 
     def test_same_location_pairs_excluded(self):
-        coords = [[0.0], [100.0], [1.0], [10.0], [110.0], [11.0]]
-        refs = [
-            PointRef(0, "a", NO_COPY),
-            PointRef(0, "b", NO_COPY),
-            PointRef(1, "a", NO_COPY),
-            PointRef(2, "a", NO_COPY),
-            PointRef(2, "b", NO_COPY),
-            PointRef(3, "a", NO_COPY),
-        ]
-        emb = fake_embedding(coords, refs)
-        countries = {0: "A", 1: "A", 2: "B", 3: "B"}
-        got = country_separation_ratio(emb, countries)
+        coords = np.array([[0.0], [100.0], [1.0], [10.0], [110.0], [11.0]])
         ids = [0, 0, 1, 2, 2, 3]
+        countries = {0: "A", 1: "A", 2: "B", 3: "B"}
+        got = country_separation_ratio(coords, np.array(ids), countries)
         vals = [c[0] for c in coords]
         intra, inter = [], []
         for i in range(6):
@@ -573,29 +572,25 @@ class TestCountrySeparationRatio:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_single_country_rejected(self):
-        coords = [[0.0], [1.0]]
-        refs = [PointRef(0, "a", NO_COPY), PointRef(1, "a", NO_COPY)]
+        coords = np.array([[0.0], [1.0]])
         with pytest.raises(ValueError, match="inter-country"):
-            country_separation_ratio(fake_embedding(coords, refs), {0: "A", 1: "A"})
+            country_separation_ratio(coords, np.arange(2), {0: "A", 1: "A"})
 
     def test_no_intra_pairs_rejected(self):
-        coords = [[0.0], [1.0]]
-        refs = [PointRef(0, "a", NO_COPY), PointRef(1, "a", NO_COPY)]
+        coords = np.array([[0.0], [1.0]])
         with pytest.raises(ValueError, match="intra-country"):
-            country_separation_ratio(fake_embedding(coords, refs), {0: "A", 1: "B"})
+            country_separation_ratio(coords, np.arange(2), {0: "A", 1: "B"})
 
     def test_only_same_location_intra_pairs_rejected(self):
         # Two copies of one location per country: every intra pair is excluded.
-        coords = [[0.0], [1.0], [5.0], [7.0]]
-        refs = [PointRef(lid, tag, NO_COPY) for tag in "ab" for lid in (0, 1)]
+        coords = np.array([[0.0], [1.0], [5.0], [7.0]])
         with pytest.raises(ValueError, match="intra-country"):
-            country_separation_ratio(fake_embedding(coords, refs), {0: "A", 1: "B"})
+            country_separation_ratio(coords, np.array([0, 1, 0, 1]), {0: "A", 1: "B"})
 
     def test_zero_intra_distances_rejected(self):
-        coords = [[0.0], [0.0], [5.0], [5.0]]
-        refs = [PointRef(i, "a", NO_COPY) for i in range(4)]
+        coords = np.array([[0.0], [0.0], [5.0], [5.0]])
         with pytest.raises(ValueError, match="all zero"):
-            country_separation_ratio(fake_embedding(coords, refs), dict(enumerate("AABB")))
+            country_separation_ratio(coords, np.arange(4), dict(enumerate("AABB")))
 
     def test_memory_stays_within_two_row_chunks(self):
         # 3000 points as in a two-layer sweep over 1500 locations, k = 2. The
@@ -603,12 +598,11 @@ class TestCountrySeparationRatio:
         # would take 12.3 MB.
         rng = np.random.default_rng(70)
         location_ids = np.tile(np.arange(1500), 2)
-        refs = [PointRef(int(lid), "a", NO_COPY) for lid in location_ids]
-        emb = fake_embedding(rng.normal(size=(3000, 2)), refs)
+        coords = rng.normal(size=(3000, 2))
         country_of = {lid: f"C{lid % 21}" for lid in range(1500)}
         tracemalloc.start()
         try:
-            country_separation_ratio(emb, country_of)
+            country_separation_ratio(coords, location_ids, country_of)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -617,10 +611,8 @@ class TestCountrySeparationRatio:
     def test_blocked_accumulation_matches_direct(self):
         rng = np.random.default_rng(67)
         coords = rng.uniform(-1, 1, (600, 2))
-        refs = [PointRef(i, "a", NO_COPY) for i in range(600)]
         countries = {i: ("A" if i % 3 else "B") for i in range(600)}
-        emb = fake_embedding(coords, refs)
-        got = country_separation_ratio(emb, countries)
+        got = country_separation_ratio(coords, np.arange(600), countries)
         intra_s = inter_s = 0.0
         intra_c = inter_c = 0
         for i in range(600):
@@ -660,10 +652,9 @@ class TestCountrySeparationRatio:
             assert len(location_ids) % rows and copies * big > 2 * rows
             cases.append((location_ids, country_of))
         for location_ids, country_of in cases:
-            refs = [PointRef(int(lid), "a", NO_COPY) for lid in location_ids]
             countries = [country_of[lid] for lid in location_ids.tolist()]
             for k in (1, 2, 3):
                 coords = rng.normal(size=(len(location_ids), k))
-                got = country_separation_ratio(fake_embedding(coords, refs), country_of)
+                got = country_separation_ratio(coords, location_ids, country_of)
                 want = pairwise_separation_ratio(coords.tolist(), location_ids.tolist(), countries)
                 assert got == pytest.approx(want, rel=1e-12), (len(location_ids), k)

@@ -207,12 +207,12 @@ class TestOperatorsMatchAssembledBuilders:
             assert np.array_equal(prepared.hops[prepared.codes[:, None], prepared.codes], crossings)
             for p in (1.0, 0.5, UNDERFLOW_P):
                 border = border_permeability_matrix(crossings, p)
-                lap, provenance = system_operator(prepared, p)
+                lap, layout = system_operator(prepared, p)
                 if name == "two_layer_sweep":
                     system = build_two_layer(prepared.distances, border)
                 else:
                     system = build_three_layer(border, prepared.distances, prepared.sequence)
-                assert provenance == system.provenance
+                assert layout == system.layout
                 check_products(lap, laplacian(system.assembled), rng, 2)
         # The geo pipeline runs on the last of them, the 800 three-layer locations.
         d = distance_matrix(prepared.locations)
@@ -391,7 +391,7 @@ class TestFailures:
         bridged = seq.values.toarray()
         bridged[3, 4] = 1.0
         emb = embed(three_layer_operator(blocks, w_dist, WeightMatrix(sparse.csr_matrix(bridged))), 2)
-        assert len(emb.provenance) == 36
+        assert len(emb.coordinates) == 36
 
     def test_zero_row_names_its_layer(self):
         # A location alone in its country, with every border block to it
@@ -453,6 +453,6 @@ def test_solve_forms_no_system_laplacian_or_crossings(monkeypatch, twelve_locati
         prepared = layers.Prepared(
             pipeline, kind, locations, codes, hops, distances, farthest, sequence
         )
-        emb, report = layers.solve(prepared, value, 2)
-        assert len(emb.provenance) == 12 * {"geo": 1, "two_layer": 2, "three_layer": 6}[prepared.pipeline]
-        assert (report is None) == (prepared.pipeline == "geo")
+        emb, vectors = layers.solve(prepared, value, 2)
+        assert len(emb.coordinates) == 12 * {"geo": 1, "two_layer": 2, "three_layer": 6}[prepared.pipeline]
+        assert (vectors is None) == (prepared.pipeline == "geo")

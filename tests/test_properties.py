@@ -792,7 +792,10 @@ def run_configs(draw):
         categories=draw(st.lists(names, min_size=1, max_size=3)),
         rounding=draw(st.integers(0, 6)),
         k=draw(st.integers(1, 3)),
-        groups=draw(st.lists(names, min_size=int(pipeline == "three_layer"), max_size=3)),
+        # A group listed twice is refused, so each is drawn once.
+        groups=draw(
+            st.lists(names, min_size=int(pipeline == "three_layer"), max_size=3, unique=True)
+        ),
         split_rules=draw(st.lists(rule, max_size=2)),
         sweep_costs_km=draw(sweep),
         sweep_probabilities=draw(sweep),

@@ -230,11 +230,19 @@ class TestSequenceAdjacency:
         b = sequence_adjacency(shuffled, [ids[i] for i in order], ["G"], 4).values.toarray()
         assert np.array_equal(a, b)
 
-    def test_a_group_listed_twice_counts_twice(self):
+    @pytest.mark.parametrize(
+        "groups, repeated",
+        [(["G", "G"], "G"), (["G", "H", "G"], "G"), (["Z", "H", "Z"], "Z"), (["G", "H", "H"], "H")],
+    )
+    def test_a_group_listed_twice_is_refused(self, groups, repeated):
+        # Refused before anything is counted, even for a group with no
+        # events; the oracle refuses it too.
         events = [make_event(i, when=date(2024, 1, i)) for i in range(1, 4)]
-        got = sequence_adjacency(events, [0, 1, 0], ["G", "G"], 2).values.toarray()
-        assert np.array_equal(got, brute_force_sequence(events, [0, 1, 0], ["G", "G"], 2))
-        assert np.array_equal(got, [[0.0, 2.0], [2.0, 0.0]])
+        message = f"group '{repeated}' is listed more than once"
+        with pytest.raises(ValueError, match=message):
+            sequence_adjacency(events, [0, 1, 0], groups, 2)
+        with pytest.raises(ValueError, match=message):
+            brute_force_sequence(events, [0, 1, 0], groups, 2)
 
     def test_one_location_id_per_event(self):
         events = [make_event(1, when=date(2024, 1, 1)), make_event(7, when=date(2024, 1, 2))]

@@ -27,7 +27,6 @@ from permap.graphs import (
 )
 from permap.spectral import (
     Embedding,
-    PointRef,
     connected_components,
     eigensolve_symmetric,
     embed,
@@ -349,8 +348,9 @@ class TestEmbed:
         assert (emb.eigenvalues > 0).all()
         assert np.all(np.diff(emb.eigenvalues) >= -1e-12)
         assert emb.residuals.max() <= 1e-8 * 10
-        assert len(emb.provenance) == 9 and emb.k == 3
-        assert emb.provenance[0] == PointRef(0, "-", "-")
+        assert emb.coordinates.shape == (9, 3) and emb.k == 3
+        assert emb.layout == (("-",), ("-",))
+        assert emb.location_ids().tolist() == list(range(9))
 
     def test_repeat_runs_bit_identical(self):
         rng = np.random.default_rng(56)
@@ -372,9 +372,13 @@ class TestEmbed:
         assert np.allclose(emb.coordinates, oracle, atol=1e-6)
 
     def test_custom_provenance_length_checked(self):
+        # The layout must give every location the same number of points.
         w = ring_weights(4)
-        with pytest.raises(ValueError, match="provenance"):
-            embed(w, 1, provenance=[PointRef(0, "-", "-")])
+        message = "4 points do not fit the layout (('a', 'b', 'c'), ('-',))"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            embed(w, 1, layout=(("a", "b", "c"), ("-",)))
+        emb = embed(w, 1, layout=(("a", "b"), ("-",)))
+        assert emb.location_ids().tolist() == [0, 1, 0, 1]
 
 
 class TestCsvExport:
@@ -406,7 +410,7 @@ class TestCsvExport:
         wide = Embedding(
             np.zeros((6, 4)),
             np.ones(4),
-            tuple(PointRef(i, "-", "-") for i in range(6)),
+            (("-",), ("-",)),
             np.zeros(4),
         )
         with pytest.raises(ValueError, match="coordinate columns"):
