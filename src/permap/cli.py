@@ -62,10 +62,8 @@ def _prepare(cfg: RunConfig):
         violent, report = _load_events(cfg)
         if not violent:
             raise ValueError("no events left after filtering; nothing to embed")
-    cg = None
     with stage("borders"):
-        if not (cfg.pipeline == "geo" and cfg.border_model.kind == "none"):
-            cg = _border_graph(cfg)
+        cg = None if cfg.border_model.kind == "none" else _border_graph(cfg)
     with stage("ingest"):
         locations, mapping = ingest.build_locations(violent, cfg.rounding)
     seq = None

@@ -27,7 +27,8 @@ from .layers import BORDER_KINDS
 from .sequence import GroupSplitRule
 
 PIPELINES = tuple(BORDER_KINDS)
-BORDER_MODEL_KINDS = BORDER_KINDS["geo"]
+# Every kind some pipeline prices, in BORDER_KINDS order.
+BORDER_MODEL_KINDS = tuple(dict.fromkeys(k for kinds in BORDER_KINDS.values() for k in kinds))
 
 _META_KEY = "_meta"
 
@@ -168,7 +169,10 @@ class RunConfig:
         if not self.categories:
             raise ConfigError("categories must be non-empty")
         if self.border_model.kind not in BORDER_KINDS[self.pipeline]:
-            raise ConfigError(f"pipeline {self.pipeline!r} requires the permeability border model")
+            raise ConfigError(
+                f"pipeline {self.pipeline!r} takes border model kind in "
+                f"{BORDER_KINDS[self.pipeline]}, got {self.border_model.kind!r}"
+            )
         if self.pipeline == "three_layer" and not self.groups:
             raise ConfigError("three_layer pipeline needs a non-empty group selection")
         repeated = [g for i, g in enumerate(self.groups) if g in self.groups[:i]]
@@ -230,7 +234,8 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> RunConfig:
     A null, or an empty list for a list field, leaves the field's
     default. Relative input paths are resolved against base_dir when
     given. The manifest bookkeeping key is checked and then ignored, so
-    manifests are valid configs.
+    manifests are valid configs. A check's ConfigError passes as it is;
+    any other TypeError or ValueError becomes an "invalid config value".
     """
     _object(raw, "config", RunConfig, _META_KEY)
     if _META_KEY in raw:
@@ -264,6 +269,8 @@ def config_from_dict(raw: dict, base_dir: Path | None = None) -> RunConfig:
                 continue
             kwargs[key] = convert[key](value, key) if key in convert else value
         return RunConfig(**kwargs)
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}") from exc
 

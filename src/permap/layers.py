@@ -49,13 +49,7 @@ from .geo import (
     distance_matrix,
     priced_top,
 )
-from .graphs import (
-    GroupBlocks,
-    LaplacianOperator,
-    WeightMatrix,
-    laplacian_operator,
-    symmetrized_operator,
-)
+from .graphs import GroupBlocks, LaplacianOperator, WeightMatrix, symmetrized_operator
 from .spectral import COORD_NAMES, MIN_BASIS, Embedding, embed
 
 TWO_LAYER_TAGS = ("distance", "border")
@@ -73,10 +67,11 @@ LAYOUTS = {
     "three_layer": (THREE_LAYER_TAGS, (OUT, IN)),
 }
 
-# The border models each pipeline prices; the multilayer pipelines weight
-# their border layer by permeability only.
+# The border models each pipeline prices. `geo` embeds its one distance
+# layer with borders priced in km or not at all; permeability weights the
+# border layer of the multilayer pipelines only.
 BORDER_KINDS = {
-    "geo": ("none", "linear", "permeability"),
+    "geo": ("none", "linear"),
     "two_layer": ("permeability",),
     "three_layer": ("permeability",),
 }
@@ -287,10 +282,9 @@ class Prepared:
     country-by-country crossings, or None when the config prices no
     borders. `distances` is the raw km matrix for `geo` (priced per
     border and inverted implicitly, in each product) and the inverted
-    distance layer for the multilayer pipelines; it is None where the
-    pipeline never reads it. `farthest` is the km matrix's
-    `geo.country_farthest` table for `geo`, which gives each priced
-    layer's scale, and None elsewhere. `sequence` is the three-layer
+    distance layer for the multilayer pipelines. `farthest` is the km
+    matrix's `geo.country_farthest` table for `geo`, which gives each
+    priced layer's scale, and None elsewhere. `sequence` is the three-layer
     sequence layer, CSR as `sequence.sequence_adjacency` builds it.
     """
 
@@ -299,7 +293,7 @@ class Prepared:
     locations: tuple
     codes: np.ndarray | None
     hops: np.ndarray | None
-    distances: WeightMatrix | None
+    distances: WeightMatrix
     farthest: np.ndarray | None
     sequence: WeightMatrix | None
 
@@ -309,8 +303,9 @@ def prepare(pipeline: str, locations, cg, seq=None, border_kind="permeability") 
 
     `cg` is the border graph, or None when no borders are priced, and
     `seq` the three-layer sequence layer as `sequence.sequence_adjacency`
-    builds it. Nothing here depends on the swept border value. Raises
-    ValueError for a pipeline or border kind outside BORDER_KINDS, and
+    builds it. Nothing here depends on the swept border value; every
+    pipeline builds its n x n distance layer here. Raises ValueError for
+    a pipeline or border kind outside BORDER_KINDS, and
     InsufficientMemoryError, before the distance layer is built, when the
     run's estimated peak memory exceeds the memory available.
     """
@@ -325,28 +320,26 @@ def prepare(pipeline: str, locations, cg, seq=None, border_kind="permeability") 
     with stage("borders"):
         codes, hops = (None, None) if cg is None else country_crossings(locations, cg)
     with stage("assembly"):
-        builds_distances = pipeline != "geo" or border_kind != "permeability"
-        _check_memory(pipeline, len(locations), builds_distances)
-        distances = farthest = None
-        if pipeline != "geo":
-            distances = closeness_matrix(locations)
-        elif builds_distances:
+        _check_memory(pipeline, len(locations))
+        if pipeline == "geo":
             distances = distance_matrix(locations)
             farthest = country_farthest(distances, codes)
+        else:
+            distances, farthest = closeness_matrix(locations), None
     return Prepared(pipeline, border_kind, locations, codes, hops, distances, farthest, seq)
 
 
-def _check_memory(pipeline: str, n: int, builds_distances: bool) -> None:
+def _check_memory(pipeline: str, n: int) -> None:
     """Refuse a run whose estimated peak memory exceeds the memory available.
 
-    A distance layer is one n x n float array: the km matrix, which the
-    multilayer pipelines invert in place and `geo` prices and inverts in
-    each product, so no copy of it is made. The Lanczos basis
-    holds MIN_BASIS vectors of the system size. The distance builders'
-    row-block temporaries are left out: each is bounded in bytes
-    (geo._BLOCK_BYTES), not in n, and a few of them are small next to
-    either term. Raises InsufficientMemoryError; checks nothing when the
-    available memory cannot be read.
+    Every pipeline builds one distance layer, one n x n float array: the
+    km matrix, which the multilayer pipelines invert in place and `geo`
+    prices and inverts in each product, so no copy of it is made. The
+    Lanczos basis holds MIN_BASIS vectors of the system size. The
+    distance builders' row-block temporaries are left out: each is
+    bounded in bytes (geo._BLOCK_BYTES), not in n, and a few of them are
+    small next to either term. Raises InsufficientMemoryError; checks
+    nothing when the available memory cannot be read.
     """
     available = _available_memory()
     if available is None:
@@ -355,7 +348,7 @@ def _check_memory(pipeline: str, n: int, builds_distances: bool) -> None:
     if pipeline in LAYOUTS:
         layer_tags, copies = LAYOUTS[pipeline]
         size *= len(layer_tags) * len(copies)
-    needed = 8 * MIN_BASIS * size + (8 * n * n if builds_distances else 0)
+    needed = 8 * MIN_BASIS * size + 8 * n * n
     if needed > available:
         raise InsufficientMemoryError(
             f"needs an estimated {needed / 1e9:.1f} GB, {available / 1e9:.1f} GB available"
@@ -403,17 +396,13 @@ def _available_memory() -> int | None:
 def system_operator(prepared: Prepared, value: float | None):
     """The Laplacian operator of one border value and the layout of its points.
 
-    `value` is the border cost in km for the linear model, the
-    permeability p for the permeability model, and ignored for none.
+    `value` is the border cost in km for `geo`'s linear model, ignored for
+    none, which prices borders at no cost, and the permeability p of the
+    multilayer pipelines' border layer.
     """
     if prepared.pipeline == "geo":
-        if prepared.border_kind == "permeability":
-            lap = laplacian_operator(border_blocks(prepared.codes, prepared.hops, value))
-            tag = "border"
-        else:  # "linear", or "none", which prices borders at no cost
-            cost = value if prepared.border_kind == "linear" else 0.0
-            lap, tag = _priced_operator(prepared, cost), "distance"
-        return lap, ((tag,), (NO_COPY,))
+        cost = value if prepared.border_kind == "linear" else 0.0
+        return _priced_operator(prepared, cost), (("distance",), (NO_COPY,))
     w_border = border_blocks(prepared.codes, prepared.hops, value)
     if prepared.pipeline == "two_layer":
         lap = two_layer_operator(prepared.distances, w_border)

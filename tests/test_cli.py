@@ -150,21 +150,29 @@ class TestEmbed:
         assert (out_dir / "rejections.csv").read_text() == "line,reason\n"
         assert not (out_dir / "displacement.csv").exists()
 
-    def test_permeability_geo_run_tags_border_layer(self, capsys, fixture_run, tmp_path):
+    @pytest.mark.parametrize("command", ["embed", "sweep"])
+    def test_geo_refuses_the_permeability_model_in_config(
+        self, capsys, fixture_run, tmp_path, command
+    ):
         out_dir = tmp_path / "run"
-        rc, _, _ = run_cli(
+        rc, out, err = run_cli(
             capsys,
-            "embed",
+            command,
             "--config",
             str(fixture_run["config"]),
             "--out",
             str(out_dir),
             "--override",
             'border_model={"kind": "permeability", "p": 0.95}',
+            "--override",
+            "sweep_probabilities=[0.5, 0.95]",
         )
-        assert rc == 0
-        emb = (out_dir / "embedding.csv").read_text().splitlines()
-        assert emb[1].split(",")[2] == "border"
+        assert (rc, out) == (1, "")
+        assert err == (
+            "error: config: pipeline 'geo' takes border model kind in ('none', 'linear'), "
+            "got 'permeability'\n"
+        )
+        assert not out_dir.exists()
 
     def test_k_override_changes_columns(self, capsys, fixture_run, tmp_path):
         out_dir = tmp_path / "run"
@@ -422,6 +430,8 @@ class TestSweep:
             "--out",
             str(out_dir),
             "--override",
+            "pipeline=two_layer",
+            "--override",
             'border_model={"kind": "permeability", "p": 0.95}',
             "--override",
             "sweep_probabilities=[0.95, 1.5]",
@@ -520,10 +530,20 @@ class TestSweep:
 
     def test_repeated_values_rejected(self, capsys, fixture_run, tmp_path):
         cases = (
-            ('{"kind": "permeability", "p": 0.5}', "sweep_probabilities=[0.5, 0.8, 0.5]", "0.5"),
-            ('{"kind": "linear", "cost_km": 0.0}', "sweep_costs_km=[0.0, 50.0, -0.0]", "-0.0"),
+            (
+                "two_layer",
+                '{"kind": "permeability", "p": 0.5}',
+                "sweep_probabilities=[0.5, 0.8, 0.5]",
+                "0.5",
+            ),
+            (
+                "geo",
+                '{"kind": "linear", "cost_km": 0.0}',
+                "sweep_costs_km=[0.0, 50.0, -0.0]",
+                "-0.0",
+            ),
         )
-        for model, sweep, repeated in cases:
+        for pipeline, model, sweep, repeated in cases:
             out_dir = tmp_path / f"o{repeated}"
             rc, _, err = run_cli(
                 capsys,
@@ -532,6 +552,8 @@ class TestSweep:
                 str(fixture_run["config"]),
                 "--out",
                 str(out_dir),
+                "--override",
+                f"pipeline={pipeline}",
                 "--override",
                 f"border_model={model}",
                 "--override",
@@ -737,7 +759,7 @@ class TestByteOrderMark:
                 "--out",
                 str(out_dir),
                 "--override",
-                'border_model={"kind": "permeability", "p": 0.95}',
+                'border_model={"kind": "linear", "cost_km": 100.0}',
             )
             assert rc == 0 and err == ""
             runs[name] = self.outputs(out_dir)
@@ -793,7 +815,7 @@ class TestListConfigFields:
                 override,
             )
             assert rc == 1
-            assert err.strip() == f"error: config: invalid config value: {message}"
+            assert err.strip() == f"error: config: {message}"
             assert not out_dir.exists()
 
     def test_json_config_with_a_bare_string_fails_in_config(self, capsys, fixture_run, tmp_path):
@@ -803,7 +825,7 @@ class TestListConfigFields:
         rc, _, err = run_cli(capsys, "embed", "--config", str(config), "--out", str(tmp_path / "o"))
         assert rc == 1
         assert err.strip() == (
-            "error: config: invalid config value: groups must be a list of strings, got 'AQIM'"
+            "error: config: groups must be a list of strings, got 'AQIM'"
         )
 
 
@@ -869,13 +891,13 @@ class TestNestedConfigFields:
         for fragment, message in self.CASES:
             config.write_text(json.dumps({**raw, **fragment}), encoding="utf-8")
             got = self.run(capsys, config, tmp_path / "o")
-            assert got == (1, f"error: config: invalid config value: {message}")
+            assert got == (1, f"error: config: {message}")
 
     def test_override_fails_in_config(self, capsys, fixture_run, tmp_path):
         for fragment, message in self.CASES:
             overrides = list(dotted_overrides(fragment))
             got = self.run(capsys, fixture_run["config"], tmp_path / "o", *overrides)
-            assert got == (1, f"error: config: invalid config value: {message}")
+            assert got == (1, f"error: config: {message}")
 
     def test_an_integer_threshold_is_recorded_as_a_float(self, capsys, fixture_run, tmp_path):
         rule = json.dumps([{**SPLIT_RULE, "threshold": 28}])
@@ -908,13 +930,13 @@ class TestFailureStages:
         # border graph would fail to read it, and outputs would land there.
         config = fixture_run["config"]
         raw = json.loads(config.read_text(encoding="utf-8"))
-        raw["border_model"] = {"kind": "permeability", "p": 0.95}
+        raw["border_model"] = {"kind": "linear", "cost_km": 100.0}
         before = sorted(fixture_run["dir"].iterdir())
         for key, out in (("borders_csv", ("--out", str(tmp_path / "o"))), ("output_dir", ())):
             for empty in ("", " \t"):
                 config.write_text(json.dumps({**raw, key: empty}), encoding="utf-8")
                 rc, _, err = run_cli(capsys, "embed", "--config", str(config), *out)
-                message = f"invalid config value: {key} must not be an empty path, got {empty!r}"
+                message = f"{key} must not be an empty path, got {empty!r}"
                 assert (rc, err) == (1, f"error: config: {message}\n")
         assert sorted(fixture_run["dir"].iterdir()) == before
 
@@ -984,7 +1006,7 @@ class TestFailureStages:
             "--out",
             str(tmp_path / "o"),
             "--override",
-            'border_model={"kind": "permeability", "p": 0.95}',
+            'border_model={"kind": "linear", "cost_km": 100.0}',
             "--override",
             "borders_csv=partial.csv",
         )
@@ -1002,7 +1024,7 @@ class TestFailureStages:
             "--out",
             str(tmp_path / "o"),
             "--override",
-            'border_model={"kind": "permeability", "p": 0.95}',
+            'border_model={"kind": "linear", "cost_km": 100.0}',
             "--override",
             "borders_csv=split.csv",
         )
@@ -1067,7 +1089,7 @@ class TestFailureStages:
         rc, _, err = run_cli(capsys, "embed", "--config", config, "--out", str(out_dir), *args)
         assert (rc, err) == (
             1,
-            "error: config: invalid config value: group 'Group A' is listed more than once\n",
+            "error: config: group 'Group A' is listed more than once\n",
         )
         assert not out_dir.exists()
 
@@ -1096,7 +1118,7 @@ class TestFailureStages:
             rc, _, err = run_cli(capsys, *argv)
             assert rc == 1
             assert err == (
-                f"error: config: invalid config value: {name} must be a finite number, "
+                f"error: config: {name} must be a finite number, "
                 f"got {shown}\n"
             )
             assert not (tmp_path / "o").exists()
@@ -1122,7 +1144,7 @@ class TestFailureStages:
             rc, _, err = run_cli(capsys, *argv)
             assert rc == 1
             assert err == (
-                f"error: config: invalid config value: {name} must be an integer, got {shown}\n"
+                f"error: config: {name} must be an integer, got {shown}\n"
             )
             assert not (tmp_path / "o").exists()
 

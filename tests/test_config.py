@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from permap import config as config_module
 from permap.config import (
+    BORDER_MODEL_KINDS,
     PIPELINES,
     BorderModel,
     RunConfig,
@@ -18,6 +20,7 @@ from permap.config import (
 )
 from permap.errors import ConfigError
 from permap.ingest import DEFAULT_CATEGORIES, ColumnMap
+from permap.layers import prepare
 from permap.sequence import GroupSplitRule
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -32,6 +35,8 @@ class TestBorderModel:
         assert perm.to_dict() == {"kind": "permeability", "p": 0.95}
 
     def test_unknown_kind(self):
+        # Every kind some pipeline prices, and no other.
+        assert BORDER_MODEL_KINDS == ("none", "linear", "permeability")
         with pytest.raises(ConfigError, match="kind"):
             BorderModel("tariff")
 
@@ -114,6 +119,26 @@ class TestRunConfig:
         )
         assert three.groups == ("G",)
 
+    @pytest.mark.parametrize("pipeline", PIPELINES)
+    @pytest.mark.parametrize("kind", ["none", "linear", "permeability"])
+    def test_refuses_exactly_the_pairings_prepare_refuses(
+        self, twelve_locations, chain_borders, pipeline, kind
+    ):
+        parameter = {"linear": {"cost_km": 10.0}, "permeability": {"p": 0.9}}.get(kind, {})
+        model = BorderModel(kind, **parameter)
+        refusals = []
+        try:
+            RunConfig(events_csv="e.csv", pipeline=pipeline, border_model=model, groups=("G",))
+        except ConfigError as exc:
+            refusals.append(str(exc))
+        try:
+            prepare(pipeline, twelve_locations, chain_borders, border_kind=kind)
+        except ValueError as exc:
+            refusals.append(str(exc).replace("border_kind", "border model kind"))
+        assert len(refusals) in (0, 2), refusals
+        if refusals:
+            assert refusals[0] == refusals[1]
+
     def test_a_group_listed_twice_is_refused(self):
         # On any pipeline, not only where the groups feed the sequence layer.
         perm = BorderModel("permeability", p=0.9)
@@ -124,7 +149,7 @@ class TestRunConfig:
                     RunConfig(
                         events_csv="e.csv", pipeline=pipeline, border_model=model, groups=groups
                     )
-        with pytest.raises(ConfigError, match="invalid config value: group 'G' is listed more"):
+        with pytest.raises(ConfigError, match="^group 'G' is listed more"):
             config_from_dict({"events_csv": "e.csv", "groups": ["G", "G"]})
 
     def test_sweep_values_follow_border_model(self):
@@ -135,7 +160,9 @@ class TestRunConfig:
             sweep_probabilities=(0.9,),
         )
         assert linear.sweep_values() == (0.0, 50.0)
-        perm = replace(linear, border_model=BorderModel("permeability", p=0.9))
+        perm = replace(
+            linear, pipeline="two_layer", border_model=BorderModel("permeability", p=0.9)
+        )
         assert perm.sweep_values() == (0.9,)
         plain = replace(linear, border_model=BorderModel("none"))
         with pytest.raises(ConfigError, match="sweep"):
@@ -154,7 +181,11 @@ class TestRunConfig:
         bumped = linear.with_border_value(250)
         assert bumped.border_model == BorderModel("linear", cost_km=250.0)
         assert bumped.events_csv == linear.events_csv
-        perm = RunConfig(events_csv="e.csv", border_model=BorderModel("permeability", p=0.9))
+        perm = RunConfig(
+            events_csv="e.csv",
+            pipeline="two_layer",
+            border_model=BorderModel("permeability", p=0.9),
+        )
         assert perm.with_border_value(0.5).border_model.p == 0.5
         with pytest.raises(ConfigError, match="p must be"):
             perm.with_border_value(1.5)
@@ -162,7 +193,7 @@ class TestRunConfig:
 
 # A config entry that is not a list of the right items, and the message it fails with.
 LIST_FIELD_CASES = (
-    ({"groups": "AQIM"}, "invalid config value: groups must be a list of strings, got 'AQIM'"),
+    ({"groups": "AQIM"}, "groups must be a list of strings, got 'AQIM'"),
     ({"categories": "Battle"}, "categories must be a list of strings, got 'Battle'"),
     ({"categories": [1]}, "categories must be a list of strings, got [1]"),
     (
@@ -264,6 +295,16 @@ class TestConfigFromDict:
         assert cfg.column_map.actor == "who"
         assert cfg.column_map.date_formats == ("%Y-%m-%d",)
         assert cfg.categories == ("Battle",)
+
+    def test_an_untyped_error_is_wrapped_as_a_config_error(self, monkeypatch):
+        # Checks raise ConfigError with their own message; anything else a
+        # field raises still leaves typed, with the prefix.
+        def untyped(value, name):
+            raise TypeError(f"{name} is odd")
+
+        monkeypatch.setattr(config_module, "_integer", untyped)
+        with pytest.raises(ConfigError, match="^invalid config value: k is odd$"):
+            config_from_dict({"events_csv": "e.csv"})
 
     def test_list_fields_refuse_bare_strings_and_wrong_entries(self):
         for raw, message in LIST_FIELD_CASES:

@@ -341,7 +341,7 @@ class TestEmbedThreeLayer:
 
 class TestPrepare:
     def test_unknown_border_kind_refused(self, twelve_locations, chain_borders):
-        with pytest.raises(ValueError, match=r"border_kind in \('none', 'linear', 'permeability'\)"):
+        with pytest.raises(ValueError, match=r"border_kind in \('none', 'linear'\), got 'bogus'"):
             prepare("geo", twelve_locations, chain_borders, border_kind="bogus")
 
     def test_unknown_pipeline_refused(self, twelve_locations, chain_borders):
@@ -363,14 +363,13 @@ def twenty_locations():
 
 
 class TestMemoryCheck:
-    # Estimated bytes at n = 20: one n x n float array where the distance
-    # layer is built, plus a 40-vector Lanczos basis of the system size.
+    # Estimated bytes at n = 20: one n x n float array, the distance layer,
+    # plus a 40-vector Lanczos basis of the system size.
     @pytest.mark.parametrize(
         "pipeline, border_kind, needed",
         [
             ("geo", "none", 8 * 20**2 + 8 * 40 * 20),
             ("geo", "linear", 8 * 20**2 + 8 * 40 * 20),
-            ("geo", "permeability", 8 * 40 * 20),
             ("two_layer", "permeability", 8 * 20**2 + 8 * 40 * 40),
             ("three_layer", "permeability", 8 * 20**2 + 8 * 40 * 120),
         ],
@@ -386,17 +385,6 @@ class TestMemoryCheck:
             prepare(pipeline, locations, chain_borders, border_kind=border_kind)
         assert stage_of(info.value) == "assembly"
 
-    def test_geo_with_permeability_is_not_charged_for_an_n_by_n_layer(
-        self, monkeypatch, chain_borders
-    ):
-        locations = twenty_locations()
-        # Room for the Lanczos basis alone.
-        monkeypatch.setattr(layers, "_available_memory", lambda: 8 * 40 * 20)
-        with pytest.raises(InsufficientMemoryError):
-            prepare("geo", locations, chain_borders, border_kind="none")
-        prepared = prepare("geo", locations, chain_borders, border_kind="permeability")
-        assert prepared.distances is None
-
     def test_message_gives_both_figures_in_gb(self, monkeypatch, chain_borders):
         monkeypatch.setattr(layers, "_available_memory", lambda: 0)
         with pytest.raises(
@@ -408,7 +396,7 @@ class TestMemoryCheck:
         with pytest.raises(
             InsufficientMemoryError, match=r"^needs an estimated 2\.5 GB, 2\.3 GB available$"
         ):
-            layers._check_memory("geo", 17_678, True)
+            layers._check_memory("geo", 17_678)
 
     def test_unreadable_memory_checks_nothing(self, monkeypatch, chain_borders):
         monkeypatch.setattr(layers, "_available_memory", lambda: None)

@@ -226,10 +226,11 @@ class TestOperatorsMatchAssembledBuilders:
         )
         priced = invert_distances(linear_border_distances(d, crossings, 100.0))
         check_products(system_operator(geo, 100.0)[0], laplacian(priced), rng, 2)
-        geo = replace(geo, border_kind="permeability", distances=None, farthest=None)
+        # A library caller can still embed the country blocks alone.
         for p in (1.0, 0.5, UNDERFLOW_P):
             reference = laplacian(border_permeability_matrix(crossings, p))
-            check_products(system_operator(geo, p)[0], reference, rng, 2)
+            lap = laplacian_operator(border_blocks(prepared.codes, prepared.hops, p))
+            check_products(lap, reference, rng, 2)
 
 
 class TestSymmetrizedOperator:
@@ -442,13 +443,12 @@ def test_solve_forms_no_system_laplacian_or_crossings(monkeypatch, twelve_locati
     runs = [
         ("geo", "none", None, None, d, None, None),
         ("geo", "linear", codes, hops, d, None, 100.0),
-        ("geo", "permeability", codes, hops, None, None, 0.5),
         ("two_layer", "permeability", codes, hops, closeness, None, 0.5),
         ("three_layer", "permeability", codes, hops, closeness, seq_layer, 0.5),
     ]
     for pipeline, kind, codes, hops, distances, sequence, value in runs:
         farthest = None
-        if pipeline == "geo" and distances is not None:
+        if pipeline == "geo":
             farthest = country_farthest(d, codes)
         prepared = layers.Prepared(
             pipeline, kind, locations, codes, hops, distances, farthest, sequence
