@@ -9,12 +9,13 @@ border count cannot tell the pairs apart, so any gap between them in
 the final embedding is the directed sequence layer at work.
 """
 
-from datetime import date
+import io
+from datetime import date, timedelta
 
 import numpy as np
 
 from permap import CountryBorderGraph, layers, sequence_adjacency
-from permap.ingest import EventRecord, Location
+from permap.ingest import Location, parse_events
 
 SITES = [
     ("Gao", 0.0, 0.0, "Mali"),
@@ -28,25 +29,18 @@ locations = [
 ]
 borders = CountryBorderGraph.from_pairs([("Mali", "Niger")])
 
-# One group alternates Gao -> Ouallam -> Gao -> ... for 33 dated events.
-events, location_ids = [], []
-start = date(2024, 1, 1).toordinal()
-for row in range(1, 34):
-    site = locations[(row - 1) % 2]
-    events.append(
-        EventRecord(
-            event_date=date.fromordinal(start + row - 1),
-            group_id="Raiders",
-            latitude=site.latitude,
-            longitude=site.longitude,
-            country=site.country,
-            admin1=site.admin_key,
-            event_type="Battle",
-            fatalities=0,
-            source_row=row,
-        )
+# One group alternates Gao -> Ouallam -> Gao -> ... for 33 dated events,
+# written as the rows of an event CSV and read back as permap reads one.
+rows = ["event_date,actor1,latitude,longitude,country,admin1,event_type,fatalities"]
+location_ids = []
+for day in range(33):
+    site = locations[day % 2]
+    when = date(2024, 1, 1) + timedelta(days=day)
+    rows.append(
+        f"{when},Raiders,{site.latitude},{site.longitude},{site.country},{site.admin_key},Battle,0"
     )
     location_ids.append(site.id)
+events, _ = parse_events(io.StringIO("\n".join(rows) + "\n"))
 
 moves = sequence_adjacency(events, location_ids, ["Raiders"], len(locations))
 print("Directed move counts between locations:")

@@ -72,7 +72,7 @@ def _prepare(cfg: RunConfig):
             seq = sequence.sequence_adjacency(violent, mapping, cfg.groups, len(locations))
     # The events are spent: freed here, they do not stack on the distance layer.
     del violent, mapping
-    prepared = layers.prepare(cfg.pipeline, locations, cg, seq, cfg.border_model.kind)
+    prepared = layers.prepare(cfg.pipeline, locations, cg, seq)
     return prepared, report
 
 

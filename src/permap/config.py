@@ -23,9 +23,16 @@ from pathlib import Path
 from .errors import ConfigError
 from .fileio import atomic_write, open_input
 from .ingest import DEFAULT_CATEGORIES, DEFAULT_ROUNDING, ColumnMap
-from .layers import BORDER_KINDS
 from .sequence import GroupSplitRule
 
+# The border models each pipeline prices; no other module checks the pairing.
+# `geo` prices its one distance layer in km or not at all, and permeability
+# weights the border layer of the multilayer pipelines only.
+BORDER_KINDS = {
+    "geo": ("none", "linear"),
+    "two_layer": ("permeability",),
+    "three_layer": ("permeability",),
+}
 PIPELINES = tuple(BORDER_KINDS)
 # Every kind some pipeline prices, in BORDER_KINDS order.
 BORDER_MODEL_KINDS = tuple(dict.fromkeys(k for kinds in BORDER_KINDS.values() for k in kinds))

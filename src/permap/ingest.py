@@ -11,9 +11,9 @@ fatality counts, so those columns hold codes into tuples of the distinct
 values. The row loop only looks codes up, so each distinct date, cell
 text and site is judged once; filtering, location deduplication, group
 splits and summaries then work once per distinct value and gather the
-columns. The table reads as a sequence of `EventRecord`s, and each
-function here and in `sequence` turns a plain list of records into a
-table at its entry.
+columns. Every function here and in `sequence` that reads events takes
+the table `parse_events` returns; iterating one gives its events as
+`EventRecord`s.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import locale
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from datetime import date, datetime
 from functools import partial
@@ -260,14 +259,15 @@ ROW = np.dtype([(c, np.int32) for c in ("day", "group", "site", "dead", "kind", 
 
 
 @dataclass(frozen=True, eq=False)
-class EventTable(Sequence):
-    """Events as integer columns; a read-only sequence of EventRecord.
+class EventTable:
+    """Events as integer columns, as parse_events reads them.
 
     `rows` holds one ROW per event. Its `group`, `site`, `dead` and `kind`
     columns are codes into `groups`, `sites` ((latitude, longitude,
     country, admin1) tuples), `deaths` (fatality counts) and `kinds`.
-    Indexing and iteration build records from the columns, so records
-    holding the same text or coordinate share one object.
+    Iteration builds an EventRecord per event from the columns, so records
+    holding the same text or coordinate share one object; the benchmark's
+    reference reads each event's source_row that way.
     """
 
     rows: np.ndarray
@@ -276,19 +276,6 @@ class EventTable(Sequence):
     kinds: tuple
     deaths: tuple
 
-    @classmethod
-    def of(cls, events) -> EventTable:
-        """`events` if it is a table, else its records coded into one."""
-        if isinstance(events, cls):
-            return events
-        groups, sites, kinds, deaths = codes = [_Codes() for _ in range(4)]
-        rows = [
-            (e.event_date.toordinal(), groups[e.group_id], sites[e[2:6]], deaths[e.fatalities],
-             kinds[e.event_type], e.source_row)
-            for e in events
-        ]
-        return cls(np.array(rows, dtype=ROW), *map(tuple, codes))
-
     def group_codes(self) -> dict:
         """Name -> code of each group that at least one event holds."""
         return {self.groups[g]: g for g in np.unique(self.rows["group"]).tolist()}
@@ -296,17 +283,12 @@ class EventTable(Sequence):
     def __len__(self):
         return len(self.rows)
 
-    def __getitem__(self, i):
-        return self._record(*self.rows[i].tolist())
-
     def __iter__(self):
-        return (self._record(*row) for row in self.rows.tolist())
-
-    def _record(self, day, group, site, dead, kind, source_row) -> EventRecord:
-        return EventRecord(
-            date.fromordinal(day), self.groups[group], *self.sites[site], self.kinds[kind],
-            self.deaths[dead], source_row,
-        )
+        for day, group, site, dead, kind, source_row in self.rows.tolist():
+            yield EventRecord(
+                date.fromordinal(day), self.groups[group], *self.sites[site], self.kinds[kind],
+                self.deaths[dead], source_row,
+            )
 
 
 def parse_events(source, column_map: ColumnMap | None = None):
@@ -404,7 +386,7 @@ def _normalize(text: str) -> str:
     return text.strip().casefold()
 
 
-def filter_violent(events, categories=DEFAULT_CATEGORIES) -> EventTable:
+def filter_violent(events: EventTable, categories=DEFAULT_CATEGORIES) -> EventTable:
     """Keep events whose type matches a category, preserving order.
 
     Matching is case-insensitive on trimmed names. A category reading
@@ -415,13 +397,12 @@ def filter_violent(events, categories=DEFAULT_CATEGORIES) -> EventTable:
     if not cats:
         raise ValueError("filter_violent needs at least one category")
     battles = any(c in ("battle", "battles") for c in cats)
-    table = EventTable.of(events)
-    kinds = [_normalize(kind) for kind in table.kinds]
+    kinds = [_normalize(kind) for kind in events.kinds]
     keep = np.array([k in cats or (battles and k.startswith("battle")) for k in kinds], dtype=bool)
-    return replace(table, rows=table.rows[keep[table.rows["kind"]]])
+    return replace(events, rows=events.rows[keep[events.rows["kind"]]])
 
 
-def build_locations(events, rounding: int = DEFAULT_ROUNDING):
+def build_locations(events: EventTable, rounding: int = DEFAULT_ROUNDING):
     """Deduplicate events into locations; returns (locations, id per event).
 
     The key is (country, admin1, coordinates rounded to `rounding`
@@ -429,18 +410,17 @@ def build_locations(events, rounding: int = DEFAULT_ROUNDING):
     the exact coordinates of its first event. Each distinct site is keyed
     once, in the order its first event appears.
     """
-    table = EventTable.of(events)
-    if not len(table):
+    if not len(events):
         raise ValueError("build_locations needs at least one event")
     if not 0 <= rounding <= 6:
         raise ValueError(f"rounding must be in [0, 6], got {rounding}")
-    site = table.rows["site"]
+    site = events.rows["site"]
     used, first = np.unique(site, return_index=True)
-    location_of_site = np.zeros(len(table.sites), dtype=np.intp)
+    location_of_site = np.zeros(len(events.sites), dtype=np.intp)
     locations = []
     ids = {}  # rounded key -> location id
     for s in used[np.argsort(first)].tolist():
-        lat, lon, country, admin1 = table.sites[s]
+        lat, lon, country, admin1 = events.sites[s]
         key = (country, admin1, round(lat, rounding), round(lon, rounding))
         lid = ids.get(key)
         if lid is None:
@@ -466,18 +446,17 @@ class SummaryStats:
     totals: Totals
 
 
-def summarize(events, locations, mapping) -> SummaryStats:
+def summarize(events: EventTable, locations, mapping) -> SummaryStats:
     """Tally per-location and per-country-year statistics.
 
     Groups count by their stripped names, which a split rule's suffix may pad.
     """
-    table = EventTable.of(events)
-    if len(mapping) != len(table):
+    if len(mapping) != len(events):
         raise ValueError("mapping must assign a location id to every event")
     n = len(locations)
     names = _Codes()
-    rows = table.rows
-    group = np.array([names[g.strip()] for g in table.groups], dtype=np.intp)[rows["group"]]
+    rows = events.rows
+    group = np.array([names[g.strip()] for g in events.groups], dtype=np.intp)[rows["group"]]
     located = np.unique(np.stack([np.asarray(mapping, dtype=np.intp), group]), axis=1)[0]
     # Proleptic Gregorian, as datetime.date: 719163 is 1970-01-01's ordinal.
     year = (rows["day"] - 719163).astype("datetime64[D]").astype("datetime64[Y]").astype(int) + 1970
@@ -485,13 +464,13 @@ def summarize(events, locations, mapping) -> SummaryStats:
     tallies, counts = np.unique(keys, axis=1, return_counts=True)
     fatalities: dict = {}
     for (site, y, dead), count in zip(tallies.T.tolist(), counts.tolist()):
-        key = (table.sites[site][2], y)
-        fatalities[key] = fatalities.get(key, 0) + table.deaths[dead] * count
+        key = (events.sites[site][2], y)
+        fatalities[key] = fatalities.get(key, 0) + events.deaths[dead] * count
     return SummaryStats(
         attacks_per_location=tuple(np.bincount(mapping, minlength=n).tolist()),
         groups_per_location=tuple(np.bincount(located, minlength=n).tolist()),
         fatalities_by_country_year=fatalities,
-        totals=Totals(len(table), len(np.unique(group)), n),
+        totals=Totals(len(events), len(np.unique(group)), n),
     )
 
 

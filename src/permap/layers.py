@@ -67,15 +67,6 @@ LAYOUTS = {
     "three_layer": (THREE_LAYER_TAGS, (OUT, IN)),
 }
 
-# The border models each pipeline prices. `geo` embeds its one distance
-# layer with borders priced in km or not at all; permeability weights the
-# border layer of the multilayer pipelines only.
-BORDER_KINDS = {
-    "geo": ("none", "linear"),
-    "two_layer": ("permeability",),
-    "three_layer": ("permeability",),
-}
-
 # Rows per step of country_separation_ratio: its two buffers hold this many
 # rows of pair distances. Unlike geo's blocks it is a row count, not a byte
 # bound: the ratio sums block by block, so the row count sets the rounding
@@ -279,17 +270,17 @@ class Prepared:
     """The border-value-independent state of one pipeline, per location only.
 
     `codes` and `hops` are each location's country code and the
-    country-by-country crossings, or None when the config prices no
-    borders. `distances` is the raw km matrix for `geo` (priced per
-    border and inverted implicitly, in each product) and the inverted
-    distance layer for the multilayer pipelines. `farthest` is the km
-    matrix's `geo.country_farthest` table for `geo`, which gives each
-    priced layer's scale, and None elsewhere. `sequence` is the three-layer
-    sequence layer, CSR as `sequence.sequence_adjacency` builds it.
+    country-by-country crossings, or None when no border graph was given,
+    which leaves borders unpriced; only `geo` has none. `distances` is the
+    raw km matrix for `geo` (priced per border and inverted implicitly, in
+    each product) and the inverted distance layer for the multilayer
+    pipelines. `farthest` is the km matrix's `geo.country_farthest` table
+    for `geo`, which gives each priced layer's scale, and None elsewhere.
+    `sequence` is the three-layer sequence layer, CSR as
+    `sequence.sequence_adjacency` builds it.
     """
 
     pipeline: str
-    border_kind: str
     locations: tuple
     codes: np.ndarray | None
     hops: np.ndarray | None
@@ -298,24 +289,25 @@ class Prepared:
     sequence: WeightMatrix | None
 
 
-def prepare(pipeline: str, locations, cg, seq=None, border_kind="permeability") -> Prepared:
+def prepare(pipeline: str, locations, cg, seq=None) -> Prepared:
     """The border-value-independent state of one pipeline; see Prepared.
 
-    `cg` is the border graph, or None when no borders are priced, and
-    `seq` the three-layer sequence layer as `sequence.sequence_adjacency`
-    builds it. Nothing here depends on the swept border value; every
-    pipeline builds its n x n distance layer here. Raises ValueError for
-    a pipeline or border kind outside BORDER_KINDS, and
+    `cg` is the border graph, or None to leave borders unpriced (`geo`
+    only), and `seq` the three-layer sequence layer as
+    `sequence.sequence_adjacency` builds it. Nothing here depends on the
+    swept border value; every pipeline builds its n x n distance layer
+    here. Raises ValueError for an unknown pipeline, a multilayer one
+    without `cg` or a three-layer one without `seq`, and
     InsufficientMemoryError, before the distance layer is built, when the
-    run's estimated peak memory exceeds the memory available.
+    run's estimated peak memory exceeds what is free.
     """
-    if pipeline not in BORDER_KINDS:
-        raise ValueError(f"pipeline must be one of {tuple(BORDER_KINDS)}, got {pipeline!r}")
-    if border_kind not in BORDER_KINDS[pipeline]:
-        raise ValueError(
-            f"pipeline {pipeline!r} takes border_kind in {BORDER_KINDS[pipeline]}, "
-            f"got {border_kind!r}"
-        )
+    pipelines = ("geo", *LAYOUTS)
+    if pipeline not in pipelines:
+        raise ValueError(f"pipeline must be one of {pipelines}, got {pipeline!r}")
+    if cg is None and pipeline in LAYOUTS:
+        raise ValueError(f"pipeline {pipeline!r} needs a border graph")
+    if seq is None and pipeline == "three_layer":
+        raise ValueError("pipeline 'three_layer' needs a sequence layer")
     locations = tuple(locations)
     with stage("borders"):
         codes, hops = (None, None) if cg is None else country_crossings(locations, cg)
@@ -326,7 +318,7 @@ def prepare(pipeline: str, locations, cg, seq=None, border_kind="permeability") 
             farthest = country_farthest(distances, codes)
         else:
             distances, farthest = closeness_matrix(locations), None
-    return Prepared(pipeline, border_kind, locations, codes, hops, distances, farthest, seq)
+    return Prepared(pipeline, locations, codes, hops, distances, farthest, seq)
 
 
 def _check_memory(pipeline: str, n: int) -> None:
@@ -396,13 +388,16 @@ def _available_memory() -> int | None:
 def system_operator(prepared: Prepared, value: float | None):
     """The Laplacian operator of one border value and the layout of its points.
 
-    `value` is the border cost in km for `geo`'s linear model, ignored for
-    none, which prices borders at no cost, and the permeability p of the
-    multilayer pipelines' border layer.
+    `value` is the border cost in km for `geo` and the permeability p of
+    the multilayer pipelines' border layer. It must be None exactly when
+    `prepare` had no border graph, so `geo` prices no border; raises
+    ValueError otherwise.
     """
+    if (value is None) != (prepared.hops is None):
+        graph = "without" if prepared.hops is None else "with"
+        raise ValueError(f"border value {value!r} given {graph} a border graph")
     if prepared.pipeline == "geo":
-        cost = value if prepared.border_kind == "linear" else 0.0
-        return _priced_operator(prepared, cost), (("distance",), (NO_COPY,))
+        return _priced_operator(prepared, value or 0.0), (("distance",), (NO_COPY,))
     w_border = border_blocks(prepared.codes, prepared.hops, value)
     if prepared.pipeline == "two_layer":
         lap = two_layer_operator(prepared.distances, w_border)

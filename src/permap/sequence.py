@@ -62,39 +62,39 @@ class GroupSplitRule:
         return value >= self.threshold
 
 
-def split_groups(events, rules) -> EventTable:
+def split_groups(events: EventTable, rules) -> EventTable:
     """Apply split rules, returning events with rewritten group ids.
 
     Event order is preserved. The first rule whose group and predicate both
     match wins. Rules naming groups absent from the data only warn. Each
     rule is tested once per distinct site.
     """
-    table = EventTable.of(events)
-    present = table.group_codes()
-    names = list(table.groups)
-    latitude, longitude = np.array([s[:2] for s in table.sites], dtype=float).reshape(-1, 2).T
+    present = events.group_codes()
+    names = list(events.groups)
+    latitude, longitude = np.array([s[:2] for s in events.sites], dtype=float).reshape(-1, 2).T
     sites = SimpleNamespace(latitude=latitude, longitude=longitude)
-    rows = table.rows.copy()
-    unsplit = np.ones(len(table), dtype=bool)
+    rows = events.rows.copy()
+    unsplit = np.ones(len(events), dtype=bool)
     for rule in rules:
         if rule.group_id not in present:
             warnings.warn(f"split rule references unknown group {rule.group_id!r}", stacklevel=2)
             continue
-        hit = table.rows["group"] == present[rule.group_id]
-        hit &= unsplit & rule.matches(sites)[table.rows["site"]]
+        hit = events.rows["group"] == present[rule.group_id]
+        hit &= unsplit & rule.matches(sites)[events.rows["site"]]
         virtual = rule.group_id + rule.virtual_suffix
         if virtual not in names:
             names.append(virtual)
         rows["group"][hit] = names.index(virtual)
         unsplit &= ~hit
-    return replace(table, rows=rows, groups=tuple(names))
+    return replace(events, rows=rows, groups=tuple(names))
 
 
-def sequence_adjacency(events, location_ids, groups, n_locations: int) -> WeightMatrix:
+def sequence_adjacency(events: EventTable, location_ids, groups, n_locations: int) -> WeightMatrix:
     """Count consecutive same-group attacks between ordered location pairs.
 
+    `events` is a table as `ingest.parse_events` returns it, and
     `location_ids` holds each event's location id in [0, n_locations),
-    aligned with `events`, as `ingest.build_locations` returns them.
+    in table order, as `ingest.build_locations` returns them.
     Consecutive attacks at the same location contribute nothing. Counts
     accumulate over all selected groups into one directed layer, held as
     canonical CSR (sorted indices, repeated moves summed); no n x n array
@@ -112,8 +112,7 @@ def sequence_adjacency(events, location_ids, groups, n_locations: int) -> Weight
         raise ValueError(f"group {repeated[0]!r} is listed more than once")
     if n_locations < 1:
         raise ValueError(f"n_locations must be positive, got {n_locations}")
-    table = EventTable.of(events)
-    lines = table.rows["source_row"]
+    lines = events.rows["source_row"]
     # perfbench/check.py still builds its reference with line -> id.
     if isinstance(location_ids, Mapping):
         try:
@@ -121,8 +120,8 @@ def sequence_adjacency(events, location_ids, groups, n_locations: int) -> Weight
         except KeyError as exc:
             raise ValueError(f"event at line {exc.args[0]} has no location") from None
     ids = np.asarray(location_ids, dtype=np.intp)
-    if ids.shape != (len(table),):
-        raise ValueError(f"got location ids of shape {ids.shape} for {len(table)} events")
+    if ids.shape != (len(events),):
+        raise ValueError(f"got location ids of shape {ids.shape} for {len(events)} events")
     outside = (ids < 0) | (ids >= n_locations)
     if outside.any():
         first = int(np.flatnonzero(outside)[0])
@@ -130,8 +129,8 @@ def sequence_adjacency(events, location_ids, groups, n_locations: int) -> Weight
             f"event at line {lines[first]} has location {ids[first]}, outside [0, {n_locations})"
         )
 
-    present = table.group_codes()
-    selected = np.zeros(len(table.groups), dtype=bool)
+    present = events.group_codes()
+    selected = np.zeros(len(events.groups), dtype=bool)
     for group in groups:
         if group in present:
             selected[present[group]] = True
@@ -139,9 +138,9 @@ def sequence_adjacency(events, location_ids, groups, n_locations: int) -> Weight
             warnings.warn(f"selected group {group!r} has no events", stacklevel=2)
     # The selected events by group, each group's in ascending date order
     # with ties by source row; a move joins two neighbours of one group.
-    group = table.rows["group"]
+    group = events.rows["group"]
     mine = np.flatnonzero(selected[group])
-    walk = mine[np.lexsort((lines[mine], table.rows["day"][mine], group[mine]))]
+    walk = mine[np.lexsort((lines[mine], events.rows["day"][mine], group[mine]))]
     src, dst = ids[walk[:-1]], ids[walk[1:]]
     moves = (group[walk[:-1]] == group[walk[1:]]) & (src != dst)
     weights = np.ones(np.count_nonzero(moves))

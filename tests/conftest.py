@@ -11,11 +11,12 @@ import sys
 from datetime import date
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from permap.geo import CountryBorderGraph
-from permap.ingest import EventRecord, Location
+from permap.ingest import ROW, EventRecord, EventTable, Location
 
 settings.register_profile("ci", derandomize=True, database=None)
 if os.environ.get("CI"):
@@ -66,6 +67,25 @@ def make_event(
         fatalities=fatalities,
         source_row=row,
     )
+
+
+def event_table(*records):
+    """The records coded into an EventTable, in the order given, as parse_events codes a file.
+
+    Each distinct group, site (latitude, longitude, country, admin1),
+    fatality count and event type gets the next code at its first record.
+    """
+    groups, sites, deaths, kinds = [{} for _ in range(4)]
+
+    def code(values, key):
+        return values.setdefault(key, len(values))
+
+    rows = [
+        (e.event_date.toordinal(), code(groups, e.group_id), code(sites, e[2:6]),
+         code(deaths, e.fatalities), code(kinds, e.event_type), e.source_row)
+        for e in records
+    ]
+    return EventTable(np.array(rows, dtype=ROW), *map(tuple, (groups, sites, kinds, deaths)))
 
 
 @pytest.fixture

@@ -201,6 +201,29 @@ def path_graph_eigenpairs(n):
     return values, vectors
 
 
+def group_blocks_laplacian_spectrum(counts, table):
+    """Every Laplacian eigenvalue, ascending, of weights constant on group blocks.
+
+    Group g holds counts[g] >= 1 nodes, and nodes of groups g and h are
+    joined by table[g][h] (no node by itself). With t = T c, a vector that
+    sums to zero inside group g and is zero elsewhere has eigenvalue t_g,
+    which gives c_g - 1 eigenvalues per group. The other C, of the vectors
+    constant on each group, are those of the C x C symmetric matrix
+    diag(t) - diag(sqrt c) T diag(sqrt c), found here by Jacobi rotations.
+    """
+    size = len(counts)
+    t = [math.fsum(table[g][h] * counts[h] for h in range(size)) for g in range(size)]
+    roots = [math.sqrt(c) for c in counts]
+    quotient = [
+        [(t[g] if g == h else 0.0) - roots[g] * table[g][h] * roots[h] for h in range(size)]
+        for g in range(size)
+    ]
+    values, _ = jacobi_eigh(quotient)
+    for g in range(size):
+        values += [t[g]] * (counts[g] - 1)
+    return sorted(values)
+
+
 def two_layer_walk_matrix(w_a, w_b):
     """Pre-symmetrization 2n x 2n lazy-walk matrix of two symmetric layers.
 

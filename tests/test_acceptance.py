@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import make_event, make_location
+from conftest import event_table, make_event, make_location
 from oracles import (
     brute_force_sequence,
     jacobi_eigh,
@@ -264,7 +264,8 @@ def test_c09_sequence_extraction_matches_brute_force():
             location_ids.append(int(rng.integers(0, n_locations)))
         groups = sorted({e.group_id for e in events})
 
-        got = sequence_adjacency(events, location_ids, groups, n_locations).values.toarray()
+        table = event_table(*events)
+        got = sequence_adjacency(table, location_ids, groups, n_locations).values.toarray()
         want = np.array(
             brute_force_sequence(events, location_ids, groups, n_locations), dtype=float
         )
@@ -308,7 +309,8 @@ def test_c10_habitual_pair_sits_closer_than_matched_control():
         make_event(row, group="G", when=date.fromordinal(base + row - 1))
         for row in range(1, 34)
     ]
-    seq = sequence_adjacency(events, [(row + 1) % 2 for row in range(1, 34)], ["G"], 4)
+    ids = [(row + 1) % 2 for row in range(1, 34)]
+    seq = sequence_adjacency(event_table(*events), ids, ["G"], 4)
     assert seq.values[0, 1] == 16.0 and seq.values[1, 0] == 16.0
 
     w_border = border_permeability_matrix(hops, 0.95)

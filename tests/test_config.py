@@ -20,7 +20,6 @@ from permap.config import (
 )
 from permap.errors import ConfigError
 from permap.ingest import DEFAULT_CATEGORIES, ColumnMap
-from permap.layers import prepare
 from permap.sequence import GroupSplitRule
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -121,23 +120,19 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("pipeline", PIPELINES)
     @pytest.mark.parametrize("kind", ["none", "linear", "permeability"])
-    def test_refuses_exactly_the_pairings_prepare_refuses(
-        self, twelve_locations, chain_borders, pipeline, kind
-    ):
+    def test_border_kinds_per_pipeline(self, pipeline, kind):
+        # config alone pairs a pipeline with the border models it prices.
+        priced = {("geo", "none"), ("geo", "linear")}
+        priced |= {("two_layer", "permeability"), ("three_layer", "permeability")}
         parameter = {"linear": {"cost_km": 10.0}, "permeability": {"p": 0.9}}.get(kind, {})
         model = BorderModel(kind, **parameter)
-        refusals = []
-        try:
+        if (pipeline, kind) in priced:
             RunConfig(events_csv="e.csv", pipeline=pipeline, border_model=model, groups=("G",))
-        except ConfigError as exc:
-            refusals.append(str(exc))
-        try:
-            prepare(pipeline, twelve_locations, chain_borders, border_kind=kind)
-        except ValueError as exc:
-            refusals.append(str(exc).replace("border_kind", "border model kind"))
-        assert len(refusals) in (0, 2), refusals
-        if refusals:
-            assert refusals[0] == refusals[1]
+            return
+        kinds = re.escape(repr(config_module.BORDER_KINDS[pipeline]))
+        message = f"^pipeline '{pipeline}' takes border model kind in {kinds}, got '{kind}'$"
+        with pytest.raises(ConfigError, match=message):
+            RunConfig(events_csv="e.csv", pipeline=pipeline, border_model=model, groups=("G",))
 
     def test_a_group_listed_twice_is_refused(self):
         # On any pipeline, not only where the groups feed the sequence layer.

@@ -3,7 +3,8 @@
 No module imports a private (`_`-prefixed) name from another one: a
 helper two modules need belongs, public, to one of them. And `layers`
 reads no events: the CLI builds locations and the sequence layer, and
-`layers` only weights them.
+`layers` only weights them. `config` alone pairs pipelines with border
+models, so it imports nothing from `layers`.
 
 Two checks keep dead code out: every public function, class and method
 is read by the package or the benchmark, not only by tests, and no
@@ -11,11 +12,18 @@ module imports a name it never reads.
 
 `fileio` alone knows the file formats: no other module makes a
 `csv.writer` or names the `utf-8-sig` codec.
+
+The benchmark's reference (`perfbench/check.py`) calls into permap too,
+so every name it reads off a permap module must still be defined there.
 """
 
 import ast
+import importlib
+import io
 from collections import Counter
 from pathlib import Path
+
+from permap.ingest import filter_violent, parse_events
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "permap"
 PERFBENCH = PACKAGE.parents[1] / "perfbench"
@@ -78,6 +86,12 @@ def test_the_module_check_sees_every_import_form():
 def test_layers_imports_nothing_from_ingest_or_sequence():
     source = (PACKAGE / "layers.py").read_text(encoding="utf-8")
     assert permap_modules_imported(source) & {"ingest", "sequence"} == set()
+
+
+def test_config_imports_nothing_from_layers():
+    # config checks the border model pairings itself, from its own table.
+    source = (PACKAGE / "config.py").read_text(encoding="utf-8")
+    assert "layers" not in permap_modules_imported(source)
 
 
 def public_definitions(tree) -> list:
@@ -219,3 +233,48 @@ def test_only_fileio_knows_the_file_formats():
     }
     assert {name: hits for name, hits in found.items() if hits} == {}
     assert file_format_uses((PACKAGE / "fileio.py").read_text(encoding="utf-8")) != []
+
+
+def permap_names_read(source: str) -> list:
+    """(module, name) of each attribute `source` reads off a permap module it imported by name."""
+    tree = ast.parse(source)
+    modules = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "permap"
+        for alias in node.names
+    }
+    return sorted(
+        {
+            (modules[node.value.id], node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        }
+    )
+
+
+def test_the_benchmark_check_sees_module_aliases():
+    source = "def f():\n    from permap import config as c, geo\n    c.load(geo.x)\n    other.y\n"
+    assert permap_names_read(source) == [("config", "load"), ("geo", "x")]
+
+
+def test_every_name_the_benchmark_reads_off_permap_exists():
+    read = permap_names_read((PERFBENCH / "check.py").read_text(encoding="utf-8"))
+    assert {module for module, _ in read} == {"config", "geo", "ingest", "layers", "sequence"}
+    missing = [
+        f"{module}.{name}"
+        for module, name in read
+        if not hasattr(importlib.import_module(f"permap.{module}"), name)
+    ]
+    assert missing == []
+
+
+def test_a_parsed_table_iterates_records_with_their_line():
+    # check.py keys each event's location by the record's source_row.
+    text = "event_date,actor1,latitude,longitude,country,admin1,event_type,fatalities\n"
+    text += "2024-01-05,G,1.0,2.0,A,a,Battle,0\n\n2024-01-06,G,1.5,2.0,A,a,Protest,0\n"
+    text += "2024-01-07,H,1.0,2.0,A,a,Battle,3\n"
+    events, _ = parse_events(io.StringIO(text))
+    assert [e.source_row for e in filter_violent(events, ("Battle",))] == [2, 5]

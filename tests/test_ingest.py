@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import benchmark_workloads, events_csv_text, make_event
+from conftest import benchmark_workloads, event_table, events_csv_text, make_event
 from permap import ingest
 from permap.errors import ConfigError
 from permap.ingest import (
@@ -184,7 +184,7 @@ class TestParseEvents:
     def test_blank_fatalities_default_to_zero(self):
         events, report = parse([ROW[:7] + ("",)])
         assert len(report) == 0
-        assert events[0].fatalities == 0
+        assert [e.fatalities for e in events] == [0]
 
     def test_non_finite_coordinates_rejected(self):
         events, report = parse([ROW[:2] + ("nan",) + ROW[3:], ROW[:3] + ("inf",) + ROW[4:]])
@@ -214,7 +214,7 @@ class TestParseEvents:
             fatalities="dead",
         )
         events, _ = parse_events(io.StringIO(text), cmap)
-        assert events[0].group_id == "Group A"
+        assert [e.group_id for e in events] == ["Group A"]
 
     def test_missing_columns_listed(self):
         text = "event_date,actor1,latitude,longitude\n"
@@ -229,7 +229,7 @@ class TestParseEvents:
         text = events_csv_text([]) + '2024-01-05,"Militia (Group, A)",12.5,-3.25,Mali,Mopti,Battle,0\n'
         events, report = parse_events(io.StringIO(text))
         assert len(report) == 0
-        assert events[0].group_id == "Militia (Group, A)"
+        assert [e.group_id for e in events] == ["Militia (Group, A)"]
 
     def test_extra_columns_ignored(self):
         text = (
@@ -252,7 +252,7 @@ class TestFilterViolent:
             "Non-violent transfer of territory",
         ]
         events = [make_event(i + 1, kind=k) for i, k in enumerate(kinds)]
-        kept = filter_violent(events)
+        kept = filter_violent(event_table(*events))
         assert [e.source_row for e in kept] == [1, 2, 3, 4]
 
     def test_battle_prefix_subtypes(self):
@@ -261,30 +261,30 @@ class TestFilterViolent:
             make_event(2, kind="Battle (government regains territory)"),
             make_event(3, kind="Battles"),
         ]
-        assert len(filter_violent(events)) == 3
+        assert len(filter_violent(event_table(*events))) == 3
 
     def test_case_and_whitespace_insensitive(self):
         events = [make_event(1, kind="  VIOLENCE AGAINST CIVILIANS ")]
-        assert len(filter_violent(events)) == 1
+        assert len(filter_violent(event_table(*events))) == 1
 
     def test_custom_categories_exact_match(self):
         events = [make_event(1, kind="Remote violence"), make_event(2, kind="Battle")]
-        kept = filter_violent(events, categories=("Remote violence",))
+        kept = filter_violent(event_table(*events), categories=("Remote violence",))
         assert [e.source_row for e in kept] == [1]
 
     def test_non_battle_categories_never_prefix_match(self):
         events = [make_event(1, kind="Remote violence against convoys")]
-        assert list(filter_violent(events, categories=("Remote violence",))) == []
+        assert list(filter_violent(event_table(*events), categories=("Remote violence",))) == []
 
     def test_empty_categories_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            filter_violent([], categories=())
+            filter_violent(event_table(), categories=())
 
 
 class TestBuildLocations:
     def test_identical_events_collapse(self):
         events = [make_event(i) for i in range(1, 4)]
-        locations, mapping = build_locations(events)
+        locations, mapping = build_locations(event_table(*events))
         assert len(locations) == 1
         assert list(mapping) == [0, 0, 0]
         assert locations[0].id == 0
@@ -295,7 +295,7 @@ class TestBuildLocations:
             make_event(2, lat=12.00004, lon=3.0),
             make_event(3, lat=12.1, lon=3.0),
         ]
-        locations, mapping = build_locations(events)
+        locations, mapping = build_locations(event_table(*events))
         assert len(locations) == 2
         assert list(mapping) == [0, 0, 1]
         # the first event's exact coordinates are kept
@@ -307,7 +307,7 @@ class TestBuildLocations:
             make_event(2, country="Mali", admin="Gao"),
             make_event(3, country="Niger", admin="Mopti"),
         ]
-        locations, mapping = build_locations(events)
+        locations, mapping = build_locations(event_table(*events))
         assert len(locations) == 3
         assert list(mapping) == [0, 1, 2]
 
@@ -321,25 +321,25 @@ class TestBuildLocations:
             make_event(6, admin="d1", lat=2.0),
             make_event(7, admin="d2", lat=3.0),
         ]
-        locations, mapping = build_locations(events)
+        locations, mapping = build_locations(event_table(*events))
         assert len(locations) == 3
         assert list(mapping) == [0, 1, 0, 2, 0, 1, 2]
 
     def test_rounding_bounds(self):
         with pytest.raises(ValueError, match="rounding"):
-            build_locations([make_event(1)], rounding=7)
+            build_locations(event_table(make_event(1)), rounding=7)
         with pytest.raises(ValueError, match="rounding"):
-            build_locations([make_event(1)], rounding=-1)
+            build_locations(event_table(make_event(1)), rounding=-1)
 
     def test_coarser_rounding_merges_more(self):
         events = [make_event(1, lat=12.01), make_event(2, lat=12.02)]
-        fine, _ = build_locations(events, rounding=4)
-        coarse, _ = build_locations(events, rounding=1)
+        fine, _ = build_locations(event_table(*events), rounding=4)
+        coarse, _ = build_locations(event_table(*events), rounding=1)
         assert len(fine) == 2 and len(coarse) == 1
 
     def test_no_events_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            build_locations([])
+            build_locations(event_table())
 
 
 @pytest.fixture(scope="module")
@@ -421,8 +421,8 @@ def test_geo_sweep_input_ingests_within_8_mb(traced_ingest):
 class TestSummarize:
     def test_single_event(self):
         events = [make_event(1, fatalities=3)]
-        locations, mapping = build_locations(events)
-        stats = summarize(events, locations, mapping)
+        locations, mapping = build_locations(event_table(*events))
+        stats = summarize(event_table(*events), locations, mapping)
         assert stats.totals == (1, 1, 1)
         assert stats.attacks_per_location == (1,)
         assert stats.groups_per_location == (1,)
@@ -438,8 +438,8 @@ class TestSummarize:
             make_event(6, group="H", admin="d1", lat=2.0),
             make_event(7, group="G", admin="d2", lat=3.0),
         ]
-        locations, mapping = build_locations(events)
-        stats = summarize(events, locations, mapping)
+        locations, mapping = build_locations(event_table(*events))
+        stats = summarize(event_table(*events), locations, mapping)
         assert stats.totals == (7, 2, 3)
         assert stats.attacks_per_location == (3, 2, 2)
         assert stats.groups_per_location == (2, 2, 1)
@@ -455,8 +455,8 @@ class TestSummarize:
             )
             for row in range(1, 61)
         ]
-        locations, mapping = build_locations(events)
-        stats = summarize(events, locations, mapping)
+        locations, mapping = build_locations(event_table(*events))
+        stats = summarize(event_table(*events), locations, mapping)
         assert sum(stats.attacks_per_location) == len(events)
         for attacks, groups in zip(stats.attacks_per_location, stats.groups_per_location):
             assert 1 <= groups <= attacks
@@ -470,8 +470,8 @@ class TestSummarize:
             make_event(2, country="Mali", when=date(2024, 5, 1), fatalities=3),
             make_event(3, country="Niger", when=date(2024, 5, 1), fatalities=5),
         ]
-        locations, mapping = build_locations(events)
-        stats = summarize(events, locations, mapping)
+        locations, mapping = build_locations(event_table(*events))
+        stats = summarize(event_table(*events), locations, mapping)
         assert stats.fatalities_by_country_year == {
             ("Mali", 2023): 2,
             ("Mali", 2024): 3,
@@ -480,9 +480,9 @@ class TestSummarize:
 
     def test_mapping_length_checked(self):
         events = [make_event(1)]
-        locations, _ = build_locations(events)
+        locations, _ = build_locations(event_table(*events))
         with pytest.raises(ValueError, match="mapping"):
-            summarize(events, locations, [])
+            summarize(event_table(*events), locations, [])
 
 
 class TestCsvWriters:
@@ -503,8 +503,8 @@ class TestCsvWriters:
             make_event(1, country="Mali", fatalities=2),
             make_event(2, country="Mali", lat=2.0, admin="d1", fatalities=1),
         ]
-        locations, mapping = build_locations(events)
-        stats = summarize(events, locations, mapping)
+        locations, mapping = build_locations(event_table(*events))
+        stats = summarize(event_table(*events), locations, mapping)
         paths = write_summary_csvs(stats, tmp_path)
         assert [p.name for p in paths] == [
             "attacks_per_location.csv",

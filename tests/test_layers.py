@@ -340,10 +340,6 @@ class TestEmbedThreeLayer:
 
 
 class TestPrepare:
-    def test_unknown_border_kind_refused(self, twelve_locations, chain_borders):
-        with pytest.raises(ValueError, match=r"border_kind in \('none', 'linear'\), got 'bogus'"):
-            prepare("geo", twelve_locations, chain_borders, border_kind="bogus")
-
     def test_unknown_pipeline_refused(self, twelve_locations, chain_borders):
         with pytest.raises(ValueError, match=r"pipeline must be one of \('geo', 'two_layer'"):
             prepare("four_layer", twelve_locations, chain_borders)
@@ -352,8 +348,35 @@ class TestPrepare:
     def test_multilayer_prices_borders_by_permeability_only(
         self, pipeline, twelve_locations, chain_borders
     ):
-        with pytest.raises(ValueError, match=r"border_kind in \('permeability',\)"):
-            prepare(pipeline, twelve_locations, chain_borders, border_kind="linear")
+        # Refused in prepare, before the distance layer is built.
+        with pytest.raises(ValueError, match=f"^pipeline '{pipeline}' needs a border graph$"):
+            prepare(pipeline, twelve_locations, None, directed(np.eye(12, k=1)))
+        prepared = prepare(pipeline, twelve_locations, chain_borders, directed(np.eye(12, k=1)))
+        with pytest.raises(ValueError, match="^border value None given with a border graph$"):
+            solve(prepared, None, 2)
+
+    def test_three_layer_needs_a_sequence_layer(self, twelve_locations, chain_borders):
+        with pytest.raises(ValueError, match="^pipeline 'three_layer' needs a sequence layer$"):
+            prepare("three_layer", twelve_locations, chain_borders)
+
+    def test_geo_takes_a_border_value_exactly_with_a_border_graph(
+        self, twelve_locations, chain_borders
+    ):
+        with pytest.raises(ValueError, match="^border value 500.0 given without a border graph$"):
+            solve(prepare("geo", twelve_locations, None), 500.0, 2)
+        with pytest.raises(ValueError, match="^border value None given with a border graph$"):
+            solve(prepare("geo", twelve_locations, chain_borders), None, 2)
+
+    def test_geo_prices_borders_in_km_exactly_with_a_border_graph(
+        self, twelve_locations, chain_borders
+    ):
+        plain, _ = solve(prepare("geo", twelve_locations, None), None, 2)
+        priced = prepare("geo", twelve_locations, chain_borders)
+        free, _ = solve(priced, 0.0, 2)
+        costly, _ = solve(priced, 500.0, 2)
+        assert np.array_equal(free.eigenvalues, plain.eigenvalues)
+        assert np.array_equal(free.coordinates, plain.coordinates)
+        assert not np.allclose(costly.eigenvalues, plain.eigenvalues)
 
 
 def twenty_locations():
@@ -365,8 +388,9 @@ def twenty_locations():
 class TestMemoryCheck:
     # Estimated bytes at n = 20: one n x n float array, the distance layer,
     # plus a 40-vector Lanczos basis of the system size.
+    # The border model of the config: "none" prepares without a border graph.
     @pytest.mark.parametrize(
-        "pipeline, border_kind, needed",
+        "pipeline, border_model, needed",
         [
             ("geo", "none", 8 * 20**2 + 8 * 40 * 20),
             ("geo", "linear", 8 * 20**2 + 8 * 40 * 20),
@@ -375,14 +399,16 @@ class TestMemoryCheck:
         ],
     )
     def test_refuses_exactly_above_the_estimate(
-        self, monkeypatch, chain_borders, pipeline, border_kind, needed
+        self, monkeypatch, chain_borders, pipeline, border_model, needed
     ):
         locations = twenty_locations()
+        cg = None if border_model == "none" else chain_borders
+        seq = directed(np.eye(20, k=1))
         monkeypatch.setattr(layers, "_available_memory", lambda: needed)
-        prepare(pipeline, locations, chain_borders, border_kind=border_kind)
+        prepare(pipeline, locations, cg, seq)
         monkeypatch.setattr(layers, "_available_memory", lambda: needed - 1)
         with pytest.raises(InsufficientMemoryError) as info:
-            prepare(pipeline, locations, chain_borders, border_kind=border_kind)
+            prepare(pipeline, locations, cg, seq)
         assert stage_of(info.value) == "assembly"
 
     def test_message_gives_both_figures_in_gb(self, monkeypatch, chain_borders):

@@ -14,7 +14,7 @@ import pytest
 from scipy import sparse
 
 from conftest import benchmark_workloads, make_location
-from oracles import laplacian
+from oracles import group_blocks_laplacian_spectrum, laplacian
 from permap import graphs, layers
 from permap.cli import _prepare
 from permap.config import load_config
@@ -44,7 +44,7 @@ from permap.layers import (
     three_layer_operator,
     two_layer_operator,
 )
-from permap.spectral import embed
+from permap.spectral import eigensolve_symmetric, embed
 
 RTOL = 1e-13
 # Small enough that p ** 2 underflows to 0 while p ** 1 does not.
@@ -219,7 +219,6 @@ class TestOperatorsMatchAssembledBuilders:
         geo = replace(
             prepared,
             pipeline="geo",
-            border_kind="linear",
             distances=d,
             farthest=country_farthest(d, prepared.codes),
             sequence=None,
@@ -231,6 +230,58 @@ class TestOperatorsMatchAssembledBuilders:
             reference = laplacian(border_permeability_matrix(crossings, p))
             lap = laplacian_operator(border_blocks(prepared.codes, prepared.hops, p))
             check_products(lap, reference, rng, 2)
+
+
+def group_block_draws(seed, draws=6):
+    """(GroupBlocks border layer, closed-form spectrum) of random country layouts.
+
+    Each draw spreads 2-39 locations over each of 3-7 countries bordered
+    by a random tree plus a few extra borders, so groups differ in size
+    and crossings, at p = 1 (every block equal), 0.9 and 0.5.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        countries = int(rng.integers(3, 8))
+        names = [f"C{i}" for i in range(countries)]
+        pairs = [(names[i], names[int(rng.integers(0, i))]) for i in range(1, countries)]
+        extra = [rng.choice(names, 2, replace=False) for _ in range(countries // 3)]
+        pairs += [(str(a), str(b)) for a, b in extra]
+        counts = rng.integers(2, 40, countries)
+        located = [str(c) for c in np.repeat(names, counts)[rng.permutation(counts.sum())]]
+        codes, hops = country_crossings(located, CountryBorderGraph.from_pairs(pairs))
+        for p in (1.0, 0.9, 0.5):
+            w = border_blocks(codes, hops, p)
+            counts = np.bincount(codes).tolist()
+            yield w, np.array(group_blocks_laplacian_spectrum(counts, w.values.table.tolist()))
+
+
+class TestGroupBlocksSpectrum:
+    """The Laplacian of a country-block border layer has a closed-form spectrum."""
+
+    def test_dense_spectrum_matches_the_closed_form(self):
+        for w, want in group_block_draws(209):
+            lap = laplacian_operator(w)
+            got = np.linalg.eigvalsh(lap.toarray())
+            assert np.abs(got - want).max() <= 1e-12 * lap.inf_norm
+
+    def test_eigensolver_values_are_eigenvalues_of_the_closed_form(self):
+        for w, want in group_block_draws(209):
+            lap = laplacian_operator(w)
+            got = eigensolve_symmetric(lap, 12).values
+            assert np.all(np.diff(got) >= 0)
+            nearest = np.abs(got[:, None] - want[None, :]).min(axis=1)
+            assert nearest.max() <= 1e-12 * lap.inf_norm
+
+    @pytest.mark.xfail(
+        reason="single-vector Lanczos can miss a copy of a repeated eigenvalue: asked for "
+        "12 pairs in the second draw at p = 0.9, it returns 9 copies of 133.68 and then "
+        "134.97, where the 12 smallest hold 10 copies; every residual is below 5e-13",
+    )
+    def test_eigensolver_finds_the_smallest_pairs_of_the_closed_form(self):
+        for w, want in group_block_draws(209):
+            lap = laplacian_operator(w)
+            got = eigensolve_symmetric(lap, 12).values
+            assert np.abs(got - want[:12]).max() <= 1e-12 * lap.inf_norm
 
 
 class TestSymmetrizedOperator:
@@ -311,7 +362,7 @@ class TestLinearBorderWeights:
         for n in self.SIZES:
             locations, cg = chain_sites(rng, n)
             crossings = crossings_matrix(locations, cg)
-            prepared = layers.prepare("geo", locations, cg, border_kind="linear")
+            prepared = layers.prepare("geo", locations, cg)
             d = distance_matrix(locations)
             assert np.array_equal(prepared.distances.values, d.values)
             for cost in self.COSTS + (37.5,):
@@ -327,13 +378,13 @@ class TestLinearBorderWeights:
             locations, cg = chain_sites(rng, n)
             crossings = crossings_matrix(locations, cg)
             d = distance_matrix(locations)
-            prepared = layers.prepare("geo", locations, cg, border_kind="linear")
+            prepared = layers.prepare("geo", locations, cg)
             for cost in self.COSTS:
                 lap, _ = system_operator(prepared, cost)
                 priced = invert_distances(linear_border_distances(d, crossings, cost))
                 check_products(lap, laplacian(priced), rng)
                 assert not np.any(lap @ np.ones(n))
-            plain = layers.prepare("geo", locations, None, border_kind="none")
+            plain = layers.prepare("geo", locations, None)
             assert plain.codes is plain.hops is None
             lap, _ = system_operator(plain, None)
             check_products(lap, laplacian(invert_distances(d)), rng)
@@ -343,9 +394,8 @@ class TestLinearBorderWeights:
         # Every location on one spot: nothing to invert, with or without borders.
         cg = CountryBorderGraph.from_pairs([("A", "B")])
         locations = [make_location(i, 1.0, 1.0, "A") for i in range(3)]
-        cases = (("none", None, None), ("linear", cg, 0.0), ("linear", cg, 9.0))
-        for kind, borders, value in cases:
-            prepared = layers.prepare("geo", locations, borders, border_kind=kind)
+        for borders, value in ((None, None), (cg, 0.0), (cg, 9.0)):
+            prepared = layers.prepare("geo", locations, borders)
             with pytest.raises(ValueError, match="all distances are zero; nothing to invert"):
                 system_operator(prepared, value)
 
@@ -441,18 +491,16 @@ def test_solve_forms_no_system_laplacian_or_crossings(monkeypatch, twelve_locati
     seq[0, 1] = seq[4, 5] = seq[8, 9] = 1.0
     seq_layer = WeightMatrix(sparse.csr_matrix(seq))
     runs = [
-        ("geo", "none", None, None, d, None, None),
-        ("geo", "linear", codes, hops, d, None, 100.0),
-        ("two_layer", "permeability", codes, hops, closeness, None, 0.5),
-        ("three_layer", "permeability", codes, hops, closeness, seq_layer, 0.5),
+        ("geo", None, None, d, None, None),
+        ("geo", codes, hops, d, None, 100.0),
+        ("two_layer", codes, hops, closeness, None, 0.5),
+        ("three_layer", codes, hops, closeness, seq_layer, 0.5),
     ]
-    for pipeline, kind, codes, hops, distances, sequence, value in runs:
+    for pipeline, codes, hops, distances, sequence, value in runs:
         farthest = None
         if pipeline == "geo":
             farthest = country_farthest(d, codes)
-        prepared = layers.Prepared(
-            pipeline, kind, locations, codes, hops, distances, farthest, sequence
-        )
+        prepared = layers.Prepared(pipeline, locations, codes, hops, distances, farthest, sequence)
         emb, vectors = layers.solve(prepared, value, 2)
         assert len(emb.coordinates) == 12 * {"geo": 1, "two_layer": 2, "three_layer": 6}[prepared.pipeline]
         assert (vectors is None) == (prepared.pipeline == "geo")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import sparse
 
-from conftest import events_csv_text, make_event, make_location
+from conftest import event_table, events_csv_text, make_event, make_location
 from oracles import (
     INGEST_COLUMNS,
     brute_force_sequence,
@@ -29,7 +29,7 @@ from oracles import (
 )
 from permap import ingest
 from permap.cli import main
-from permap.config import BorderModel, RunConfig, config_from_dict, manifest_dict
+from permap.config import BORDER_KINDS, BorderModel, RunConfig, config_from_dict, manifest_dict
 from permap.geo import (
     EARTH_RADIUS_KM,
     CountryBorderGraph,
@@ -54,7 +54,6 @@ from permap.graphs import (
     laplacian_operator,
 )
 from permap.layers import (
-    BORDER_KINDS,
     build_three_layer,
     build_two_layer,
     prepare,
@@ -88,7 +87,8 @@ def test_sequence_counts_match_brute_force(case):
     ]
     location_ids = [loc for _, _, loc in rows]
     groups = sorted({e.group_id for e in events})
-    got = sequence_adjacency(events, location_ids, groups, n_locations).values.toarray()
+    table = event_table(*events)
+    got = sequence_adjacency(table, location_ids, groups, n_locations).values.toarray()
     want = np.array(brute_force_sequence(events, location_ids, groups, n_locations))
     assert np.array_equal(got, want)
     # each group with k events yields at most k - 1 moves

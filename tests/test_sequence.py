@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from conftest import make_event
+from conftest import event_table, make_event
 from oracles import brute_force_sequence
 from permap.errors import ConfigError
 from permap.sequence import GroupSplitRule, sequence_adjacency, split_groups
@@ -52,29 +52,29 @@ class TestSplitGroups:
             make_event(2, group="G", lat=30.0),
             make_event(3, group="H", lat=10.0),
         ]
-        out = split_groups(events, [rule()])
+        out = split_groups(event_table(*events), [rule()])
         assert [e.group_id for e in out] == ["G-south", "G", "H"]
 
     def test_order_and_other_fields_preserved(self):
         events = [make_event(i, group="G", lat=float(i)) for i in range(1, 6)]
-        out = split_groups(events, [rule(threshold=3.0)])
+        out = split_groups(event_table(*events), [rule(threshold=3.0)])
         assert [e.source_row for e in out] == [1, 2, 3, 4, 5]
-        assert out[0].latitude == 1.0 and out[0].event_date == events[0].event_date
+        assert list(out) == [e._replace(group_id="G-south") for e in events[:2]] + events[2:]
 
     def test_first_matching_rule_wins(self):
         events = [make_event(1, group="G", lat=5.0)]
-        out = split_groups(events, [rule(suffix="-a"), rule(suffix="-b")])
-        assert out[0].group_id == "G-a"
+        out = split_groups(event_table(*events), [rule(suffix="-a"), rule(suffix="-b")])
+        assert [e.group_id for e in out] == ["G-a"]
 
     def test_unknown_group_warns(self):
         events = [make_event(1, group="G")]
         with pytest.warns(UserWarning, match="unknown group 'Z'"):
-            out = split_groups(events, [rule(group="Z")])
-        assert out[0].group_id == "G"
+            out = split_groups(event_table(*events), [rule(group="Z")])
+        assert list(out) == events
 
     def test_no_rules_is_identity(self):
         events = [make_event(1), make_event(2)]
-        assert list(split_groups(events, [])) == events
+        assert list(split_groups(event_table(*events), [])) == events
 
 
 def walk_matrix(path, n):
@@ -98,7 +98,7 @@ class TestOrderEvents:
             make_event(2, when=date(2024, 1, 5)),
             make_event(3, when=date(2024, 2, 10)),
         ]
-        got = sequence_adjacency(events, [0, 1, 2], ["G"], 3).values.toarray()
+        got = sequence_adjacency(event_table(*events), [0, 1, 2], ["G"], 3).values.toarray()
         assert np.array_equal(got, walk_matrix([1, 2, 0], 3))
 
     def test_date_ties_keep_file_order(self):
@@ -107,7 +107,7 @@ class TestOrderEvents:
             make_event(2, when=date(2024, 1, 1)),
             make_event(5, when=date(2024, 1, 1)),
         ]
-        got = sequence_adjacency(events, [0, 1, 2], ["G"], 3).values.toarray()
+        got = sequence_adjacency(event_table(*events), [0, 1, 2], ["G"], 3).values.toarray()
         assert np.array_equal(got, walk_matrix([1, 2, 0], 3))
 
     def test_filters_to_named_group(self):
@@ -117,7 +117,7 @@ class TestOrderEvents:
             make_event(3, group="G"),
             make_event(4, group="H"),
         ]
-        got = sequence_adjacency(events, [0, 1, 2, 3], ["H"], 4).values.toarray()
+        got = sequence_adjacency(event_table(*events), [0, 1, 2, 3], ["H"], 4).values.toarray()
         assert np.array_equal(got, walk_matrix([1, 3], 4))
 
     def test_matches_independent_sort(self):
@@ -135,7 +135,7 @@ class TestOrderEvents:
         shuffled = list(events)
         rng.shuffle(shuffled)
         for g in ("G0", "G1", "G2"):
-            got = sequence_adjacency(events, ids, [g], 40).values.toarray()
+            got = sequence_adjacency(event_table(*events), ids, [g], 40).values.toarray()
             want = sorted(
                 ((e.event_date, e.source_row) for e in shuffled if e.group_id == g),
             )
@@ -149,7 +149,7 @@ class TestSequenceAdjacency:
             make_event(2, when=date(2024, 1, 2)),
             make_event(3, when=date(2024, 1, 3)),
         ]
-        a = sequence_adjacency(events, [0, 1, 0], ["G"], 2)
+        a = sequence_adjacency(event_table(*events), [0, 1, 0], ["G"], 2)
         assert not a.is_symmetric
         assert np.array_equal(a.values.toarray(), [[0.0, 1.0], [1.0, 0.0]])
 
@@ -159,12 +159,12 @@ class TestSequenceAdjacency:
             make_event(row, when=date.fromordinal(base + row - 1)) for row in range(1, 33)
         ]
         ids = [(row + 1) % 2 for row in range(1, 33)]
-        a = sequence_adjacency(events, ids, ["G"], 2).values.toarray()
+        a = sequence_adjacency(event_table(*events), ids, ["G"], 2).values.toarray()
         assert a[0, 1] == 16.0 and a[1, 0] == 15.0
 
     def test_same_location_pairs_skipped(self):
         events = [make_event(i, when=date(2024, 1, i)) for i in range(1, 4)]
-        a = sequence_adjacency(events, [0, 0, 0], ["G"], 1)
+        a = sequence_adjacency(event_table(*events), [0, 0, 0], ["G"], 1)
         assert np.array_equal(a.values.toarray(), np.zeros((1, 1)))
 
     def test_two_group_fixture_matches_oracle(self):
@@ -180,7 +180,7 @@ class TestSequenceAdjacency:
             make_event(9, group="G", when=date(2024, 1, 6)),
         ]
         ids = [0, 2, 1, 0, 2, 1, 0, 2, 1]
-        got = sequence_adjacency(events, ids, ["G", "H"], 3).values.toarray()
+        got = sequence_adjacency(event_table(*events), ids, ["G", "H"], 3).values.toarray()
         want = brute_force_sequence(events, ids, ["G", "H"], 3)
         assert np.array_equal(got, want)
         # G walks 0 -> 1 -> 2 -> 0 -> 1, H walks 2 -> 0 -> 1 -> 2
@@ -205,7 +205,7 @@ class TestSequenceAdjacency:
             groups = [f"G{i}" for i in range(n_groups)]
             present = {e.group_id for e in events}
             groups = [g for g in groups if g in present]
-            got = sequence_adjacency(events, ids, groups, n_locs).values.toarray()
+            got = sequence_adjacency(event_table(*events), ids, groups, n_locs).values.toarray()
             want = np.array(brute_force_sequence(events, ids, groups, n_locs), dtype=float)
             assert np.array_equal(got, want)
             moves = 0
@@ -224,10 +224,10 @@ class TestSequenceAdjacency:
             for row in range(1, 21)
         ]
         ids = [int(rng.integers(0, 4)) for _ in range(20)]
-        a = sequence_adjacency(events, ids, ["G"], 4).values.toarray()
+        a = sequence_adjacency(event_table(*events), ids, ["G"], 4).values.toarray()
         order = rng.permutation(20)
         shuffled = [events[i] for i in order]
-        b = sequence_adjacency(shuffled, [ids[i] for i in order], ["G"], 4).values.toarray()
+        b = sequence_adjacency(event_table(*shuffled), [ids[i] for i in order], ["G"], 4).values.toarray()
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize(
@@ -240,7 +240,7 @@ class TestSequenceAdjacency:
         events = [make_event(i, when=date(2024, 1, i)) for i in range(1, 4)]
         message = f"group '{repeated}' is listed more than once"
         with pytest.raises(ValueError, match=message):
-            sequence_adjacency(events, [0, 1, 0], groups, 2)
+            sequence_adjacency(event_table(*events), [0, 1, 0], groups, 2)
         with pytest.raises(ValueError, match=message):
             brute_force_sequence(events, [0, 1, 0], groups, 2)
 
@@ -248,7 +248,7 @@ class TestSequenceAdjacency:
         events = [make_event(1, when=date(2024, 1, 1)), make_event(7, when=date(2024, 1, 2))]
         for ids in ([0], [0, 1, 1], [[0], [1]]):
             with pytest.raises(ValueError, match="location ids of shape"):
-                sequence_adjacency(events, ids, ["G"], 2)
+                sequence_adjacency(event_table(*events), ids, ["G"], 2)
 
     def test_location_outside_the_range_named_by_line(self):
         events = [make_event(1, when=date(2024, 1, 1)), make_event(7, when=date(2024, 1, 2))]
@@ -256,7 +256,7 @@ class TestSequenceAdjacency:
         for ids, line in (([-1, 0], 1), ([0, 5], 7), ([0, 2], 7)):
             message = rf"line {line} has location -?\d, outside \[0, 2\)"
             with pytest.raises(ValueError, match=message):
-                sequence_adjacency(events, ids, ["G"], 2)
+                sequence_adjacency(event_table(*events), ids, ["G"], 2)
 
     def test_ids_keyed_by_line_read_as_aligned_ids(self):
         events = [
@@ -264,14 +264,14 @@ class TestSequenceAdjacency:
             make_event(2, when=date(2024, 1, 1)),
             make_event(5, when=date(2024, 1, 2)),
         ]
-        got = sequence_adjacency(events, {9: 0, 2: 1, 5: 2}, ["G"], 3).values
-        want = sequence_adjacency(events, [0, 1, 2], ["G"], 3).values
+        got = sequence_adjacency(event_table(*events), {9: 0, 2: 1, 5: 2}, ["G"], 3).values
+        want = sequence_adjacency(event_table(*events), [0, 1, 2], ["G"], 3).values
         assert np.array_equal(got.toarray(), want.toarray())
 
     def test_missing_location_named_by_line(self):
         events = [make_event(1, when=date(2024, 1, 1)), make_event(7, when=date(2024, 1, 2))]
         with pytest.raises(ValueError, match="line 7"):
-            sequence_adjacency(events, {1: 0}, ["G"], 2)
+            sequence_adjacency(event_table(*events), {1: 0}, ["G"], 2)
 
     def test_large_layer_is_canonical_csr_without_a_dense_array(self):
         n = 2000
@@ -282,9 +282,10 @@ class TestSequenceAdjacency:
             make_event(row, group=f"G{row % 2}", when=date.fromordinal(base + row))
             for row in range(1, len(sites) + 1)
         ]
+        table = event_table(*events)
         tracemalloc.start()
         try:
-            a = sequence_adjacency(events, sites, ["G0", "G1"], n)
+            a = sequence_adjacency(table, sites, ["G0", "G1"], n)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -299,10 +300,10 @@ class TestSequenceAdjacency:
 
     def test_empty_group_selection_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            sequence_adjacency([make_event(1)], [0], [], 1)
+            sequence_adjacency(event_table(make_event(1)), [0], [], 1)
 
     def test_group_without_events_warns(self):
         events = [make_event(1), make_event(2, when=date(2024, 1, 2))]
         with pytest.warns(UserWarning, match="'Z' has no events"):
-            a = sequence_adjacency(events, [0, 1], ["G", "Z"], 2)
+            a = sequence_adjacency(event_table(*events), [0, 1], ["G", "Z"], 2)
         assert a.values[0, 1] == 1.0
