@@ -31,10 +31,7 @@ TOWNS = [
     ("Agadez", 16.97, 7.99, "Niger"),
 ]
 
-locations = [
-    Location(i, lat, lon, country, "demo")
-    for i, (_, lat, lon, country) in enumerate(TOWNS)
-]
+locations = [Location(lat, lon, country, "demo") for _, lat, lon, country in TOWNS]
 borders = CountryBorderGraph.from_pairs([("Mali", "Niger")])
 # Everything that does not depend on p, computed once for every run.
 prepared = prepare("two_layer", locations, borders)

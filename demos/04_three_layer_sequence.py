@@ -23,10 +23,7 @@ SITES = [
     ("Ansongo", 0.0, 10.0, "Mali"),
     ("Tera", 0.0, 11.0, "Niger"),
 ]
-locations = [
-    Location(i, lat, lon, country, "demo")
-    for i, (_, lat, lon, country) in enumerate(SITES)
-]
+locations = [Location(lat, lon, country, "demo") for _, lat, lon, country in SITES]
 borders = CountryBorderGraph.from_pairs([("Mali", "Niger")])
 
 # One group alternates Gao -> Ouallam -> Gao -> ... for 33 dated events,
@@ -39,7 +36,7 @@ for day in range(33):
     rows.append(
         f"{when},Raiders,{site.latitude},{site.longitude},{site.country},{site.admin_key},Battle,0"
     )
-    location_ids.append(site.id)
+    location_ids.append(day % 2)
 events, _ = parse_events(io.StringIO("\n".join(rows) + "\n"))
 
 moves = sequence_adjacency(events, location_ids, ["Raiders"], len(locations))

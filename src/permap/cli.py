@@ -20,11 +20,11 @@ from .fileio import open_input, write_csv
 
 def _load_events(cfg: RunConfig):
     with open_input(cfg.events_csv) as fh:
-        events, report = ingest.parse_events(fh, cfg.column_map)
+        events, rejections = ingest.parse_events(fh, cfg.column_map)
     violent = ingest.filter_violent(events, cfg.categories)
     if cfg.split_rules:
         violent = sequence.split_groups(violent, cfg.split_rules)
-    return violent, report
+    return violent, rejections
 
 
 def _border_graph(cfg: RunConfig) -> geo.CountryBorderGraph:
@@ -36,7 +36,7 @@ def _border_graph(cfg: RunConfig) -> geo.CountryBorderGraph:
 def cmd_summarize(cfg: RunConfig, out_dir: Path) -> int:
     """Write the summary tables and print the headline totals."""
     with stage("ingest"):
-        violent, report = _load_events(cfg)
+        violent, rejections = _load_events(cfg)
         if violent:
             locations, mapping = ingest.build_locations(violent, cfg.rounding)
             stats = ingest.summarize(violent, locations, mapping)
@@ -44,7 +44,7 @@ def cmd_summarize(cfg: RunConfig, out_dir: Path) -> int:
             stats = ingest.SummaryStats((), (), {}, ingest.Totals(0, 0, 0))
     with stage("export"):
         ingest.write_summary_csvs(stats, out_dir)
-        ingest.write_rejections_csv(report, out_dir / "rejections.csv")
+        ingest.write_rejections_csv(rejections, out_dir / "rejections.csv")
     totals = stats.totals
     print(f"events={totals.events} groups={totals.groups} locations={totals.locations}")
     if stats.attacks_per_location:
@@ -57,9 +57,9 @@ def cmd_summarize(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _prepare(cfg: RunConfig):
-    """Ingest, load borders and build the sequence layer once; returns (Prepared, ParseReport)."""
+    """Ingest, load borders, build layers; returns (Prepared, countries by id, rejections)."""
     with stage("ingest"):
-        violent, report = _load_events(cfg)
+        violent, rejections = _load_events(cfg)
         if not violent:
             raise ValueError("no events left after filtering; nothing to embed")
     with stage("borders"):
@@ -73,25 +73,24 @@ def _prepare(cfg: RunConfig):
     # The events are spent: freed here, they do not stack on the distance layer.
     del violent, mapping
     prepared = layers.prepare(cfg.pipeline, locations, cg, seq)
-    return prepared, report
+    return prepared, tuple(loc.country for loc in locations), rejections
 
 
-def _export_run(cfg, emb, disp, locations, report, out_dir: Path) -> None:
-    countries = {loc.id: loc.country for loc in locations}
+def _export_run(cfg, emb, disp, countries, rejections, out_dir: Path) -> None:
     spectral.write_embedding_csv(emb, out_dir / "embedding.csv", countries)
     spectral.write_eigenvalues_csv(emb, out_dir / "eigenvalues.csv")
     if disp is not None:
         layers.write_displacement_csv(disp, out_dir / "displacement.csv", countries)
-    ingest.write_rejections_csv(report, out_dir / "rejections.csv")
+    ingest.write_rejections_csv(rejections, out_dir / "rejections.csv")
     config_mod.write_manifest(cfg, "embed", out_dir / "manifest.json")
 
 
 def cmd_embed(cfg: RunConfig, out_dir: Path) -> int:
     """One embedding run: coordinates, eigenvalues, manifest, diagnostics."""
-    prepared, report = _prepare(cfg)
+    prepared, countries, rejections = _prepare(cfg)
     emb, disp = layers.solve(prepared, cfg.border_model.value, cfg.k)
     with stage("export"):
-        _export_run(cfg, emb, disp, prepared.locations, report, out_dir)
+        _export_run(cfg, emb, disp, countries, rejections, out_dir)
     return 0
 
 
@@ -108,8 +107,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
     """
     with stage("config"):
         values = cfg.sweep_values()
-    prepared, report = _prepare(cfg)
-    countries = {loc.id: loc.country for loc in prepared.locations}
+    prepared, countries, rejections = _prepare(cfg)
     ratios = []
     failed = 0
     for value in values:
@@ -122,7 +120,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: Path) -> int:
                 ids = emb.location_ids()
                 ratio = layers.country_separation_ratio(emb.coordinates, ids, countries)
                 sub_dir = out_dir / _sweep_label(cfg, value)
-                _export_run(sub, emb, disp, prepared.locations, report, sub_dir)
+                _export_run(sub, emb, disp, countries, rejections, sub_dir)
                 ratios.append((value, float(ratio)))
         except Exception as exc:
             if stage_of(exc) is None:

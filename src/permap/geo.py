@@ -8,7 +8,8 @@ crossings, used directly as an edge weight).
 
 Crossings depend only on the two locations' countries, so the pipelines
 keep them as a country code per location and a country-by-country hop
-table (`country_crossings`). The permeability weights then stay per pair
+table (`country_crossings`), read off scipy's unweighted shortest paths
+over the border graph. The permeability weights then stay per pair
 of countries (`border_blocks`, a WeightMatrix over a GroupBlocks). Every
 layer made here is undirected, and a WeightMatrix reads that off its
 storage: a dense array or a GroupBlocks is symmetric. The
@@ -24,10 +25,10 @@ values as full matrices.
 from __future__ import annotations
 
 import csv
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.csgraph import shortest_path
 
 from .errors import ConfigError, DisconnectedGraphError
 from .fileio import open_input
@@ -205,41 +206,29 @@ def load_reference_borders() -> CountryBorderGraph:
         return CountryBorderGraph.load_csv(path)
 
 
-def _bfs_hops(cg: CountryBorderGraph, start: int) -> np.ndarray:
-    dist = np.full(len(cg.countries), -1, dtype=int)
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in np.flatnonzero(cg.adjacency[u]):
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
 def country_crossings(locations, cg: CountryBorderGraph) -> tuple:
     """Each location's country code and the fewest crossings between those countries.
 
     Codes number the countries that occur, in border-graph order; `hops`
-    is the C x C table of minimal crossings between them, so the n x n
-    crossings are hops[codes[i], codes[j]] and are never formed here.
+    is the C x C integer table of minimal crossings between them, so the
+    n x n crossings are hops[codes[i], codes[j]] and are never formed here.
+    Raises DisconnectedGraphError where no border path joins two locations.
     """
     countries = [loc if isinstance(loc, str) else loc.country for loc in locations]
     present, codes = np.unique(
         np.array([cg.index(c) for c in countries], dtype=int), return_inverse=True
     )
-    hops = np.array([_bfs_hops(cg, i)[present] for i in present], dtype=int)
-    hops = hops.reshape(present.size, present.size)
-    if (hops < 0).any():
+    hops = shortest_path(cg.adjacency, unweighted=True, indices=present)[:, present]
+    if np.isinf(hops).any():
         # The first unreachable pair of locations in row-major order.
-        cut = hops[codes] < 0
+        cut = np.isinf(hops[codes])
         i = int(np.flatnonzero(cut.any(axis=1))[0])
         j = int(np.flatnonzero(cut[i][codes])[0])
         raise DisconnectedGraphError(
             f"no border path between {countries[i]!r} and {countries[j]!r}"
         )
-    return codes.ravel(), hops
+    # C order, as GroupBlocks products with a table of another order round differently.
+    return codes.ravel(), hops.astype(int, order="C")
 
 
 def crossings_matrix(locations, cg: CountryBorderGraph) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Event CSV ingestion: parsing, violence filtering, location deduplication.
 
 Input files are header-first CSVs in the style of public conflict-event
-exports. Malformed rows never abort a run; they are collected into a
-rejection report with line numbers. Locations are deduplicated on a
-composite key of country, admin district, and rounded coordinates.
+exports. Malformed rows never abort a run: `parse_events` returns them
+beside the events, as a list of (line number, reason) tuples. Locations
+are deduplicated on a composite key of country, admin district, and
+rounded coordinates.
 
 Parsed events are an `EventTable` of integer columns, not one object per
 event. Real exports repeat the same actors, sites, event types and
@@ -21,7 +22,7 @@ from __future__ import annotations
 import csv
 import locale
 from array import array
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from datetime import date, datetime
 from functools import partial
 from pathlib import Path
@@ -60,9 +61,8 @@ class EventRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class Location:
-    """A deduplicated attack site; id indexes every matrix in the pipeline."""
+    """A deduplicated attack site; its list index is its id in every matrix."""
 
-    id: int
     latitude: float
     longitude: float
     country: str
@@ -96,21 +96,8 @@ class ColumnMap:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "date_formats"}
 
 
-@dataclass
-class ParseReport:
-    """Per-row rejections: (physical line number, frozen reason string)."""
-
-    rejections: list = field(default_factory=list)
-
-    def reject(self, line: int, reason: str):
-        self.rejections.append((line, reason))
-
-    def __len__(self):
-        return len(self.rejections)
-
-
-def write_rejections_csv(report: ParseReport, path) -> None:
-    write_csv(path, ["line", "reason"], report.rejections)
+def write_rejections_csv(rejections: list, path) -> None:
+    write_csv(path, ["line", "reason"], rejections)
 
 
 # The month names %B reads while LC_TIME is C, lower-cased.
@@ -292,14 +279,15 @@ class EventTable:
 
 
 def parse_events(source, column_map: ColumnMap | None = None):
-    """Parse a header-first CSV stream into an EventTable plus a rejection report.
+    """Parse a header-first CSV stream into an EventTable and the rows it rejected.
 
-    Returns (events, report). Rows that fail to parse, including rows the
-    csv module itself cannot read, are skipped and logged with their
-    physical line number; a missing mapped column in the header is a
-    configuration error instead. Each distinct raw date, site (the
-    coordinate, country and admin1 cells), actor, event type and
-    fatalities text is judged once per call, and the row keeps its code.
+    Returns (events, rejections). Rows that fail to parse, including rows
+    the csv module itself cannot read, are skipped; `rejections` lists
+    each as a (physical line number, reason) tuple, in file order. A
+    missing mapped column in the header is a configuration error
+    instead. Each distinct raw date, site (the coordinate, country and
+    admin1 cells), actor, event type and fatalities text is judged once
+    per call, and the row keeps its code.
     """
     cmap = column_map or ColumnMap()
     reader = csv.reader(source)
@@ -324,8 +312,7 @@ def parse_events(source, column_map: ColumnMap | None = None):
     at_date, at_actor, at_lat, at_lon, at_country, at_admin1, at_type, at_dead = positions
     width = max(positions)
 
-    report = ParseReport()
-    reject = report.reject
+    rejections = []
     readers = _date_readers(cmap.date_formats)
     texts = _Memo(str.strip)
     coordinates = _Memo(_coordinates)
@@ -356,14 +343,14 @@ def parse_events(source, column_map: ColumnMap | None = None):
         except StopIteration:
             break
         except csv.Error:
-            reject(reader.line_num, "malformed csv row")
+            rejections.append((reader.line_num, "malformed csv row"))
             continue
         line = reader.line_num
         # The cells joined are whitespace only exactly when every cell is.
         if not "".join(row).strip():
             continue
         if len(row) <= width:
-            reject(line, "missing fields")
+            rejections.append((line, "missing fields"))
             continue
         # In the order the rules are checked; the first reason rejects the row.
         codes = (
@@ -374,12 +361,12 @@ def parse_events(source, column_map: ColumnMap | None = None):
         )
         for code in codes:
             if type(code) is str:
-                reject(line, code)
+                rejections.append((line, code))
                 break
         else:
             rows.extend((*codes, kind_of[row[at_type]], line))
     events = EventTable(np.frombuffer(rows, dtype=ROW), *map(tuple, (groups, sites, kinds, deaths)))
-    return events, report
+    return events, rejections
 
 
 def _normalize(text: str) -> str:
@@ -425,7 +412,7 @@ def build_locations(events: EventTable, rounding: int = DEFAULT_ROUNDING):
         lid = ids.get(key)
         if lid is None:
             lid = ids[key] = len(locations)
-            locations.append(Location(lid, lat, lon, country, admin1))
+            locations.append(Location(lat, lon, country, admin1))
         location_of_site[s] = lid
     return locations, location_of_site.take(site)
 

@@ -23,9 +23,9 @@ systems as dense arrays, from a dense copy of each layer in any storage.
 The operators are tested against them, and the benchmark's dense
 reference solve is built from them.
 
-`LAYOUTS` fixes the order of every multilayer system's points once:
-its layer tags, then the copies of each layer, then the locations. A
-system and its embedding carry that entry as their `layout`, the one
+`LAYOUTS` fixes the order of every pipeline's points once: its layer
+tags, then the copies of each layer, then the locations. An embedding
+and a multilayer system carry that entry as their `layout`, the one
 record of the order. `displacement` reshapes the coordinates by it into
 each location's border-layer point minus its distance-layer point (in
 the three-layer system, each is the centroid of the out and in copies).
@@ -58,11 +58,12 @@ OUT = "out"
 IN = "in"
 NO_COPY = "-"
 
-# The point layout of each multilayer pipeline: its layer tags and the
-# copies of every layer. Points run layer-major, so copy c of layer l
-# holds the n rows from (l * len(copies) + c) * n, the block that
+# The point layout of each pipeline: its layer tags and the copies of
+# every layer. Points run layer-major, so copy c of layer l holds the n
+# rows from (l * len(copies) + c) * n, the block that
 # graphs.symmetrized_operator numbers l * len(copies) + c.
 LAYOUTS = {
+    "geo": (("distance",), (NO_COPY,)),
     "two_layer": (TWO_LAYER_TAGS, (NO_COPY,)),
     "three_layer": (THREE_LAYER_TAGS, (OUT, IN)),
 }
@@ -301,10 +302,9 @@ def prepare(pipeline: str, locations, cg, seq=None) -> Prepared:
     InsufficientMemoryError, before the distance layer is built, when the
     run's estimated peak memory exceeds what is free.
     """
-    pipelines = ("geo", *LAYOUTS)
-    if pipeline not in pipelines:
-        raise ValueError(f"pipeline must be one of {pipelines}, got {pipeline!r}")
-    if cg is None and pipeline in LAYOUTS:
+    if pipeline not in LAYOUTS:
+        raise ValueError(f"pipeline must be one of {tuple(LAYOUTS)}, got {pipeline!r}")
+    if cg is None and pipeline != "geo":
         raise ValueError(f"pipeline {pipeline!r} needs a border graph")
     if seq is None and pipeline == "three_layer":
         raise ValueError("pipeline 'three_layer' needs a sequence layer")
@@ -336,11 +336,8 @@ def _check_memory(pipeline: str, n: int) -> None:
     available = _available_memory()
     if available is None:
         return
-    size = n
-    if pipeline in LAYOUTS:
-        layer_tags, copies = LAYOUTS[pipeline]
-        size *= len(layer_tags) * len(copies)
-    needed = 8 * MIN_BASIS * size + 8 * n * n
+    layer_tags, copies = LAYOUTS[pipeline]
+    needed = 8 * MIN_BASIS * n * len(layer_tags) * len(copies) + 8 * n * n
     if needed > available:
         raise InsufficientMemoryError(
             f"needs an estimated {needed / 1e9:.1f} GB, {available / 1e9:.1f} GB available"
@@ -397,12 +394,13 @@ def system_operator(prepared: Prepared, value: float | None):
         graph = "without" if prepared.hops is None else "with"
         raise ValueError(f"border value {value!r} given {graph} a border graph")
     if prepared.pipeline == "geo":
-        return _priced_operator(prepared, value or 0.0), (("distance",), (NO_COPY,))
-    w_border = border_blocks(prepared.codes, prepared.hops, value)
-    if prepared.pipeline == "two_layer":
-        lap = two_layer_operator(prepared.distances, w_border)
-    else:  # "three_layer"
-        lap = three_layer_operator(w_border, prepared.distances, prepared.sequence)
+        lap = _priced_operator(prepared, value or 0.0)
+    else:
+        w_border = border_blocks(prepared.codes, prepared.hops, value)
+        if prepared.pipeline == "two_layer":
+            lap = two_layer_operator(prepared.distances, w_border)
+        else:  # "three_layer"
+            lap = three_layer_operator(w_border, prepared.distances, prepared.sequence)
     return lap, LAYOUTS[prepared.pipeline]
 
 

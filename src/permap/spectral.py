@@ -66,8 +66,9 @@ def eigensolve_symmetric(lap: LaplacianOperator, count: int) -> EigenPairs:
     the whole spectrum, the smallest eigenpairs of L are the largest of
     sigma*I - L, which implicitly restarted Lanczos finds from products
     with L alone, in a basis of min(n, max(2 * count + 1, 40)) vectors.
-    ARPACK cannot return n - 1 or more pairs, so those counts take a full
-    dense decomposition of L. Every returned pair is residual-checked.
+    eigsh refuses count = n for an operator, and n - 1 (which it returns)
+    would move the output of the few-point systems that ask for it, so
+    both take a full dense decomposition of L. Every pair is residual-checked.
     """
     if not isinstance(lap, LaplacianOperator):
         raise ValueError(

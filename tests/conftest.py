@@ -41,8 +41,8 @@ def chain_borders():
     return CountryBorderGraph.from_pairs([("A", "B"), ("B", "C")])
 
 
-def make_location(lid, lat, lon, country="A", admin="adm"):
-    return Location(id=lid, latitude=lat, longitude=lon, country=country, admin_key=admin)
+def make_location(lat, lon, country="A", admin="adm"):
+    return Location(latitude=lat, longitude=lon, country=country, admin_key=admin)
 
 
 def make_event(
@@ -99,7 +99,7 @@ def twelve_locations():
     out = []
     for country, coords in spots.items():
         for lat, lon in coords:
-            out.append(make_location(len(out), lat, lon, country, f"d{len(out)}"))
+            out.append(make_location(lat, lon, country, f"d{len(out)}"))
     return out
 
 

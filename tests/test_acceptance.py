@@ -161,7 +161,6 @@ def _twenty_border_locations():
         for i in range(10):
             locations.append(
                 make_location(
-                    len(locations),
                     lat + rng.uniform(-1.2, 1.2),
                     lon + rng.uniform(-1.2, 1.2),
                     country,
@@ -174,7 +173,7 @@ def _twenty_border_locations():
 def test_c06_separation_ratio_monotone_in_border_strength():
     started = time.monotonic()
     locations = _twenty_border_locations()
-    countries = {loc.id: loc.country for loc in locations}
+    countries = tuple(loc.country for loc in locations)
     cg = CountryBorderGraph.from_pairs([("Mali", "Niger")])
     hops = crossings_matrix(locations, cg)
     distances = distance_matrix(locations)
@@ -292,10 +291,10 @@ def _mean_copy_distance(emb, a, b):
 
 def test_c10_habitual_pair_sits_closer_than_matched_control():
     locations = [
-        make_location(0, 0.0, 0.0, "Mali", "m0"),
-        make_location(1, 0.0, 1.0, "Niger", "n0"),
-        make_location(2, 0.0, 10.0, "Mali", "m1"),
-        make_location(3, 0.0, 11.0, "Niger", "n1"),
+        make_location(0.0, 0.0, "Mali", "m0"),
+        make_location(0.0, 1.0, "Niger", "n0"),
+        make_location(0.0, 10.0, "Mali", "m1"),
+        make_location(0.0, 11.0, "Niger", "n1"),
     ]
     cg = CountryBorderGraph.from_pairs([("Mali", "Niger")])
     hops = crossings_matrix(locations, cg)

@@ -250,7 +250,7 @@ class TestEmbed:
         assert rc == 0 and err == ""
         with open(out_dir / "embedding.csv", encoding="utf-8", newline="") as fh:
             points = list(csv.DictReader(fh))
-        layer_tags, copies = layers.LAYOUTS.get(pipeline, (("distance",), ("-",)))
+        layer_tags, copies = layers.LAYOUTS[pipeline]
         want = [(str(i), tag, copy) for tag in layer_tags for copy in copies for i in range(12)]
         assert [(row["location_id"], row["layer"], row["copy"]) for row in points] == want
         assert [row["point_id"] for row in points] == [str(i) for i in range(len(want))]
@@ -1163,11 +1163,20 @@ class TestFailureStages:
         assert "error: config:" in err and "key=value" in err
 
 
+def src_env(**extra) -> dict:
+    """The environment with this checkout's src first on PYTHONPATH, for `python -m permap`."""
+    env = dict(os.environ, **extra)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_module_entry_point_help():
+    # Runs src/permap/__main__.py whatever PYTHONPATH the suite was started with.
     proc = subprocess.run(
-        [sys.executable, "-m", "permap", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "permap", "--help"], env=src_env(), capture_output=True, text=True
     )
-    assert proc.returncode == 0
+    assert proc.returncode == 0, proc.stderr
     assert "summarize" in proc.stdout and "sweep" in proc.stdout
 
 
@@ -1206,12 +1215,10 @@ def test_one_and_two_blas_threads_agree_within_tolerance(name, tmp_path):
     workloads = benchmark_workloads()
     workload = dataclasses.replace(workloads.WORKLOADS[name], locations=200, rows=3000)
     config = workloads.generate(workload, 101, 0, tmp_path / "input").config_json
-    src = str(Path(__file__).resolve().parents[1] / "src")
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        env = src_env(OPENBLAS_NUM_THREADS=threads)
         argv = [sys.executable, "-m", "permap", "embed", "--config", str(config), "--out", str(out)]
         proc = subprocess.run(argv, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -76,8 +77,8 @@ class TestHaversine:
         assert km(ALGIERS, NIAMEY) == km(NIAMEY, ALGIERS)
 
     def test_accepts_objects_with_latitude_attribute(self):
-        a = make_location(0, 0.0, 0.0)
-        b = make_location(1, 0.0, 1.0)
+        a = make_location(0.0, 0.0)
+        b = make_location(0.0, 1.0)
         assert km(a, b) == pytest.approx(ONE_DEGREE_EQUATOR_KM, rel=1e-12)
 
     def test_out_of_range_rejected(self):
@@ -280,6 +281,49 @@ class TestReferenceBorders:
                 want = bfs_crossings(pairs, a, b)
                 assert want is not None
                 assert hops[codes[i], codes[j]] == want
+
+
+def random_border_graph(rng, split):
+    """A seeded border graph of 2-12 countries; `split` cuts it into two parts."""
+    size = int(rng.integers(2, 13))
+    names = tuple(f"c{i}" for i in range(size))
+    part = rng.integers(0, 2, size) if split else np.zeros(size, dtype=int)
+    upper = np.triu(rng.random((size, size)) < rng.uniform(0.1, 0.6), 1)
+    upper &= part[:, None] == part[None, :]
+    return CountryBorderGraph(names, upper | upper.T)
+
+
+class TestCountryCrossingsOnRandomGraphs:
+    def test_hops_match_the_bfs_oracle_or_name_the_first_cut_pair(self):
+        rng = np.random.default_rng(29)
+        outcomes = {"joined": 0, "cut": 0}
+        for draw in range(60):
+            cg = random_border_graph(rng, split=draw % 2 == 1)
+            pairs = [(cg.countries[i], cg.countries[j]) for i, j in zip(*np.nonzero(cg.adjacency))]
+            located = rng.choice(cg.countries, int(rng.integers(1, 15))).tolist()
+            want = [[bfs_crossings(pairs, a, b) for b in located] for a in located]
+            # Row-major, as country_crossings names the first cut pair.
+            cut = [
+                (a, b)
+                for a, row in zip(located, want)
+                for b, hops in zip(located, row)
+                if hops is None
+            ]
+            if cut:
+                outcomes["cut"] += 1
+                message = re.escape("between {!r} and {!r}".format(*cut[0]))
+                with pytest.raises(DisconnectedGraphError, match=message):
+                    country_crossings(located, cg)
+                continue
+            outcomes["joined"] += 1
+            codes, hops = country_crossings(located, cg)
+            assert hops.dtype.kind == "i" and codes.dtype.kind == "i"
+            # The products with border_blocks' table round by its memory order.
+            assert hops.flags.c_contiguous
+            assert hops.shape == (len(set(located)),) * 2
+            got = [[int(hops[ci, cj]) for cj in codes] for ci in codes]
+            assert got == want
+        assert min(outcomes.values()) >= 10, outcomes
 
 
 class TestCrossingsMatrix:

@@ -12,7 +12,6 @@ from permap import ingest
 from permap.errors import ConfigError
 from permap.ingest import (
     ColumnMap,
-    ParseReport,
     build_locations,
     filter_violent,
     parse_events,
@@ -30,8 +29,8 @@ def parse(rows, column_map=None):
 
 class TestParseEvents:
     def test_single_row(self):
-        events, report = parse([ROW])
-        assert len(report) == 0
+        events, rejections = parse([ROW])
+        assert len(rejections) == 0
         (e,) = events
         assert e.event_date == date(2024, 1, 5)
         assert e.group_id == "Group A"
@@ -43,12 +42,12 @@ class TestParseEvents:
     def test_repeated_cells_share_one_object(self):
         padded = ("2024-01-05", " Group A ", "12.5", "-3.25", "Mali ", "Mopti", "Battle", "4")
         bad = ("2024-01-05", "Group A", "12.5", "x", "Mali", "Mopti", "Battle", "4")
-        events, report = parse([ROW, padded, ROW, bad, bad])
+        events, rejections = parse([ROW, padded, ROW, bad, bad])
         first, second, third = events
         assert first.group_id is third.group_id and first.country is third.country
         assert first.latitude is third.latitude and first.longitude is third.longitude
         assert (second.group_id, second.country) == ("Group A", "Mali")
-        assert report.rejections == [(5, "unparseable longitude"), (6, "unparseable longitude")]
+        assert rejections == [(5, "unparseable longitude"), (6, "unparseable longitude")]
 
     def test_alternate_date_formats(self):
         rows = [
@@ -56,8 +55,8 @@ class TestParseEvents:
             ("01 Jan 1997",) + ROW[1:],
             ("05/03/1997",) + ROW[1:],
         ]
-        events, report = parse(rows)
-        assert len(report) == 0
+        events, rejections = parse(rows)
+        assert len(rejections) == 0
         assert [e.event_date for e in events] == [
             date(1997, 1, 1),
             date(1997, 1, 1),
@@ -87,9 +86,9 @@ class TestParseEvents:
             ROW[:7] + ("many",),
             ROW[:7] + ("-1",),
         ]
-        events, report = parse(rows)
+        events, rejections = parse(rows)
         assert list(events) == []
-        assert report.rejections == [
+        assert rejections == [
             (2, "unparseable date"),
             (3, "empty group id"),
             (4, "unparseable latitude"),
@@ -110,9 +109,9 @@ class TestParseEvents:
             ROW[:7] + (" 4_ ",),
             ROW,
         ]
-        events, report = parse(rows)
+        events, rejections = parse(rows)
         assert [e.source_row for e in events] == [6]
-        assert report.rejections == [
+        assert rejections == [
             (2, "unparseable latitude"),
             (3, "unparseable longitude"),
             (4, "unparseable fatalities"),
@@ -123,25 +122,25 @@ class TestParseEvents:
         text = events_csv_text([ROW]) + "\n2024-01-06,Group B\n" + events_csv_text([ROW])[
             len(events_csv_text([])) :
         ]
-        events, report = parse_events(io.StringIO(text))
+        events, rejections = parse_events(io.StringIO(text))
         assert len(events) == 2
-        assert report.rejections == [(4, "missing fields")]
+        assert rejections == [(4, "missing fields")]
 
     def test_whitespace_and_comma_only_rows_skipped(self):
         header = events_csv_text([])
         row = ",".join(ROW) + "\n"
         text = header + " , ,\t,\n" + row + ",,,,,,,,\n\t\n" + row
-        events, report = parse_events(io.StringIO(text))
+        events, rejections = parse_events(io.StringIO(text))
         assert [e.source_row for e in events] == [3, 6]
-        assert report.rejections == []
+        assert rejections == []
 
     def test_unreadable_csv_row_rejected_and_parsing_continues(self):
         # A field over the csv module's 131072-character limit makes the
         # reader raise for that line; the rows around it still parse.
         huge = ROW[:7] + ("9" * 200_000,)
-        events, report = parse([ROW, huge, ROW])
+        events, rejections = parse([ROW, huge, ROW])
         assert [e.source_row for e in events] == [2, 4]
-        assert report.rejections == [(3, "malformed csv row")]
+        assert rejections == [(3, "malformed csv row")]
 
     def test_good_rows_survive_bad_neighbors(self):
         rows = []
@@ -150,16 +149,16 @@ class TestParseEvents:
                 rows.append(("bad date",) + ROW[1:])
             else:
                 rows.append((f"2024-01-{i + 1:02d}",) + ROW[1:])
-        events, report = parse(rows)
+        events, rejections = parse(rows)
         assert len(events) == 8
-        assert len(report) == 2
-        assert [line for line, _ in report.rejections] == [5, 9]
+        assert len(rejections) == 2
+        assert [line for line, _ in rejections] == [5, 9]
 
     def test_repeated_unparseable_date_rejected_on_every_row(self):
         rows = [("bad date",) + ROW[1:], ROW, ("bad date",) + ROW[1:], ("bad date",) + ROW[1:]]
-        events, report = parse(rows)
+        events, rejections = parse(rows)
         assert [e.source_row for e in events] == [3]
-        assert report.rejections == [(line, "unparseable date") for line in (2, 4, 5)]
+        assert rejections == [(line, "unparseable date") for line in (2, 4, 5)]
 
     def test_each_distinct_date_text_parsed_once(self, monkeypatch):
         seen = []
@@ -171,7 +170,7 @@ class TestParseEvents:
 
         monkeypatch.setattr(ingest, "_parse_date", counting)
         texts = ["2024-01-05", "01 January 1997", "2024-01-05", "bad", "01 January 1997", "bad"]
-        events, report = parse([(text,) + ROW[1:] for text in texts])
+        events, rejections = parse([(text,) + ROW[1:] for text in texts])
         assert sorted(seen) == sorted(set(texts))
         assert [e.event_date for e in events] == [
             date(2024, 1, 5),
@@ -179,17 +178,17 @@ class TestParseEvents:
             date(2024, 1, 5),
             date(1997, 1, 1),
         ]
-        assert report.rejections == [(5, "unparseable date"), (7, "unparseable date")]
+        assert rejections == [(5, "unparseable date"), (7, "unparseable date")]
 
     def test_blank_fatalities_default_to_zero(self):
-        events, report = parse([ROW[:7] + ("",)])
-        assert len(report) == 0
+        events, rejections = parse([ROW[:7] + ("",)])
+        assert len(rejections) == 0
         assert [e.fatalities for e in events] == [0]
 
     def test_non_finite_coordinates_rejected(self):
-        events, report = parse([ROW[:2] + ("nan",) + ROW[3:], ROW[:3] + ("inf",) + ROW[4:]])
+        events, rejections = parse([ROW[:2] + ("nan",) + ROW[3:], ROW[:3] + ("inf",) + ROW[4:]])
         assert list(events) == []
-        assert [r for _, r in report.rejections] == [
+        assert [r for _, r in rejections] == [
             "latitude out of range",
             "longitude out of range",
         ]
@@ -198,8 +197,8 @@ class TestParseEvents:
         text = events_csv_text([ROW]).replace(
             "event_date,actor1", "Event_Date, ACTOR1", 1
         )
-        events, report = parse_events(io.StringIO(text))
-        assert len(events) == 1 and len(report) == 0
+        events, rejections = parse_events(io.StringIO(text))
+        assert len(events) == 1 and len(rejections) == 0
 
     def test_custom_column_map(self):
         text = "DATE,WHO,LAT,LON,CTRY,ADM,KIND,DEAD\n" + ",".join(ROW) + "\n"
@@ -227,8 +226,8 @@ class TestParseEvents:
 
     def test_quoted_fields_with_commas(self):
         text = events_csv_text([]) + '2024-01-05,"Militia (Group, A)",12.5,-3.25,Mali,Mopti,Battle,0\n'
-        events, report = parse_events(io.StringIO(text))
-        assert len(report) == 0
+        events, rejections = parse_events(io.StringIO(text))
+        assert len(rejections) == 0
         assert [e.group_id for e in events] == ["Militia (Group, A)"]
 
     def test_extra_columns_ignored(self):
@@ -287,7 +286,6 @@ class TestBuildLocations:
         locations, mapping = build_locations(event_table(*events))
         assert len(locations) == 1
         assert list(mapping) == [0, 0, 0]
-        assert locations[0].id == 0
 
     def test_fifth_decimal_collapses_at_default_rounding(self):
         events = [
@@ -355,9 +353,9 @@ def test_counts_on_the_geo_sweep_benchmark_input(geo_sweep_input):
     gen = geo_sweep_input
     want = gen.properties
     with open(gen.config_json.parent / "events.csv", newline="", encoding="utf-8") as fh:
-        events, report = parse_events(fh)
-    assert len(events) + len(report) == want["rows"] == 100_000
-    assert len(report) == want["rows_malformed"] == 1000
+        events, rejections = parse_events(fh)
+    assert len(events) + len(rejections) == want["rows"] == 100_000
+    assert len(rejections) == want["rows_malformed"] == 1000
     violent = filter_violent(events)
     assert len(violent) == want["rows_violent"] == 89_000
     locations, mapping = build_locations(violent)
@@ -487,11 +485,8 @@ class TestSummarize:
 
 class TestCsvWriters:
     def test_rejections_csv(self, tmp_path):
-        report = ParseReport()
-        report.reject(4, "unparseable date")
-        report.reject(9, "empty country")
         path = tmp_path / "rejections.csv"
-        write_rejections_csv(report, path)
+        write_rejections_csv([(4, "unparseable date"), (9, "empty country")], path)
         assert path.read_text().splitlines() == [
             "line,reason",
             "4,unparseable date",

@@ -150,7 +150,7 @@ def seed_101_inputs(tmp_path_factory):
     prepared = {}
     for name in ("two_layer_sweep", "three_layer_embed"):
         gen = workloads.generate(workloads.WORKLOADS[name], 101, 0, root / name)
-        prepared[name], _ = _prepare(load_config(gen.config_json))
+        prepared[name] = _prepare(load_config(gen.config_json))[0]
     return prepared
 
 
@@ -346,7 +346,7 @@ def chain_sites(rng, n, countries=4):
     cg = CountryBorderGraph.from_pairs(list(zip(names, names[1:])))
     lats, lons = rng.uniform(5, 20, n), rng.uniform(-10, 10, n)
     located = [names[i] for i in rng.permutation(np.arange(n) % countries)]
-    return [make_location(i, lats[i], lons[i], c) for i, c in enumerate(located)], cg
+    return [make_location(lats[i], lons[i], c) for i, c in enumerate(located)], cg
 
 
 class TestLinearBorderWeights:
@@ -393,7 +393,7 @@ class TestLinearBorderWeights:
     def test_zero_distances_are_refused(self):
         # Every location on one spot: nothing to invert, with or without borders.
         cg = CountryBorderGraph.from_pairs([("A", "B")])
-        locations = [make_location(i, 1.0, 1.0, "A") for i in range(3)]
+        locations = [make_location(1.0, 1.0, "A") for _ in range(3)]
         for borders, value in ((None, None), (cg, 0.0), (cg, 9.0)):
             prepared = layers.prepare("geo", locations, borders)
             with pytest.raises(ValueError, match="all distances are zero; nothing to invert"):
@@ -403,7 +403,7 @@ class TestLinearBorderWeights:
 def two_clusters():
     """Six locations in two countries three crossings apart."""
     cg = CountryBorderGraph.from_pairs([("A", "X"), ("X", "Y"), ("Y", "B")])
-    locations = [make_location(i, 1.0 + i, 1.0, "A" if i < 4 else "B") for i in range(6)]
+    locations = [make_location(1.0 + i, 1.0, "A" if i < 4 else "B") for i in range(6)]
     codes, hops = country_crossings(locations, cg)
     dist = np.zeros((6, 6))
     dist[:4, :4] = dist[4:, 4:] = 1.0

@@ -303,13 +303,13 @@ def test_every_nonblank_row_is_an_event_or_a_rejection(lines, huge_at):
         # one field past the csv module's 131072-character limit
         lines.insert(huge_at, "2024-01-05," + "9" * 140_000)
     text = HEADER + "\n" + "\n".join(lines) + "\n"
-    events, report = parse_events(io.StringIO(text))
+    events, rejections = parse_events(io.StringIO(text))
     nonblank = [
         number
         for number, line in enumerate(lines, start=2)
         if any(c.strip() for c in line.split(","))
     ]
-    seen = [e.source_row for e in events] + [line for line, _ in report.rejections]
+    seen = [e.source_row for e in events] + [line for line, _ in rejections]
     assert sorted(seen) == nonblank
 
 
@@ -317,9 +317,9 @@ def test_every_nonblank_row_is_an_event_or_a_rejection(lines, huge_at):
 @given(st.text(max_size=300))
 def test_no_text_after_a_valid_header_makes_parse_events_raise(body):
     text = HEADER + "\n" + body
-    events, report = parse_events(io.StringIO(text))
+    events, rejections = parse_events(io.StringIO(text))
     physical = len(io.StringIO(text).readlines())
-    seen = [e.source_row for e in events] + [line for line, _ in report.rejections]
+    seen = [e.source_row for e in events] + [line for line, _ in rejections]
     assert len(seen) == len(set(seen)) <= physical - 1
     assert all(2 <= number <= physical for number in seen)
 
@@ -399,18 +399,19 @@ EVERY_REASON = "\n".join(
 )
 @example(EVERY_REASON, DEFAULT_CATEGORIES, 4)
 def test_ingest_matches_the_row_by_row_reference(text, categories, rounding):
-    events, report = parse_events(io.StringIO(text))
+    events, rejections = parse_events(io.StringIO(text))
     kept = filter_violent(events, categories)
     ref_events, ref_rejections, ref_kept, ref_locations, ref_mapping = reference_ingest(
         text, DEFAULT_DATE_FORMATS, categories, rounding
     )
     assert list(events) == ref_events
-    assert report.rejections == ref_rejections
+    assert rejections == ref_rejections
     assert list(kept) == ref_kept
     if kept:
         locations, mapping = build_locations(kept, rounding)
         assert [
-            (loc.id, loc.latitude, loc.longitude, loc.country, loc.admin_key) for loc in locations
+            (lid, loc.latitude, loc.longitude, loc.country, loc.admin_key)
+            for lid, loc in enumerate(locations)
         ] == ref_locations
         assert list(mapping) == ref_mapping
 
@@ -600,7 +601,7 @@ def run_warned(fn, *args):
 @example(EVERY_REASON, DEFAULT_CATEGORIES, 4, SPLIT_RULES)
 @example(SPLIT_EXAMPLE, DEFAULT_CATEGORIES, 4, SPLIT_RULES)
 def test_columnar_pipeline_matches_the_record_oracles(text, categories, rounding, rules):
-    events, report = parse_events(io.StringIO(text))
+    events, rejections = parse_events(io.StringIO(text))
     kept, warned = run_warned(split_groups, filter_violent(events, categories), rules)
     ref_events, ref_rejections, ref_kept, ref_locations, ref_mapping = reference_ingest(
         text, DEFAULT_DATE_FORMATS, categories, rounding
@@ -608,13 +609,16 @@ def test_columnar_pipeline_matches_the_record_oracles(text, categories, rounding
     ref_kept = [EventRecord(*e) for e in ref_kept]
     ref_split, ref_warned = run_warned(record_split_groups, ref_kept, rules)
     assert list(events) == ref_events
-    assert report.rejections == ref_rejections
+    assert rejections == ref_rejections
     assert list(kept) == ref_split
     assert warned == ref_warned
     if not ref_split:
         return
     locations, mapping = build_locations(kept, rounding)
-    got = [(loc.id, loc.latitude, loc.longitude, loc.country, loc.admin_key) for loc in locations]
+    got = [
+        (lid, loc.latitude, loc.longitude, loc.country, loc.admin_key)
+        for lid, loc in enumerate(locations)
+    ]
     assert got == ref_locations
     assert list(mapping) == ref_mapping
     stats = summarize(kept, locations, mapping)
@@ -641,7 +645,7 @@ sites = st.lists(
 
 def site_locations(drawn):
     return [
-        make_location(i, 5.0 + 0.1 * lat, -4.0 + 0.1 * lon, country, f"d{i}")
+        make_location(5.0 + 0.1 * lat, -4.0 + 0.1 * lon, country, f"d{i}")
         for i, (lat, lon, country) in enumerate(drawn)
     ]
 
