@@ -227,8 +227,7 @@ def country_crossings(locations, cg: CountryBorderGraph) -> tuple:
         raise DisconnectedGraphError(
             f"no border path between {countries[i]!r} and {countries[j]!r}"
         )
-    # C order, as GroupBlocks products with a table of another order round differently.
-    return codes.ravel(), hops.astype(int, order="C")
+    return codes.ravel(), hops.astype(int)
 
 
 def crossings_matrix(locations, cg: CountryBorderGraph) -> np.ndarray:

@@ -28,10 +28,14 @@ symmetric.
 `LaplacianOperator` is the Laplacian diag(degrees) - A of a symmetric
 weight operator A, applied as degrees * x - A x, so no pipeline forms an
 n x n or larger array it only multiplies by. `laplacian_operator` wraps
-one layer. `symmetrized_operator` builds every multilayer system: each
-location is copied once per layer (and per direction), a raw walk R over
-the copies is listed block by block, and A = (R + R^T) / 2 is applied
-from those blocks. Its degrees are A @ 1, so L @ 1 is exactly zero.
+one layer. In a multilayer system each location is copied once per
+layer (and per direction). `symmetrized_operator` builds one from a raw
+walk R over the copies, listed block by block, and applies
+A = (R + R^T) / 2 from those blocks. Its degrees are A @ 1, so L @ 1 is
+exactly zero. `symmetric_scaling` symmetrizes a scaled layer once,
+(diag(r) W + W diag(r)) / 2, so a system that keeps such a block
+multiplies by the layer once per product, not twice; a dense layer is
+scaled in its own buffer, row by row.
 
 `asymmetry` runs over square tiles of a dense matrix, on and above the
 diagonal, so it reads memory in cache-sized pieces and allocates no
@@ -107,7 +111,8 @@ class GroupBlocks:
 
     def __post_init__(self):
         groups = np.asarray(self.groups, dtype=np.intp)
-        table = np.asarray(self.table, dtype=float)
+        # C order: products with a table in another order round differently.
+        table = np.ascontiguousarray(self.table, dtype=float)
         if table.ndim != 2 or table.shape[0] != table.shape[1]:
             raise ValueError(f"group table must be square, got shape {table.shape}")
         if groups.ndim != 1 or (groups.size and not 0 <= groups.min() <= groups.max() < len(table)):
@@ -331,6 +336,33 @@ def symmetrized_operator(n: int, blocks: dict, layers: tuple) -> LaplacianOperat
 
     degrees = adjacency(np.ones(copies * n))
     return LaplacianOperator(degrees=degrees, adjacency=adjacency, layers=tuple(layers))
+
+
+def symmetric_scaling(w: WeightMatrix, scale: np.ndarray) -> WeightMatrix:
+    """(diag(scale) W + W diag(scale)) / 2 of a symmetric layer, with a zero diagonal.
+
+    Entry (i, j) is W_ij * ((scale_i + scale_j) / 2), so the result is
+    exactly symmetric where W is. A GroupBlocks layer gives a GroupBlocks,
+    which needs `scale` equal across each group, as any function of its
+    row sums is. A dense layer is rewritten in its own buffer, row by
+    row through one n-vector, so no second n x n array is made: the
+    result holds that buffer, and `w` must not be used again.
+    """
+    if not (isinstance(w, WeightMatrix) and w.is_symmetric):
+        raise ValueError("symmetric_scaling requires a symmetric weight matrix")
+    v = w.values
+    if isinstance(v, GroupBlocks):
+        per_group = np.zeros(len(v.table))
+        per_group[v.groups] = scale
+        pairs = (per_group[:, None] + per_group[None, :]) * 0.5
+        return WeightMatrix(GroupBlocks(v.groups, v.table * pairs))
+    pairs = np.empty(w.n)
+    for i, row in enumerate(v):
+        np.add(scale[i], scale, out=pairs)
+        pairs *= 0.5
+        row *= pairs
+    np.fill_diagonal(v, 0.0)
+    return WeightMatrix(v)
 
 
 def laplacian_operator(w: WeightMatrix) -> LaplacianOperator:

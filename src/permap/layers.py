@@ -15,9 +15,14 @@ They are the only way into an embedding: a two-layer map at
 permeability p is `solve(prepare("two_layer", locations, cg), p, k)`.
 This module weights layers; it reads no events.
 
-`two_layer_operator` and `three_layer_operator` only list the blocks of
-their raw walk over the copies, each a product with one layer or a
-diagonal; `graphs.symmetrized_operator` turns them into the Laplacian.
+`two_layer_operator` takes each layer's block of the symmetrized walk,
+made once by `walk_block`: for the distance layer in `prepare`, in that
+layer's own buffer, so `Prepared.distances` holds the walk block for
+`two_layer`; for the border layer once per border value. A product is
+then one product with each block plus the I / 2 coupling.
+`three_layer_operator` only lists the blocks of its raw walk over the
+copies, each a product with one layer or a diagonal;
+`graphs.symmetrized_operator` turns them into the Laplacian.
 `build_two_layer` and `build_three_layer` write the 2n x 2n and 6n x 6n
 systems as dense arrays, from a dense copy of each layer in any storage.
 The operators are tested against them, and the benchmark's dense
@@ -49,7 +54,13 @@ from .geo import (
     distance_matrix,
     priced_top,
 )
-from .graphs import GroupBlocks, LaplacianOperator, WeightMatrix, symmetrized_operator
+from .graphs import (
+    GroupBlocks,
+    LaplacianOperator,
+    WeightMatrix,
+    symmetric_scaling,
+    symmetrized_operator,
+)
 from .spectral import COORD_NAMES, MIN_BASIS, Embedding, embed
 
 TWO_LAYER_TAGS = ("distance", "border")
@@ -68,11 +79,15 @@ LAYOUTS = {
     "three_layer": (THREE_LAYER_TAGS, (OUT, IN)),
 }
 
-# Rows per step of country_separation_ratio: its two buffers hold this many
+# Rows per step of country_separation_ratio: its buffer holds this many
 # rows of pair distances. Unlike geo's blocks it is a row count, not a byte
 # bound: the ratio sums block by block, so the row count sets the rounding
 # of separation_ratios.csv, and changing it would change those bytes.
 _PAIR_ROWS = 64
+# Bytes of the ratio's scratch for one axis's squared differences, the
+# bound of geo's row-block temporaries. It only splits the adding of the
+# squares into row chunks, which rounds no differently.
+_SCRATCH_BYTES = 192 * 1024
 
 # Where the memory check reads the available memory: the host's
 # MemAvailable, and the limit, usage and page cache of the process's cgroup v2.
@@ -141,23 +156,39 @@ def build_two_layer(w_a: WeightMatrix, w_b: WeightMatrix) -> MultiLayerSystem:
     return MultiLayerSystem(WeightMatrix(assembled), LAYOUTS["two_layer"])
 
 
-def two_layer_operator(w_a, w_b) -> LaplacianOperator:
-    """The Laplacian of build_two_layer(w_a, w_b).assembled, from the two layers alone.
+def walk_block(w: WeightMatrix, layer: str) -> WeightMatrix:
+    """One layer's block of the symmetrized two-layer walk, as build_two_layer forms it.
 
-    Layers are symmetric WeightMatrix objects, dense or group blocks,
-    checked as in build_two_layer. The raw walk has one block per layer on that
-    layer's copy: W without its diagonal, rows scaled by D^-1 / 2, where D
-    are its row sums. One identity block leads from copy 0 to copy 1;
-    symmetrized, it is the I / 2 coupling both ways.
+    The raw walk scales the layer W, without its diagonal, by r = 0.5 /
+    its row sums; the block is (diag(r) W + W diag(r)) / 2, made by
+    graphs.symmetric_scaling. A dense `w` is rewritten in its own buffer
+    and must not be used again; a GroupBlocks layer gives a new one.
+    `layer` names the layer in the IsolatedNodeError raised for a node
+    whose row has no weight.
     """
-    n = _check_two_layers(w_a, w_b)
-    blocks = {}
-    for copy, (w, tag) in enumerate(zip((w_a, w_b), TWO_LAYER_TAGS)):
-        loops = w.diagonal()
-        rows = 0.5 / _check_positive(w.row_sums() - loops, tag)
-        blocks[copy, copy] = _layer_block(w, rows, -loops * rows)
-    blocks[0, 1] = (lambda x: x,) * 2
-    return symmetrized_operator(n, blocks, (w_a, w_b))
+    return symmetric_scaling(w, 0.5 / _check_positive(w.row_sums() - w.diagonal(), layer))
+
+
+def two_layer_operator(s_a, s_b) -> LaplacianOperator:
+    """The Laplacian of the two-layer system whose within-layer blocks are s_a and s_b.
+
+    s_a and s_b are the layers' walk blocks, symmetric WeightMatrix
+    objects, dense or group blocks, checked as in build_two_layer. With
+    s_a = walk_block(w_a) and s_b = walk_block(w_b) this is the
+    Laplacian of build_two_layer(w_a, w_b).assembled. Each copy is
+    coupled to its twin by I / 2, so a product is one product with each
+    block.
+    """
+    n = _check_two_layers(s_a, s_b)
+
+    def adjacency(x):
+        xs = x.reshape(2, n)
+        y = np.stack((s_a @ xs[0], s_b @ xs[1]))
+        y += 0.5 * xs[::-1]
+        return y.ravel()
+
+    degrees = adjacency(np.ones(2 * n))
+    return LaplacianOperator(degrees=degrees, adjacency=adjacency, layers=(s_a, s_b))
 
 
 def _layer_block(w: WeightMatrix, rows, diagonal):
@@ -274,9 +305,10 @@ class Prepared:
     country-by-country crossings, or None when no border graph was given,
     which leaves borders unpriced; only `geo` has none. `distances` is the
     raw km matrix for `geo` (priced per border and inverted implicitly, in
-    each product) and the inverted distance layer for the multilayer
-    pipelines. `farthest` is the km matrix's `geo.country_farthest` table
-    for `geo`, which gives each priced layer's scale, and None elsewhere.
+    each product), the inverted distance layer for `three_layer`, and
+    that layer's walk block (`walk_block`) for `two_layer`. `farthest` is
+    the km matrix's `geo.country_farthest` table for `geo`, which gives
+    each priced layer's scale, and None elsewhere.
     `sequence` is the three-layer sequence layer, CSR as
     `sequence.sequence_adjacency` builds it.
     """
@@ -297,10 +329,11 @@ def prepare(pipeline: str, locations, cg, seq=None) -> Prepared:
     only), and `seq` the three-layer sequence layer as
     `sequence.sequence_adjacency` builds it. Nothing here depends on the
     swept border value; every pipeline builds its n x n distance layer
-    here. Raises ValueError for an unknown pipeline, a multilayer one
-    without `cg` or a three-layer one without `seq`, and
-    InsufficientMemoryError, before the distance layer is built, when the
-    run's estimated peak memory exceeds what is free.
+    here, and `two_layer` turns it into its walk block in place. Raises
+    ValueError for an unknown pipeline, a multilayer one without `cg` or
+    a three-layer one without `seq`, and InsufficientMemoryError, before
+    the distance layer is built, when the run's estimated peak memory
+    exceeds what is free.
     """
     if pipeline not in LAYOUTS:
         raise ValueError(f"pipeline must be one of {tuple(LAYOUTS)}, got {pipeline!r}")
@@ -318,6 +351,8 @@ def prepare(pipeline: str, locations, cg, seq=None) -> Prepared:
             farthest = country_farthest(distances, codes)
         else:
             distances, farthest = closeness_matrix(locations), None
+            if pipeline == "two_layer":
+                distances = walk_block(distances, TWO_LAYER_TAGS[0])
     return Prepared(pipeline, locations, codes, hops, distances, farthest, seq)
 
 
@@ -325,13 +360,15 @@ def _check_memory(pipeline: str, n: int) -> None:
     """Refuse a run whose estimated peak memory exceeds the memory available.
 
     Every pipeline builds one distance layer, one n x n float array: the
-    km matrix, which the multilayer pipelines invert in place and `geo`
+    km matrix, which the multilayer pipelines invert in place (and
+    `two_layer` scales into its walk block, also in place) and `geo`
     prices and inverts in each product, so no copy of it is made. The
     Lanczos basis holds MIN_BASIS vectors of the system size. The
     distance builders' row-block temporaries are left out: each is
     bounded in bytes (geo._BLOCK_BYTES), not in n, and a few of them are
-    small next to either term. Raises InsufficientMemoryError; checks
-    nothing when the available memory cannot be read.
+    small next to either term; the walk block needs one n-vector. Raises
+    InsufficientMemoryError; checks nothing when the available memory
+    cannot be read.
     """
     available = _available_memory()
     if available is None:
@@ -398,7 +435,7 @@ def system_operator(prepared: Prepared, value: float | None):
     else:
         w_border = border_blocks(prepared.codes, prepared.hops, value)
         if prepared.pipeline == "two_layer":
-            lap = two_layer_operator(prepared.distances, w_border)
+            lap = two_layer_operator(prepared.distances, walk_block(w_border, TWO_LAYER_TAGS[1]))
         else:  # "three_layer"
             lap = three_layer_operator(w_border, prepared.distances, prepared.sequence)
     return lap, LAYOUTS[prepared.pipeline]
@@ -481,12 +518,14 @@ def country_separation_ratio(coords: np.ndarray, location_ids, countries) -> flo
     pair runs from a point to a later one and the pairs between two
     countries fill off-diagonal blocks. A location has one country, so
     none of those pairs shares a location and they need no mask. Rows go
-    _PAIR_ROWS at a time against every later point, into two buffers
-    allocated once; only the block of the rows' own country is masked, to
-    its upper triangle and to pairs of different locations. Each distance
-    is the same float as in a pair-by-pair loop (squares added axis by
-    axis from the first); the sums run block by block, so the ratio
-    depends on the point order only at rounding level. Counts are exact.
+    _PAIR_ROWS at a time against every later point, into one buffer
+    allocated once; each further axis's squares are added into it a row
+    chunk at a time, through a scratch of at most _SCRATCH_BYTES. Only the
+    block of the rows' own country is masked, to its upper triangle and
+    to pairs of different locations. Each distance is the same float as
+    in a pair-by-pair loop (squares added axis by axis from the first);
+    the sums run block by block, so the ratio depends on the point order
+    only at rounding level. Counts are exact.
     """
     n, k = coords.shape
     _, tags = np.unique([str(countries[lid]) for lid in location_ids.tolist()], return_inverse=True)
@@ -495,7 +534,8 @@ def country_separation_ratio(coords: np.ndarray, location_ids, countries) -> flo
     loc_ids = location_ids[order]
 
     dist = np.empty(min(_PAIR_ROWS, n) * n)
-    squares = np.empty_like(dist)
+    chunk = max(1, _SCRATCH_BYTES // (8 * n))
+    scratch = np.empty(min(chunk, _PAIR_ROWS, n) * n)
     inter_sum = intra_sum = 0.0
     inter_count = intra_count = 0
     start = 0
@@ -504,13 +544,16 @@ def country_separation_ratio(coords: np.ndarray, location_ids, countries) -> flo
             hi = min(lo + _PAIR_ROWS, end)
             shape = (hi - lo, n - lo)
             d = dist[: shape[0] * shape[1]].reshape(shape)
-            sq = squares[: d.size].reshape(shape)
             np.subtract(coords[lo:hi, 0, None], coords[None, lo:, 0], out=d)
             np.multiply(d, d, out=d)
             for axis in range(1, k):
-                np.subtract(coords[lo:hi, axis, None], coords[None, lo:, axis], out=sq)
-                np.multiply(sq, sq, out=sq)
-                d += sq
+                for top in range(lo, hi, chunk):
+                    part = d[top - lo : top - lo + chunk]
+                    sq = scratch[: part.size].reshape(part.shape)
+                    rows = coords[top : top + len(part), axis, None]
+                    np.subtract(rows, coords[None, lo:, axis], out=sq)
+                    np.multiply(sq, sq, out=sq)
+                    part += sq
             np.sqrt(d, out=d)
             # Columns from `end` on are later countries: every pair counts.
             inter_sum += float(d[:, end - lo :].sum())

@@ -9,6 +9,7 @@ from permap.graphs import (
     WeightMatrix,
     asymmetry,
     laplacian_operator,
+    symmetric_scaling,
     symmetrized_operator,
 )
 from permap.layers import two_layer_operator
@@ -214,6 +215,36 @@ class TestTiledKernelsMatchPlainFormulas:
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
             assert got.flags.c_contiguous and got.dtype == np.float64
+
+
+def test_symmetric_scaling_rewrites_a_dense_layer_in_its_buffer():
+    rng = np.random.default_rng(74)
+    for n in (1, 2, 9, 300):
+        v = weights_with_zeros(rng, n)
+        v = (v + v.T) / 2.0
+        scale = rng.uniform(0.1, 2.0, n)
+        want = v * ((scale[:, None] + scale[None, :]) * 0.5)
+        np.fill_diagonal(want, 0.0)
+        w = WeightMatrix(v)
+        got = symmetric_scaling(w, scale)
+        assert got.values is w.values
+        assert np.array_equal(got.values, want)
+        assert asymmetry(got.values) == 0.0
+
+
+def test_symmetric_scaling_of_group_blocks_is_that_of_their_dense_form():
+    # Group 5 holds no node; its scale is never read.
+    rng = np.random.default_rng(75)
+    groups = rng.integers(0, 5, 40)
+    m = rng.uniform(0.1, 1.0, (6, 6))
+    blocks = WeightMatrix(GroupBlocks(groups, m + m.T))
+    scale = rng.uniform(0.1, 2.0, 6)[groups]
+    got = symmetric_scaling(blocks, scale)
+    assert isinstance(got.values, GroupBlocks)
+    want = symmetric_scaling(WeightMatrix(blocks.toarray()), scale)
+    assert np.array_equal(got.toarray(), want.values)
+    with pytest.raises(ValueError, match="requires a symmetric weight matrix"):
+        symmetric_scaling(WeightMatrix(sparse.csr_matrix(blocks.toarray())), scale)
 
 
 def test_laplacian_type_exposes_n():

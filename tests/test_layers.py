@@ -18,6 +18,7 @@ from permap.geo import (
     CountryBorderGraph,
     border_blocks,
     border_permeability_matrix,
+    closeness_matrix,
     country_crossings,
 )
 from permap.graphs import GroupBlocks, WeightMatrix
@@ -37,6 +38,7 @@ from permap.layers import (
     solve,
     three_layer_operator,
     two_layer_operator,
+    walk_block,
     write_displacement_csv,
 )
 from permap.spectral import Embedding, write_embedding_csv
@@ -122,13 +124,32 @@ class TestTwoLayerWalk:
                 build(np.zeros((2, 2)), a)
 
     def test_isolated_node_names_layer(self):
+        # The operator takes walk blocks; walk_block finds the empty row.
         a = sym([[0, 1, 0], [1, 0, 0], [0, 0, 0]])
         b = sym([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
-        for build in (build_two_layer, two_layer_operator):
-            with pytest.raises(IsolatedNodeError, match="node 2 in layer 'distance'"):
-                build(a, b)
-            with pytest.raises(IsolatedNodeError, match="layer 'border'"):
-                build(b, a)
+        with pytest.raises(IsolatedNodeError, match="node 2 in layer 'distance'"):
+            build_two_layer(a, b)
+        with pytest.raises(IsolatedNodeError, match="layer 'border'"):
+            build_two_layer(b, a)
+        with pytest.raises(IsolatedNodeError, match="node 2 in layer 'distance'"):
+            walk_block(a, "distance")
+        with pytest.raises(IsolatedNodeError, match="layer 'border'"):
+            walk_block(a, "border")
+
+    def test_walk_blocks_are_the_assembled_within_layer_blocks(self):
+        # A dense layer with a diagonal to drop, and the country blocks.
+        rng = np.random.default_rng(62)
+        m = rng.uniform(0.1, 3.0, (7, 7))
+        dist = m + m.T
+        cg = CountryBorderGraph.from_pairs([("A", "B"), ("B", "C")])
+        codes, hops = country_crossings(list("AABBCCA"), cg)
+        blocks = border_blocks(codes, hops, 0.5)
+        assembled = build_two_layer(sym(dist), WeightMatrix(blocks.toarray())).assembled.values
+        walk = walk_block(sym(dist), "distance")
+        assert np.allclose(walk.values, assembled[:7, :7], rtol=1e-15, atol=0)
+        assert isinstance(walk_block(blocks, "border").values, GroupBlocks)
+        walk = walk_block(blocks, "border").toarray()
+        assert np.allclose(walk, assembled[7:, 7:], rtol=1e-15, atol=0)
 
 
 class TestBuildTwoLayer:
@@ -424,6 +445,29 @@ class TestMemoryCheck:
         ):
             layers._check_memory("geo", 17_678)
 
+    def test_two_layer_walk_block_is_made_in_the_layer_buffer(self):
+        # The walk block is made in the closeness layer's buffer, row by row
+        # through one n-vector, so prepare peaks where building the layer
+        # alone does, up to per-location arrays.
+        rng = np.random.default_rng(23)
+        cg = CountryBorderGraph.from_pairs([("A", "B"), ("B", "C")])
+        for n in (1500, 3000):
+            lat, lon = rng.uniform(-60, 60, n), rng.uniform(-170, 170, n)
+            locations = [
+                make_location(a, b, "ABC"[i % 3], f"d{i}") for i, (a, b) in enumerate(zip(lat, lon))
+            ]
+            peaks = []
+            for build in (closeness_matrix, lambda locs: prepare("two_layer", locs, cg).distances):
+                tracemalloc.start()
+                try:
+                    w = build(locations)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+                assert w.n == n
+                del w
+            assert peaks[1] < peaks[0] + 2**17
+
     def test_unreadable_memory_checks_nothing(self, monkeypatch, chain_borders):
         monkeypatch.setattr(layers, "_available_memory", lambda: None)
         assert prepare("two_layer", twenty_locations(), chain_borders).distances.n == 20
@@ -607,10 +651,10 @@ class TestCountrySeparationRatio:
         with pytest.raises(ValueError, match="all zero"):
             country_separation_ratio(coords, np.arange(4), dict(enumerate("AABB")))
 
-    def test_memory_stays_within_two_row_chunks(self):
+    def test_memory_stays_within_one_row_chunk(self):
         # 3000 points as in a two-layer sweep over 1500 locations, k = 2. The
-        # two 64-row buffers take 3.1 MB; a single (512, 3000) float array
-        # would take 12.3 MB.
+        # 64-row buffer takes 1.5 MB and the scratch for the squares of the
+        # second axis 0.2 MB; a second 64-row buffer would take 1.5 MB more.
         rng = np.random.default_rng(70)
         location_ids = np.tile(np.arange(1500), 2)
         coords = rng.normal(size=(3000, 2))
@@ -621,7 +665,48 @@ class TestCountrySeparationRatio:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < 2.5e6
+
+    def test_seeded_ratios_are_frozen(self):
+        # Exact values, so a change in how distances are formed or summed
+        # shows. The first nine are small: 1, 2 and 6 copies as in
+        # test_matches_pair_loop_oracle_over_several_blocks; the last three
+        # are 3000 points, where the squares of each axis are added in
+        # several row chunks per 64-row block.
+        want = {
+            (1, 1): "1.1413224876298298",
+            (1, 2): "1.102296337816283",
+            (1, 3): "0.9811622049068363",
+            (2, 1): "1.016785491320042",
+            (2, 2): "0.9979572684728791",
+            (2, 3): "1.0066277266415822",
+            (6, 1): "0.9874786174870593",
+            (6, 2): "0.9894347887440481",
+            (6, 3): "0.9958963480608398",
+            ("big", 1): "0.9995486741481192",
+            ("big", 2): "0.9997488010804229",
+            ("big", 3): "1.0004815812363375",
+        }
+        got = {}
+        rng = np.random.default_rng(72)
+        for copies in (1, 2, 6):
+            big = 2 * 64 // copies + 5
+            country_of = {0: "solo"}
+            country_of.update({lid: "big" for lid in range(1, big + 1)})
+            country_of.update({lid: f"C{lid % 5}" for lid in range(big + 1, big + 41)})
+            location_ids = rng.permutation(
+                np.concatenate([[0], np.repeat(np.arange(1, big + 41), copies)])
+            )
+            for k in (1, 2, 3):
+                coords = rng.normal(size=(len(location_ids), k))
+                got[copies, k] = repr(country_separation_ratio(coords, location_ids, country_of))
+        rng = np.random.default_rng(73)
+        location_ids = rng.permutation(np.tile(np.arange(1500), 2))
+        country_of = {lid: f"C{lid % 21}" for lid in range(1500)}
+        for k in (1, 2, 3):
+            coords = rng.normal(size=(3000, k))
+            got["big", k] = repr(country_separation_ratio(coords, location_ids, country_of))
+        assert got == want
 
     def test_blocked_accumulation_matches_direct(self):
         rng = np.random.default_rng(67)

@@ -7,6 +7,7 @@ weights) applied to the same vectors.
 """
 
 import re
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from permap.geo import (
     CountryBorderGraph,
     border_blocks,
     border_permeability_matrix,
+    closeness_matrix,
     country_crossings,
     country_farthest,
     crossings_matrix,
@@ -43,6 +45,7 @@ from permap.layers import (
     system_operator,
     three_layer_operator,
     two_layer_operator,
+    walk_block,
 )
 from permap.spectral import eigensolve_symmetric, embed
 
@@ -94,6 +97,15 @@ def random_borders(rng, n, countries=4):
     return codes, hops, crossings_matrix(located, cg)
 
 
+def walked(w_a, w_b):
+    """two_layer_operator of the walk blocks of w_a and w_b; a dense layer is copied first."""
+
+    def block(w, layer):
+        return walk_block(w if isinstance(w.values, GroupBlocks) else WeightMatrix(w.toarray()), layer)
+
+    return two_layer_operator(block(w_a, "distance"), block(w_b, "border"))
+
+
 def random_sequence(rng, n):
     a = rng.integers(0, 3, (n, n)).astype(float) * (rng.uniform(size=(n, n)) < 0.3)
     np.fill_diagonal(a, 0.0)
@@ -122,6 +134,21 @@ class TestGroupBlocks:
         full = dense(blocks)
         assert np.count_nonzero(full) == 8
         assert blocks.nonzero_mean() == pytest.approx(full.sum() / 8, rel=RTOL)
+
+    def test_any_table_order_gives_the_same_bits(self):
+        # The table is stored C-ordered, so a Fortran-ordered or transposed
+        # one multiplies and sums its rows exactly as a C-ordered one.
+        rng = np.random.default_rng(208)
+        groups = rng.integers(0, 7, 200)
+        m = rng.uniform(0.1, 1.0, (7, 7))
+        table = np.ascontiguousarray(m + m.T)
+        x = rng.standard_normal(200)
+        want = GroupBlocks(groups, table)
+        for other in (np.asfortranarray(table), table.T):
+            got = GroupBlocks(groups, other)
+            assert got.table.flags.c_contiguous
+            assert np.array_equal(got @ x, want @ x)
+            assert np.array_equal(got.row_sums(), want.row_sums())
 
     def test_table_checks(self):
         # The WeightMatrix holding the blocks checks the table's entries.
@@ -175,12 +202,12 @@ class TestOperatorsMatchAssembledBuilders:
                 reference = laplacian(
                     build_two_layer(w_dist, border_permeability_matrix(crossings, p)).assembled
                 )
-                lap = two_layer_operator(w_dist, border_blocks(codes, hops, p))
+                lap = walked(w_dist, border_blocks(codes, hops, p))
                 check_products(lap, reference, rng)
                 # Two dense layers, the second with a diagonal to drop.
                 w_b = random_layer(rng, n, diagonal=True)
                 reference = laplacian(build_two_layer(w_dist, w_b).assembled)
-                check_products(two_layer_operator(w_dist, w_b), reference, rng)
+                check_products(walked(w_dist, w_b), reference, rng)
 
     def test_three_layer_on_random_layers(self):
         rng = np.random.default_rng(203)
@@ -201,7 +228,12 @@ class TestOperatorsMatchAssembledBuilders:
             # Dense symmetric layers multiply through one triangle.
             assert np.array_equal(prepared.distances.values, prepared.distances.values.T)
             # The layer inverted in place is the two-step one, bit for bit.
-            closeness = invert_distances(distance_matrix(prepared.locations))
+            # The two-layer pipeline keeps its walk block, made in that buffer.
+            w_dist = invert_distances(distance_matrix(prepared.locations))
+            closeness = closeness_matrix(prepared.locations)
+            assert np.array_equal(closeness.values, w_dist.values)
+            if name == "two_layer_sweep":
+                closeness = walk_block(closeness, "distance")
             assert np.array_equal(prepared.distances.values, closeness.values)
             crossings = crossings_matrix(prepared.locations, load_reference_borders())
             assert np.array_equal(prepared.hops[prepared.codes[:, None], prepared.codes], crossings)
@@ -209,9 +241,9 @@ class TestOperatorsMatchAssembledBuilders:
                 border = border_permeability_matrix(crossings, p)
                 lap, layout = system_operator(prepared, p)
                 if name == "two_layer_sweep":
-                    system = build_two_layer(prepared.distances, border)
+                    system = build_two_layer(w_dist, border)
                 else:
-                    system = build_three_layer(border, prepared.distances, prepared.sequence)
+                    system = build_three_layer(border, w_dist, prepared.sequence)
                 assert layout == system.layout
                 check_products(lap, laplacian(system.assembled), rng, 2)
         # The geo pipeline runs on the last of them, the 800 three-layer locations.
@@ -331,7 +363,7 @@ class TestSymmetrizedOperator:
                 seq = random_sequence(rng, n)
                 borders = (border_blocks(codes, hops, p), border_permeability_matrix(crossings, p))
                 for border in borders:
-                    self.assert_constant_is_null(two_layer_operator(w_dist, border))
+                    self.assert_constant_is_null(walked(w_dist, border))
                     self.assert_constant_is_null(three_layer_operator(border, w_dist, seq))
 
     def test_constant_vector_is_null_on_seed_101_inputs(self, seed_101_inputs):
@@ -421,7 +453,7 @@ class TestFailures:
         blocks = border_blocks(codes, hops, UNDERFLOW_P)
         dense = border_permeability_matrix(crossings, UNDERFLOW_P)
         cases = (
-            (two_layer_operator(w_dist, blocks), build_two_layer(w_dist, dense), "[8, 4]"),
+            (walked(w_dist, blocks), build_two_layer(w_dist, dense), "[8, 4]"),
             (
                 three_layer_operator(blocks, w_dist, seq),
                 build_three_layer(dense, w_dist, seq),
@@ -453,15 +485,34 @@ class TestFailures:
         full = WeightMatrix(np.ones((4, 4)) - np.eye(4))
         seq = WeightMatrix(sparse.csr_matrix(np.eye(4, k=1)))
         with pytest.raises(IsolatedNodeError, match="node 3 in layer 'border'"):
-            two_layer_operator(full, blocks)
+            walked(full, blocks)
         with pytest.raises(IsolatedNodeError, match="node 3 in layer 'border'"):
             three_layer_operator(blocks, full, seq)
         hollow = full.values.copy()
         hollow[1, :] = hollow[:, 1] = 0.0
         with pytest.raises(IsolatedNodeError, match="node 1 in layer 'distance'"):
-            two_layer_operator(WeightMatrix(hollow), full)
+            walked(WeightMatrix(hollow), full)
         with pytest.raises(IsolatedNodeError, match="node 1 in layer 'distance'"):
             three_layer_operator(full, WeightMatrix(hollow), seq)
+
+
+def test_a_two_layer_product_multiplies_by_each_layer_once(
+    monkeypatch, twelve_locations, chain_borders
+):
+    # Each layer block is symmetrized once, in prepare or per border value,
+    # so a product needs no second pass over the n x n layer.
+    calls = Counter()
+    product = WeightMatrix.__matmul__
+
+    def counted(self, x):
+        calls[type(self.values).__name__] += 1
+        return product(self, x)
+
+    monkeypatch.setattr(WeightMatrix, "__matmul__", counted)
+    lap, _ = system_operator(layers.prepare("two_layer", twelve_locations, chain_borders), 0.5)
+    calls.clear()
+    lap @ np.cos(np.arange(lap.shape[0]))
+    assert calls == {"ndarray": 1, "GroupBlocks": 1}
 
 
 def test_solve_forms_no_system_laplacian_or_crossings(monkeypatch, twelve_locations, chain_borders):
@@ -493,7 +544,7 @@ def test_solve_forms_no_system_laplacian_or_crossings(monkeypatch, twelve_locati
     runs = [
         ("geo", None, None, d, None, None),
         ("geo", codes, hops, d, None, 100.0),
-        ("two_layer", codes, hops, closeness, None, 0.5),
+        ("two_layer", codes, hops, walk_block(invert_distances(d), "distance"), None, 0.5),
         ("three_layer", codes, hops, closeness, seq_layer, 0.5),
     ]
     for pipeline, codes, hops, distances, sequence, value in runs:

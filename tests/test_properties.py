@@ -33,6 +33,8 @@ from permap.config import BORDER_KINDS, BorderModel, RunConfig, config_from_dict
 from permap.geo import (
     EARTH_RADIUS_KM,
     CountryBorderGraph,
+    border_blocks,
+    closeness_matrix,
     country_farthest,
     distance_matrix,
     invert_distances,
@@ -661,9 +663,14 @@ def test_two_layer_border_layer_at_p_one_is_all_ones(drawn):
     distance, border = lap.layers
     assert isinstance(border.values, GroupBlocks)
     ones = np.ones((n, n)) - np.eye(n)
-    # Each product with a unit vector is exact, so this is the layer itself.
-    assert np.array_equal(np.column_stack([border @ unit for unit in np.eye(n)]), ones)
-    reference = laplacian(build_two_layer(prepared.distances, WeightMatrix(ones)).assembled)
+    # Each product with a unit vector is exact, so this is the layer itself,
+    # and its walk block is the layer over twice its row sums, n - 1.
+    layer = border_blocks(prepared.codes, prepared.hops, 1.0)
+    assert np.array_equal(np.column_stack([layer @ unit for unit in np.eye(n)]), ones)
+    walk = np.column_stack([border @ unit for unit in np.eye(n)])
+    assert np.array_equal(walk, ones * (0.5 / (n - 1)))
+    w_dist = closeness_matrix(prepared.locations)
+    reference = laplacian(build_two_layer(w_dist, WeightMatrix(ones)).assembled)
     x = np.cos(np.arange(2 * n) * 0.7)
     assert np.abs(lap @ x - reference @ x).max() <= 1e-13 * np.abs(reference @ x).max()
 
