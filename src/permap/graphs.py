@@ -28,14 +28,11 @@ symmetric.
 `LaplacianOperator` is the Laplacian diag(degrees) - A of a symmetric
 weight operator A, applied as degrees * x - A x, so no pipeline forms an
 n x n or larger array it only multiplies by. `laplacian_operator` wraps
-one layer. In a multilayer system each location is copied once per
-layer (and per direction). `symmetrized_operator` builds one from a raw
-walk R over the copies, listed block by block, and applies
-A = (R + R^T) / 2 from those blocks. Its degrees are A @ 1, so L @ 1 is
-exactly zero. `symmetric_scaling` symmetrizes a scaled layer once,
-(diag(r) W + W diag(r)) / 2, so a system that keeps such a block
-multiplies by the layer once per product, not twice; a dense layer is
-scaled in its own buffer, row by row.
+one layer; the multilayer operators, in `layers`, write their A over the
+copies of each location directly. `symmetric_scaling` symmetrizes a
+scaled layer once, (diag(r) W + W diag(r)) / 2, so a system that keeps
+such a block multiplies by the layer once per product, not twice; a
+dense layer is scaled in its own buffer, row by row.
 
 `asymmetry` runs over square tiles of a dense matrix, on and above the
 diagonal, so it reads memory in cache-sized pieces and allocates no
@@ -274,8 +271,9 @@ class LaplacianOperator:
 
     `adjacency` maps one vector x to A x. `layers` are the n x n location
     WeightMatrix layers A is built from; they give `nnz`. `loops` is A's
-    diagonal, zero in every multilayer system. Where degrees are A @ 1,
-    as `symmetrized_operator` sets them, L @ 1 is exactly zero.
+    diagonal, zero in every multilayer system. `laplacian_operator` takes
+    the degrees from its layer's row sums; every operator in `layers` sets
+    them to A @ 1, so L @ 1 is exactly zero there.
     """
 
     degrees: np.ndarray
@@ -311,31 +309,6 @@ class LaplacianOperator:
     def toarray(self) -> np.ndarray:
         """L as a dense array, one product per column; for small systems only."""
         return self @ np.eye(self.shape[0])
-
-
-def symmetrized_operator(n: int, blocks: dict, layers: tuple) -> LaplacianOperator:
-    """The Laplacian of A = (R + R^T) / 2 for a raw walk R given by its blocks.
-
-    R is a grid of n x n blocks, a row and a column of blocks per copy of
-    the n locations, up to the largest copy listed. `blocks` maps (row
-    copy, column copy) to the pair x -> B x, x -> B^T x of one block B;
-    unlisted blocks are zero, and blocks on R's diagonal have a zero
-    diagonal, so A has none. The degrees are A @ 1, so L @ 1 is exactly
-    zero. `layers` are the location layers the blocks multiply by.
-    """
-    copies = 1 + max(max(key) for key in blocks)
-
-    def adjacency(x):
-        xs = x.reshape(copies, n)
-        y = np.zeros((copies, n))
-        for (row, col), (forward, backward) in blocks.items():
-            y[row] += forward(xs[col])
-            y[col] += backward(xs[row])
-        y /= 2.0
-        return y.ravel()
-
-    degrees = adjacency(np.ones(copies * n))
-    return LaplacianOperator(degrees=degrees, adjacency=adjacency, layers=tuple(layers))
 
 
 def symmetric_scaling(w: WeightMatrix, scale: np.ndarray) -> WeightMatrix:

@@ -15,14 +15,13 @@ They are the only way into an embedding: a two-layer map at
 permeability p is `solve(prepare("two_layer", locations, cg), p, k)`.
 This module weights layers; it reads no events.
 
+Every system operator is one function x -> A x over the stacked copies
+of the locations, and `_system_laplacian` gives it the degrees A @ 1.
 `two_layer_operator` takes each layer's block of the symmetrized walk,
-made once by `walk_block`: for the distance layer in `prepare`, in that
-layer's own buffer, so `Prepared.distances` holds the walk block for
-`two_layer`; for the border layer once per border value. A product is
-then one product with each block plus the I / 2 coupling.
-`three_layer_operator` only lists the blocks of its raw walk over the
-copies, each a product with one layer or a diagonal;
-`graphs.symmetrized_operator` turns them into the Laplacian.
+made once by `walk_block`: the distance layer's in `prepare`, in its own
+buffer (`Prepared.distances` for `two_layer`), the border layer's per
+border value. `three_layer_operator` multiplies by each layer once per
+direction and adds the couplings between copies as diagonals.
 `build_two_layer` and `build_three_layer` write the 2n x 2n and 6n x 6n
 systems as dense arrays, from a dense copy of each layer in any storage.
 The operators are tested against them, and the benchmark's dense
@@ -38,7 +37,6 @@ the three-layer system, each is the centroid of the out and in copies).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,7 +57,6 @@ from .graphs import (
     LaplacianOperator,
     WeightMatrix,
     symmetric_scaling,
-    symmetrized_operator,
 )
 from .spectral import COORD_NAMES, MIN_BASIS, Embedding, embed
 
@@ -71,8 +68,8 @@ NO_COPY = "-"
 
 # The point layout of each pipeline: its layer tags and the copies of
 # every layer. Points run layer-major, so copy c of layer l holds the n
-# rows from (l * len(copies) + c) * n, the block that
-# graphs.symmetrized_operator numbers l * len(copies) + c.
+# rows from (l * len(copies) + c) * n, and the operators read a vector
+# over the points as an array of shape (layers, copies, n).
 LAYOUTS = {
     "geo": (("distance",), (NO_COPY,)),
     "two_layer": (TWO_LAYER_TAGS, (NO_COPY,)),
@@ -187,17 +184,7 @@ def two_layer_operator(s_a, s_b) -> LaplacianOperator:
         y += 0.5 * xs[::-1]
         return y.ravel()
 
-    degrees = adjacency(np.ones(2 * n))
-    return LaplacianOperator(degrees=degrees, adjacency=adjacency, layers=(s_a, s_b))
-
-
-def _layer_block(w: WeightMatrix, rows, diagonal):
-    """One raw-walk block diag(rows) W + diag(diagonal), as x -> B x and x -> B^T x."""
-    transposed = w.transposed_product()
-    return (
-        lambda x: rows * (w @ x) + diagonal * x,
-        lambda x: transposed(rows * x) + diagonal * x,
-    )
+    return _system_laplacian(adjacency, 2 * n, (s_a, s_b))
 
 
 def build_three_layer(
@@ -266,14 +253,17 @@ def three_layer_operator(w_border, w_dist, a_seq: WeightMatrix) -> LaplacianOper
 
     The border and distance layers are symmetric (dense or group blocks)
     and the sequence layer is directed (CSR); the checks are those of
-    build_three_layer. Layer l, normalized to N_l with budgets b_l (its
-    row sums), has two kinds of raw-walk block, both from its out-copy:
-    N_l / 2 + diag((b_l + column sums of N_l) / 4) to its own in-copy,
-    and diag(b_l / 4) to the in-copy of each other layer.
+    build_three_layer. For layer l there, with s_l = 0.5 / mean_l, b_l
+    its budgets, c_l its column sums and pad_l its self-loops (sequence
+    only), a product of A = (R + R^T) / 2 is, halved,
+    y_out[l] = b_l / 4 * sum_m x_in[m] + own_l * x_in[l] + s_l * W_l x_in[l],
+    y_in[l] = sum_m b_m / 4 * x_out[m] + own_l * x_out[l] + s_l * W_l^T x_out[l],
+    with own_l = pad_l / 2 + c_l / 4: the diagonal (b_l + c_l) / 4 of R's
+    own block, split so that b_l / 4 joins the sum over every layer.
     """
     n = _check_three_layers(w_border, w_dist, a_seq)
     layers = (w_border, w_dist, a_seq)
-    blocks = {}
+    scale, quarter, own = np.empty(3), np.empty((3, n)), np.empty((3, n))
     for li, (w, tag) in enumerate(zip(layers, THREE_LAYER_TAGS)):
         try:
             mean = w.nonzero_mean()
@@ -287,14 +277,26 @@ def three_layer_operator(w_border, w_dist, a_seq: WeightMatrix) -> LaplacianOper
             # Self-loops lift every sequence row to the largest row sum.
             pad = rows.max() - rows
             rows, cols = rows + pad, cols + pad
-        budget = _check_positive(rows, tag)
-        diagonal = pad / 2.0 + (budget + cols) / 4.0
-        blocks[2 * li, 2 * li + 1] = _layer_block(w, 0.5 / mean, diagonal)
-        quarter = functools.partial(np.multiply, budget / 4.0)
-        for lj in range(3):
-            if lj != li:
-                blocks[2 * li, 2 * lj + 1] = (quarter, quarter)
-    return symmetrized_operator(n, blocks, layers)
+        scale[li] = 0.5 / mean
+        quarter[li] = _check_positive(rows, tag) / 4.0
+        own[li] = pad / 2.0 + cols / 4.0
+    products = [(w.__matmul__, w.transposed_product()) for w in layers]
+
+    def adjacency(x):
+        x_out, x_in = x.reshape(3, 2, n).transpose(1, 0, 2)
+        y_out = quarter * x_in.sum(axis=0) + own * x_in
+        y_in = (quarter * x_out).sum(axis=0) + own * x_out
+        for li, (forward, backward) in enumerate(products):
+            y_out[li] += scale[li] * forward(x_in[li])
+            y_in[li] += scale[li] * backward(x_out[li])
+        return np.stack((y_out, y_in), axis=1).ravel() / 2.0
+
+    return _system_laplacian(adjacency, 6 * n, layers)
+
+
+def _system_laplacian(adjacency, size: int, layers: tuple) -> LaplacianOperator:
+    """The Laplacian of x -> A x over `size` points with degrees A @ 1, so L @ 1 is exactly 0."""
+    return LaplacianOperator(degrees=adjacency(np.ones(size)), adjacency=adjacency, layers=layers)
 
 
 @dataclass(frozen=True)
@@ -451,8 +453,7 @@ def _priced_operator(prepared: Prepared, cost_km: float) -> LaplacianOperator:
     GroupBlocks of the table M - cost_km * hops, and a product is one
     with that table and one with D, through its upper triangle. Where no
     crossing is priced, all locations form one group, so a zero cost
-    gives the same bytes as no borders. The degrees are W @ 1, so L @ 1
-    is exactly zero.
+    gives the same bytes as no borders.
     """
     d, codes, hops = prepared.distances, prepared.codes, prepared.hops
     top = priced_top(prepared.farthest, hops, cost_km)
@@ -463,8 +464,7 @@ def _priced_operator(prepared: Prepared, cost_km: float) -> LaplacianOperator:
     def adjacency(x):
         return priced @ x - d @ x
 
-    degrees = adjacency(np.ones(d.n))
-    return LaplacianOperator(degrees=degrees, adjacency=adjacency, layers=(d, priced))
+    return _system_laplacian(adjacency, d.n, (d, priced))
 
 
 def solve(prepared: Prepared, value: float | None, k: int):

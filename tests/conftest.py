@@ -14,8 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import settings
+from scipy import sparse
 
 from permap.geo import CountryBorderGraph
+from permap.graphs import LaplacianOperator, WeightMatrix
 from permap.ingest import ROW, EventRecord, EventTable, Location
 
 settings.register_profile("ci", derandomize=True, database=None)
@@ -33,6 +35,29 @@ def benchmark_workloads():
     finally:
         sys.path.remove(str(PERFBENCH))
     return workloads
+
+
+def symmetrized_walk(grid):
+    """The LaplacianOperator of A = (R + R^T) / 2 for a raw walk R given as {(row, col): block}.
+
+    R is a grid of n x n blocks, one row and one column of blocks per copy
+    of the n locations, up to the largest copy listed; unlisted blocks are
+    zero. R is held as one CSR matrix, so one-way entries stay one-way and
+    stored zeros stay stored, and A x is (R x + R^T x) / 2.
+    """
+    grid = {key: sparse.csr_matrix(values) for key, values in grid.items()}
+    n = next(iter(grid.values())).shape[0]
+    copies = range(1 + max(max(key) for key in grid))
+    # An empty diagonal block fixes the size of each row and column of blocks.
+    zero = sparse.csr_matrix((n, n))
+    blocks = [[grid.get((row, col), zero if row == col else None) for col in copies] for row in copies]
+    raw = sparse.bmat(blocks, format="csr")
+
+    def adjacency(x):
+        return (raw @ x + raw.T @ x) / 2.0
+
+    degrees = adjacency(np.ones(raw.shape[0]))
+    return LaplacianOperator(degrees=degrees, adjacency=adjacency, layers=(WeightMatrix(raw),))
 
 
 @pytest.fixture

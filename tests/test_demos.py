@@ -1,9 +1,12 @@
 """Each demo runs as a script and prints the result it claims, not only exit 0.
 
-The README's Python examples run too.
+The README's Python examples run too, and every `module.name` the README
+or a docstring of the package names in backticks still exists.
 """
 
+import ast
 import contextlib
+import importlib
 import io
 import os
 import re
@@ -13,6 +16,12 @@ from pathlib import Path
 
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "permap"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("_"))
+# `module.name` or `permap.module.name`, possibly a dotted chain, opening a backticked span.
+MODULE_REFERENCE = re.compile(
+    r"`(?:permap\.)?(" + "|".join(MODULES) + r")\.([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)"
+)
 
 
 def run_demo(name: str) -> str:
@@ -71,3 +80,46 @@ def test_readme_python_blocks_run_in_order():
     assert namespace["emb"].location_ids().tolist() == [0, 1, 2]
     assert namespace["vectors"].shape == (3, 2)
     assert out.getvalue()
+
+
+def module_references(text: str) -> set:
+    """(module, dotted name) of each backticked reference to a permap module in `text`."""
+    return set(MODULE_REFERENCE.findall(text))
+
+
+def docstrings():
+    """(file name, docstring) of every module, class and function of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                doc = ast.get_docstring(node)
+                if doc:
+                    yield path.name, doc
+
+
+def test_the_reference_check_sees_prefixed_chained_and_called_names():
+    text = (
+        "`graphs.WeightMatrix`, `permap.layers.LAYOUTS`, `layers.Prepared.distances`, "
+        "`layers.walk_block(w, layer)`, `geo._BLOCK_BYTES`; not `np.ones` nor graphs.bare"
+    )
+    assert module_references(text) == {
+        ("graphs", "WeightMatrix"),
+        ("layers", "LAYOUTS"),
+        ("layers", "Prepared.distances"),
+        ("layers", "walk_block"),
+        ("geo", "_BLOCK_BYTES"),
+    }
+
+
+def test_every_module_name_the_docs_cite_exists():
+    cited = [("README.md", ref) for ref in module_references((ROOT / "README.md").read_text())]
+    cited += [(name, ref) for name, doc in docstrings() for ref in module_references(doc)]
+    assert len(cited) > 30
+    missing = []
+    for where, (module, dotted) in cited:
+        found = importlib.import_module(f"permap.{module}")
+        for attr in dotted.split("."):
+            found = getattr(found, attr, missing)
+        if found is missing:
+            missing.append(f"{where}: {module}.{dotted}")
+    assert not missing, missing

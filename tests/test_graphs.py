@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from conftest import symmetrized_walk
 from oracles import laplacian, symmetric_product, traversal_components
 from permap.geo import invert_distances
 from permap.graphs import (
@@ -10,7 +11,6 @@ from permap.graphs import (
     asymmetry,
     laplacian_operator,
     symmetric_scaling,
-    symmetrized_operator,
 )
 from permap.layers import two_layer_operator
 from permap.spectral import embed
@@ -157,8 +157,7 @@ class TestLaplacian:
         # A sparse layer is directed; as the one block of a walk it is
         # averaged with its transpose, which leaves equal triangles as they are.
         m = np.array([[0, 2, 0], [2, 0, 1], [0, 1, 0.0]])
-        w = WeightMatrix(sparse.csr_matrix(m))
-        sp = symmetrized_operator(3, {(0, 0): (w.__matmul__, w.transposed_product())}, (w,))
+        sp = symmetrized_walk({(0, 0): sparse.csr_matrix(m)})
         assert np.array_equal(sp.toarray(), laplacian(wm(m)))
 
     def test_zero_eigenvalues_count_components(self):

@@ -317,36 +317,7 @@ class TestGroupBlocksSpectrum:
 
 
 class TestSymmetrizedOperator:
-    def test_matches_dense_oracle_on_a_random_grid(self):
-        # Three copies of n locations; R's blocks are a directed CSR layer,
-        # country blocks, dense arrays and diagonals. Blocks on R's diagonal
-        # have a zero diagonal, as in every multilayer system.
-        rng = np.random.default_rng(206)
-        n = 13
-        codes, hops, _ = random_borders(rng, n)
-        seq = random_sequence(rng, n)
-        border = border_blocks(codes, hops, 0.5)
-        forward = rng.uniform(0.0, 2.0, (n, n))
-        hollow = rng.uniform(0.0, 2.0, (n, n))
-        np.fill_diagonal(hollow, 0.0)
-        d_a, d_b = rng.uniform(0.1, 1.0, (2, n))
-        grid = {
-            (0, 1): (seq, (seq.__matmul__, seq.transposed_product())),
-            (1, 1): (dense(border), (border.__matmul__, border.__matmul__)),
-            (2, 0): (forward, (forward.__matmul__, forward.T.__matmul__)),
-            (0, 0): (hollow, (hollow.__matmul__, hollow.T.__matmul__)),
-            (1, 2): (np.diag(d_a), (lambda x: d_a * x,) * 2),
-            (2, 1): (np.diag(d_b), (lambda x: d_b * x,) * 2),
-        }
-        raw = np.zeros((3 * n, 3 * n))
-        for (row, col), (block, _) in grid.items():
-            block = block.values.toarray() if isinstance(block, WeightMatrix) else block
-            raw[row * n : (row + 1) * n, col * n : (col + 1) * n] = block
-        blocks = {key: pair for key, (_, pair) in grid.items()}
-        lap = graphs.symmetrized_operator(n, blocks, (seq, border))
-        check_products(lap, laplacian((raw + raw.T) / 2.0), rng)
-        assert lap.shape == (3 * n, 3 * n)
-        assert not np.any(lap @ np.ones(3 * n))
+    """The multilayer operators apply A = (R + R^T) / 2 of a raw walk R with degrees A @ 1."""
 
     @staticmethod
     def assert_constant_is_null(lap):
@@ -513,6 +484,43 @@ def test_a_two_layer_product_multiplies_by_each_layer_once(
     calls.clear()
     lap @ np.cos(np.arange(lap.shape[0]))
     assert calls == {"ndarray": 1, "GroupBlocks": 1}
+
+
+def test_a_three_layer_product_multiplies_by_each_layer_once_per_direction(
+    monkeypatch, twelve_locations, chain_borders
+):
+    # A product multiplies by each layer once and by its transpose once (a
+    # symmetric layer's is itself); the couplings between copies are
+    # diagonals and multiply by no layer.
+    calls = Counter()
+    product = WeightMatrix.__matmul__
+    transposed = WeightMatrix.transposed_product
+
+    def counted(self, x):
+        calls[type(self.values).__name__] += 1
+        return product(self, x)
+
+    def counted_transpose(self):
+        backward = transposed(self)
+        if self.is_symmetric:
+            return backward
+
+        def count(x):
+            calls["transpose"] += 1
+            return backward(x)
+
+        return count
+
+    monkeypatch.setattr(WeightMatrix, "__matmul__", counted)
+    monkeypatch.setattr(WeightMatrix, "transposed_product", counted_transpose)
+    seq = np.zeros((12, 12))
+    seq[0, 1] = seq[4, 5] = seq[8, 9] = 1.0
+    seq_layer = WeightMatrix(sparse.csr_matrix(seq))
+    prepared = layers.prepare("three_layer", twelve_locations, chain_borders, seq_layer)
+    lap, _ = system_operator(prepared, 0.5)
+    calls.clear()
+    lap @ np.cos(np.arange(lap.shape[0]))
+    assert calls == {"ndarray": 2, "GroupBlocks": 2, "csr_matrix": 1, "transpose": 1}
 
 
 def test_solve_forms_no_system_laplacian_or_crossings(monkeypatch, twelve_locations, chain_borders):

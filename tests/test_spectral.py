@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from conftest import symmetrized_walk
 from oracles import (
     jacobi_eigh,
     laplacian,
@@ -20,11 +21,7 @@ from permap.geo import (
     distance_matrix,
     invert_distances,
 )
-from permap.graphs import (
-    WeightMatrix,
-    laplacian_operator,
-    symmetrized_operator,
-)
+from permap.graphs import WeightMatrix, laplacian_operator
 from permap.spectral import (
     Embedding,
     connected_components,
@@ -182,19 +179,8 @@ class TestEigensolve:
         assert got.residuals.max() <= 1e-10
 
 
-def walk(grid):
-    """The operator of A = (R + R^T) / 2 for a raw walk R given as {(row, col): block}.
-
-    Each block is a directed layer, held as CSR, so one-way entries stay one-way in R.
-    """
-    blocks = {key: WeightMatrix(sparse.csr_matrix(values)) for key, values in grid.items()}
-    n = next(iter(blocks.values())).n
-    pairs = {key: (w.__matmul__, w.transposed_product()) for key, w in blocks.items()}
-    return symmetrized_operator(n, pairs, tuple(blocks.values()))
-
-
 def one_block(values):
-    return walk({(0, 0): values})
+    return symmetrized_walk({(0, 0): values})
 
 
 class TestConnectedComponents:
@@ -274,7 +260,7 @@ class TestConnectedComponents:
                     raw[row * n : (row + 1) * n, col * n : (col + 1) * n] = csr.toarray()
             want_count, want_labels = traversal_components(((raw + raw.T) / 2.0).tolist())
             assert want_count > isolated.sum() * copies
-            count, labels = connected_components(walk(grid))
+            count, labels = connected_components(symmetrized_walk(grid))
             assert count == want_count
             assert labels.tolist() == want_labels
 
